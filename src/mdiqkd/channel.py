@@ -15,15 +15,20 @@ with sin^2(theta) = e_d before interference.
 
 With p_d = 0, e_d = 0 the construction reduces to
 M = (eta_arm^2 / 2) |psi-><psi-|, the lossy singlet filter.
+
+The element is exactly quadratic in eta_arm: each photon survives its arm
+independently, so M(eta_arm) mixes four eta-independent elements (both
+photons arrive, only Alice's, only Bob's, neither) with the probabilities
+of those cases. A whole loss grid therefore costs one small product.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pauli_core import PAULI_PAIRS
+from .pauli_core import PAULI_PRODUCTS
 
 __all__ = [
     "ChannelParams",
@@ -31,20 +36,16 @@ __all__ = [
     "TransmissionRates",
     "YieldTable",
     "PSI_MINUS",
+    "povm_components",
     "build_bsm_povm",
     "transmission_rates",
+    "transmission_rates_grid",
     "reference_yields",
 ]
 
 _ATOL = 1e-12
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-
-_PAULI = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
 
 # channel indices: 0 = D1-early, 1 = D1-late, 2 = D2-early, 3 = D2-late
 _PATTERN = frozenset((0, 3))
@@ -67,8 +68,8 @@ class ChannelParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.loss_db < 0.0:
-            raise ValueError("loss_db must be >= 0")
+        if not 0.0 <= self.loss_db < math.inf:
+            raise ValueError(f"loss_db must be finite and >= 0, got {self.loss_db!r}")
         for name in ("p_za", "p_zb"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -99,29 +100,35 @@ class BsmPovm:
 
 @dataclass(frozen=True, slots=True)
 class TransmissionRates:
-    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order."""
+    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order.
+
+    q has shape (9,), or (n, 9) for n relay elements (one per grid point).
+    """
 
     q: np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.shape != (9,):
+        if q.shape[-1:] != (9,):
             raise ValueError("expected 9 transmission rates")
         # M >= 0 forces |q_{l,l'}| <= q_{I,I}
-        if np.abs(q).max() > q[0] + _ATOL:
+        if np.any(np.abs(q).max(axis=-1) > q[..., 0] + _ATOL):
             raise ValueError("transmission rates exceed the q_II envelope")
         object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True, slots=True)
 class YieldTable:
-    """Announcement probabilities per setting pair, SETTING_PAIRS order."""
+    """Announcement probabilities per setting pair, SETTING_PAIRS order.
+
+    y has shape (9,), or (n, 9) for a batch of grid points.
+    """
 
     y: np.ndarray
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.shape != (9,):
+        if y.shape[-1:] != (9,):
             raise ValueError("expected 9 yields")
         if y.min() < 0.0 or y.max() > 1.0:
             raise ValueError("yields must lie in [0, 1]")
@@ -157,9 +164,15 @@ def _two_photon_map():
     return pairs, iso, amp_a, amp_b
 
 
-def build_bsm_povm(params):
-    """Assemble the 4x4 singlet-announcement POVM element for given params."""
-    eta = params.eta_arm
+def povm_components(params):
+    """The relay element of each photon-survival case, misalignment applied.
+
+    Returns four BsmPovm in the order both photons arrive, only Alice's,
+    only Bob's, neither; eta_d and loss_db do not enter, the survival
+    probabilities are applied by _arm_weights. Each element is validated
+    on construction, and the weights sum to 1, so every M(eta_arm) is a
+    convex combination of validated elements and lies in [0, 1] too.
+    """
     p_d = params.p_d
 
     pairs, iso, amp_a, amp_b = _two_photon_map()
@@ -174,32 +187,58 @@ def build_bsm_povm(params):
 
     p_vac = p_d * p_d * (1.0 - p_d) ** 2
 
-    m = (
-        eta * eta * m_both
-        + eta * (1.0 - eta) * np.kron(m_alice, np.eye(2))
-        + (1.0 - eta) * eta * np.kron(np.eye(2), m_bob)
-        + (1.0 - eta) ** 2 * p_vac * np.eye(4)
-    )
-
     s = math.sqrt(params.e_d)
     c = math.sqrt(1.0 - params.e_d)
     rot = np.array([[c, -s], [s, c]])
     iu = np.kron(np.eye(2), rot)
-    return BsmPovm(iu.T @ m @ iu)
+    cases = (m_both, np.kron(m_alice, np.eye(2)), np.kron(np.eye(2), m_bob),
+             p_vac * np.eye(4))
+    return tuple(BsmPovm(iu.T @ m @ iu) for m in cases)
+
+
+def _arm_weights(eta_arm):
+    """Probabilities of the four survival cases of povm_components.
+
+    eta_arm: per-arm transmission, a float or an (n,) array; the result
+    has shape (4,) or (n, 4).
+    """
+    eta = np.asarray(eta_arm, dtype=float)
+    return np.stack(
+        [eta * eta, eta * (1.0 - eta), (1.0 - eta) * eta, (1.0 - eta) ** 2],
+        axis=-1,
+    )
+
+
+def build_bsm_povm(params):
+    """Assemble the 4x4 singlet-announcement POVM element for given params."""
+    parts = np.array([part.m for part in povm_components(params)])
+    return BsmPovm(np.tensordot(_arm_weights(params.eta_arm), parts, axes=1))
 
 
 def transmission_rates(povm):
     """Project the POVM element onto the 9 two-qubit Pauli operators."""
-    q = np.array(
-        [np.trace(povm.m @ np.kron(_PAULI[l], _PAULI[lp])).real / 4.0
-         for l, lp in PAULI_PAIRS]
-    )
-    return TransmissionRates(q)
+    # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric
+    return TransmissionRates(PAULI_PRODUCTS.reshape(9, 16) @ povm.m.reshape(16) / 4.0)
+
+
+def transmission_rates_grid(params, losses_db):
+    """Transmission rates of the relay at each loss in losses_db, shape (n, 9).
+
+    params fixes everything but the loss. The rates are linear in M, so
+    q(eta) = _arm_weights(eta) @ Q with Q the rates of the four
+    povm_components: one (n, 4) @ (4, 9) product for a whole grid.
+    """
+    etas = [replace(params, loss_db=loss).eta_arm for loss in losses_db]
+    table = np.array([transmission_rates(part).q for part in povm_components(params)])
+    return TransmissionRates(_arm_weights(etas) @ table)
 
 
 def reference_yields(s_matrix, rates):
-    """Yields of the reference setting pairs, Y = S q, clamped to [0, 1]."""
-    raw = s_matrix @ rates.q
+    """Yields of the reference setting pairs, Y = S q, clamped to [0, 1].
+
+    A batch of rates (n, 9) gives a batch of yields (n, 9).
+    """
+    raw = rates.q @ s_matrix.T
     clamped = np.clip(raw, 0.0, 1.0)
     worst = np.abs(raw - clamped).max()
     if worst > 1e-9:

@@ -21,6 +21,13 @@ quantity (1/4) * sum of the four ZZ yields, and Y_ZZ := zeta_obs up to
 the optional sifting prefactor. A certified error rate at or beyond 1/2
 carries no key; the entropy arguments are capped at 1/2, which can only
 lower R.
+
+Batches. Every step also runs over a batch of grid points: a YieldTable
+and SideChannelParams with a leading axis of n points give an
+EstimationResult whose fields are arrays of n values, computed by the
+same code that gives Python floats for a single point. A sweep builds
+the tomography matrices once per reference set and evaluates a whole
+grid in one estimate call.
 """
 
 import math
@@ -29,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import g_lower, g_upper
-from .pauli_core import SETTING_PAIRS, ZZ_PAIR_INDICES, build_S_matrix, build_virtual
+from .gbound import g_lower, g_upper, plain, unit_interval
+from .pauli_core import PAULI_PRODUCTS, ZZ_PAIR_INDICES, build_S_matrix, build_virtual
 
 __all__ = [
     "EstimationError",
@@ -54,13 +61,6 @@ __all__ = [
 
 DEFAULT_COND_CEILING = 1e8
 
-_PAULI = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-_AXES = ("I", "X", "Z")
-
 
 class EstimationError(Exception):
     """Base class for failures of the estimation chain."""
@@ -83,30 +83,39 @@ class NoSignalError(EstimationError):
 
 @dataclass(frozen=True, slots=True)
 class SideChannelParams:
-    """Fidelity budget eps per setting pair, SETTING_PAIRS order."""
+    """Fidelity budget eps per setting pair, SETTING_PAIRS order.
+
+    eps has shape (9,), or (n, 9) for a batch of grid points.
+    """
 
     eps: np.ndarray
 
     def __post_init__(self):
         eps = np.asarray(self.eps, dtype=float)
-        if eps.shape != (9,):
+        if eps.shape[-1:] != (9,):
             raise ValueError("expected 9 side-channel entries")
-        if eps.min() < 0.0 or eps.max() > 1.0:
+        if not np.all((eps >= 0.0) & (eps <= 1.0)):
             raise ValueError("side-channel weights must lie in [0, 1]")
         object.__setattr__(self, "eps", eps)
 
     @classmethod
     def uniform(cls, value):
-        return cls(np.full(9, float(value)))
+        """The same eps for all nine pairs; an (n,) array gives a batch."""
+        value = np.asarray(value, dtype=float)
+        return cls(np.repeat(value[..., None], 9, axis=-1))
 
-    def anchor(self, pair_index):
-        # fidelity anchor delta^L = sqrt(1 - eps) for one setting pair
-        return math.sqrt(1.0 - self.eps[pair_index])
+    def anchors(self):
+        # fidelity anchors delta^L = sqrt(1 - eps) per setting pair
+        return np.sqrt(1.0 - self.eps)
 
 
 @dataclass(frozen=True, slots=True)
 class EstimationInputs:
-    """Everything the bound of the estimation chain consumes."""
+    """Everything the bound of the estimation chain consumes.
+
+    yields and eps may be None while the reference-set part is reused
+    across a grid; dataclasses.replace attaches them before estimate.
+    """
 
     yields: object
     eps: SideChannelParams
@@ -129,6 +138,8 @@ class EstimationInputs:
 
 @dataclass(frozen=True, slots=True)
 class EstimationResult:
+    """Floats for one point; arrays of n values for a batch of n points."""
+
     omega_ref: float
     omega_ref_upper: float
     delta_vir_lower: float
@@ -139,15 +150,15 @@ class EstimationResult:
     key_rate: float
 
     def __post_init__(self):
-        if self.omega_ref > self.omega_ref_upper + 1e-12:
+        if np.any(self.omega_ref > self.omega_ref_upper + 1e-12):
             raise ValueError("omega_ref exceeds its upper bound")
-        if self.key_rate < 0.0:
+        if np.any(self.key_rate < 0.0):
             raise ValueError("key rate must be floored at 0")
 
 
-def build_estimation_inputs(ref_a, ref_b, yields, eps,
+def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
                             cond_ceiling=DEFAULT_COND_CEILING):
-    """Assemble the tomography matrices and f_obj for one parameter point.
+    """Assemble the tomography matrices and f_obj for one reference set.
 
     ref_a, ref_b: the three reference states per side in SETTINGS order.
     Raises IllConditionedError when cond(S) exceeds the ceiling; the
@@ -164,10 +175,7 @@ def build_estimation_inputs(ref_a, ref_b, yields, eps,
 
 
 def _bloch_to_density(row):
-    rho = np.zeros((4, 4))
-    for k, (l, lp) in enumerate(((a, b) for a in _AXES for b in _AXES)):
-        rho += row[k] * np.kron(_PAULI[l], _PAULI[lp])
-    return rho / 4.0
+    return np.tensordot(row, PAULI_PRODUCTS, axes=1) / 4.0
 
 
 def omega_ref_direct(ensemble, povm):
@@ -185,40 +193,36 @@ def omega_ref_direct(ensemble, povm):
 def omega_ref_matrix(inputs, yields=None):
     """Singlet-error weight via the tomography identity f_obj . Y."""
     table = inputs.yields if yields is None else yields
-    return float(inputs.f_obj @ table.y)
+    return plain(table.y @ inputs.f_obj)
 
 
 def omega_ref_upper(f_obj, yields, eps):
     """Worst-case omega_ref once each yield is only known up to fidelity.
 
     Positive coefficients take the upper deviation bound, negative ones
-    the lower bound, with anchors delta^L = sqrt(1 - eps) per pair; terms
-    with a zero coefficient are skipped. Floored at 0.
+    the lower bound, with anchors delta^L = sqrt(1 - eps) per pair; a zero
+    coefficient adds nothing. Floored at 0.
     """
-    total = 0.0
-    for k, f in enumerate(f_obj):
-        if f == 0.0:
-            continue
-        anchor = eps.anchor(k)
-        bound = g_upper(yields.y[k], anchor) if f > 0 else g_lower(yields.y[k], anchor)
-        total += f * bound
-    return max(total, 0.0)
+    anchors = eps.anchors()
+    bounds = np.where(f_obj > 0.0, g_upper(yields.y, anchors), g_lower(yields.y, anchors))
+    return plain(np.maximum((f_obj * bounds).sum(axis=-1), 0.0))
 
 
 def delta_vir_lower(eps):
     """Fidelity floor of the virtual source state: (1/4) sum sqrt(1 - eps_ZZ)."""
-    return 0.25 * sum(eps.anchor(k) for k in ZZ_PAIR_INDICES)
+    return plain(0.25 * eps.anchors()[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
 
 
 def omega_upper(omega_ref_up, delta_vir_low):
     """Lift the reference-ensemble bound to the actual virtual ensemble."""
-    if not 0.0 <= delta_vir_low <= 1.0:
-        raise ValueError("delta_vir_lower must lie in [0, 1]")
-    if omega_ref_up < 0.0:
+    delta_vir_low = unit_interval(delta_vir_low, "delta_vir_lower")
+    omega_ref_up = np.asarray(omega_ref_up, dtype=float)
+    if not np.all(omega_ref_up >= 0.0):
         raise ValueError("omega_ref_upper must be >= 0")
-    if omega_ref_up > 1.0:
-        warnings.warn(f"omega_ref_upper = {omega_ref_up!r} clamped to 1")
-        omega_ref_up = 1.0
+    if np.any(omega_ref_up > 1.0):
+        worst = float(omega_ref_up.max())
+        warnings.warn(f"omega_ref_upper = {worst!r} clamped to 1")
+        omega_ref_up = np.minimum(omega_ref_up, 1.0)
     return g_upper(omega_ref_up, delta_vir_low)
 
 
@@ -229,29 +233,29 @@ def bit_error_rate(zz_yields):
     bits, and Bob flips his afterwards.
     """
     zz = np.asarray(zz_yields, dtype=float)
-    if zz.shape != (4,) or zz.min() < 0.0:
+    if zz.shape[-1:] != (4,) or not np.all(zz >= 0.0):
         raise ValueError("expected 4 nonnegative ZZ yields")
-    denom = zz.sum()
-    if denom <= 0.0:
+    denom = zz.sum(axis=-1)
+    if np.any(denom <= 0.0):
         raise NoSignalError("all ZZ yields vanish")
     # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
-    return float((zz[0] + zz[3]) / denom)
+    return plain((zz[..., 0] + zz[..., 3]) / denom)
 
 
 def phase_error_rate(omega_up, zeta_obs):
     """Virtual X-basis error rate Omega^U / zeta_obs, clamped to [0, 1]."""
-    if zeta_obs <= 0.0:
+    zeta_obs = np.asarray(zeta_obs, dtype=float)
+    if np.any(zeta_obs <= 0.0):
         raise NoSignalError("zeta_obs must be positive")
-    return min(max(omega_up / zeta_obs, 0.0), 1.0)
+    return plain(np.clip(omega_up / zeta_obs, 0.0, 1.0))
 
 
 def binary_entropy(p):
     """Shannon entropy of a bit, with h(0) = h(1) = 0 by continuity."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("binary_entropy argument must lie in [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    p = unit_interval(p, "binary_entropy argument")
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)  # keeps log2 away from 0 at the endpoints
+    return plain(np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0))
 
 
 def key_rate(y_zz, e_zz, e_xx, f_ec):
@@ -260,19 +264,17 @@ def key_rate(y_zz, e_zz, e_xx, f_ec):
     Error rates certified at or beyond 1/2 yield nothing; the entropy
     arguments are capped there, which can only lower the bound.
     """
-    for name, v in (("e_zz", e_zz), ("e_xx", e_xx)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    if y_zz < 0.0:
+    e_zz, e_xx = unit_interval(e_zz, "e_zz"), unit_interval(e_xx, "e_xx")
+    if not np.all(np.asarray(y_zz) >= 0.0):
         raise ValueError("y_zz must be >= 0")
-    if f_ec < 1.0:
+    if not f_ec >= 1.0:
         raise ValueError("f_ec must be >= 1")
     bracket = (
         1.0
-        - binary_entropy(min(e_xx, 0.5))
-        - f_ec * binary_entropy(min(e_zz, 0.5))
+        - binary_entropy(np.minimum(e_xx, 0.5))
+        - f_ec * binary_entropy(np.minimum(e_zz, 0.5))
     )
-    return y_zz * max(bracket, 0.0)
+    return plain(y_zz * np.maximum(bracket, 0.0))
 
 
 def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
@@ -286,9 +288,9 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     dv_low = delta_vir_lower(inputs.eps)
     om_up = omega_upper(om_ref_up, dv_low)
 
-    zz = inputs.yields.y[list(ZZ_PAIR_INDICES)]
+    zz = inputs.yields.y[..., list(ZZ_PAIR_INDICES)]
     e_zz = bit_error_rate(zz)
-    zeta_obs = 0.25 * float(zz.sum())  # joint over the uniform bit pairs
+    zeta_obs = plain(0.25 * zz.sum(axis=-1))  # joint over the uniform bit pairs
     e_xx = phase_error_rate(om_up, zeta_obs)
 
     y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor

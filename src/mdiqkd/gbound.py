@@ -13,45 +13,56 @@ saturates at 1 above x = y^2. On the analytic branch they read
 
 with - for the lower and + for the upper bound. -g_lower and g_upper are
 concave in x; g_lower is nondecreasing and g_upper nonincreasing in y.
+
+Both functions take floats or broadcastable arrays: a float argument
+gives a float, arrays give an array of the broadcast shape. The estimator
+shares the argument check and the float conversion defined here.
 """
 
-import math
+import numpy as np
 
 __all__ = ["g_lower", "g_upper"]
 
 
-def _check_unit_interval(value, name):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+def unit_interval(value, name):
+    """value as a float array; ValueError unless every entry lies in [0, 1]."""
+    arr = np.asarray(value, dtype=float)
+    inside = (arr >= 0.0) & (arr <= 1.0)  # nan fails both comparisons
+    if not inside.all():
+        bad = float(arr[~inside].flat[0])
+        raise ValueError(f"{name} must lie in [0, 1], got {bad!r}")
+    return arr
+
+
+def plain(arr):
+    """A 0-d result as a Python float; arrays pass through."""
+    arr = np.asarray(arr)
+    return arr.item() if arr.ndim == 0 else arr
 
 
 def _branch(x, y, sign):
     # sqrt argument can stray to ~-1e-16 at the endpoints
-    root = math.sqrt(max((1.0 - y * y) * x * (1.0 - x), 0.0))
+    root = np.sqrt(np.maximum((1.0 - y * y) * x * (1.0 - x), 0.0))
     return x + (1.0 - y * y) * (1.0 - 2.0 * x) + sign * 2.0 * y * root
 
 
 def g_lower(x, y):
     """Lower bound on <R|M|R> given x = <A|M|A> and overlap y = |<A|R>|.
 
-    Returns 0 when x < 1 - y^2; otherwise the analytic branch, clamped
+    Returns 0 where x < 1 - y^2; otherwise the analytic branch, clamped
     to [0, 1] against floating-point dust.
     """
-    _check_unit_interval(x, "x")
-    _check_unit_interval(y, "y")
-    if x < 1.0 - y * y:
-        return 0.0
-    return min(max(_branch(x, y, -1.0), 0.0), 1.0)
+    x, y = unit_interval(x, "x"), unit_interval(y, "y")
+    branch = np.clip(_branch(x, y, -1.0), 0.0, 1.0)
+    return plain(np.where(x < 1.0 - y * y, 0.0, branch))
 
 
 def g_upper(x, y):
     """Upper bound on <R|M|R> given x = <A|M|A> and overlap y = |<A|R>|.
 
-    Returns 1 when x > y^2; otherwise the analytic branch, clamped to
+    Returns 1 where x > y^2; otherwise the analytic branch, clamped to
     [0, 1].
     """
-    _check_unit_interval(x, "x")
-    _check_unit_interval(y, "y")
-    if x > y * y:
-        return 1.0
-    return min(max(_branch(x, y, +1.0), 0.0), 1.0)
+    x, y = unit_interval(x, "x"), unit_interval(y, "y")
+    branch = np.clip(_branch(x, y, +1.0), 0.0, 1.0)
+    return plain(np.where(x > y * y, 1.0, branch))

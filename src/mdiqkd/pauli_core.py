@@ -26,6 +26,7 @@ __all__ = [
     "PAULI_AXES",
     "PAULI_PAIRS",
     "SETTING_PAIRS",
+    "PAULI_PRODUCTS",
     "ZZ_PAIR_INDICES",
     "QubitState",
     "ModulationErrors",
@@ -44,6 +45,16 @@ SETTINGS = ("0Z", "1Z", "0X")
 PAULI_AXES = ("I", "X", "Z")
 PAULI_PAIRS = tuple((l, lp) for l in PAULI_AXES for lp in PAULI_AXES)
 SETTING_PAIRS = tuple((a, b) for a in SETTINGS for b in SETTINGS)
+_PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+# sigma_l x sigma_l' for each of PAULI_PAIRS, a (9, 4, 4) stack; every
+# entry is real and symmetric
+PAULI_PRODUCTS = np.array(
+    [np.kron(_PAULI_MATRICES[l], _PAULI_MATRICES[lp]) for l, lp in PAULI_PAIRS]
+)
 # positions of the four (jZ, sZ) pairs inside SETTING_PAIRS
 ZZ_PAIR_INDICES = (0, 1, 3, 4)
 
@@ -81,9 +92,10 @@ class ModulationErrors:
 
     def __post_init__(self):
         for name in ("delta1", "delta2", "delta3"):
-            if abs(getattr(self, name)) >= math.pi / 2:
-                # beyond pi/2 the state is closer to the complementary one
-                raise ValueError(f"|{name}| must be < pi/2")
+            if not abs(getattr(self, name)) < math.pi / 2:
+                # beyond pi/2 the state is closer to the complementary one;
+                # the negated test also refuses nan
+                raise ValueError(f"|{name}| must be finite and < pi/2")
 
 
 @dataclass(frozen=True, slots=True)

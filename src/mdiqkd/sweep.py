@@ -3,19 +3,27 @@
 A sweep evaluates the full chain (POVM -> yields -> estimation -> key
 rate) over a grid, either against transmission loss at fixed side-channel
 budgets, or against system frequency with the side-channel weight tied to
-frequency through a lg-linear map. Output is a deterministic CSV or
-JSON-lines table: identical configs produce byte-identical files, floats
-are printed with 12 significant digits, and a summary block records the
-per-curve positive-rate cutoff.
+frequency through a lg-linear map. The tomography matrices are built
+once per modulation error and the chain runs over all of its rows in one
+batch; a row whose estimation fails becomes an error row of the table.
+Output is a deterministic CSV or JSON-lines table: identical configs
+produce byte-identical files, floats are printed with 12 significant
+digits, and a summary block records the per-curve positive-rate cutoff.
 """
 
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, build_bsm_povm, reference_yields, transmission_rates
+import numpy as np
+
+from .channel import (
+    ChannelParams,
+    YieldTable,
+    reference_yields,
+    transmission_rates_grid,
+)
 from .estimator import (
     DEFAULT_COND_CEILING,
     EstimationError,
@@ -23,7 +31,7 @@ from .estimator import (
     build_estimation_inputs,
     estimate,
 )
-from .pauli_core import SETTINGS, ModulationErrors, build_S_matrix, make_reference_state
+from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
 
 __all__ = [
     "LossRange",
@@ -37,6 +45,21 @@ __all__ = [
     "curve_summaries",
 ]
 
+# the most rows one table may hold; every row stays in memory until emission
+MAX_TABLE_ROWS = 1_000_000
+
+
+def _grid_size(start, stop, step):
+    """Number of grid points start, start + step, ... <= stop, validated."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("grid start, stop and step must be finite")
+    if step <= 0.0 or stop < start:
+        raise ValueError("need stop >= start and step > 0")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_TABLE_ROWS:
+        raise ValueError(f"grid exceeds {MAX_TABLE_ROWS} points")
+    return int(math.floor(span)) + 1
+
 
 @dataclass(frozen=True, slots=True)
 class LossRange:
@@ -45,11 +68,12 @@ class LossRange:
     step: float = 0.1
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.stop < self.start:
-            raise ValueError("need stop >= start and step > 0")
+        _grid_size(self.start, self.stop, self.step)
+        if self.start < 0.0:
+            raise ValueError("loss grid must start at >= 0 dB")
 
     def values(self):
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        n = _grid_size(self.start, self.stop, self.step)
         return [self.start + k * self.step for k in range(n)]
 
 
@@ -70,24 +94,28 @@ class FrequencyRange:
     anchor_high: tuple = (4.0, -6.0)
 
     def __post_init__(self):
-        if self.step_ghz <= 0.0 or self.stop_ghz < self.start_ghz:
-            raise ValueError("need stop >= start and step > 0")
+        _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
         if self.start_ghz <= 0.0:
             raise ValueError("frequencies must be positive")
+        if not all(math.isfinite(v) for v in (*self.anchor_low, *self.anchor_high)):
+            raise ValueError("map anchors must be finite")
         if self.anchor_low[0] >= self.anchor_high[0]:
             raise ValueError("map anchors must have increasing frequency")
+        # lg eps is linear in f, so the grid ends bound it on the whole grid
+        values = self.values()
+        self.eps_at(values[0])
+        self.eps_at(values[-1])
 
     def values(self):
-        n = int(math.floor((self.stop_ghz - self.start_ghz) / self.step_ghz + 1e-9)) + 1
+        n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
         return [self.start_ghz + k * self.step_ghz for k in range(n)]
 
     def eps_at(self, f_ghz):
         (f1, lg1), (f2, lg2) = self.anchor_low, self.anchor_high
         lg = lg1 + (f_ghz - f1) * (lg2 - lg1) / (f2 - f1)
-        eps = 10.0**lg
-        if eps > 1.0:
-            raise ValueError(f"side-channel map gives eps = {eps!r} > 1")
-        return eps
+        if not lg <= 0.0:
+            raise ValueError(f"side-channel map gives eps = 10**{lg!r} > 1 at {f_ghz!r} GHz")
+        return 10.0**lg
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +130,6 @@ class SweepConfig:
     cond_ceiling: float = DEFAULT_COND_CEILING
     out_path: str = "sweep.csv"
     out_format: str = "csv"
-    workers: int = 1
 
     def __post_init__(self):
         if not self.eps_values or not self.delta_values:
@@ -111,12 +138,20 @@ class SweepConfig:
             if not 0.0 <= e <= 1.0:
                 raise ValueError("eps values must lie in [0, 1]")
         for d in self.delta_values:
-            if abs(d) >= math.pi / 2:
-                raise ValueError("|delta| must be < pi/2")
+            ModulationErrors(d, d, d)  # raises on a bad delta
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError("f_ec must be finite and >= 1")
+        if not 0.0 < self.cond_ceiling < math.inf:
+            raise ValueError("cond_ceiling must be finite and > 0")
         if self.out_format not in ("csv", "json-lines"):
             raise ValueError("format must be csv or json-lines")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        fr = self.frequency_range
+        if fr.loss_db is not None:
+            replace(self.channel, loss_db=fr.loss_db)  # raises on a bad loss
+        curves = len(self.eps_values) * len(self.delta_values)
+        if (curves * len(self.loss_range.values()) > MAX_TABLE_ROWS
+                or len(self.delta_values) * len(fr.values()) > MAX_TABLE_ROWS):
+            raise ValueError(f"sweep table exceeds {MAX_TABLE_ROWS} rows")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +173,7 @@ class KeyRatePoint:
 
 
 def _config_sections(raw):
-    known = {"channel", "estimation", "sweep", "output", "workers"}
+    known = {"channel", "estimation", "sweep", "output"}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -186,7 +221,6 @@ def load_config(path=None, overrides=None):
         cond_ceiling=est.get("cond_ceiling", DEFAULT_COND_CEILING),
         out_path=out.get("path", "sweep.csv"),
         out_format=out.get("format", "csv"),
-        workers=raw.get("workers", 1),
     )
     if overrides:
         config = _apply_overrides(config, overrides)
@@ -210,83 +244,98 @@ def _apply_overrides(config, overrides):
     return replace(config, **fields) if fields else config
 
 
-def _evaluate(channel, delta, eps_value, f_ec, include_sifting, cond_ceiling):
+_RESULT_FIELDS = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
+
+
+def _evaluate(config, delta, rates, eps):
+    """Estimate every row of one modulation error in one batch.
+
+    rates: transmission rates of shape (n_points, 9), or (1, 9) shared by
+    all points; eps: side-channel weights of shape (n_curves, n_points).
+    The tomography matrices are built once here, however many rows.
+    Returns (cond_s, outcomes), one outcome per row in eps order: a tuple
+    of the _RESULT_FIELDS values, or the message of the EstimationError
+    that row raises in the scalar chain.
+    """
     deltas = ModulationErrors(delta, delta, delta)
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
-    povm = build_bsm_povm(channel)
-    yields = reference_yields(build_S_matrix(ref, ref), transmission_rates(povm))
-    eps = SideChannelParams.uniform(eps_value)
-    inputs = build_estimation_inputs(ref, ref, yields, eps, cond_ceiling)
-    sifting = channel.p_za * channel.p_zb if include_sifting else None
-    result = estimate(inputs, f_ec=f_ec, sifting_prefactor=sifting)
-    return result, inputs.cond_s
-
-
-def _loss_point(args):
-    config, loss, eps_value, delta = args
-    channel = replace(config.channel, loss_db=loss)
     try:
-        result, cond = _evaluate(channel, delta, eps_value, config.f_ec,
-                                 config.include_sifting, config.cond_ceiling)
-    except EstimationError as exc:
-        nan = float("nan")
-        return KeyRatePoint(loss, eps_value, delta, nan, nan, nan, nan, nan,
-                            nan, nan, error=str(exc))
-    return KeyRatePoint(
-        loss, eps_value, delta, result.key_rate, result.e_zz, result.e_xx,
-        result.omega_ref_upper, result.omega_upper, result.zeta_obs, cond,
-    )
+        setup = build_estimation_inputs(ref, ref, cond_ceiling=config.cond_ceiling)
+    except EstimationError as exc:  # refuses the whole reference set
+        return math.nan, [str(exc)] * eps.size
+    yields = reference_yields(setup.s_matrix, rates).y
+    yields = np.broadcast_to(yields, eps.shape + (9,)).reshape(-1, 9)
+    eps = eps.reshape(-1)
+    sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
 
+    def outcomes(rows):
+        inputs = replace(setup, yields=YieldTable(yields[rows]),
+                         eps=SideChannelParams.uniform(eps[rows]))
+        result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
+        return list(zip(*(getattr(result, name).tolist() for name in _RESULT_FIELDS)))
 
-def _frequency_point(args):
-    config, f_ghz, delta = args
-    fr = config.frequency_range
-    eps_value = fr.eps_at(f_ghz)
-    channel = replace(config.channel, loss_db=fr.loss_db)
     try:
-        result, cond = _evaluate(channel, delta, eps_value, config.f_ec,
-                                 config.include_sifting, config.cond_ceiling)
-    except EstimationError as exc:
-        nan = float("nan")
-        return KeyRatePoint(f_ghz, eps_value, delta, nan, nan, nan, nan, nan,
-                            nan, nan, key_per_second=nan, error=str(exc))
-    per_second = result.key_rate * f_ghz * 1e9
+        return setup.cond_s, outcomes(slice(None))
+    except EstimationError:
+        pass
+    # some row failed: evaluate row by row, so only those rows carry the error
+    rows = []
+    for i in range(eps.size):
+        try:
+            rows += outcomes(slice(i, i + 1))
+        except EstimationError as exc:
+            rows.append(str(exc))
+    return setup.cond_s, rows
+
+
+def _row(coordinate, eps_value, delta, cond, outcome, per_second):
+    """The KeyRatePoint of one outcome of _evaluate."""
+    if isinstance(outcome, str):
+        nan = math.nan
+        return KeyRatePoint(coordinate, eps_value, delta, nan, nan, nan, nan, nan,
+                            nan, nan, key_per_second=nan if per_second else None,
+                            error=outcome)
+    key_rate = outcome[0]
     return KeyRatePoint(
-        f_ghz, eps_value, delta, result.key_rate, result.e_zz, result.e_xx,
-        result.omega_ref_upper, result.omega_upper, result.zeta_obs, cond,
-        key_per_second=per_second,
+        coordinate, eps_value, delta, *outcome, cond,
+        key_per_second=key_rate * coordinate * 1e9 if per_second else None,
     )
-
-
-def _map_points(func, tasks, workers):
-    if workers <= 1:
-        return [func(t) for t in tasks]
-    # results come back in task order regardless of completion order
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks, chunksize=8))
 
 
 def run_loss_sweep(config):
     """Key-rate rows over the loss grid for every (eps, delta) combination."""
-    tasks = [
-        (config, loss, eps_value, delta)
-        for eps_value in config.eps_values
-        for delta in config.delta_values
-        for loss in config.loss_range.values()
-    ]
-    return _map_points(_loss_point, tasks, config.workers)
+    losses = config.loss_range.values()
+    rates = transmission_rates_grid(config.channel, losses)
+    eps = np.repeat(np.array(config.eps_values, dtype=float)[:, None], len(losses), axis=1)
+    by_delta = {d: _evaluate(config, d, rates, eps)
+                for d in dict.fromkeys(config.delta_values)}
+    rows = []
+    for i, eps_value in enumerate(config.eps_values):
+        for delta in config.delta_values:
+            cond, outcomes = by_delta[delta]
+            first = i * len(losses)
+            rows += [_row(loss, eps_value, delta, cond, outcomes[first + k], False)
+                     for k, loss in enumerate(losses)]
+    return rows
 
 
 def run_frequency_sweep(config):
     """Per-second key-rate rows over the frequency grid at fixed loss."""
-    if config.frequency_range.loss_db is None:
+    fr = config.frequency_range
+    if fr.loss_db is None:
         raise ValueError("frequency sweep requires sweep.frequency.loss_db")
-    tasks = [
-        (config, f_ghz, delta)
-        for delta in config.delta_values
-        for f_ghz in config.frequency_range.values()
-    ]
-    return _map_points(_frequency_point, tasks, config.workers)
+    freqs = fr.values()
+    eps_values = [fr.eps_at(f) for f in freqs]
+    rates = transmission_rates_grid(config.channel, [fr.loss_db])
+    eps = np.array([eps_values])
+    by_delta = {d: _evaluate(config, d, rates, eps)
+                for d in dict.fromkeys(config.delta_values)}
+    rows = []
+    for delta in config.delta_values:
+        cond, outcomes = by_delta[delta]
+        rows += [_row(f, e, delta, cond, out, True)
+                 for f, e, out in zip(freqs, eps_values, outcomes)]
+    return rows
 
 
 def curve_summaries(points):

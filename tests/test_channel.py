@@ -30,6 +30,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(loss_db=-1.0)
     with pytest.raises(ValueError):
+        ChannelParams(loss_db=math.nan)
+    with pytest.raises(ValueError):
         ChannelParams(p_za=0.0)
 
 

@@ -261,6 +261,8 @@ def test_estimate_benchmark_point_is_positive():
     result = estimate(inputs)
     assert result.key_rate > 0.0
     assert result.omega_ref <= result.omega_ref_upper + 1e-12
+    # a single point gives plain floats, not numpy scalars
+    assert all(type(getattr(result, name)) is float for name in result.__slots__)
 
 
 def test_estimate_sifting_prefactor_scales_rate():

@@ -53,6 +53,8 @@ def test_reference_state_rejects_unknown_setting():
 def test_modulation_errors_bounded():
     with pytest.raises(ValueError):
         ModulationErrors(delta2=math.pi / 2)
+    with pytest.raises(ValueError):
+        ModulationErrors(delta1=math.nan)
 
 
 def test_qubit_state_requires_normalization():

@@ -1,9 +1,26 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdiqkd import (
+    SETTINGS,
+    ChannelParams,
+    EstimationError,
+    ModulationErrors,
+    SideChannelParams,
+    build_bsm_povm,
+    build_estimation_inputs,
+    build_S_matrix,
+    estimate,
+    make_reference_state,
+    reference_yields,
+    transmission_rates,
+)
 from mdiqkd.cli import build_parser, main
 from mdiqkd.sweep import (
     FrequencyRange,
@@ -39,6 +56,10 @@ def test_loss_range_grid():
         LossRange(1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         LossRange(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        LossRange(0.0, math.inf, 1.0)
+    with pytest.raises(ValueError):
+        LossRange(0.0, 1e9, 1.0)  # beyond the grid cap
 
 
 def test_frequency_range_grid_and_map():
@@ -58,9 +79,13 @@ def test_frequency_range_validation():
         FrequencyRange(start_ghz=-1.0)
     with pytest.raises(ValueError):
         FrequencyRange(anchor_low=(5.0, -9.0), anchor_high=(4.0, -6.0))
-    bad_map = FrequencyRange(anchor_high=(4.0, 1.0))
+    # a map reaching eps > 1 anywhere on the grid is refused up front
     with pytest.raises(ValueError):
-        bad_map.eps_at(4.0)
+        FrequencyRange(anchor_high=(4.0, 1.0))
+    with pytest.raises(ValueError):
+        FrequencyRange(stop_ghz=12.0, anchor_high=(4.0, -3.0))
+    with pytest.raises(ValueError):
+        FrequencyRange(anchor_low=(0.1, math.nan))
 
 
 def test_sweep_config_validation():
@@ -73,7 +98,11 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(out_format="xml")
     with pytest.raises(ValueError):
-        SweepConfig(workers=0)
+        SweepConfig(delta_values=(math.nan,))
+    with pytest.raises(ValueError):
+        SweepConfig(f_ec=math.nan)
+    with pytest.raises(ValueError):
+        SweepConfig(frequency_range=FrequencyRange(loss_db=math.nan))
 
 
 def test_load_config_defaults():
@@ -82,7 +111,6 @@ def test_load_config_defaults():
     assert config.delta_values == (0.0,)
     assert config.loss_range == LossRange()
     assert config.out_format == "csv"
-    assert config.workers == 1
 
 
 def test_load_config_yaml_file(tmp_path):
@@ -100,7 +128,6 @@ def test_load_config_yaml_file(tmp_path):
         "output:\n"
         "  path: rates.jsonl\n"
         "  format: json-lines\n"
-        "workers: 2\n"
     )
     config = load_config(str(path))
     assert config.channel.eta_d == 0.2
@@ -113,7 +140,6 @@ def test_load_config_yaml_file(tmp_path):
     assert config.frequency_range.anchor_high == (4.0, -5.0)
     assert config.out_path == "rates.jsonl"
     assert config.out_format == "json-lines"
-    assert config.workers == 2
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -132,6 +158,10 @@ def test_load_config_overrides_win(tmp_path):
 def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("chanel: {eta_d: 0.2}\n")
+    with pytest.raises(ValueError, match="unknown config sections"):
+        load_config(str(path))
+    # workers is not a config section
+    path.write_text("workers: 2\n")
     with pytest.raises(ValueError, match="unknown config sections"):
         load_config(str(path))
 
@@ -311,13 +341,126 @@ def test_frequency_sweep_flat_map_scales_with_clock():
     assert all(a < b for a, b in zip(per_second, per_second[1:]))
 
 
-def test_workers_do_not_change_results(tmp_path):
-    serial = run_loss_sweep(replace(TINY, workers=1))
-    parallel = run_loss_sweep(replace(TINY, workers=2))
-    a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    emit_table(serial, str(a), "csv")
-    emit_table(parallel, str(b), "csv")
-    assert a.read_bytes() == b.read_bytes()
+# batched rows must agree with the per-point README chain to this
+# relative tolerance; the two differ only in summation order
+PIN_REL = 1e-9
+
+
+def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
+    """One table row through the README quick-start chain, point by point."""
+    deltas = ModulationErrors(delta, delta, delta)
+    ref = [make_reference_state(s, deltas) for s in SETTINGS]
+    povm = build_bsm_povm(channel)
+    yields = reference_yields(build_S_matrix(ref, ref), transmission_rates(povm))
+    sifting = channel.p_za * channel.p_zb if config.include_sifting else None
+    try:
+        inputs = build_estimation_inputs(ref, ref, yields,
+                                         SideChannelParams.uniform(eps_value),
+                                         config.cond_ceiling)
+        r = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
+    except EstimationError as exc:
+        nan = math.nan
+        return KeyRatePoint(coordinate, eps_value, delta, nan, nan, nan, nan, nan,
+                            nan, nan, key_per_second=nan if per_second else None,
+                            error=str(exc))
+    return KeyRatePoint(
+        coordinate, eps_value, delta, r.key_rate, r.e_zz, r.e_xx, r.omega_ref_upper,
+        r.omega_upper, r.zeta_obs, inputs.cond_s,
+        key_per_second=r.key_rate * coordinate * 1e9 if per_second else None,
+    )
+
+
+def _assert_pinned(points, expected):
+    assert len(points) == len(expected)
+    for got, want in zip(points, expected):
+        assert (got.coordinate, got.eps, got.delta) == (want.coordinate, want.eps, want.delta)
+        assert got.error == want.error
+        if want.error is not None:
+            assert math.isnan(got.key_rate) and math.isnan(got.cond_s)
+            continue
+        assert (got.key_rate > 0.0) == (want.key_rate > 0.0)
+        for name in ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper",
+                     "zeta_obs", "cond_s", "key_per_second"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=0.0), (
+                name, got.coordinate, a, b)
+    assert curve_summaries(points) == curve_summaries(expected)
+
+
+def _expected_loss_rows(config):
+    return [
+        _scalar_row(config, replace(config.channel, loss_db=loss), loss, e, d, False)
+        for e in config.eps_values for d in config.delta_values
+        for loss in config.loss_range.values()
+    ]
+
+
+@pytest.mark.parametrize("config", [
+    # eps = 0 and eps = 1, curves that cross their cutoff inside the grid
+    replace(TINY, eps_values=(0.0, 1e-6, 1.0), delta_values=(0.0, 0.126),
+            loss_range=LossRange(0.0, 14.0, 0.5)),
+    # delta = 1.5 has cond(S) ~ 1.6e3: all its rows are error rows
+    replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3),
+    # no photons and no dark counts: every point raises NoSignalError
+    replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)),
+    # no dark counts and eta_arm^2 underflowing to 0 beyond ~3200 dB: only
+    # the far end of each curve raises NoSignalError
+    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 500.0)),
+], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow"])
+def test_loss_sweep_matches_scalar_chain(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
+        points = run_loss_sweep(config)
+        expected = _expected_loss_rows(config)
+    _assert_pinned(points, expected)
+    errors = {p.error for p in points}
+    if config.cond_ceiling == 1e3:
+        assert all(("cond" in p.error) == (p.delta == 1.5) for p in points
+                   if p.error is not None) and len(errors) == 2
+    if config.channel.eta_d == 0.0:
+        assert errors == {"all ZZ yields vanish"}
+    elif config.channel.p_d == 0.0:
+        assert errors == {None, "all ZZ yields vanish"}
+        assert all((p.error is None) == (p.coordinate <= 3000.0) for p in points)
+
+
+def test_frequency_sweep_matches_scalar_chain():
+    config = replace(
+        TINY,
+        delta_values=(0.0, 0.126),
+        include_sifting=True,
+        frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0,
+                                       anchor_high=(4.0, -4.5)),
+    )
+    points = run_frequency_sweep(config)
+    fr = config.frequency_range
+    channel = replace(config.channel, loss_db=fr.loss_db)
+    expected = [_scalar_row(config, channel, f, fr.eps_at(f), d, True)
+                for d in config.delta_values for f in fr.values()]
+    _assert_pinned(points, expected)
+    # the map drives both curves through their cutoff
+    assert all(s["cutoff"] is not None and s["cutoff"] < 4.0
+               for s in curve_summaries(points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lg_eps=st.floats(min_value=-10.0, max_value=-4.0),
+    delta=st.floats(min_value=-0.3, max_value=0.3),
+    eta_d=st.floats(min_value=0.05, max_value=1.0),
+    lg_p_d=st.floats(min_value=-8.0, max_value=-3.0),
+    e_d=st.floats(min_value=0.0, max_value=0.05),
+)
+def test_rate_nonincreasing_in_loss(lg_eps, delta, eta_d, lg_p_d, e_d):
+    config = SweepConfig(
+        channel=ChannelParams(eta_d=eta_d, p_d=10.0**lg_p_d, e_d=e_d),
+        eps_values=(10.0**lg_eps,),
+        delta_values=(delta,),
+        loss_range=LossRange(0.0, 60.0, 0.25),
+    )
+    rates = [p.key_rate for p in run_loss_sweep(config)]
+    assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
 def test_cli_parser_flags():
