@@ -27,7 +27,7 @@ for label, deltas in (
     print(f"\n== {label} ==")
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
     for setting, state in zip(SETTINGS, ref):
-        i, x, z = bloch_vector(state).as_array()
+        i, x, z = bloch_vector(state)
         print(f"  {setting}:  amplitudes ({state.amp0:+.6f}, {state.amp1:+.6f})"
               f"   Bloch (X, Z) = ({x:+.6f}, {z:+.6f})")
 

@@ -7,55 +7,21 @@ side channels (an eps-weighted leak out of the qubit space). Yields are
 expressed through Bloch-vector tomography of the setting states, the
 phase-error rate is bounded with fidelity-based deviation functions, and
 everything is driven either as a library or through the sweep CLI.
+
+This namespace holds the names the README and the demos use; the other
+public names of each layer live in its submodule.
 """
 
-from .channel import (
-    PSI_MINUS,
-    BsmPovm,
-    ChannelParams,
-    TransmissionRates,
-    YieldTable,
-    build_bsm_povm,
-    reference_yields,
-    transmission_rates,
-)
-from .estimator import (
-    EstimationError,
-    EstimationInputs,
-    EstimationResult,
-    IllConditionedError,
-    NoSignalError,
-    SideChannelParams,
-    binary_entropy,
-    bit_error_rate,
-    build_estimation_inputs,
-    delta_vir_lower,
-    estimate,
-    key_rate,
-    omega_ref_direct,
-    omega_ref_matrix,
-    omega_ref_upper,
-    omega_upper,
-    phase_error_rate,
-)
+from .channel import ChannelParams, build_bsm_povm, reference_yields, transmission_rates
+from .estimator import EstimationError, SideChannelParams, build_estimation_inputs, estimate
 from .gbound import g_lower, g_upper
 from .pauli_core import (
-    PAULI_AXES,
-    PAULI_PAIRS,
-    SETTING_PAIRS,
     SETTINGS,
-    ZZ_PAIR_INDICES,
-    DegenerateInputError,
     ModulationErrors,
-    QubitState,
-    SingleQubitBloch,
-    TwoQubitBloch,
-    VirtualEnsemble,
     bloch_vector,
     build_S_matrix,
     build_virtual,
     make_reference_state,
-    two_qubit_bloch,
 )
 from .sweep import (
     FrequencyRange,
@@ -72,49 +38,22 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PSI_MINUS",
-    "BsmPovm",
+    "SETTINGS",
     "ChannelParams",
-    "TransmissionRates",
-    "YieldTable",
+    "ModulationErrors",
+    "SideChannelParams",
     "build_bsm_povm",
+    "build_estimation_inputs",
+    "build_S_matrix",
+    "estimate",
+    "make_reference_state",
     "reference_yields",
     "transmission_rates",
-    "EstimationError",
-    "EstimationInputs",
-    "EstimationResult",
-    "IllConditionedError",
-    "NoSignalError",
-    "SideChannelParams",
-    "binary_entropy",
-    "bit_error_rate",
-    "build_estimation_inputs",
-    "delta_vir_lower",
-    "estimate",
-    "key_rate",
-    "omega_ref_direct",
-    "omega_ref_matrix",
-    "omega_ref_upper",
-    "omega_upper",
-    "phase_error_rate",
     "g_lower",
     "g_upper",
-    "PAULI_AXES",
-    "PAULI_PAIRS",
-    "SETTING_PAIRS",
-    "SETTINGS",
-    "ZZ_PAIR_INDICES",
-    "DegenerateInputError",
-    "ModulationErrors",
-    "QubitState",
-    "SingleQubitBloch",
-    "TwoQubitBloch",
-    "VirtualEnsemble",
     "bloch_vector",
-    "build_S_matrix",
     "build_virtual",
-    "make_reference_state",
-    "two_qubit_bloch",
+    "EstimationError",
     "FrequencyRange",
     "KeyRatePoint",
     "LossRange",

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .gbound import unit_interval
 from .pauli_core import PAULI_PRODUCTS
 
 __all__ = [
@@ -49,7 +50,6 @@ PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 # channel indices: 0 = D1-early, 1 = D1-late, 2 = D2-early, 3 = D2-late
 _PATTERN = frozenset((0, 3))
-_NON_PATTERN = frozenset((1, 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +111,8 @@ class TransmissionRates:
         q = np.asarray(self.q, dtype=float)
         if q.shape[-1:] != (9,):
             raise ValueError("expected 9 transmission rates")
-        # M >= 0 forces |q_{l,l'}| <= q_{I,I}
-        if np.any(np.abs(q).max(axis=-1) > q[..., 0] + _ATOL):
+        # M >= 0 forces |q_{l,l'}| <= q_{I,I}; the negated test refuses nan
+        if not np.all(np.abs(q).max(axis=-1) <= q[..., 0] + _ATOL):
             raise ValueError("transmission rates exceed the q_II envelope")
         object.__setattr__(self, "q", q)
 
@@ -127,11 +127,9 @@ class YieldTable:
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = unit_interval(self.y, "yields")
         if y.shape[-1:] != (9,):
             raise ValueError("expected 9 yields")
-        if y.min() < 0.0 or y.max() > 1.0:
-            raise ValueError("yields must lie in [0, 1]")
         object.__setattr__(self, "y", y)
 
 

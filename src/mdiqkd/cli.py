@@ -48,15 +48,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, vars(args))
-        if args.sweep == "loss":
-            points = run_loss_sweep(config)
-            coordinate = "loss_db"
-        else:
-            points = run_frequency_sweep(config)
-            coordinate = "frequency_ghz"
-        summary = curve_summaries(points)
+        run = run_loss_sweep if args.sweep == "loss" else run_frequency_sweep
+        points = run(config)
         emit_table(points, config.out_path, config.out_format,
-                   coordinate_name=coordinate, summary=summary)
+                   summary=curve_summaries(points))
     except Exception as exc:  # noqa: BLE001 - single reporting funnel
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

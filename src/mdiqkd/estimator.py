@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbound import g_lower, g_upper, plain, unit_interval
-from .pauli_core import PAULI_PRODUCTS, ZZ_PAIR_INDICES, build_S_matrix, build_virtual
+from .pauli_core import ZZ_PAIR_INDICES, build_S_matrix, build_virtual
 
 __all__ = [
     "EstimationError",
@@ -47,7 +47,6 @@ __all__ = [
     "EstimationInputs",
     "EstimationResult",
     "build_estimation_inputs",
-    "omega_ref_direct",
     "omega_ref_matrix",
     "omega_ref_upper",
     "delta_vir_lower",
@@ -91,11 +90,9 @@ class SideChannelParams:
     eps: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
+        eps = unit_interval(self.eps, "side-channel weights")
         if eps.shape[-1:] != (9,):
             raise ValueError("expected 9 side-channel entries")
-        if not np.all((eps >= 0.0) & (eps <= 1.0)):
-            raise ValueError("side-channel weights must lie in [0, 1]")
         object.__setattr__(self, "eps", eps)
 
     @classmethod
@@ -150,9 +147,10 @@ class EstimationResult:
     key_rate: float
 
     def __post_init__(self):
-        if np.any(self.omega_ref > self.omega_ref_upper + 1e-12):
+        # negated tests, so that a nan fails them too
+        if not np.all(self.omega_ref <= self.omega_ref_upper + 1e-12):
             raise ValueError("omega_ref exceeds its upper bound")
-        if np.any(self.key_rate < 0.0):
+        if not np.all(self.key_rate >= 0.0):
             raise ValueError("key rate must be floored at 0")
 
 
@@ -174,26 +172,9 @@ def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
     return EstimationInputs(yields, eps, f_obj, ensemble, s_matrix, s_inv, cond)
 
 
-def _bloch_to_density(row):
-    return np.tensordot(row, PAULI_PRODUCTS, axes=1) / 4.0
-
-
-def omega_ref_direct(ensemble, povm):
-    """Singlet-error weight by direct trace against the virtual states.
-
-    Oracle route: reconstructs each kept virtual state as a density
-    matrix and sums p_vir * Tr[M rho].
-    """
-    total = 0.0
-    for p, row in zip(ensemble.p_vir, ensemble.s_vir):
-        total += p * float(np.trace(povm.m @ _bloch_to_density(row)))
-    return total
-
-
-def omega_ref_matrix(inputs, yields=None):
+def omega_ref_matrix(inputs):
     """Singlet-error weight via the tomography identity f_obj . Y."""
-    table = inputs.yields if yields is None else yields
-    return plain(table.y @ inputs.f_obj)
+    return plain(inputs.yields.y @ inputs.f_obj)
 
 
 def omega_ref_upper(f_obj, yields, eps):

@@ -30,8 +30,6 @@ __all__ = [
     "ZZ_PAIR_INDICES",
     "QubitState",
     "ModulationErrors",
-    "SingleQubitBloch",
-    "TwoQubitBloch",
     "VirtualEnsemble",
     "DegenerateInputError",
     "make_reference_state",
@@ -74,12 +72,8 @@ class QubitState:
 
     def __post_init__(self):
         norm = self.amp0 * self.amp0 + self.amp1 * self.amp1
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # the negated test also refuses nan
             raise ValueError(f"state not normalized: |amp|^2 = {norm!r}")
-
-    def density_matrix(self):
-        v = np.array([self.amp0, self.amp1])
-        return np.outer(v, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,29 +93,6 @@ class ModulationErrors:
 
 
 @dataclass(frozen=True, slots=True)
-class SingleQubitBloch:
-    si: float
-    sx: float
-    sz: float
-
-    def as_array(self):
-        return np.array([self.si, self.sx, self.sz])
-
-
-@dataclass(frozen=True, slots=True)
-class TwoQubitBloch:
-    """9 coefficients over {I,X,Z} x {I,X,Z}, PAULI_PAIRS order."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.s, dtype=float)
-        if arr.shape != (9,):
-            raise ValueError("expected 9 coefficients")
-        object.__setattr__(self, "s", arr)
-
-
-@dataclass(frozen=True, slots=True)
 class VirtualEnsemble:
     """X-outcome ensemble of the entanglement-based source description.
 
@@ -138,7 +109,7 @@ class VirtualEnsemble:
         s = np.asarray(self.s_vir, dtype=float)
         if p.shape != (2,) or s.shape != (2, 9):
             raise ValueError("expected 2 probabilities and a 2x9 Bloch block")
-        if np.any(p < -_NORM_ATOL) or np.any(p > 1.0 + _NORM_ATOL):
+        if not np.all((p >= -_NORM_ATOL) & (p <= 1.0 + _NORM_ATOL)):
             raise ValueError("virtual probabilities out of [0, 1]")
         object.__setattr__(self, "p_vir", p)
         object.__setattr__(self, "s_vir", s)
@@ -163,19 +134,17 @@ def make_reference_state(setting, deltas):
 
 
 def bloch_vector(state):
-    """Coefficients <sigma_l> for l in (I, X, Z); requires a normalized state."""
+    """Coefficients <sigma_l> for l in (I, X, Z), a (3,) array; requires a normalized state."""
     a, b = state.amp0, state.amp1
     norm = a * a + b * b
-    if abs(norm - 1.0) > _NORM_ATOL:
+    if not abs(norm - 1.0) <= _NORM_ATOL:  # the negated test also refuses nan
         raise ValueError("state not normalized")
-    return SingleQubitBloch(1.0, 2.0 * a * b, a * a - b * b)
+    return np.array([1.0, 2.0 * a * b, a * a - b * b])
 
 
 def two_qubit_bloch(state_a, state_b):
-    """Product-state coefficients s_{l,l'} = s_l(A) * s_{l'}(B)."""
-    va = bloch_vector(state_a).as_array()
-    vb = bloch_vector(state_b).as_array()
-    return TwoQubitBloch(np.kron(va, vb))
+    """Product-state coefficients s_{l,l'} = s_l(A) * s_{l'}(B), PAULI_PAIRS order."""
+    return np.kron(bloch_vector(state_a), bloch_vector(state_b))
 
 
 def build_S_matrix(ref_a, ref_b):
@@ -186,7 +155,7 @@ def build_S_matrix(ref_a, ref_b):
     """
     if len(ref_a) != 3 or len(ref_b) != 3:
         raise ValueError("expected three reference states per side")
-    rows = [two_qubit_bloch(a, b).s for a in ref_a for b in ref_b]
+    rows = [two_qubit_bloch(a, b) for a in ref_a for b in ref_b]
     return np.array(rows)
 
 
@@ -229,6 +198,6 @@ def build_virtual(ref_a_z, ref_b_z):
             )
         qa = QubitState(va[0] / na, va[1] / na)
         qb = QubitState(vb[0] / nb, vb[1] / nb)
-        rows.append(two_qubit_bloch(qa, qb).s)
+        rows.append(two_qubit_bloch(qa, qb))
     p_kept = np.array([p_all[0, 0], p_all[1, 1]])
     return VirtualEnsemble(p_kept, np.array(rows))

@@ -31,7 +31,7 @@ from .estimator import (
     build_estimation_inputs,
     estimate,
 )
-from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
+from .pauli_core import SETTINGS, DegenerateInputError, ModulationErrors, make_reference_state
 
 __all__ = [
     "LossRange",
@@ -208,19 +208,20 @@ def load_config(path=None, overrides=None):
     if "anchor_high" in freq:
         anchors["anchor_high"] = tuple(freq.pop("anchor_high"))
 
+    # pass only the keys the file sets, so that SweepConfig's defaults apply
+    fields = {k: est[k] for k in ("f_ec", "include_sifting", "cond_ceiling") if k in est}
+    fields.update({f"out_{k}": out[k] for k in ("path", "format") if k in out})
+    for key, field in (("eps", "eps_values"), ("delta", "delta_values")):
+        if key in sw:
+            # float() also rescues bare scientific notation, which YAML 1.1
+            # parses as a string ("1e-7" lacks the mandated dot)
+            fields[field] = tuple(float(v) for v in sw[key])
+
     config = SweepConfig(
         channel=ChannelParams(**ch),
-        # float() also rescues bare scientific notation, which YAML 1.1
-        # parses as a string ("1e-7" lacks the mandated dot)
-        eps_values=tuple(float(e) for e in sw.get("eps", (1e-6,))),
-        delta_values=tuple(float(d) for d in sw.get("delta", (0.0,))),
         loss_range=LossRange(**loss),
         frequency_range=FrequencyRange(**freq, **anchors),
-        f_ec=est.get("f_ec", 1.16),
-        include_sifting=est.get("include_sifting", False),
-        cond_ceiling=est.get("cond_ceiling", DEFAULT_COND_CEILING),
-        out_path=out.get("path", "sweep.csv"),
-        out_format=out.get("format", "csv"),
+        **fields,
     )
     if overrides:
         config = _apply_overrides(config, overrides)
@@ -261,7 +262,7 @@ def _evaluate(config, delta, rates, eps):
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
     try:
         setup = build_estimation_inputs(ref, ref, cond_ceiling=config.cond_ceiling)
-    except EstimationError as exc:  # refuses the whole reference set
+    except (EstimationError, DegenerateInputError) as exc:  # refuses the reference set
         return math.nan, [str(exc)] * eps.size
     yields = reference_yields(setup.s_matrix, rates).y
     yields = np.broadcast_to(yields, eps.shape + (9,)).reshape(-1, 9)
@@ -302,21 +303,29 @@ def _row(coordinate, eps_value, delta, cond, outcome, per_second):
     )
 
 
+def _sweep_rows(config, coordinates, eps, rates, per_second):
+    """Rows of every curve, eps outermost, then delta, then the coordinate.
+
+    eps has shape (n_curves, len(coordinates)); rates as _evaluate takes them.
+    """
+    by_delta = {d: _evaluate(config, d, rates, eps)
+                for d in dict.fromkeys(config.delta_values)}
+    rows = []
+    for i, eps_row in enumerate(eps.tolist()):
+        for delta in config.delta_values:
+            cond, outcomes = by_delta[delta]
+            first = i * len(coordinates)
+            rows += [_row(c, e, delta, cond, outcomes[first + k], per_second)
+                     for k, (c, e) in enumerate(zip(coordinates, eps_row))]
+    return rows
+
+
 def run_loss_sweep(config):
     """Key-rate rows over the loss grid for every (eps, delta) combination."""
     losses = config.loss_range.values()
     rates = transmission_rates_grid(config.channel, losses)
     eps = np.repeat(np.array(config.eps_values, dtype=float)[:, None], len(losses), axis=1)
-    by_delta = {d: _evaluate(config, d, rates, eps)
-                for d in dict.fromkeys(config.delta_values)}
-    rows = []
-    for i, eps_value in enumerate(config.eps_values):
-        for delta in config.delta_values:
-            cond, outcomes = by_delta[delta]
-            first = i * len(losses)
-            rows += [_row(loss, eps_value, delta, cond, outcomes[first + k], False)
-                     for k, loss in enumerate(losses)]
-    return rows
+    return _sweep_rows(config, losses, eps, rates, per_second=False)
 
 
 def run_frequency_sweep(config):
@@ -325,17 +334,14 @@ def run_frequency_sweep(config):
     if fr.loss_db is None:
         raise ValueError("frequency sweep requires sweep.frequency.loss_db")
     freqs = fr.values()
-    eps_values = [fr.eps_at(f) for f in freqs]
+    eps = np.array([[fr.eps_at(f) for f in freqs]])
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
-    eps = np.array([eps_values])
-    by_delta = {d: _evaluate(config, d, rates, eps)
-                for d in dict.fromkeys(config.delta_values)}
-    rows = []
-    for delta in config.delta_values:
-        cond, outcomes = by_delta[delta]
-        rows += [_row(f, e, delta, cond, out, True)
-                 for f, e, out in zip(freqs, eps_values, outcomes)]
-    return rows
+    return _sweep_rows(config, freqs, eps, rates, per_second=True)
+
+
+def _frequency_axis(points):
+    """True for the rows of a frequency sweep, the only ones with key_per_second."""
+    return any(p.key_per_second is not None for p in points)
 
 
 def curve_summaries(points):
@@ -347,7 +353,7 @@ def curve_summaries(points):
     positive rate after a zero would make that notion ill-defined; such
     revival is flagged (and is loudly surprising).
     """
-    frequency_axis = any(p.key_per_second is not None for p in points)
+    frequency_axis = _frequency_axis(points)
     curves = {}
     for pt in points:
         key = (pt.delta,) if frequency_axis else (pt.eps, pt.delta)
@@ -419,44 +425,43 @@ def _validate_point(p):
 
 def _columns(points):
     cols = ["coordinate", "eps", "delta", "key_rate"]
-    if any(p.key_per_second is not None for p in points):
+    if _frequency_axis(points):
         cols.append("key_per_second")
     cols += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs",
              "cond_s", "error"]
     return cols
 
 
-def emit_table(points, path, out_format, coordinate_name="loss_db", summary=None):
+def emit_table(points, path, out_format, summary=None):
     """Write rows (and an optional summary block) deterministically.
 
-    CSV: one header line, one line per point, then '# summary ...' comment
-    lines. JSON-lines: one object per point, then one summary object.
+    The coordinate column is named loss_db, or frequency_ghz for the rows
+    of a frequency sweep. CSV: one header line, one line per point, then
+    '# summary ...' comment lines. JSON-lines: one object per point, then
+    one summary object.
     """
     if not points:
         raise ValueError("no points to emit")
     for p in points:
         _validate_point(p)
     cols = _columns(points)
-    names = [coordinate_name if c == "coordinate" else c for c in cols]
+    axis = "frequency_ghz" if _frequency_axis(points) else "loss_db"
+    names = [axis if c == "coordinate" else c for c in cols]
+    payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
+                for s in summary or ()]
     lines = []
     if out_format == "csv":
         lines.append(",".join(names))
         for p in points:
             lines.append(",".join(_fmt(getattr(p, c)) for c in cols))
-        if summary is not None:
-            for s in summary:
-                payload = ", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
-                lines.append("# summary {" + payload + "}")
+        lines += ["# summary {" + payload + "}" for payload in payloads]
     elif out_format == "json-lines":
         for p in points:
             body = ", ".join(
                 f'"{n}": {_fmt_json(getattr(p, c))}' for n, c in zip(names, cols)
             )
             lines.append("{" + body + "}")
-        if summary is not None:
-            for s in summary:
-                payload = ", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
-                lines.append('{"summary": {' + payload + "}}")
+        lines += ['{"summary": {' + payload + "}}" for payload in payloads]
     else:
         raise ValueError(f"unknown format {out_format!r}")
     with open(path, "w", newline="\n") as fh:

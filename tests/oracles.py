@@ -4,7 +4,9 @@ Everything here is deliberately built by a different route than the
 package: the relay POVM by brute-force Fock-amplitude propagation with
 explicit environment modes and an exhaustive dark-count enumeration, the
 virtual ensemble from the full 16-dimensional source state, Bloch
-coefficients by literal matrix traces, and entropies in high precision.
+coefficients by literal matrix traces, the singlet-error weight by direct
+traces against density matrices, and entropies in high precision. None
+of them imports the package.
 """
 
 import itertools
@@ -134,6 +136,31 @@ def bloch_by_trace(rho):
     return np.array(
         [float(np.trace(rho @ np.kron(PAULI[l], PAULI[lp]))) for l in AXES for lp in AXES]
     )
+
+
+def density_matrix(state):
+    """Projector onto a real single-qubit state given by its amplitudes."""
+    v = np.array([state.amp0, state.amp1])
+    return np.outer(v, v)
+
+
+def _bloch_to_density(row):
+    # inverse of bloch_by_trace: rho = (1/4) sum_{l,l'} s_{l,l'} sigma_l x sigma_l'
+    paulis = [np.kron(PAULI[l], PAULI[lp]) for l in AXES for lp in AXES]
+    return sum(c * p for c, p in zip(row, paulis)) / 4.0
+
+
+def omega_ref_direct(ensemble, povm):
+    """Singlet-error weight by direct trace against the virtual states.
+
+    Reconstructs each kept virtual state as a density matrix from its
+    Bloch row and sums p_vir * Tr[M rho]; the package computes the same
+    weight through the tomography identity f_obj . Y instead.
+    """
+    total = 0.0
+    for p, row in zip(ensemble.p_vir, ensemble.s_vir):
+        total += p * float(np.trace(povm.m @ _bloch_to_density(row)))
+    return total
 
 
 def entropy_highprec(p):

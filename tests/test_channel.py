@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from mdiqkd import (
-    PSI_MINUS,
     SETTINGS,
     ChannelParams,
     ModulationErrors,
-    TransmissionRates,
     build_bsm_povm,
     build_S_matrix,
     make_reference_state,
     reference_yields,
     transmission_rates,
 )
-from oracles import fock_povm
+from mdiqkd.channel import PSI_MINUS, TransmissionRates, YieldTable
+from oracles import density_matrix, fock_povm
 
 BENCHMARK = ChannelParams()  # eta_d=0.145, p_d=6.02e-6, e_d=0.015
 
@@ -49,15 +48,15 @@ def test_povm_no_photons_no_darks_is_zero():
 def test_povm_ideal_limit_is_half_singlet_projector():
     povm = build_bsm_povm(ChannelParams(eta_d=1.0, p_d=0.0, e_d=0.0, loss_db=0.0))
     target = 0.5 * np.outer(PSI_MINUS, PSI_MINUS)
-    np.testing.assert_allclose(povm.m, target, atol=1e-12)
+    np.testing.assert_allclose(povm.m, target, rtol=0, atol=1e-12)
     oracle = fock_povm(1.0, 0.0, 0.0, 0.0)
-    np.testing.assert_allclose(povm.m, oracle, atol=1e-12)
+    np.testing.assert_allclose(povm.m, oracle, rtol=0, atol=1e-12)
 
 
 def test_povm_matches_fock_oracle_at_benchmark_params():
     povm = build_bsm_povm(ChannelParams(loss_db=4.0))
     oracle = fock_povm(0.145, 6.02e-6, 0.015, 4.0)
-    np.testing.assert_allclose(povm.m, oracle, atol=1e-12)
+    np.testing.assert_allclose(povm.m, oracle, rtol=0, atol=1e-12)
 
 
 def test_povm_matches_fock_oracle_at_random_params():
@@ -70,7 +69,7 @@ def test_povm_matches_fock_oracle_at_random_params():
             loss_db=rng.uniform(0.0, 30.0),
         )
         oracle = fock_povm(params.eta_d, params.p_d, params.e_d, params.loss_db)
-        np.testing.assert_allclose(build_bsm_povm(params).m, oracle, atol=1e-12)
+        np.testing.assert_allclose(build_bsm_povm(params).m, oracle, rtol=0, atol=1e-12)
 
 
 def test_povm_hermitian_and_bounded_on_grid():
@@ -99,12 +98,25 @@ def test_transmission_rates_ideal_projector():
     # <psi-|sigma_l x sigma_l|psi-> = -1 for l in {X, Z}
     expected = np.zeros(9)
     expected[0], expected[4], expected[8] = 1 / 8, -1 / 8, -1 / 8
-    np.testing.assert_allclose(q, expected, atol=1e-15)
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
 
 
 def test_transmission_rates_envelope_enforced():
     with pytest.raises(ValueError):
         TransmissionRates(np.array([0.1, 0.2, 0, 0, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        TransmissionRates(np.full(9, math.nan))
+
+
+def test_yield_table_range_enforced():
+    with pytest.raises(ValueError):
+        YieldTable(np.full(9, 1.5))
+    with pytest.raises(ValueError):
+        YieldTable(np.full(9, -0.1))
+    with pytest.raises(ValueError):
+        YieldTable(np.full(9, math.nan))
+    with pytest.raises(ValueError):
+        YieldTable(np.zeros(8))
 
 
 def test_yields_zero_rates():
@@ -145,11 +157,11 @@ def test_yields_match_direct_traces():
             build_S_matrix(ref_a, ref_b), transmission_rates(povm)
         )
         direct = [
-            float(np.trace(povm.m @ np.kron(a.density_matrix(), b.density_matrix())))
+            float(np.trace(povm.m @ np.kron(density_matrix(a), density_matrix(b))))
             for a in ref_a
             for b in ref_b
         ]
-        np.testing.assert_allclose(table.y, direct, atol=1e-12)
+        np.testing.assert_allclose(table.y, direct, rtol=0, atol=1e-12)
 
 
 def test_yields_monotone_in_loss():

@@ -1,37 +1,39 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mdiqkd import (
     SETTINGS,
-    ZZ_PAIR_INDICES,
     ChannelParams,
-    IllConditionedError,
     ModulationErrors,
-    NoSignalError,
     SideChannelParams,
-    YieldTable,
-    binary_entropy,
-    bit_error_rate,
     build_bsm_povm,
     build_estimation_inputs,
     build_S_matrix,
-    build_virtual,
-    delta_vir_lower,
     estimate,
-    key_rate,
     make_reference_state,
-    omega_ref_direct,
+    reference_yields,
+    transmission_rates,
+)
+from mdiqkd.channel import YieldTable
+from mdiqkd.estimator import (
+    EstimationInputs,
+    EstimationResult,
+    IllConditionedError,
+    NoSignalError,
+    binary_entropy,
+    bit_error_rate,
+    delta_vir_lower,
+    key_rate,
     omega_ref_matrix,
     omega_ref_upper,
     omega_upper,
     phase_error_rate,
-    reference_yields,
-    transmission_rates,
 )
-from mdiqkd.estimator import EstimationInputs, EstimationResult
-from oracles import entropy_highprec, fock_povm, virtual_ensemble_16dim
+from mdiqkd.pauli_core import ZZ_PAIR_INDICES
+from oracles import entropy_highprec, fock_povm, omega_ref_direct, virtual_ensemble_16dim
 
 BENCHMARK_DELTA = 0.126
 
@@ -52,6 +54,8 @@ def test_side_channel_validation():
         SideChannelParams.uniform(1.5)
     with pytest.raises(ValueError):
         SideChannelParams(np.full(8, 0.1))
+    with pytest.raises(ValueError):
+        SideChannelParams(np.full(9, math.nan))
 
 
 def test_binary_entropy_endpoints_and_half():
@@ -154,7 +158,7 @@ def test_omega_upper_clamps_with_warning():
 def test_omega_ref_zero_cases():
     ref, povm, yields, inputs = _pipeline()
     zeros = YieldTable(np.zeros(9))
-    assert omega_ref_matrix(inputs, zeros) == 0.0
+    assert omega_ref_matrix(replace(inputs, yields=zeros)) == 0.0
 
     class _Zero:
         m = np.zeros((4, 4))
@@ -284,6 +288,8 @@ def test_estimation_result_guards_bound_ordering():
             e_xx=0.0,
             key_rate=0.0,
         )
+    with pytest.raises(ValueError):
+        EstimationResult(*[math.nan] * 8)
 
 
 def test_zeta_obs_is_joint_zz_weight():

@@ -6,16 +6,14 @@ import pytest
 
 from mdiqkd import (
     SETTINGS,
-    DegenerateInputError,
     ModulationErrors,
-    QubitState,
     bloch_vector,
     build_S_matrix,
     build_virtual,
     make_reference_state,
-    two_qubit_bloch,
 )
-from oracles import bloch_by_trace, virtual_ensemble_16dim
+from mdiqkd.pauli_core import DegenerateInputError, QubitState, VirtualEnsemble, two_qubit_bloch
+from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
 IDEAL = ModulationErrors()
 
@@ -60,31 +58,35 @@ def test_modulation_errors_bounded():
 def test_qubit_state_requires_normalization():
     with pytest.raises(ValueError):
         QubitState(1.0, 1.0)
+    with pytest.raises(ValueError):
+        QubitState(math.nan, 0.0)
 
 
 def test_bloch_vector_eigenstates():
-    assert bloch_vector(QubitState(1.0, 0.0)).as_array().tolist() == [1.0, 0.0, 1.0]
+    assert bloch_vector(QubitState(1.0, 0.0)).tolist() == [1.0, 0.0, 1.0]
     plus = QubitState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    np.testing.assert_allclose(bloch_vector(plus).as_array(), [1.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(bloch_vector(plus), [1.0, 1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_bloch_vector_double_angle():
     s = QubitState(math.cos(0.063), math.sin(0.063))
     np.testing.assert_allclose(
-        bloch_vector(s).as_array(), [1.0, math.sin(0.126), math.cos(0.126)], atol=1e-15
+        bloch_vector(s), [1.0, math.sin(0.126), math.cos(0.126)], rtol=0, atol=1e-15
     )
 
 
 def test_bloch_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
         bloch_vector(SimpleNamespace(amp0=1.0, amp1=1.0))
+    with pytest.raises(ValueError):
+        bloch_vector(SimpleNamespace(amp0=math.nan, amp1=0.0))
 
 
 def test_two_qubit_bloch_zz():
     zero = QubitState(1.0, 0.0)
-    s = two_qubit_bloch(zero, zero).s
+    s = two_qubit_bloch(zero, zero)
     # (I,I), (I,Z), (Z,I), (Z,Z) are 1, X entries vanish
-    np.testing.assert_allclose(s, [1, 0, 1, 0, 0, 0, 1, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(s, [1, 0, 1, 0, 0, 0, 1, 0, 1], rtol=0, atol=1e-15)
 
 
 def test_two_qubit_bloch_matches_trace_oracle():
@@ -93,15 +95,15 @@ def test_two_qubit_bloch_matches_trace_oracle():
         ta, tb = rng.uniform(-math.pi, math.pi, size=2)
         a = QubitState(math.cos(ta), math.sin(ta))
         b = QubitState(math.cos(tb), math.sin(tb))
-        rho = np.kron(a.density_matrix(), b.density_matrix())
+        rho = np.kron(density_matrix(a), density_matrix(b))
         np.testing.assert_allclose(
-            two_qubit_bloch(a, b).s, bloch_by_trace(rho), atol=1e-12
+            two_qubit_bloch(a, b), bloch_by_trace(rho), rtol=0, atol=1e-12
         )
 
 
 def test_s_matrix_first_row_ideal():
     s = build_S_matrix(_states(IDEAL), _states(IDEAL))
-    np.testing.assert_allclose(s[0], [1, 0, 1, 0, 0, 0, 1, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(s[0], [1, 0, 1, 0, 0, 0, 1, 0, 1], rtol=0, atol=1e-15)
 
 
 def test_s_matrix_ideal_invertible():
@@ -118,14 +120,14 @@ def test_s_matrix_conditioning_with_modulation_errors():
 
 def test_virtual_ideal_probabilities():
     ens = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
-    np.testing.assert_allclose(ens.p_vir, [0.25, 0.25], atol=1e-15)
+    np.testing.assert_allclose(ens.p_vir, [0.25, 0.25], rtol=0, atol=1e-15)
 
 
 def test_virtual_ideal_states_are_plus_plus_and_minus_minus():
     ens = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
     # |+>|+> has every coefficient over {I,X} equal to 1
-    np.testing.assert_allclose(ens.s_vir[0], [1, 1, 0, 1, 1, 0, 0, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(ens.s_vir[1], [1, -1, 0, -1, 1, 0, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(ens.s_vir[0], [1, 1, 0, 1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ens.s_vir[1], [1, -1, 0, -1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
 
 
 def test_virtual_matches_16dim_oracle():
@@ -138,7 +140,7 @@ def test_virtual_matches_16dim_oracle():
     for row, (j, s) in zip(range(2), ((0, 0), (1, 1))):
         p, theta = oracle[j, s]
         assert ens.p_vir[row] == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(ens.s_vir[row], bloch_by_trace(theta), atol=1e-12)
+        np.testing.assert_allclose(ens.s_vir[row], bloch_by_trace(theta), rtol=0, atol=1e-12)
 
 
 def test_virtual_kept_weight_is_x_convention_independent():
@@ -149,6 +151,16 @@ def test_virtual_kept_weight_is_x_convention_independent():
     kept = standard[0, 0][0] + standard[1, 1][0]
     kept_flipped = flipped[0, 0][0] + flipped[1, 1][0]
     assert kept == pytest.approx(kept_flipped, abs=1e-14)
+
+
+def test_virtual_ensemble_validation():
+    rows = np.zeros((2, 9))
+    with pytest.raises(ValueError):
+        VirtualEnsemble(np.array([0.5, 1.5]), rows)
+    with pytest.raises(ValueError):
+        VirtualEnsemble(np.array([0.5, math.nan]), rows)
+    with pytest.raises(ValueError):
+        VirtualEnsemble(np.array([0.5, 0.5]), np.zeros((2, 8)))
 
 
 def test_virtual_degenerate_reference_set():

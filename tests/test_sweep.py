@@ -22,6 +22,7 @@ from mdiqkd import (
     transmission_rates,
 )
 from mdiqkd.cli import build_parser, main
+from mdiqkd.pauli_core import DegenerateInputError
 from mdiqkd.sweep import (
     FrequencyRange,
     KeyRatePoint,
@@ -253,8 +254,7 @@ def test_emit_table_twelve_digit_rounding(tmp_path):
 def test_emit_table_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     points = run_loss_sweep(replace(TINY, eps_values=(1e-6,), delta_values=(0.0,)))
-    emit_table(points, str(path), "json-lines",
-               coordinate_name="loss_db", summary=curve_summaries(points))
+    emit_table(points, str(path), "json-lines", summary=curve_summaries(points))
     lines = path.read_text().splitlines()
     assert len(lines) == len(points) + 1
     for line, p in zip(lines, points):
@@ -309,6 +309,19 @@ def test_frequency_sweep_per_second_column():
         assert p.eps == pytest.approx(config.frequency_range.eps_at(p.coordinate))
 
 
+def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
+    config = replace(
+        TINY,
+        delta_values=(0.0,),
+        frequency_range=FrequencyRange(1.0, 2.0, 1.0, loss_db=5.0),
+    )
+    path = tmp_path / "f.csv"
+    emit_table(run_frequency_sweep(config), str(path), "csv")
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[0] == "frequency_ghz"
+    assert "key_per_second" in header and "loss_db" not in header
+
+
 def test_frequency_summaries_group_by_delta():
     config = replace(
         TINY,
@@ -358,7 +371,7 @@ def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
                                          SideChannelParams.uniform(eps_value),
                                          config.cond_ceiling)
         r = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
-    except EstimationError as exc:
+    except (EstimationError, DegenerateInputError) as exc:
         nan = math.nan
         return KeyRatePoint(coordinate, eps_value, delta, nan, nan, nan, nan, nan,
                             nan, nan, key_per_second=nan if per_second else None,
@@ -407,7 +420,10 @@ def _expected_loss_rows(config):
     # no dark counts and eta_arm^2 underflowing to 0 beyond ~3200 dB: only
     # the far end of each curve raises NoSignalError
     replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 500.0)),
-], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow"])
+    # a delta 1e-9 short of pi/2 passes a lifted ceiling but collapses a
+    # virtual state: only its rows are error rows
+    replace(TINY, delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
+], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta"])
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
@@ -418,6 +434,9 @@ def test_loss_sweep_matches_scalar_chain(config):
     if config.cond_ceiling == 1e3:
         assert all(("cond" in p.error) == (p.delta == 1.5) for p in points
                    if p.error is not None) and len(errors) == 2
+    if config.cond_ceiling == 1e300:
+        assert all((p.error is None) == (p.delta == 0.0) for p in points)
+        assert errors == {None, "virtual state for outcome (1,1) has zero trace"}
     if config.channel.eta_d == 0.0:
         assert errors == {"all ZZ yields vanish"}
     elif config.channel.p_d == 0.0:
