@@ -24,7 +24,7 @@ of those cases. A whole loss grid therefore costs one small product.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,13 @@ class ChannelParams:
 
     @property
     def eta_arm(self):
-        return self.eta_d * 10.0 ** (-self.loss_db / 20.0)
+        return _arm_transmission(self.eta_d, self.loss_db)
+
+
+def _arm_transmission(eta_d, loss_db):
+    # per-arm survival probability: half of the loss budget, in Python
+    # float math, so a grid and a single point give the same bits
+    return eta_d * 10.0 ** (-loss_db / 20.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +232,10 @@ def transmission_rates_grid(params, losses_db):
     q(eta) = _arm_weights(eta) @ Q with Q the rates of the four
     povm_components: one (n, 4) @ (4, 9) product for a whole grid.
     """
-    etas = [replace(params, loss_db=loss).eta_arm for loss in losses_db]
+    losses = np.asarray(losses_db, dtype=float)
+    if not np.all((losses >= 0.0) & (losses < math.inf)):  # also refuses nan
+        raise ValueError("losses must be finite and >= 0 dB")
+    etas = [_arm_transmission(params.eta_d, loss) for loss in losses_db]
     table = np.array([transmission_rates(part).q for part in povm_components(params)])
     return TransmissionRates(_arm_weights(etas) @ table)
 

@@ -144,19 +144,21 @@ def bloch_vector(state):
 
 def two_qubit_bloch(state_a, state_b):
     """Product-state coefficients s_{l,l'} = s_l(A) * s_{l'}(B), PAULI_PAIRS order."""
-    return np.kron(bloch_vector(state_a), bloch_vector(state_b))
+    return np.outer(bloch_vector(state_a), bloch_vector(state_b)).ravel()
 
 
 def build_S_matrix(ref_a, ref_b):
     """9x9 matrix whose rows are the Bloch coefficients of the setting pairs.
 
     ref_a, ref_b: the three reference states per side in SETTINGS order.
-    Rows follow SETTING_PAIRS order.
+    Rows follow SETTING_PAIRS order: entry (3i + j, 3l + l') is
+    s_l(ref_a[i]) * s_l'(ref_b[j]), one product of the two Bloch blocks.
     """
     if len(ref_a) != 3 or len(ref_b) != 3:
         raise ValueError("expected three reference states per side")
-    rows = [two_qubit_bloch(a, b) for a in ref_a for b in ref_b]
-    return np.array(rows)
+    a = np.array([bloch_vector(state) for state in ref_a])
+    b = np.array([bloch_vector(state) for state in ref_b])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(9, 9)
 
 
 def _x_projected(ref_z, j):

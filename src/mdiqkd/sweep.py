@@ -13,8 +13,11 @@ digits, and a summary block records the per-curve positive-rate cutoff.
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,17 +97,17 @@ class FrequencyRange:
     anchor_high: tuple = (4.0, -6.0)
 
     def __post_init__(self):
-        _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
+        n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
         if self.start_ghz <= 0.0:
             raise ValueError("frequencies must be positive")
         if not all(math.isfinite(v) for v in (*self.anchor_low, *self.anchor_high)):
             raise ValueError("map anchors must be finite")
         if self.anchor_low[0] >= self.anchor_high[0]:
             raise ValueError("map anchors must have increasing frequency")
-        # lg eps is linear in f, so the grid ends bound it on the whole grid
-        values = self.values()
-        self.eps_at(values[0])
-        self.eps_at(values[-1])
+        # lg eps is linear in f, so the grid ends bound it on the whole grid;
+        # the last end is values()[-1], computed without building the grid
+        self.eps_at(self.start_ghz)
+        self.eps_at(self.start_ghz + (n - 1) * self.step_ghz)
 
     def values(self):
         n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
@@ -148,15 +151,20 @@ class SweepConfig:
         fr = self.frequency_range
         if fr.loss_db is not None:
             replace(self.channel, loss_db=fr.loss_db)  # raises on a bad loss
-        curves = len(self.eps_values) * len(self.delta_values)
-        if (curves * len(self.loss_range.values()) > MAX_TABLE_ROWS
-                or len(self.delta_values) * len(fr.values()) > MAX_TABLE_ROWS):
+        lr = self.loss_range
+        loss_rows = (len(self.eps_values) * len(self.delta_values)
+                     * _grid_size(lr.start, lr.stop, lr.step))
+        frequency_rows = (len(self.delta_values)
+                          * _grid_size(fr.start_ghz, fr.stop_ghz, fr.step_ghz))
+        if max(loss_rows, frequency_rows) > MAX_TABLE_ROWS:
             raise ValueError(f"sweep table exceeds {MAX_TABLE_ROWS} rows")
 
 
-@dataclass(frozen=True, slots=True)
-class KeyRatePoint:
-    """One row of a sweep table; error is None unless estimation failed."""
+class KeyRatePoint(NamedTuple):
+    """One row of a sweep table; error is None unless estimation failed.
+
+    An immutable named tuple: derive a changed row with _replace.
+    """
 
     coordinate: float
     eps: float
@@ -179,6 +187,20 @@ def _config_sections(raw):
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
 
 
+def _section(body, name, known):
+    """A copy of the config mapping body at dotted path name; refuses keys outside known."""
+    if not isinstance(body, dict):
+        raise ValueError(f"config section {name} must be a mapping")
+    unknown = sorted(set(body) - set(known))
+    if unknown:
+        raise ValueError("unknown config keys: " + ", ".join(f"{name}.{k}" for k in unknown))
+    return dict(body)
+
+
+def _field_names(cls):
+    return [f.name for f in dataclass_fields(cls)]
+
+
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an optional YAML file plus CLI overrides.
 
@@ -195,13 +217,14 @@ def load_config(path=None, overrides=None):
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")
     _config_sections(raw)
-    ch = dict(raw.get("channel", {}))
-    est = dict(raw.get("estimation", {}))
-    sw = dict(raw.get("sweep", {}))
-    out = dict(raw.get("output", {}))
+    ch = _section(raw.get("channel", {}), "channel", _field_names(ChannelParams))
+    est = _section(raw.get("estimation", {}), "estimation",
+                   ("f_ec", "include_sifting", "cond_ceiling"))
+    sw = _section(raw.get("sweep", {}), "sweep", ("eps", "delta", "loss", "frequency"))
+    out = _section(raw.get("output", {}), "output", ("path", "format"))
 
-    loss = dict(sw.get("loss", {}))
-    freq = dict(sw.get("frequency", {}))
+    loss = _section(sw.get("loss", {}), "sweep.loss", _field_names(LossRange))
+    freq = _section(sw.get("frequency", {}), "sweep.frequency", _field_names(FrequencyRange))
     anchors = {}
     if "anchor_low" in freq:
         anchors["anchor_low"] = tuple(freq.pop("anchor_low"))
@@ -209,8 +232,8 @@ def load_config(path=None, overrides=None):
         anchors["anchor_high"] = tuple(freq.pop("anchor_high"))
 
     # pass only the keys the file sets, so that SweepConfig's defaults apply
-    fields = {k: est[k] for k in ("f_ec", "include_sifting", "cond_ceiling") if k in est}
-    fields.update({f"out_{k}": out[k] for k in ("path", "format") if k in out})
+    fields = dict(est)
+    fields.update({f"out_{k}": v for k, v in out.items()})
     for key, field in (("eps", "eps_values"), ("delta", "delta_values")):
         if key in sw:
             # float() also rescues bare scientific notation, which YAML 1.1
@@ -294,13 +317,10 @@ def _row(coordinate, eps_value, delta, cond, outcome, per_second):
     if isinstance(outcome, str):
         nan = math.nan
         return KeyRatePoint(coordinate, eps_value, delta, nan, nan, nan, nan, nan,
-                            nan, nan, key_per_second=nan if per_second else None,
-                            error=outcome)
-    key_rate = outcome[0]
-    return KeyRatePoint(
-        coordinate, eps_value, delta, *outcome, cond,
-        key_per_second=key_rate * coordinate * 1e9 if per_second else None,
-    )
+                            nan, nan, nan if per_second else None, outcome)
+    # positional, in field order: the _RESULT_FIELDS follow delta
+    return KeyRatePoint(coordinate, eps_value, delta, *outcome, cond,
+                        outcome[0] * coordinate * 1e9 if per_second else None)
 
 
 def _sweep_rows(config, coordinates, eps, rates, per_second):
@@ -315,8 +335,8 @@ def _sweep_rows(config, coordinates, eps, rates, per_second):
         for delta in config.delta_values:
             cond, outcomes = by_delta[delta]
             first = i * len(coordinates)
-            rows += [_row(c, e, delta, cond, outcomes[first + k], per_second)
-                     for k, (c, e) in enumerate(zip(coordinates, eps_row))]
+            rows += [_row(c, e, delta, cond, outcome, per_second)
+                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:])]
     return rows
 
 
@@ -360,7 +380,7 @@ def curve_summaries(points):
         curves.setdefault(key, []).append(pt)
     summaries = []
     for key, pts in sorted(curves.items()):
-        pts = sorted(pts, key=lambda p: p.coordinate)
+        pts = sorted(pts, key=operator.attrgetter("coordinate"))
         positives = [p.coordinate for p in pts
                      if p.error is None and p.key_rate > 0.0]
         cutoff = positives[-1] if positives else None
@@ -383,16 +403,10 @@ def curve_summaries(points):
     return summaries
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.12g}"
+def _csv_quote(text):
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _fmt_json(value):
@@ -410,7 +424,13 @@ def _validate_point(p):
     # estimator with impossible diagnostics must not reach a table
     if p.error is not None:
         return
+    # the first four also refuse nan: only an error row may carry it, as
+    # JSON-lines spells nan null and the row template cannot
     checks = (
+        p.coordinate >= 0.0,
+        0.0 <= p.eps <= 1.0,
+        abs(p.delta) < math.pi / 2,
+        p.key_per_second is None or p.key_per_second >= 0.0,
         p.key_rate >= 0.0,
         0.0 <= p.e_zz <= 1.0,
         0.0 <= p.e_xx <= 1.0,
@@ -438,25 +458,38 @@ def emit_table(points, path, out_format, summary=None):
     The coordinate column is named loss_db, or frequency_ghz for the rows
     of a frequency sweep. CSV: one header line, one line per point, then
     '# summary ...' comment lines. JSON-lines: one object per point, then
-    one summary object.
+    one summary object. Every number goes through one %.12g template per
+    table, which prints the bytes of f"{value:.12g}".
     """
     if not points:
         raise ValueError("no points to emit")
     for p in points:
         _validate_point(p)
     cols = _columns(points)
-    axis = "frequency_ghz" if _frequency_axis(points) else "loss_db"
+    frequency_axis = "key_per_second" in cols
+    if frequency_axis and any(p.key_per_second is None for p in points):
+        raise ValueError("table mixes loss and frequency sweep rows")
+    axis = "frequency_ghz" if frequency_axis else "loss_db"
     names = [axis if c == "coordinate" else c for c in cols]
+    numbers = operator.attrgetter(*cols[:-1])  # every column but the error
     payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
                 for s in summary or ()]
     lines = []
     if out_format == "csv":
+        # a good row leaves the error cell empty
+        template = ",".join(["%.12g"] * (len(cols) - 1)) + ","
         lines.append(",".join(names))
         for p in points:
-            lines.append(",".join(_fmt(getattr(p, c)) for c in cols))
+            line = template % numbers(p)
+            lines.append(line if p.error is None else line + _csv_quote(p.error))
         lines += ["# summary {" + payload + "}" for payload in payloads]
     elif out_format == "json-lines":
+        template = "{" + "".join(f'"{n}": %.12g, ' for n in names[:-1]) + '"error": null}'
         for p in points:
+            if p.error is None:
+                lines.append(template % numbers(p))
+                continue
+            # an error row carries nan, which JSON spells null
             body = ", ".join(
                 f'"{n}": {_fmt_json(getattr(p, c))}' for n, c in zip(names, cols)
             )

@@ -5,11 +5,13 @@ package: the relay POVM by brute-force Fock-amplitude propagation with
 explicit environment modes and an exhaustive dark-count enumeration, the
 virtual ensemble from the full 16-dimensional source state, Bloch
 coefficients by literal matrix traces, the singlet-error weight by direct
-traces against density matrices, and entropies in high precision. None
-of them imports the package.
+traces against density matrices, entropies in high precision, and
+sweep tables with every field formatted on its own. None of them imports
+the package.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -185,3 +187,53 @@ def random_bounded_operator(rng, dim):
 def random_pure_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+# sweep-table columns in table order; key_per_second only in frequency tables
+TABLE_COLUMNS = ("coordinate", "eps", "delta", "key_rate", "key_per_second", "e_zz",
+                 "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs", "cond_s", "error")
+
+
+def _csv_field(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        if any(ch in value for ch in ',"\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return f"{value:.12g}"
+
+
+def _json_field(value):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}"
+
+
+def table_text(points, out_format, summary=None):
+    """A sweep table as emit_table writes it, formatting field by field.
+
+    points: rows with the TABLE_COLUMNS attributes; the table is a
+    frequency table when any row carries key_per_second.
+    """
+    frequency = any(p.key_per_second is not None for p in points)
+    cols = [c for c in TABLE_COLUMNS if frequency or c != "key_per_second"]
+    axis = "frequency_ghz" if frequency else "loss_db"
+    names = [axis if c == "coordinate" else c for c in cols]
+    payloads = [", ".join(f'"{k}": {_json_field(v)}' for k, v in s.items())
+                for s in summary or ()]
+    if out_format == "csv":
+        lines = [",".join(names)]
+        lines += [",".join(_csv_field(getattr(p, c)) for c in cols) for p in points]
+        lines += ["# summary {" + payload + "}" for payload in payloads]
+    else:
+        lines = ["{" + ", ".join(f'"{n}": {_json_field(getattr(p, c))}'
+                                 for n, c in zip(names, cols)) + "}" for p in points]
+        lines += ['{"summary": {' + payload + "}}" for payload in payloads]
+    return "\n".join(lines) + "\n"

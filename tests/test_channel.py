@@ -13,7 +13,8 @@ from mdiqkd import (
     reference_yields,
     transmission_rates,
 )
-from mdiqkd.channel import PSI_MINUS, TransmissionRates, YieldTable
+from mdiqkd import channel
+from mdiqkd.channel import PSI_MINUS, TransmissionRates, YieldTable, transmission_rates_grid
 from oracles import density_matrix, fock_povm
 
 BENCHMARK = ChannelParams()  # eta_d=0.145, p_d=6.02e-6, e_d=0.015
@@ -38,6 +39,21 @@ def test_eta_arm_combines_detector_and_line():
     assert ChannelParams(loss_db=4.0).eta_arm == pytest.approx(
         0.145 * 10.0 ** (-0.2), abs=1e-15
     )
+
+
+def test_transmission_rates_grid_etas_equal_eta_arm(monkeypatch):
+    seen = []
+    arm_weights = channel._arm_weights
+    monkeypatch.setattr(channel, "_arm_weights",
+                        lambda eta: seen.append(eta) or arm_weights(eta))
+    losses = [0.013 + 0.04 * k for k in range(500)] + [0, 3, 7.77, 1e-300, 400.0]
+    transmission_rates_grid(BENCHMARK, losses)
+    np.testing.assert_array_equal(
+        seen[0], [ChannelParams(loss_db=loss).eta_arm for loss in losses]
+    )
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="losses"):
+            transmission_rates_grid(BENCHMARK, [1.0, bad])
 
 
 def test_povm_no_photons_no_darks_is_zero():

@@ -101,6 +101,20 @@ def test_two_qubit_bloch_matches_trace_oracle():
         )
 
 
+def test_bloch_products_equal_kron_bitwise():
+    # outer products form each coefficient as the one product np.kron forms
+    rng = np.random.default_rng(4321)
+    for _ in range(200):
+        ref_a, ref_b = [
+            [QubitState(math.cos(t), math.sin(t)) for t in rng.uniform(-math.pi, math.pi, 3)]
+            for _ in range(2)
+        ]
+        kron = np.array([np.kron(bloch_vector(a), bloch_vector(b))
+                         for a in ref_a for b in ref_b])
+        np.testing.assert_array_equal(two_qubit_bloch(ref_a[0], ref_b[1]), kron[1])
+        np.testing.assert_array_equal(build_S_matrix(ref_a, ref_b), kron)
+
+
 def test_s_matrix_first_row_ideal():
     s = build_S_matrix(_states(IDEAL), _states(IDEAL))
     np.testing.assert_allclose(s[0], [1, 0, 1, 0, 0, 0, 1, 0, 1], rtol=0, atol=1e-15)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from mdiqkd.sweep import (
     run_frequency_sweep,
     run_loss_sweep,
 )
+from oracles import table_text
 
 TINY = SweepConfig(
     eps_values=(1e-6, 1e-7),
@@ -167,11 +169,40 @@ def test_load_config_rejects_unknown_section(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text, key", [
+    ("estimation: {fec: 2.0}\n", "estimation.fec"),
+    ("sweep: {epss: [1.0e-3]}\n", "sweep.epss"),
+    ("output: {formt: json-lines}\n", "output.formt"),
+    ("channel: {etad: 0.1}\n", "channel.etad"),
+    ("sweep: {loss: {stpo: 0.5}}\n", "sweep.loss.stpo"),
+    ("sweep: {frequency: {loss: 5.0}}\n", "sweep.frequency.loss"),
+    ("sweep: {loss: 5.0}\n", "sweep.loss"),  # a section that is no mapping
+])
+def test_load_config_rejects_unknown_keys(tmp_path, text, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(str(path))
+
+
 def test_load_config_rejects_non_mapping(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("- 1\n- 2\n")
     with pytest.raises(ValueError, match="mapping"):
         load_config(str(path))
+
+
+def test_key_rate_point_contract():
+    assert KeyRatePoint._fields == (
+        "coordinate", "eps", "delta", "key_rate", "e_zz", "e_xx", "omega_ref_upper",
+        "omega_upper", "zeta_obs", "cond_s", "key_per_second", "error",
+    )
+    p = _point(1.0, 0.5)
+    assert p.key_per_second is None and p.error is None
+    with pytest.raises(AttributeError):
+        p.key_rate = 0.0
+    assert p._replace(key_rate=0.25).key_rate == 0.25 and p.key_rate == 0.5
+    assert _point(1.0, math.nan, error="boom").error == "boom"
 
 
 def test_run_loss_sweep_row_order_and_diagnostics():
@@ -288,6 +319,54 @@ def test_emit_table_revalidates_diagnostics(tmp_path):
     emit_table([failed], str(out), "csv")
     row = out.read_text().splitlines()[1]
     assert row.startswith("0,") and row.endswith('"cond(S) too large, aborted"')
+    # a good row may not carry nan, which only error rows print (as null in JSON)
+    for bad in (_point(math.nan, 1.0), _point(0.0, 1.0, eps=math.nan),
+                _point(0.0, 1.0)._replace(key_per_second=math.nan)):
+        with pytest.raises(ValueError, match="diagnostics"):
+            emit_table([bad], str(tmp_path / "t.jsonl"), "json-lines")
+    # a frequency table needs key_per_second on every row
+    loss_row = _point(1.0, 1.0)
+    with pytest.raises(ValueError, match="mixes"):
+        emit_table([loss_row._replace(key_per_second=1e9), loss_row], str(out), "csv")
+
+
+def _hand_built_rows():
+    nan = math.nan
+    loss = [_point(c, 1e-300) for c in LossRange(0, 2, 1).values()]  # int coordinates
+    loss += [
+        _point(3.0, -0.0, delta=-0.0),
+        _point(4.0, nan, error='cond(S) = 1e+30, "aborted",\nsee log'),
+        _point(5.0, nan, error="plain message"),
+        _point(6.0, nan, error="first line\nsecond line"),
+    ]
+    frequency = [
+        _point(0.5, 1e-300)._replace(key_per_second=5e-292),
+        _point(1.0, -0.0)._replace(key_per_second=-0.0),
+        _point(1.5, nan, error="all ZZ yields vanish")._replace(key_per_second=nan),
+        _point(2.0, nan, error='a, "quoted"\nline')._replace(key_per_second=nan),
+    ]
+    return loss, frequency
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json-lines"])
+@pytest.mark.parametrize("rows", ["loss", "frequency", "hand-built-loss",
+                                  "hand-built-frequency"])
+def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
+    config = replace(TINY, loss_range=LossRange(0, 2, 1),
+                     frequency_range=FrequencyRange(0.5, 4.0, 0.5, loss_db=5.0,
+                                                    anchor_high=(4.0, -4.5)))
+    points = {
+        "loss": lambda: run_loss_sweep(config),
+        "frequency": lambda: run_frequency_sweep(config),
+        "hand-built-loss": lambda: _hand_built_rows()[0],
+        "hand-built-frequency": lambda: _hand_built_rows()[1],
+    }[rows]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # hand-built curves revive
+        summary = curve_summaries(points)
+    path = tmp_path / "table"
+    emit_table(points, str(path), out_format, summary=summary)
+    assert path.read_bytes() == table_text(points, out_format, summary).encode()
 
 
 def test_frequency_sweep_requires_loss():
