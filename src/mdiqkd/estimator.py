@@ -77,7 +77,16 @@ class IllConditionedError(EstimationError):
 
 
 class NoSignalError(EstimationError):
-    """All relevant yields vanish; error rates are undefined."""
+    """All relevant yields vanish; error rates are undefined.
+
+    rows is the boolean mask of the batch rows without signal (0-d for a
+    single point), so that a batch caller can set exactly those rows
+    aside and evaluate the rest.
+    """
+
+    def __init__(self, message, rows):
+        self.rows = rows
+        super().__init__(message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,18 +226,25 @@ def bit_error_rate(zz_yields):
     if zz.shape[-1:] != (4,) or not np.all(zz >= 0.0):
         raise ValueError("expected 4 nonnegative ZZ yields")
     denom = zz.sum(axis=-1)
-    if np.any(denom <= 0.0):
-        raise NoSignalError("all ZZ yields vanish")
+    silent = denom <= 0.0
+    if np.any(silent):
+        raise NoSignalError("all ZZ yields vanish", silent)
     # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
     return plain((zz[..., 0] + zz[..., 3]) / denom)
 
 
 def phase_error_rate(omega_up, zeta_obs):
-    """Virtual X-basis error rate Omega^U / zeta_obs, clamped to [0, 1]."""
+    """Virtual X-basis error rate Omega^U / zeta_obs, capped at 1."""
+    omega_up = np.asarray(omega_up, dtype=float)
     zeta_obs = np.asarray(zeta_obs, dtype=float)
-    if np.any(zeta_obs <= 0.0):
-        raise NoSignalError("zeta_obs must be positive")
-    return plain(np.clip(omega_up / zeta_obs, 0.0, 1.0))
+    if not np.all(omega_up >= 0.0):
+        raise ValueError("omega_up must be >= 0")
+    silent = zeta_obs <= 0.0
+    if np.any(silent):
+        raise NoSignalError("zeta_obs must be positive", silent)
+    # capping the numerator gives the bits of capping the ratio, which
+    # overflows for a denormal zeta_obs
+    return plain(np.minimum(omega_up, zeta_obs) / zeta_obs)
 
 
 def binary_entropy(p):

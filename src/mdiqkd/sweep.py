@@ -30,6 +30,7 @@ from .channel import (
 from .estimator import (
     DEFAULT_COND_CEILING,
     EstimationError,
+    NoSignalError,
     SideChannelParams,
     build_estimation_inputs,
     estimate,
@@ -64,6 +65,11 @@ def _grid_size(start, stop, step):
     return int(math.floor(span)) + 1
 
 
+def _grid(start, stop, step):
+    """The validated grid start + k * step, k = 0, 1, ..., up to stop."""
+    return [start + k * step for k in range(_grid_size(start, stop, step))]
+
+
 @dataclass(frozen=True, slots=True)
 class LossRange:
     start: float = 0.0
@@ -76,8 +82,7 @@ class LossRange:
             raise ValueError("loss grid must start at >= 0 dB")
 
     def values(self):
-        n = _grid_size(self.start, self.stop, self.step)
-        return [self.start + k * self.step for k in range(n)]
+        return _grid(self.start, self.stop, self.step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,8 +115,7 @@ class FrequencyRange:
         self.eps_at(self.start_ghz + (n - 1) * self.step_ghz)
 
     def values(self):
-        n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
-        return [self.start_ghz + k * self.step_ghz for k in range(n)]
+        return _grid(self.start_ghz, self.stop_ghz, self.step_ghz)
 
     def eps_at(self, f_ghz):
         (f1, lg1), (f2, lg2) = self.anchor_low, self.anchor_high
@@ -144,6 +148,8 @@ class SweepConfig:
             ModulationErrors(d, d, d)  # raises on a bad delta
         if not 1.0 <= self.f_ec < math.inf:
             raise ValueError("f_ec must be finite and >= 1")
+        if not isinstance(self.include_sifting, bool):
+            raise ValueError("include_sifting must be true or false")
         if not 0.0 < self.cond_ceiling < math.inf:
             raise ValueError("cond_ceiling must be finite and > 0")
         if self.out_format not in ("csv", "json-lines"):
@@ -236,6 +242,8 @@ def load_config(path=None, overrides=None):
     fields.update({f"out_{k}": v for k, v in out.items()})
     for key, field in (("eps", "eps_values"), ("delta", "delta_values")):
         if key in sw:
+            if not isinstance(sw[key], list):
+                raise ValueError(f"sweep.{key} must be a list")
             # float() also rescues bare scientific notation, which YAML 1.1
             # parses as a string ("1e-7" lacks the mandated dot)
             fields[field] = tuple(float(v) for v in sw[key])
@@ -279,7 +287,9 @@ def _evaluate(config, delta, rates, eps):
     The tomography matrices are built once here, however many rows.
     Returns (cond_s, outcomes), one outcome per row in eps order: a tuple
     of the _RESULT_FIELDS values, or the message of the EstimationError
-    that row raises in the scalar chain.
+    that row raises in the scalar chain. A NoSignalError names the rows
+    without signal; they leave the batch and the rest runs again, so a
+    delta costs one estimate call plus one per distinct failing check.
     """
     deltas = ModulationErrors(delta, delta, delta)
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
@@ -291,25 +301,23 @@ def _evaluate(config, delta, rates, eps):
     yields = np.broadcast_to(yields, eps.shape + (9,)).reshape(-1, 9)
     eps = eps.reshape(-1)
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-
-    def outcomes(rows):
+    outcomes = [None] * eps.size
+    rows = np.arange(eps.size)
+    while rows.size:
         inputs = replace(setup, yields=YieldTable(yields[rows]),
                          eps=SideChannelParams.uniform(eps[rows]))
-        result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
-        return list(zip(*(getattr(result, name).tolist() for name in _RESULT_FIELDS)))
-
-    try:
-        return setup.cond_s, outcomes(slice(None))
-    except EstimationError:
-        pass
-    # some row failed: evaluate row by row, so only those rows carry the error
-    rows = []
-    for i in range(eps.size):
         try:
-            rows += outcomes(slice(i, i + 1))
-        except EstimationError as exc:
-            rows.append(str(exc))
-    return setup.cond_s, rows
+            result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
+        except NoSignalError as exc:
+            for i in rows[exc.rows].tolist():
+                outcomes[i] = str(exc)
+            rows = rows[~exc.rows]
+            continue
+        values = zip(*(getattr(result, name).tolist() for name in _RESULT_FIELDS))
+        for i, value in zip(rows.tolist(), values):
+            outcomes[i] = value
+        break
+    return setup.cond_s, outcomes
 
 
 def _row(coordinate, eps_value, delta, cond, outcome, per_second):
@@ -381,17 +389,10 @@ def curve_summaries(points):
     summaries = []
     for key, pts in sorted(curves.items()):
         pts = sorted(pts, key=operator.attrgetter("coordinate"))
-        positives = [p.coordinate for p in pts
-                     if p.error is None and p.key_rate > 0.0]
-        cutoff = positives[-1] if positives else None
-        revival = False
-        seen_positive = seen_gap = False
-        for p in pts:
-            pos = p.error is None and p.key_rate > 0.0
-            if pos and seen_gap:
-                revival = True
-            seen_gap = seen_gap or (seen_positive and not pos)
-            seen_positive = seen_positive or pos
+        positive = [i for i, p in enumerate(pts) if p.error is None and p.key_rate > 0.0]
+        cutoff = pts[positive[-1]].coordinate if positive else None
+        # a curve revives if a non-positive point lies between two positive ones
+        revival = bool(positive) and positive[-1] - positive[0] >= len(positive)
         summary = dict(zip(("delta",) if frequency_axis else ("eps", "delta"), key))
         if revival:
             label = ", ".join(f"{k}={v}" for k, v in summary.items())

@@ -113,6 +113,32 @@ def test_bit_error_rate_no_signal():
         bit_error_rate([0.0, 0.0, 0.0, 0.0])
 
 
+def test_no_signal_error_names_the_batch_rows():
+    *_, inputs = _pipeline()
+    quiet = np.zeros(9)
+    denormal = quiet.copy()
+    denormal[ZZ_PAIR_INDICES[0]] = 5e-324  # smallest denormal
+    batch = np.stack([inputs.yields.y, quiet, denormal])
+
+    def run(rows):
+        y = batch[rows]
+        return estimate(replace(inputs, yields=YieldTable(y),
+                                eps=SideChannelParams.uniform(np.full(len(y), 1e-6))))
+
+    with pytest.raises(NoSignalError, match="all ZZ yields vanish") as excinfo:
+        run([0, 1, 2])
+    assert excinfo.value.rows.tolist() == [False, True, False]
+    # a ZZ sum of one denormal step passes that check, but a quarter of it is 0
+    with pytest.raises(NoSignalError, match="zeta_obs must be positive") as excinfo:
+        run([0, 2])
+    assert excinfo.value.rows.tolist() == [False, True]
+    assert run([0]).key_rate.shape == (1,)
+    # a single point gets a 0-d mask
+    with pytest.raises(NoSignalError) as excinfo:
+        bit_error_rate([0.0, 0.0, 0.0, 0.0])
+    assert excinfo.value.rows.shape == () and excinfo.value.rows
+
+
 def test_bit_error_rate_tracks_misalignment():
     _, povm, yields, _ = _pipeline(loss_db=4.0)
     zz = yields.y[list(ZZ_PAIR_INDICES)]
@@ -131,6 +157,10 @@ def test_phase_error_rate_basics():
     assert phase_error_rate(0.5, 0.1) == 1.0  # clamped
     with pytest.raises(NoSignalError):
         phase_error_rate(0.1, 0.0)
+    # a bound on a probability weight is never negative
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="omega_up"):
+            phase_error_rate(bad, 0.1)
 
 
 def test_delta_vir_lower_limits():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from mdiqkd import (
     reference_yields,
     transmission_rates,
 )
+import mdiqkd.sweep
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError
 from mdiqkd.sweep import (
@@ -106,6 +108,9 @@ def test_sweep_config_validation():
         SweepConfig(f_ec=math.nan)
     with pytest.raises(ValueError):
         SweepConfig(frequency_range=FrequencyRange(loss_db=math.nan))
+    for flag in ("no thanks", 0.5, 1):
+        with pytest.raises(ValueError, match="include_sifting"):
+            SweepConfig(include_sifting=flag)
 
 
 def test_load_config_defaults():
@@ -177,6 +182,10 @@ def test_load_config_rejects_unknown_section(tmp_path):
     ("sweep: {loss: {stpo: 0.5}}\n", "sweep.loss.stpo"),
     ("sweep: {frequency: {loss: 5.0}}\n", "sweep.frequency.loss"),
     ("sweep: {loss: 5.0}\n", "sweep.loss"),  # a section that is no mapping
+    # a string or a scalar where a list belongs
+    ("sweep: {delta: '01'}\n", "sweep.delta"),
+    ("sweep: {eps: 1.0e-6}\n", "sweep.eps"),
+    ("estimation: {include_sifting: no thanks}\n", "include_sifting"),
 ])
 def test_load_config_rejects_unknown_keys(tmp_path, text, key):
     path = tmp_path / "cfg.yaml"
@@ -436,6 +445,13 @@ def test_frequency_sweep_flat_map_scales_with_clock():
 # batched rows must agree with the per-point README chain to this
 # relative tolerance; the two differ only in summation order
 PIN_REL = 1e-9
+# below the smallest normal float all values are multiples of one step,
+# so a subnormal zeta_obs holds only log2(zeta_obs / step) bits, and the
+# two routes round its yields apart by whole steps (1 at most, measured).
+# Rows with a subnormal zeta_obs are pinned to PIN_STEPS steps: in
+# zeta_obs and key_rate, and in the error rates times zeta_obs
+SUBNORMAL_STEP = 2.0**-1074
+PIN_STEPS = 4
 
 
 def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
@@ -471,11 +487,13 @@ def _assert_pinned(points, expected):
             assert math.isnan(got.key_rate) and math.isnan(got.cond_s)
             continue
         assert (got.key_rate > 0.0) == (want.key_rate > 0.0)
+        slack = PIN_STEPS * SUBNORMAL_STEP if want.zeta_obs < sys.float_info.min else 0.0
         for name in ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper",
                      "zeta_obs", "cond_s", "key_per_second"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None) == (b is None), name
-            assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=0.0), (
+            abs_tol = slack / want.zeta_obs if name in ("e_zz", "e_xx") else slack
+            assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=abs_tol), (
                 name, got.coordinate, a, b)
     assert curve_summaries(points) == curve_summaries(expected)
 
@@ -502,7 +520,10 @@ def _expected_loss_rows(config):
     # a delta 1e-9 short of pi/2 passes a lifted ceiling but collapses a
     # virtual state: only its rows are error rows
     replace(TINY, delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
-], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta"])
+    # no dark counts again, where zeta_obs turns subnormal and then vanishes
+    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(3150.0, 3250.0, 5.0)),
+], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta",
+        "denormal-yields"])
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
@@ -520,7 +541,44 @@ def test_loss_sweep_matches_scalar_chain(config):
         assert errors == {"all ZZ yields vanish"}
     elif config.channel.p_d == 0.0:
         assert errors == {None, "all ZZ yields vanish"}
-        assert all((p.error is None) == (p.coordinate <= 3000.0) for p in points)
+        if config.loss_range.stop == 4000.0:
+            assert all((p.error is None) == (p.coordinate <= 3000.0) for p in points)
+        else:  # every good row has a subnormal zeta_obs, then the signal ends
+            assert all((p.error is None) == (p.coordinate <= 3205.0) for p in points)
+            assert all(p.zeta_obs < sys.float_info.min for p in points if p.error is None)
+
+
+def test_denormal_yields_sweep_is_warning_free():
+    config = replace(TINY, channel=ChannelParams(p_d=0.0),
+                     loss_range=LossRange(3150.0, 3250.0, 5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_loss_sweep(config)
+
+
+@pytest.mark.parametrize("config, batches", [
+    # clean: one batch per delta
+    (TINY, [6, 6]),
+    # delta 1.5 is refused before any batch
+    (replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3), [6]),
+    # no signal anywhere: the one batch fails and nothing is left
+    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [6, 6]),
+    # 1581 of 8001 rows without signal leave the batch once
+    (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.5)),
+     [8001, 6420]),
+], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
+def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches):
+    sizes = []
+
+    def counting_estimate(inputs, **kwargs):
+        sizes.append(len(inputs.yields.y))
+        return estimate(inputs, **kwargs)
+
+    monkeypatch.setattr(mdiqkd.sweep, "estimate", counting_estimate)
+    points = run_loss_sweep(config)
+    failing_checks = {p.error for p in points} - {None}
+    assert sizes == batches
+    assert len(sizes) <= len(config.delta_values) * (1 + len(failing_checks))
 
 
 def test_frequency_sweep_matches_scalar_chain():
