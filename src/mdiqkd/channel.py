@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import unit_interval
+from .gbound import real, unit_interval
 from .pauli_core import PAULI_PRODUCTS
 
 __all__ = [
@@ -64,6 +64,8 @@ class ChannelParams:
     p_zb: float = 2.0 / 3.0
 
     def __post_init__(self):
+        for name in ("eta_d", "p_d", "e_d", "loss_db", "p_za", "p_zb"):
+            real(getattr(self, name), name)
         for name in ("eta_d", "p_d", "e_d"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -243,9 +245,11 @@ def transmission_rates_grid(params, losses_db):
 def reference_yields(s_matrix, rates):
     """Yields of the reference setting pairs, Y = S q, clamped to [0, 1].
 
-    A batch of rates (n, 9) gives a batch of yields (n, 9).
+    A batch of rates (n, 9) gives a batch of yields (n, 9); a stack of
+    m matrices S, shape (m, 9, 9), gives yields of shape (m, n, 9), and
+    one warning for the whole stack if any yield is clamped.
     """
-    raw = rates.q @ s_matrix.T
+    raw = rates.q @ np.swapaxes(s_matrix, -1, -2)
     clamped = np.clip(raw, 0.0, 1.0)
     worst = np.abs(raw - clamped).max()
     if worst > 1e-9:

@@ -25,19 +25,21 @@ lower R.
 Batches. Every step also runs over a batch of grid points: a YieldTable
 and SideChannelParams with a leading axis of n points give an
 EstimationResult whose fields are arrays of n values, computed by the
-same code that gives Python floats for a single point. A sweep builds
-the tomography matrices once per reference set and evaluates a whole
-grid in one estimate call.
+same code that gives Python floats for a single point. f_obj is shared
+by all points, or given per point as an (n, 9) array, so one batch can
+mix reference sets. build_estimation_stack builds the tomography
+matrices of many reference sets as one stack; a sweep calls it once per
+table and evaluates the table in as few estimate calls as its batch
+size allows, one for a table of up to 1820 rows.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gbound import g_lower, g_upper, plain, unit_interval
-from .pauli_core import ZZ_PAIR_INDICES, build_S_matrix, build_virtual
+from .pauli_core import ZZ_PAIR_INDICES, VirtualEnsemble, amplitudes, s_matrix_stack, virtual_stack
 
 __all__ = [
     "EstimationError",
@@ -46,6 +48,7 @@ __all__ = [
     "SideChannelParams",
     "EstimationInputs",
     "EstimationResult",
+    "build_estimation_stack",
     "build_estimation_inputs",
     "omega_ref_matrix",
     "omega_ref_upper",
@@ -59,6 +62,10 @@ __all__ = [
 ]
 
 DEFAULT_COND_CEILING = 1e8
+# a zeta_obs below the smallest normal float holds too few bits to divide
+# by: a subnormal is a whole multiple of 2^-1074. Both NoSignalError
+# checks call such a row silent.
+_SILENT_BELOW = np.finfo(float).tiny
 
 
 class EstimationError(Exception):
@@ -119,27 +126,21 @@ class SideChannelParams:
 class EstimationInputs:
     """Everything the bound of the estimation chain consumes.
 
-    yields and eps may be None while the reference-set part is reused
-    across a grid; dataclasses.replace attaches them before estimate.
+    estimate reads yields, eps and f_obj; f_obj has shape (9,), or (n, 9)
+    with one row per yield row. The other fields are the reference-set
+    quantities f_obj = P_vir S_vir S^-1 came from, None for a batch that
+    mixes reference sets. yields and eps may be None while the
+    reference-set part is reused across a grid; dataclasses.replace
+    attaches them before estimate.
     """
 
     yields: object
     eps: SideChannelParams
     f_obj: np.ndarray
-    p_vir_ensemble: object
-    s_matrix: np.ndarray
-    s_matrix_inverse: np.ndarray
-    cond_s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "f_obj", np.asarray(self.f_obj, dtype=float))
-        recomputed = (
-            self.p_vir_ensemble.p_vir
-            @ self.p_vir_ensemble.s_vir
-            @ self.s_matrix_inverse
-        )
-        if np.abs(recomputed - self.f_obj).max() > 1e-10:
-            raise ValueError("f_obj inconsistent with its stored factors")
+    p_vir_ensemble: object = None
+    s_matrix: np.ndarray = None
+    s_matrix_inverse: np.ndarray = None
+    cond_s: float = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,27 +164,54 @@ class EstimationResult:
             raise ValueError("key rate must be floored at 0")
 
 
+def build_estimation_stack(refs_a, refs_b, cond_ceiling=DEFAULT_COND_CEILING):
+    """The tomography matrices and f_obj of n reference sets at once.
+
+    refs_a, refs_b: n reference sets per side, each the three reference
+    states in SETTINGS order. Returns (inputs, errors). inputs is an
+    EstimationInputs without yields and eps whose fields carry a leading
+    axis of n: f_obj (n, 9), s_matrix and s_matrix_inverse (n, 9, 9),
+    cond_s (n,) and the virtual ensemble. errors holds per set None, or
+    the error build_estimation_inputs raises for it: IllConditionedError
+    when cond(S) exceeds the ceiling (the linear inversion amplifies
+    yield noise by that factor), else a DegenerateInputError. Only the
+    accepted sets are inverted; a refused set's inverse and f_obj are nan.
+    """
+    amps_a, amps_b = amplitudes(refs_a), amplitudes(refs_b)
+    s_matrix = s_matrix_stack(amps_a, amps_b)
+    cond = np.linalg.cond(s_matrix)
+    inverted = np.isfinite(cond) & (cond <= cond_ceiling)
+    s_inv = np.full_like(s_matrix, np.nan)
+    if inverted.any():
+        s_inv[inverted] = np.linalg.inv(s_matrix[inverted])
+    ensemble, errors = virtual_stack(amps_a[:, :2], amps_b[:, :2])
+    errors = [err if ok else IllConditionedError(c, cond_ceiling)
+              for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
+    # stacked matmul gives the bits of p_vir @ s_vir @ s_inv for one set
+    f_obj = (ensemble.p_vir[:, None, :] @ ensemble.s_vir @ s_inv)[:, 0]
+    return EstimationInputs(None, None, f_obj, ensemble, s_matrix, s_inv, cond), errors
+
+
 def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
                             cond_ceiling=DEFAULT_COND_CEILING):
     """Assemble the tomography matrices and f_obj for one reference set.
 
     ref_a, ref_b: the three reference states per side in SETTINGS order.
-    Raises IllConditionedError when cond(S) exceeds the ceiling; the
-    linear inversion amplifies yield noise by that factor.
+    The one-set case of build_estimation_stack; raises its error.
     """
-    s_matrix = build_S_matrix(ref_a, ref_b)
-    cond = float(np.linalg.cond(s_matrix))
-    if not math.isfinite(cond) or cond > cond_ceiling:
-        raise IllConditionedError(cond, cond_ceiling)
-    s_inv = np.linalg.inv(s_matrix)
-    ensemble = build_virtual(ref_a[:2], ref_b[:2])
-    f_obj = ensemble.p_vir @ ensemble.s_vir @ s_inv
-    return EstimationInputs(yields, eps, f_obj, ensemble, s_matrix, s_inv, cond)
+    stack, errors = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+    if errors[0] is not None:
+        raise errors[0]
+    ensemble = stack.p_vir_ensemble
+    return EstimationInputs(
+        yields, eps, stack.f_obj[0], VirtualEnsemble(ensemble.p_vir[0], ensemble.s_vir[0]),
+        stack.s_matrix[0], stack.s_matrix_inverse[0], float(stack.cond_s[0]),
+    )
 
 
 def omega_ref_matrix(inputs):
-    """Singlet-error weight via the tomography identity f_obj . Y."""
-    return plain(inputs.yields.y @ inputs.f_obj)
+    """Singlet-error weight via the tomography identity f_obj . Y, row by row."""
+    return plain(np.einsum("...i,...i->...", inputs.yields.y, inputs.f_obj))
 
 
 def omega_ref_upper(f_obj, yields, eps):
@@ -226,7 +254,7 @@ def bit_error_rate(zz_yields):
     if zz.shape[-1:] != (4,) or not np.all(zz >= 0.0):
         raise ValueError("expected 4 nonnegative ZZ yields")
     denom = zz.sum(axis=-1)
-    silent = denom <= 0.0
+    silent = 0.25 * denom < _SILENT_BELOW  # zeta_obs, as estimate computes it
     if np.any(silent):
         raise NoSignalError("all ZZ yields vanish", silent)
     # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
@@ -234,16 +262,19 @@ def bit_error_rate(zz_yields):
 
 
 def phase_error_rate(omega_up, zeta_obs):
-    """Virtual X-basis error rate Omega^U / zeta_obs, capped at 1."""
+    """Virtual X-basis error rate Omega^U / zeta_obs, capped at 1.
+
+    A zeta_obs below the smallest normal float counts as no signal.
+    """
     omega_up = np.asarray(omega_up, dtype=float)
     zeta_obs = np.asarray(zeta_obs, dtype=float)
     if not np.all(omega_up >= 0.0):
         raise ValueError("omega_up must be >= 0")
-    silent = zeta_obs <= 0.0
+    silent = zeta_obs < _SILENT_BELOW
     if np.any(silent):
-        raise NoSignalError("zeta_obs must be positive", silent)
+        raise NoSignalError("zeta_obs must be positive and normal", silent)
     # capping the numerator gives the bits of capping the ratio, which
-    # overflows for a denormal zeta_obs
+    # can overflow for a small zeta_obs
     return plain(np.minimum(omega_up, zeta_obs) / zeta_obs)
 
 

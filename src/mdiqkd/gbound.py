@@ -15,9 +15,11 @@ with - for the lower and + for the upper bound. -g_lower and g_upper are
 concave in x; g_lower is nondecreasing and g_upper nonincreasing in y.
 
 Both functions take floats or broadcastable arrays: a float argument
-gives a float, arrays give an array of the broadcast shape. The estimator
-shares the argument check and the float conversion defined here.
+gives a float, arrays give an array of the broadcast shape. The other
+layers share the argument checks and the float conversion defined here.
 """
+
+import numbers
 
 import numpy as np
 
@@ -32,6 +34,17 @@ def unit_interval(value, name):
         bad = float(arr[~inside].flat[0])
         raise ValueError(f"{name} must lie in [0, 1], got {bad!r}")
     return arr
+
+
+def real(value, name):
+    """value itself; ValueError unless it is a real number and not a bool.
+
+    YAML spells true and false as booleans, which Python would otherwise
+    take as the numbers 1 and 0.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def plain(arr):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gbound import real
+
 __all__ = [
     "SETTINGS",
     "PAULI_AXES",
@@ -33,9 +35,12 @@ __all__ = [
     "VirtualEnsemble",
     "DegenerateInputError",
     "make_reference_state",
+    "amplitudes",
     "bloch_vector",
     "two_qubit_bloch",
+    "s_matrix_stack",
     "build_S_matrix",
+    "virtual_stack",
     "build_virtual",
 ]
 
@@ -86,7 +91,7 @@ class ModulationErrors:
 
     def __post_init__(self):
         for name in ("delta1", "delta2", "delta3"):
-            if not abs(getattr(self, name)) < math.pi / 2:
+            if not abs(real(getattr(self, name), name)) < math.pi / 2:
                 # beyond pi/2 the state is closer to the complementary one;
                 # the negated test also refuses nan
                 raise ValueError(f"|{name}| must be finite and < pi/2")
@@ -98,7 +103,8 @@ class VirtualEnsemble:
 
     p_vir holds the probabilities of the kept outcomes (j, s) = (0, 0)
     and (1, 1); s_vir holds the Bloch rows of the normalized states sent
-    on those outcomes.
+    on those outcomes. Shapes (2,) and (2, 9), or (n, 2) and (n, 2, 9)
+    for a stack of n reference sets.
     """
 
     p_vir: np.ndarray
@@ -107,7 +113,7 @@ class VirtualEnsemble:
     def __post_init__(self):
         p = np.asarray(self.p_vir, dtype=float)
         s = np.asarray(self.s_vir, dtype=float)
-        if p.shape != (2,) or s.shape != (2, 9):
+        if p.shape[-1:] != (2,) or s.shape != p.shape + (9,):
             raise ValueError("expected 2 probabilities and a 2x9 Bloch block")
         if not np.all((p >= -_NORM_ATOL) & (p <= 1.0 + _NORM_ATOL)):
             raise ValueError("virtual probabilities out of [0, 1]")
@@ -133,73 +139,113 @@ def make_reference_state(setting, deltas):
     raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
 
 
+def amplitudes(sets):
+    """Real amplitudes of n sets of k states, shape (n, k, 2)."""
+    return np.array([[(q.amp0, q.amp1) for q in states] for states in sets], dtype=float)
+
+
+def _bloch(amps):
+    """Coefficients <sigma_l>, l in (I, X, Z), of real amplitudes (..., 2) -> (..., 3)."""
+    a, b = amps[..., 0], amps[..., 1]
+    if not np.all(np.abs(a * a + b * b - 1.0) <= _NORM_ATOL):  # the negated test also refuses nan
+        raise ValueError("state not normalized")
+    return np.stack([np.ones_like(a), 2.0 * a * b, a * a - b * b], axis=-1)
+
+
+def _pair_bloch(a, b):
+    """Product-state coefficients s_{l,l'} = s_l(A) * s_l'(B) of Bloch rows (..., 3) -> (..., 9)."""
+    product = a[..., :, None] * b[..., None, :]
+    return product.reshape(product.shape[:-2] + (9,))
+
+
 def bloch_vector(state):
     """Coefficients <sigma_l> for l in (I, X, Z), a (3,) array; requires a normalized state."""
-    a, b = state.amp0, state.amp1
-    norm = a * a + b * b
-    if not abs(norm - 1.0) <= _NORM_ATOL:  # the negated test also refuses nan
-        raise ValueError("state not normalized")
-    return np.array([1.0, 2.0 * a * b, a * a - b * b])
+    return _bloch(np.array([state.amp0, state.amp1]))
 
 
 def two_qubit_bloch(state_a, state_b):
     """Product-state coefficients s_{l,l'} = s_l(A) * s_{l'}(B), PAULI_PAIRS order."""
-    return np.outer(bloch_vector(state_a), bloch_vector(state_b)).ravel()
+    return _pair_bloch(bloch_vector(state_a), bloch_vector(state_b))
+
+
+def s_matrix_stack(refs_a, refs_b):
+    """S of n reference sets at once, shape (n, 9, 9).
+
+    refs_a, refs_b: amplitudes of shape (n, 3, 2), the three reference
+    states per side in SETTINGS order. Row 3i + j, in SETTING_PAIRS
+    order, holds the product-state coefficients of ref_a[i] and ref_b[j].
+    """
+    if refs_a.shape[1:] != (3, 2) or refs_b.shape[1:] != (3, 2):
+        raise ValueError("expected three reference states per side")
+    a, b = _bloch(refs_a), _bloch(refs_b)
+    return _pair_bloch(a[:, :, None], b[:, None]).reshape(-1, 9, 9)
 
 
 def build_S_matrix(ref_a, ref_b):
     """9x9 matrix whose rows are the Bloch coefficients of the setting pairs.
 
-    ref_a, ref_b: the three reference states per side in SETTINGS order.
-    Rows follow SETTING_PAIRS order: entry (3i + j, 3l + l') is
-    s_l(ref_a[i]) * s_l'(ref_b[j]), one product of the two Bloch blocks.
+    ref_a, ref_b: the three reference states per side in SETTINGS order;
+    the one-set case of s_matrix_stack.
     """
-    if len(ref_a) != 3 or len(ref_b) != 3:
-        raise ValueError("expected three reference states per side")
-    a = np.array([bloch_vector(state) for state in ref_a])
-    b = np.array([bloch_vector(state) for state in ref_b])
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(9, 9)
+    return s_matrix_stack(amplitudes([ref_a]), amplitudes([ref_b]))[0]
 
 
-def _x_projected(ref_z, j):
-    # transmitted state when the ancilla X measurement gives outcome j
-    vec = np.array([ref_z[0].amp0, ref_z[0].amp1])
-    vec = (vec + (-1) ** j * np.array([ref_z[1].amp0, ref_z[1].amp1])) / math.sqrt(2.0)
-    return vec
+def _x_projected(z):
+    # transmitted states when the ancilla X measurement gives outcome
+    # j = 0, 1: (phi_0Z + (-1)^j phi_1Z) / sqrt(2), shape (n, 2, 2)
+    return np.stack([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=1) / math.sqrt(2.0)
+
+
+def virtual_stack(z_a, z_b):
+    """X-outcome virtual ensembles of n reference sets at once.
+
+    z_a, z_b: amplitudes of shape (n, 2, 2), the two Z-basis reference
+    states per side. The source-equivalent entangled state is
+    (1/2) sum_{j,s} |jZ, sZ>|phi_jZ, phi_sZ>; projecting the ancillas onto
+    |jX, sX> factorizes, so each kept outcome (0,0) and (1,1) carries a
+    product state. Outcome probabilities of all four (j, s) combinations
+    must sum to 1; the off-diagonal two are computed only for that check.
+
+    Returns (ensemble, errors): a VirtualEnsemble of shapes (n, 2) and
+    (n, 2, 9), and per set None or the DegenerateInputError of a kept
+    outcome whose state has zero trace. Such a state is replaced by |0Z>
+    in the ensemble, so that the stack stays finite.
+    """
+    if z_a.shape[1:] != (2, 2) or z_b.shape[1:] != (2, 2):
+        raise ValueError("expected the two Z-basis states per side")
+    va, vb = _x_projected(z_a), _x_projected(z_b)
+    # squared norms per outcome, (n, 2), by matmul: a sum of squares would
+    # miss the fused multiply-add of the BLAS dot that va @ va runs for
+    # one vector, and with it the last bits
+    na2 = (va[..., None, :] @ va[..., :, None])[..., 0, 0]
+    nb2 = (vb[..., None, :] @ vb[..., :, None])[..., 0, 0]
+    p_all = 0.25 * na2[:, :, None] * nb2[:, None, :]  # (n, j, s)
+    total = p_all.sum(axis=(1, 2))
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"virtual outcome probabilities sum to {float(total[off][0])!r}")
+    na, nb = np.sqrt(na2), np.sqrt(nb2)
+    collapsed = (na < 1e-7) | (nb < 1e-7)  # kept outcome (j, j), (n, 2)
+    errors = [None] * len(collapsed)
+    for k, j in reversed(np.argwhere(collapsed).tolist()):  # a set's first outcome wins
+        errors[k] = DegenerateInputError(f"virtual state for outcome ({j},{j}) has zero trace")
+    live = ~collapsed[..., None]
+    qa = np.where(live, va / np.where(live, na[..., None], 1.0), (1.0, 0.0))
+    qb = np.where(live, vb / np.where(live, nb[..., None], 1.0), (1.0, 0.0))
+    s_vir = _pair_bloch(_bloch(qa), _bloch(qb))
+    # in C order: over a strided operand matmul skips BLAS, whose fused
+    # multiply-adds give f_obj = p_vir S_vir S^-1 other last bits
+    p_kept = np.ascontiguousarray(p_all[:, (0, 1), (0, 1)])
+    return VirtualEnsemble(p_kept, s_vir), errors
 
 
 def build_virtual(ref_a_z, ref_b_z):
     """X-outcome virtual ensemble from the four Z-basis reference states.
 
-    The source-equivalent entangled state is
-    (1/2) sum_{j,s} |jZ, sZ>|phi_jZ, phi_sZ>; projecting the ancillas onto
-    |jX, sX> factorizes, so each kept outcome (0,0) and (1,1) carries a
-    product state. Outcome probabilities of all four (j, s) combinations
-    must sum to 1; the off-diagonal two are computed only for that check.
+    The one-set case of virtual_stack; raises DegenerateInputError when
+    a kept outcome carries a state of zero trace.
     """
-    if len(ref_a_z) != 2 or len(ref_b_z) != 2:
-        raise ValueError("expected the two Z-basis states per side")
-    p_all = {}
-    states = {}
-    for j in range(2):
-        va = _x_projected(ref_a_z, j)
-        for s in range(2):
-            vb = _x_projected(ref_b_z, s)
-            p_all[j, s] = 0.25 * float(va @ va) * float(vb @ vb)
-            states[j, s] = (va, vb)
-    total = sum(p_all.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"virtual outcome probabilities sum to {total!r}")
-    rows = []
-    for j, s in ((0, 0), (1, 1)):
-        va, vb = states[j, s]
-        na, nb = math.sqrt(float(va @ va)), math.sqrt(float(vb @ vb))
-        if na < 1e-7 or nb < 1e-7:
-            raise DegenerateInputError(
-                f"virtual state for outcome ({j},{s}) has zero trace"
-            )
-        qa = QubitState(va[0] / na, va[1] / na)
-        qb = QubitState(vb[0] / nb, vb[1] / nb)
-        rows.append(two_qubit_bloch(qa, qb))
-    p_kept = np.array([p_all[0, 0], p_all[1, 1]])
-    return VirtualEnsemble(p_kept, np.array(rows))
+    ensemble, errors = virtual_stack(amplitudes([ref_a_z]), amplitudes([ref_b_z]))
+    if errors[0] is not None:
+        raise errors[0]
+    return VirtualEnsemble(ensemble.p_vir[0], ensemble.s_vir[0])

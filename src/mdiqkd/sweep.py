@@ -3,9 +3,11 @@
 A sweep evaluates the full chain (POVM -> yields -> estimation -> key
 rate) over a grid, either against transmission loss at fixed side-channel
 budgets, or against system frequency with the side-channel weight tied to
-frequency through a lg-linear map. The tomography matrices are built
-once per modulation error and the chain runs over all of its rows in one
-batch; a row whose estimation fails becomes an error row of the table.
+frequency through a lg-linear map. The tomography matrices of all
+modulation errors are built once per table, as one stack, and the chain
+runs over the rows of the table in even batches of at most BATCH_ROWS,
+one batch for most tables; a row whose estimation fails becomes an error
+row of the table.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
@@ -29,13 +31,14 @@ from .channel import (
 )
 from .estimator import (
     DEFAULT_COND_CEILING,
-    EstimationError,
+    EstimationInputs,
     NoSignalError,
     SideChannelParams,
-    build_estimation_inputs,
+    build_estimation_stack,
     estimate,
 )
-from .pauli_core import SETTINGS, DegenerateInputError, ModulationErrors, make_reference_state
+from .gbound import real
+from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
 
 __all__ = [
     "LossRange",
@@ -51,6 +54,11 @@ __all__ = [
 
 # the most rows one table may hold; every row stays in memory until emission
 MAX_TABLE_ROWS = 1_000_000
+# the most rows one estimate call takes: the chain's (rows, 9) float64
+# temporaries then stay below glibc's 128 KiB mmap threshold and reuse heap
+# memory. One 1950-row call faulted in 353 fresh pages and took ~25% longer
+# than two 975-row calls.
+BATCH_ROWS = 128 * 1024 // (9 * 8)
 
 
 def _grid_size(start, stop, step):
@@ -77,6 +85,8 @@ class LossRange:
     step: float = 0.1
 
     def __post_init__(self):
+        for name in ("start", "stop", "step"):
+            real(getattr(self, name), f"loss {name}")
         _grid_size(self.start, self.stop, self.step)
         if self.start < 0.0:
             raise ValueError("loss grid must start at >= 0 dB")
@@ -102,6 +112,12 @@ class FrequencyRange:
     anchor_high: tuple = (4.0, -6.0)
 
     def __post_init__(self):
+        for name in ("start_ghz", "stop_ghz", "step_ghz"):
+            real(getattr(self, name), name)
+        for value in (*self.anchor_low, *self.anchor_high):
+            real(value, "map anchor")
+        if self.loss_db is not None:
+            real(self.loss_db, "loss_db")
         n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
         if self.start_ghz <= 0.0:
             raise ValueError("frequencies must be positive")
@@ -142,15 +158,15 @@ class SweepConfig:
         if not self.eps_values or not self.delta_values:
             raise ValueError("eps and delta lists must be non-empty")
         for e in self.eps_values:
-            if not 0.0 <= e <= 1.0:
+            if not 0.0 <= real(e, "eps") <= 1.0:
                 raise ValueError("eps values must lie in [0, 1]")
         for d in self.delta_values:
             ModulationErrors(d, d, d)  # raises on a bad delta
-        if not 1.0 <= self.f_ec < math.inf:
+        if not 1.0 <= real(self.f_ec, "f_ec") < math.inf:
             raise ValueError("f_ec must be finite and >= 1")
         if not isinstance(self.include_sifting, bool):
             raise ValueError("include_sifting must be true or false")
-        if not 0.0 < self.cond_ceiling < math.inf:
+        if not 0.0 < real(self.cond_ceiling, "cond_ceiling") < math.inf:
             raise ValueError("cond_ceiling must be finite and > 0")
         if self.out_format not in ("csv", "json-lines"):
             raise ValueError("format must be csv or json-lines")
@@ -245,8 +261,9 @@ def load_config(path=None, overrides=None):
             if not isinstance(sw[key], list):
                 raise ValueError(f"sweep.{key} must be a list")
             # float() also rescues bare scientific notation, which YAML 1.1
-            # parses as a string ("1e-7" lacks the mandated dot)
-            fields[field] = tuple(float(v) for v in sw[key])
+            # parses as a string ("1e-7" lacks the mandated dot); a bool
+            # stays one, for SweepConfig to refuse
+            fields[field] = tuple(v if isinstance(v, bool) else float(v) for v in sw[key])
 
     config = SweepConfig(
         channel=ChannelParams(**ch),
@@ -279,45 +296,63 @@ def _apply_overrides(config, overrides):
 _RESULT_FIELDS = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
 
 
-def _evaluate(config, delta, rates, eps):
-    """Estimate every row of one modulation error in one batch.
+def _evaluate(config, rates, eps):
+    """Estimate every row of a table.
 
     rates: transmission rates of shape (n_points, 9), or (1, 9) shared by
     all points; eps: side-channel weights of shape (n_curves, n_points).
-    The tomography matrices are built once here, however many rows.
-    Returns (cond_s, outcomes), one outcome per row in eps order: a tuple
-    of the _RESULT_FIELDS values, or the message of the EstimationError
-    that row raises in the scalar chain. A NoSignalError names the rows
-    without signal; they leave the batch and the rest runs again, so a
-    delta costs one estimate call plus one per distinct failing check.
+    The tomography matrices of every distinct delta are built once per
+    table, as one stack. Returns (deltas, cond_s, outcomes): the distinct
+    deltas, cond(S) of each, and one outcome per row, curve outermost,
+    then distinct delta, then point. An outcome is a tuple of the
+    _RESULT_FIELDS values, or the message of the error that row raises in
+    the scalar chain; a refused reference set gives every row of its
+    delta the message. The other rows go to estimate in even batches of
+    at most BATCH_ROWS, so a table of up to BATCH_ROWS rows takes one call.
     """
-    deltas = ModulationErrors(delta, delta, delta)
-    ref = [make_reference_state(s, deltas) for s in SETTINGS]
-    try:
-        setup = build_estimation_inputs(ref, ref, cond_ceiling=config.cond_ceiling)
-    except (EstimationError, DegenerateInputError) as exc:  # refuses the reference set
-        return math.nan, [str(exc)] * eps.size
-    yields = reference_yields(setup.s_matrix, rates).y
-    yields = np.broadcast_to(yields, eps.shape + (9,)).reshape(-1, 9)
-    eps = eps.reshape(-1)
+    deltas = list(dict.fromkeys(config.delta_values))
+    modulations = [ModulationErrors(d, d, d) for d in deltas]
+    refs = [[make_reference_state(s, m) for s in SETTINGS] for m in modulations]
+    setup, errors = build_estimation_stack(refs, refs, config.cond_ceiling)
+    n_curves, n_points = eps.shape
+    outcomes = [None if err is None else str(err)
+                for err in errors for _ in range(n_points)] * n_curves
+    # the rows of the accepted deltas; rows[i] is the place of row i in outcomes
+    grid = (n_curves, len(deltas), n_points)
+    accepted = np.array([err is None for err in errors])
+    rows = np.arange(len(outcomes)).reshape(grid)[:, accepted].reshape(-1)
+    yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
+    yields = np.broadcast_to(yields, grid + (9,))[:, accepted].reshape(-1, 9)
+    f_obj = np.broadcast_to(setup.f_obj[:, None], grid + (9,))[:, accepted].reshape(-1, 9)
+    eps = np.broadcast_to(eps[:, None], grid)[:, accepted].reshape(-1)
+    n_batches = max(1, -(-rows.size // BATCH_ROWS))
+    for batch in zip(*(np.array_split(a, n_batches) for a in (rows, yields, eps, f_obj))):
+        _estimate_batch(config, outcomes, *batch)
+    return deltas, setup.cond_s.tolist(), outcomes
+
+
+def _estimate_batch(config, outcomes, rows, yields, eps, f_obj):
+    """Store the outcome of batch row i at rows[i] in outcomes.
+
+    A NoSignalError names the rows without signal; they leave the batch
+    and the rest runs again, so a batch costs one estimate call plus one
+    per distinct failing check.
+    """
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-    outcomes = [None] * eps.size
-    rows = np.arange(eps.size)
     while rows.size:
-        inputs = replace(setup, yields=YieldTable(yields[rows]),
-                         eps=SideChannelParams.uniform(eps[rows]))
+        inputs = EstimationInputs(YieldTable(yields), SideChannelParams.uniform(eps), f_obj)
         try:
             result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
         except NoSignalError as exc:
             for i in rows[exc.rows].tolist():
                 outcomes[i] = str(exc)
-            rows = rows[~exc.rows]
+            keep = ~exc.rows
+            rows, yields, eps, f_obj = rows[keep], yields[keep], eps[keep], f_obj[keep]
             continue
         values = zip(*(getattr(result, name).tolist() for name in _RESULT_FIELDS))
         for i, value in zip(rows.tolist(), values):
             outcomes[i] = value
         break
-    return setup.cond_s, outcomes
 
 
 def _row(coordinate, eps_value, delta, cond, outcome, per_second):
@@ -336,15 +371,15 @@ def _sweep_rows(config, coordinates, eps, rates, per_second):
 
     eps has shape (n_curves, len(coordinates)); rates as _evaluate takes them.
     """
-    by_delta = {d: _evaluate(config, d, rates, eps)
-                for d in dict.fromkeys(config.delta_values)}
+    deltas, cond, outcomes = _evaluate(config, rates, eps)
+    n = len(coordinates)
     rows = []
     for i, eps_row in enumerate(eps.tolist()):
         for delta in config.delta_values:
-            cond, outcomes = by_delta[delta]
-            first = i * len(coordinates)
-            rows += [_row(c, e, delta, cond, outcome, per_second)
-                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:])]
+            k = deltas.index(delta)
+            first = (i * len(deltas) + k) * n
+            rows += [_row(c, e, delta, cond[k], outcome, per_second)
+                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:first + n])]
     return rows
 
 

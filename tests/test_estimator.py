@@ -24,6 +24,7 @@ from mdiqkd.estimator import (
     IllConditionedError,
     NoSignalError,
     binary_entropy,
+    build_estimation_stack,
     bit_error_rate,
     delta_vir_lower,
     key_rate,
@@ -32,7 +33,7 @@ from mdiqkd.estimator import (
     omega_upper,
     phase_error_rate,
 )
-from mdiqkd.pauli_core import ZZ_PAIR_INDICES
+from mdiqkd.pauli_core import ZZ_PAIR_INDICES, DegenerateInputError
 from oracles import entropy_highprec, fock_povm, omega_ref_direct, virtual_ensemble_16dim
 
 BENCHMARK_DELTA = 0.126
@@ -113,6 +114,18 @@ def test_bit_error_rate_no_signal():
         bit_error_rate([0.0, 0.0, 0.0, 0.0])
 
 
+def test_no_signal_threshold_is_the_smallest_normal_zeta_obs():
+    # zeta_obs = ZZ sum / 4: exactly the smallest normal float still counts
+    tiny = np.finfo(float).tiny
+    assert bit_error_rate([4.0 * tiny, 0.0, 0.0, 0.0]) == 1.0
+    assert phase_error_rate(0.0, tiny) == 0.0
+    below = np.nextafter(tiny, 0.0)
+    with pytest.raises(NoSignalError, match="all ZZ yields vanish"):
+        bit_error_rate([4.0 * below, 0.0, 0.0, 0.0])
+    with pytest.raises(NoSignalError, match="zeta_obs must be positive"):
+        phase_error_rate(0.0, below)
+
+
 def test_no_signal_error_names_the_batch_rows():
     *_, inputs = _pipeline()
     quiet = np.zeros(9)
@@ -125,14 +138,17 @@ def test_no_signal_error_names_the_batch_rows():
         return estimate(replace(inputs, yields=YieldTable(y),
                                 eps=SideChannelParams.uniform(np.full(len(y), 1e-6))))
 
+    # a ZZ sum of one denormal step is no signal either: zeta_obs, a
+    # quarter of the sum, lies below the smallest normal float
     with pytest.raises(NoSignalError, match="all ZZ yields vanish") as excinfo:
         run([0, 1, 2])
-    assert excinfo.value.rows.tolist() == [False, True, False]
-    # a ZZ sum of one denormal step passes that check, but a quarter of it is 0
-    with pytest.raises(NoSignalError, match="zeta_obs must be positive") as excinfo:
-        run([0, 2])
-    assert excinfo.value.rows.tolist() == [False, True]
+    assert excinfo.value.rows.tolist() == [False, True, True]
     assert run([0]).key_rate.shape == (1,)
+    # phase_error_rate applies the same threshold to the zeta_obs it is given
+    tiny = np.finfo(float).tiny
+    with pytest.raises(NoSignalError, match="zeta_obs must be positive") as excinfo:
+        phase_error_rate(np.zeros(3), np.array([0.1, 5e-324, tiny]))
+    assert excinfo.value.rows.tolist() == [False, True, False]
     # a single point gets a 0-d mask
     with pytest.raises(NoSignalError) as excinfo:
         bit_error_rate([0.0, 0.0, 0.0, 0.0])
@@ -330,17 +346,62 @@ def test_zeta_obs_is_joint_zz_weight():
     )
 
 
-def test_f_obj_consistency_enforced():
-    _, _, yields, inputs = _pipeline()
-    bad = np.array(inputs.f_obj)
-    bad[0] += 1e-6
-    with pytest.raises(ValueError, match="inconsistent"):
-        EstimationInputs(
-            yields,
-            inputs.eps,
-            bad,
-            inputs.p_vir_ensemble,
-            inputs.s_matrix,
-            inputs.s_matrix_inverse,
-            inputs.cond_s,
-        )
+# 17 uniform deltas, asymmetric triples, a singular S at pi/4 and a delta
+# 1e-9 short of pi/2, whose virtual state collapses
+STACK_TRIPLES = (
+    [(d, d, d) for d in np.linspace(-0.4, 0.4, 17).tolist()]
+    + [(0.126, -0.07, 0.05), (0.0, 0.2, -0.1), (1.5, -1.2, 0.3)]
+    + [(math.pi / 4,) * 3, (math.pi / 2 - 1e-9,) * 3]
+)
+
+
+@pytest.mark.parametrize("cond_ceiling", [1e8, 1e300])
+def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
+    refs_a = [[make_reference_state(s, ModulationErrors(*t)) for s in SETTINGS]
+              for t in STACK_TRIPLES]
+    refs_b = refs_a[3:] + refs_a[:3]  # a different set on each side
+    stack, errors = build_estimation_stack(refs_a, refs_b, cond_ceiling)
+    assert stack.f_obj.shape == (len(refs_a), 9)
+    refused = set()
+    for k, (ref_a, ref_b) in enumerate(zip(refs_a, refs_b)):
+        try:
+            one = build_estimation_inputs(ref_a, ref_b, cond_ceiling=cond_ceiling)
+        except (IllConditionedError, DegenerateInputError) as exc:
+            assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc)
+            refused.add(type(exc))
+            continue
+        assert errors[k] is None
+        for got, want in ((stack.s_matrix[k], one.s_matrix),
+                          (stack.s_matrix_inverse[k], one.s_matrix_inverse),
+                          (stack.cond_s[k], one.cond_s),
+                          (stack.f_obj[k], one.f_obj),
+                          (stack.p_vir_ensemble.p_vir[k], one.p_vir_ensemble.p_vir),
+                          (stack.p_vir_ensemble.s_vir[k], one.p_vir_ensemble.s_vir)):
+            np.testing.assert_array_equal(got, want)
+        # the fields estimate reads are what the removed check recomputed
+        ens = one.p_vir_ensemble
+        np.testing.assert_array_equal(one.f_obj, ens.p_vir @ ens.s_vir @ one.s_matrix_inverse)
+    # pi/4 (cond ~1e17) passes only the lifted ceiling, and the collapse
+    # of a virtual state is checked only on sets that pass it
+    assert refused == ({DegenerateInputError} if cond_ceiling == 1e300
+                       else {IllConditionedError})
+    # only the accepted sets are inverted
+    inverted = np.array([e is None or isinstance(e, DegenerateInputError) for e in errors])
+    assert np.isnan(stack.s_matrix_inverse[~inverted]).all()
+    assert np.isfinite(stack.s_matrix_inverse[inverted]).all()
+
+
+def test_estimate_takes_one_f_obj_per_row():
+    # rows of two reference sets in one batch give each set's own results
+    points = [_pipeline(loss_db=loss, delta=delta)[3]
+              for delta in (0.0, BENCHMARK_DELTA) for loss in (2.0, 6.0)]
+    batch = EstimationInputs(
+        YieldTable(np.array([p.yields.y for p in points])),
+        SideChannelParams.uniform(np.full(len(points), 1e-6)),
+        np.array([p.f_obj for p in points]),
+    )
+    result = estimate(batch)
+    for i, point in enumerate(points):
+        alone = estimate(point)
+        assert result.key_rate[i] == alone.key_rate and result.e_xx[i] == alone.e_xx
+        assert result.omega_ref[i] == pytest.approx(alone.omega_ref, rel=1e-12, abs=1e-15)

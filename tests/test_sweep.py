@@ -201,6 +201,47 @@ def test_load_config_rejects_non_mapping(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    "sweep: {eps: [true]}\n",
+    "sweep: {delta: [false]}\n",
+    "sweep: {loss: {start: true, stop: 2, step: 1}}\n",
+    "estimation: {f_ec: true}\n",
+    "estimation: {cond_ceiling: true}\n",
+    "channel: {eta_d: true}\n",
+    "sweep: {frequency: {loss_db: true}}\n",
+    "sweep: {frequency: {anchor_high: [4.0, false]}}\n",
+], ids=["eps", "delta", "loss-start", "f_ec", "cond_ceiling", "eta_d", "frequency-loss",
+        "anchor"])
+def test_load_config_refuses_booleans_as_numbers(tmp_path, text):
+    # YAML true and false would otherwise pass as 1 and 0
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="must be a number, got (True|False)"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LossRange(start=True, stop=2.0, step=1.0),
+    lambda: LossRange(step=True),
+    lambda: FrequencyRange(step_ghz=True),
+    lambda: FrequencyRange(loss_db=True),
+    lambda: FrequencyRange(anchor_high=(4.0, False)),
+    lambda: SweepConfig(eps_values=(True,)),
+    lambda: SweepConfig(delta_values=(False,)),
+    lambda: SweepConfig(f_ec=True),
+    lambda: SweepConfig(cond_ceiling=True),
+    lambda: ChannelParams(eta_d=True),
+    lambda: ChannelParams(loss_db=False),
+    lambda: ChannelParams(p_d="0"),
+    lambda: ModulationErrors(delta3=False),
+], ids=["loss-start", "loss-step", "frequency-step", "frequency-loss", "anchor", "eps",
+        "delta", "f_ec", "cond_ceiling", "eta_d", "channel-loss", "p_d-string",
+        "modulation-error"])
+def test_library_refuses_booleans_as_numbers(build):
+    with pytest.raises(ValueError, match="must be a number"):
+        build()
+
+
 def test_key_rate_point_contract():
     assert KeyRatePoint._fields == (
         "coordinate", "eps", "delta", "key_rate", "e_zz", "e_xx", "omega_ref_upper",
@@ -445,13 +486,6 @@ def test_frequency_sweep_flat_map_scales_with_clock():
 # batched rows must agree with the per-point README chain to this
 # relative tolerance; the two differ only in summation order
 PIN_REL = 1e-9
-# below the smallest normal float all values are multiples of one step,
-# so a subnormal zeta_obs holds only log2(zeta_obs / step) bits, and the
-# two routes round its yields apart by whole steps (1 at most, measured).
-# Rows with a subnormal zeta_obs are pinned to PIN_STEPS steps: in
-# zeta_obs and key_rate, and in the error rates times zeta_obs
-SUBNORMAL_STEP = 2.0**-1074
-PIN_STEPS = 4
 
 
 def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
@@ -487,13 +521,11 @@ def _assert_pinned(points, expected):
             assert math.isnan(got.key_rate) and math.isnan(got.cond_s)
             continue
         assert (got.key_rate > 0.0) == (want.key_rate > 0.0)
-        slack = PIN_STEPS * SUBNORMAL_STEP if want.zeta_obs < sys.float_info.min else 0.0
         for name in ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper",
                      "zeta_obs", "cond_s", "key_per_second"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None) == (b is None), name
-            abs_tol = slack / want.zeta_obs if name in ("e_zz", "e_xx") else slack
-            assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=abs_tol), (
+            assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=0.0), (
                 name, got.coordinate, a, b)
     assert curve_summaries(points) == curve_summaries(expected)
 
@@ -520,10 +552,16 @@ def _expected_loss_rows(config):
     # a delta 1e-9 short of pi/2 passes a lifted ceiling but collapses a
     # virtual state: only its rows are error rows
     replace(TINY, delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
-    # no dark counts again, where zeta_obs turns subnormal and then vanishes
+    # no dark counts again, where zeta_obs is subnormal and then vanishes:
+    # a subnormal zeta_obs counts as no signal
     replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(3150.0, 3250.0, 5.0)),
+    # the same channel across 3051 dB, where zeta_obs leaves the normal floats
+    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(3000.0, 3100.0, 5.0)),
+    # at pi/4 the 0X state equals the 0Z one and S is singular (cond ~1e17)
+    # under the default ceiling: only that delta's rows are error rows
+    replace(TINY, delta_values=(0.0, 0.1, math.pi / 4)),
 ], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta",
-        "denormal-yields"])
+        "denormal-yields", "subnormal-boundary", "singular-delta"])
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
@@ -537,15 +575,19 @@ def test_loss_sweep_matches_scalar_chain(config):
     if config.cond_ceiling == 1e300:
         assert all((p.error is None) == (p.delta == 0.0) for p in points)
         assert errors == {None, "virtual state for outcome (1,1) has zero trace"}
-    if config.channel.eta_d == 0.0:
+    if math.pi / 4 in config.delta_values:
+        assert all((p.error is None) == (p.delta != math.pi / 4) for p in points)
+        assert all("exceeds ceiling" in p.error for p in points if p.error is not None)
+        # the other deltas' rows are those of a sweep without pi/4, bit for bit
+        assert [p for p in points if p.delta != math.pi / 4] == run_loss_sweep(
+            replace(config, delta_values=(0.0, 0.1)))
+    if config.channel.eta_d == 0.0 or config.loss_range.start == 3150.0:
         assert errors == {"all ZZ yields vanish"}
     elif config.channel.p_d == 0.0:
         assert errors == {None, "all ZZ yields vanish"}
-        if config.loss_range.stop == 4000.0:
-            assert all((p.error is None) == (p.coordinate <= 3000.0) for p in points)
-        else:  # every good row has a subnormal zeta_obs, then the signal ends
-            assert all((p.error is None) == (p.coordinate <= 3205.0) for p in points)
-            assert all(p.zeta_obs < sys.float_info.min for p in points if p.error is None)
+        last = 3000.0 if config.loss_range.stop == 4000.0 else 3050.0
+        assert all((p.error is None) == (p.coordinate <= last) for p in points)
+        assert all(p.zeta_obs >= sys.float_info.min for p in points if p.error is None)
 
 
 def test_denormal_yields_sweep_is_warning_free():
@@ -557,15 +599,17 @@ def test_denormal_yields_sweep_is_warning_free():
 
 
 @pytest.mark.parametrize("config, batches", [
-    # clean: one batch per delta
-    (TINY, [6, 6]),
-    # delta 1.5 is refused before any batch
+    # clean: one batch for the whole table
+    (TINY, [12]),
+    # delta 1.5 is refused before the batch
     (replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3), [6]),
     # no signal anywhere: the one batch fails and nothing is left
-    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [6, 6]),
-    # 1581 of 8001 rows without signal leave the batch once
+    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12]),
+    # 8001 rows go in five even batches of at most BATCH_ROWS = 1820; the
+    # 1899 rows without signal (zeta_obs subnormal or 0 beyond 3050.5 dB)
+    # leave the fourth batch once and empty the fifth
     (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.5)),
-     [8001, 6420]),
+     [1601, 1600, 1600, 1600, 1301, 1600]),
 ], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
 def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches):
     sizes = []
@@ -578,7 +622,28 @@ def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches):
     points = run_loss_sweep(config)
     failing_checks = {p.error for p in points} - {None}
     assert sizes == batches
-    assert len(sizes) <= len(config.delta_values) * (1 + len(failing_checks))
+    n_batches = -(-len(points) // mdiqkd.sweep.BATCH_ROWS)
+    assert len(sizes) <= n_batches * (1 + len(failing_checks))
+
+
+def test_batches_keep_every_row_in_its_place(monkeypatch):
+    # a refused delta, and rows without signal beyond 3050 dB, spread over
+    # many small batches give the rows of one batch, bit for bit
+    config = replace(TINY, channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
+                     cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
+    whole = run_loss_sweep(config)
+    sizes = []
+
+    def counting_estimate(inputs, **kwargs):
+        sizes.append(len(inputs.yields.y))
+        return estimate(inputs, **kwargs)
+
+    monkeypatch.setattr(mdiqkd.sweep, "estimate", counting_estimate)
+    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 5)
+    assert [repr(p) for p in run_loss_sweep(config)] == [repr(p) for p in whole]
+    # 36 rows of the two accepted deltas in eight even batches, four of
+    # which lose their rows without signal
+    assert sizes[:2] == [5, 5] and max(sizes) == 5 and len(sizes) == 12
 
 
 def test_frequency_sweep_matches_scalar_chain():
