@@ -10,6 +10,7 @@ one-line JSON error summary goes to stderr and the exit code is nonzero.
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 from .sweep import curve_summaries, emit_table, load_config, run_frequency_sweep, run_loss_sweep
 
@@ -56,7 +57,7 @@ def main(argv=None):
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    failed = sum(1 for p in points if p.error is not None)
+    failed = len(points) - list(map(attrgetter("error"), points)).count(None)
     print(f"wrote {len(points)} rows to {config.out_path}"
           + (f" ({failed} failed points)" if failed else ""))
     return 0

@@ -7,7 +7,8 @@ frequency through a lg-linear map. The tomography matrices of all
 modulation errors are built once per table, as one stack, and the chain
 runs over the rows of the table in even batches of at most BATCH_ROWS,
 one batch for most tables; a row whose estimation fails becomes an error
-row of the table.
+row of the table. The results stay columns until every row is built in
+one pass, and emission checks the rows as columns too.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
@@ -19,6 +20,7 @@ import operator
 import warnings
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +61,9 @@ MAX_TABLE_ROWS = 1_000_000
 # memory. One 1950-row call faulted in 353 fresh pages and took ~25% longer
 # than two 975-row calls.
 BATCH_ROWS = 128 * 1024 // (9 * 8)
+# the most table lines emit_table joins into one write: ~40 KB of text,
+# which also stays below the mmap threshold
+WRITE_LINES = 256
 
 
 def _grid_size(start, stop, step):
@@ -234,8 +239,11 @@ def load_config(path=None, overrides=None):
     if path is not None:
         import yaml
 
+        # libyaml's loader where PyYAML was built with it: the same
+        # resolver as SafeLoader, so the same mapping, parsed 5-9x faster
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=loader) or {}
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")
     _config_sections(raw)
@@ -293,50 +301,58 @@ def _apply_overrides(config, overrides):
     return replace(config, **fields) if fields else config
 
 
-_RESULT_FIELDS = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
+# the estimate results a row carries, in KeyRatePoint order after delta
+_RESULT_FIELDS = KeyRatePoint._fields[3:9]
 
 
 def _evaluate(config, rates, eps):
-    """Estimate every row of a table.
+    """Estimate every row of a table, as columns.
 
     rates: transmission rates of shape (n_points, 9), or (1, 9) shared by
     all points; eps: side-channel weights of shape (n_curves, n_points).
     The tomography matrices of every distinct delta are built once per
-    table, as one stack. Returns (deltas, cond_s, outcomes): the distinct
-    deltas, cond(S) of each, and one outcome per row, curve outermost,
-    then distinct delta, then point. An outcome is a tuple of the
-    _RESULT_FIELDS values, or the message of the error that row raises in
-    the scalar chain; a refused reference set gives every row of its
-    delta the message. The other rows go to estimate in even batches of
-    at most BATCH_ROWS, so a table of up to BATCH_ROWS rows takes one call.
+    table, as one stack. Returns (deltas, cond_s, values, messages): the
+    distinct deltas and cond(S) of each; values, of shape
+    (len(_RESULT_FIELDS), rows), with one column per row, curve
+    outermost, then distinct delta, then point; and messages, per row
+    None or the message of the error that row raises in the scalar
+    chain. Exactly the error rows keep nan values. A refused reference
+    set gives every row of its delta the message. The other rows go to
+    estimate in even batches of at most BATCH_ROWS, so a table of up to
+    BATCH_ROWS rows takes one call; each batch gathers its own yields,
+    eps and f_obj, so the inputs in memory grow with the batch, not the
+    table.
     """
     deltas = list(dict.fromkeys(config.delta_values))
     modulations = [ModulationErrors(d, d, d) for d in deltas]
     refs = [[make_reference_state(s, m) for s in SETTINGS] for m in modulations]
     setup, errors = build_estimation_stack(refs, refs, config.cond_ceiling)
     n_curves, n_points = eps.shape
-    outcomes = [None if err is None else str(err)
-                for err in errors for _ in range(n_points)] * n_curves
-    # the rows of the accepted deltas; rows[i] is the place of row i in outcomes
+    messages = []
+    for err in errors:
+        messages += [None if err is None else str(err)] * n_points
+    messages *= n_curves
+    values = np.full((len(_RESULT_FIELDS), len(messages)), np.nan)
+    # the places of the rows of the accepted deltas
     grid = (n_curves, len(deltas), n_points)
     accepted = np.array([err is None for err in errors])
-    rows = np.arange(len(outcomes)).reshape(grid)[:, accepted].reshape(-1)
+    rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
     yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
-    yields = np.broadcast_to(yields, grid + (9,))[:, accepted].reshape(-1, 9)
-    f_obj = np.broadcast_to(setup.f_obj[:, None], grid + (9,))[:, accepted].reshape(-1, 9)
-    eps = np.broadcast_to(eps[:, None], grid)[:, accepted].reshape(-1)
+    yields = np.broadcast_to(yields, grid[1:] + (9,))
     n_batches = max(1, -(-rows.size // BATCH_ROWS))
-    for batch in zip(*(np.array_split(a, n_batches) for a in (rows, yields, eps, f_obj))):
-        _estimate_batch(config, outcomes, *batch)
-    return deltas, setup.cond_s.tolist(), outcomes
+    for batch in np.array_split(rows, n_batches):
+        curve, k, point = np.unravel_index(batch, grid)
+        _estimate_batch(config, values, messages, batch,
+                        yields[k, point], eps[curve, point], setup.f_obj[k])
+    return deltas, setup.cond_s, values, messages
 
 
-def _estimate_batch(config, outcomes, rows, yields, eps, f_obj):
-    """Store the outcome of batch row i at rows[i] in outcomes.
+def _estimate_batch(config, values, messages, rows, yields, eps, f_obj):
+    """Store the results of batch row i in column rows[i] of values.
 
-    A NoSignalError names the rows without signal; they leave the batch
-    and the rest runs again, so a batch costs one estimate call plus one
-    per distinct failing check.
+    A NoSignalError names the rows without signal; they get its message
+    and leave the batch, and the rest runs again, so a batch costs one
+    estimate call plus one per distinct failing check.
     """
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
     while rows.size:
@@ -344,51 +360,60 @@ def _estimate_batch(config, outcomes, rows, yields, eps, f_obj):
         try:
             result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
         except NoSignalError as exc:
+            message = str(exc)
             for i in rows[exc.rows].tolist():
-                outcomes[i] = str(exc)
+                messages[i] = message
             keep = ~exc.rows
             rows, yields, eps, f_obj = rows[keep], yields[keep], eps[keep], f_obj[keep]
             continue
-        values = zip(*(getattr(result, name).tolist() for name in _RESULT_FIELDS))
-        for i, value in zip(rows.tolist(), values):
-            outcomes[i] = value
+        for j, name in enumerate(_RESULT_FIELDS):
+            values[j, rows] = getattr(result, name)
         break
 
 
-def _row(coordinate, eps_value, delta, cond, outcome, per_second):
-    """The KeyRatePoint of one outcome of _evaluate."""
-    if isinstance(outcome, str):
-        nan = math.nan
-        return KeyRatePoint(coordinate, eps_value, delta, nan, nan, nan, nan, nan,
-                            nan, nan, nan if per_second else None, outcome)
-    # positional, in field order: the _RESULT_FIELDS follow delta
-    return KeyRatePoint(coordinate, eps_value, delta, *outcome, cond,
-                        outcome[0] * coordinate * 1e9 if per_second else None)
-
-
-def _sweep_rows(config, coordinates, eps, rates, per_second):
+def _sweep_rows(config, coordinates, eps_rows, rates, per_second):
     """Rows of every curve, eps outermost, then delta, then the coordinate.
 
-    eps has shape (n_curves, len(coordinates)); rates as _evaluate takes them.
+    eps_rows: per curve, the list of its eps at each coordinate; rates as
+    _evaluate takes them. The table is built as columns, sharing the
+    coordinate, eps and delta objects between rows, and zipped into
+    KeyRatePoints in one pass.
     """
-    deltas, cond, outcomes = _evaluate(config, rates, eps)
-    n = len(coordinates)
-    rows = []
-    for i, eps_row in enumerate(eps.tolist()):
-        for delta in config.delta_values:
-            k = deltas.index(delta)
-            first = (i * len(deltas) + k) * n
-            rows += [_row(c, e, delta, cond[k], outcome, per_second)
-                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:first + n])]
-    return rows
+    deltas, cond, values, messages = _evaluate(config, rates, np.array(eps_rows))
+    n, n_curves, rows = len(coordinates), len(eps_rows), len(messages)
+    # cond(S) of each row, nan on the error rows; an object array, so that
+    # the rows share one float per delta
+    cond_s = np.repeat(np.array(cond.tolist() * n_curves, dtype=object), n)
+    cond_s[np.isnan(values[0])] = math.nan
+    if per_second:
+        key_per_second = (values[0] * np.tile(coordinates, rows // n) * 1e9).tolist()
+    else:
+        key_per_second = [None] * rows
+    results = [*values.tolist(), cond_s.tolist(), key_per_second, messages]
+    del values, cond_s, key_per_second  # not held while the rows are built
+    if len(deltas) < len(config.delta_values):
+        # a delta listed twice repeats the rows of its first listing
+        blocks = [i * len(deltas) + deltas.index(d)
+                  for i in range(n_curves) for d in config.delta_values]
+        results = [list(chain.from_iterable(c[b * n:(b + 1) * n] for b in blocks))
+                   for c in results]
+    eps_column, delta_block = [], []
+    for row in eps_rows:
+        eps_column += row * len(config.delta_values)
+    for delta in config.delta_values:
+        delta_block += [delta] * n
+    columns = (coordinates * (n_curves * len(config.delta_values)), eps_column,
+               delta_block * n_curves, *results)
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*columns)))
 
 
 def run_loss_sweep(config):
     """Key-rate rows over the loss grid for every (eps, delta) combination."""
     losses = config.loss_range.values()
     rates = transmission_rates_grid(config.channel, losses)
-    eps = np.repeat(np.array(config.eps_values, dtype=float)[:, None], len(losses), axis=1)
-    return _sweep_rows(config, losses, eps, rates, per_second=False)
+    eps_rows = [[float(e)] * len(losses) for e in config.eps_values]
+    return _sweep_rows(config, losses, eps_rows, rates, per_second=False)
 
 
 def run_frequency_sweep(config):
@@ -397,14 +422,28 @@ def run_frequency_sweep(config):
     if fr.loss_db is None:
         raise ValueError("frequency sweep requires sweep.frequency.loss_db")
     freqs = fr.values()
-    eps = np.array([[fr.eps_at(f) for f in freqs]])
+    # Python's pow, not np.power: numpy's SIMD power is not libm and
+    # differs in the last bit for about 5% of exponents
+    eps_rows = [[fr.eps_at(f) for f in freqs]]
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
-    return _sweep_rows(config, freqs, eps, rates, per_second=True)
+    return _sweep_rows(config, freqs, eps_rows, rates, per_second=True)
 
 
-def _frequency_axis(points):
-    """True for the rows of a frequency sweep, the only ones with key_per_second."""
-    return any(p.key_per_second is not None for p in points)
+def _floats(column):
+    """A column of numbers as a float array; None, as an error row may carry, reads nan."""
+    return np.fromiter(column, dtype=float, count=len(column))
+
+
+def _frequency_axis(key_per_second):
+    """True for a frequency table, the only one whose rows carry key_per_second."""
+    return any(map(operator.is_not, key_per_second, repeat(None)))
+
+
+def _good_rows(errors):
+    """Mask of the rows whose error is None."""
+    if errors.count(None) == len(errors):  # ~10x faster than the general case
+        return np.ones(len(errors), dtype=bool)
+    return np.fromiter(map(operator.is_, errors, repeat(None)), dtype=bool, count=len(errors))
 
 
 def curve_summaries(points):
@@ -416,24 +455,37 @@ def curve_summaries(points):
     positive rate after a zero would make that notion ill-defined; such
     revival is flagged (and is loudly surprising).
     """
-    frequency_axis = _frequency_axis(points)
-    curves = {}
-    for pt in points:
-        key = (pt.delta,) if frequency_axis else (pt.eps, pt.delta)
-        curves.setdefault(key, []).append(pt)
+    if not points:
+        return []
+    coordinate, eps, delta, key_rate, *_, key_per_second, errors = zip(*points)
+    labels = ("delta",) if _frequency_axis(key_per_second) else ("eps", "delta")
+    keys = [_floats(delta)] if len(labels) == 1 else [_floats(eps), _floats(delta)]
+    # curves in label order, each sorted by coordinate; ties keep table order
+    order = np.lexsort((_floats(coordinate), *keys[::-1]))
+    new_curve = np.zeros(len(points), dtype=bool)
+    new_curve[0] = True
+    for key in keys:
+        key = key[order]
+        new_curve[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(new_curve)
+    positive = (_good_rows(errors) & (_floats(key_rate) > 0.0))[order]
+    places = np.arange(len(points))
+    count = np.add.reduceat(positive.astype(np.intp), starts).tolist()
+    first = np.minimum.reduceat(np.where(positive, places, len(points)), starts).tolist()
+    last = np.maximum.reduceat(np.where(positive, places, -1), starts).tolist()
+    # a curve is labelled by its first row in table order
+    label_rows = np.minimum.reduceat(order, starts).tolist()
     summaries = []
-    for key, pts in sorted(curves.items()):
-        pts = sorted(pts, key=operator.attrgetter("coordinate"))
-        positive = [i for i, p in enumerate(pts) if p.error is None and p.key_rate > 0.0]
-        cutoff = pts[positive[-1]].coordinate if positive else None
+    for row, n_positive, first_positive, last_positive in zip(label_rows, count, first, last):
+        summary = {name: getattr(points[row], name) for name in labels}
         # a curve revives if a non-positive point lies between two positive ones
-        revival = bool(positive) and positive[-1] - positive[0] >= len(positive)
-        summary = dict(zip(("delta",) if frequency_axis else ("eps", "delta"), key))
+        revival = n_positive > 0 and last_positive - first_positive >= n_positive
         if revival:
             label = ", ".join(f"{k}={v}" for k, v in summary.items())
             warnings.warn(
                 f"rate revival on curve {label}; cutoff is not trustworthy"
             )
+        cutoff = coordinate[order[last_positive]] if n_positive else None
         summary.update(cutoff=cutoff, revival=revival)
         summaries.append(summary)
     return summaries
@@ -455,37 +507,45 @@ def _fmt_json(value):
     return f"{value:.12g}"
 
 
-def _validate_point(p):
-    # emission is the last line of defense: a row that slipped past the
-    # estimator with impossible diagnostics must not reach a table
-    if p.error is not None:
-        return
-    # the first four also refuse nan: only an error row may carry it, as
+def _check_rows(points):
+    """Refuse a table with an impossible good row; True for a frequency table.
+
+    Emission is the last line of defense: a row that slipped past the
+    estimator with impossible diagnostics must not reach a table. The
+    checks run on the table's columns and name the first bad row in table
+    order. Only a frequency table carries key_per_second, on every row.
+    """
+    *numbers, key_per_second, errors = zip(*points)
+    (coordinate, eps, delta, key_rate, e_zz, e_xx, omega_ref_upper, omega_upper,
+     zeta_obs, cond_s) = map(_floats, numbers)
+    # every comparison fails on nan: only an error row may carry it, as
     # JSON-lines spells nan null and the row template cannot
-    checks = (
-        p.coordinate >= 0.0,
-        0.0 <= p.eps <= 1.0,
-        abs(p.delta) < math.pi / 2,
-        p.key_per_second is None or p.key_per_second >= 0.0,
-        p.key_rate >= 0.0,
-        0.0 <= p.e_zz <= 1.0,
-        0.0 <= p.e_xx <= 1.0,
-        p.omega_ref_upper >= 0.0,
-        0.0 <= p.omega_upper <= 1.0,
-        p.zeta_obs > 0.0,
-        p.cond_s >= 1.0,
+    valid = (
+        (coordinate >= 0.0)
+        & (0.0 <= eps) & (eps <= 1.0)
+        & (np.abs(delta) < math.pi / 2)
+        & (key_rate >= 0.0)
+        & (0.0 <= e_zz) & (e_zz <= 1.0)
+        & (0.0 <= e_xx) & (e_xx <= 1.0)
+        & (omega_ref_upper >= 0.0)
+        & (0.0 <= omega_upper) & (omega_upper <= 1.0)
+        & (zeta_obs > 0.0)
+        & (cond_s >= 1.0)
     )
-    if not all(checks):
-        raise ValueError(f"invalid diagnostics in row at coordinate {p.coordinate!r}")
-
-
-def _columns(points):
-    cols = ["coordinate", "eps", "delta", "key_rate"]
-    if _frequency_axis(points):
-        cols.append("key_per_second")
-    cols += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs",
-             "cond_s", "error"]
-    return cols
+    missing = key_per_second.count(None)
+    frequency_axis = missing < len(points)
+    mixed = frequency_axis and missing > 0
+    if frequency_axis:
+        # a loss row in a frequency table passes here and is refused below
+        valid &= _floats([0.0 if v is None else v for v in key_per_second]
+                         if mixed else key_per_second) >= 0.0
+    bad = np.flatnonzero(_good_rows(errors) & ~valid)
+    if bad.size:
+        raise ValueError("invalid diagnostics in row at coordinate "
+                         f"{points[bad[0]].coordinate!r}")
+    if mixed:
+        raise ValueError("table mixes loss and frequency sweep rows")
+    return frequency_axis
 
 
 def emit_table(points, path, out_format, summary=None):
@@ -494,17 +554,18 @@ def emit_table(points, path, out_format, summary=None):
     The coordinate column is named loss_db, or frequency_ghz for the rows
     of a frequency sweep. CSV: one header line, one line per point, then
     '# summary ...' comment lines. JSON-lines: one object per point, then
-    one summary object. Every number goes through one %.12g template per
-    table, which prints the bytes of f"{value:.12g}".
+    one summary object. Every good row is range-checked, as columns,
+    before any is printed. Every number goes through one %.12g template
+    per table, which prints the bytes of f"{value:.12g}".
     """
     if not points:
         raise ValueError("no points to emit")
-    for p in points:
-        _validate_point(p)
-    cols = _columns(points)
-    frequency_axis = "key_per_second" in cols
-    if frequency_axis and any(p.key_per_second is None for p in points):
-        raise ValueError("table mixes loss and frequency sweep rows")
+    frequency_axis = _check_rows(points)
+    cols = ["coordinate", "eps", "delta", "key_rate"]
+    if frequency_axis:
+        cols.append("key_per_second")
+    cols += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs",
+             "cond_s", "error"]
     axis = "frequency_ghz" if frequency_axis else "loss_db"
     names = [axis if c == "coordinate" else c for c in cols]
     numbers = operator.attrgetter(*cols[:-1])  # every column but the error
@@ -533,6 +594,8 @@ def emit_table(points, path, out_format, summary=None):
         lines += ['{"summary": {' + payload + "}}" for payload in payloads]
     else:
         raise ValueError(f"unknown format {out_format!r}")
+    # in chunks of WRITE_LINES lines: no copy of the whole table is built
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(lines), WRITE_LINES):
+            fh.write("\n".join(lines[start:start + WRITE_LINES]) + "\n")
     return path

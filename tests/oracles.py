@@ -6,8 +6,8 @@ explicit environment modes and an exhaustive dark-count enumeration, the
 virtual ensemble from the full 16-dimensional source state, Bloch
 coefficients by literal matrix traces, the singlet-error weight by direct
 traces against density matrices, entropies in high precision, and
-sweep tables with every field formatted on its own. None of them imports
-the package.
+sweep tables row by row: each row built, range-checked and formatted
+field by field on its own. None of them imports the package.
 """
 
 import itertools
@@ -237,3 +237,67 @@ def table_text(points, out_format, summary=None):
                                  for n, c in zip(names, cols)) + "}" for p in points]
         lines += ['{"summary": {' + payload + "}}" for payload in payloads]
     return "\n".join(lines) + "\n"
+
+
+def table_row(coordinate, eps, delta, cond_s, outcome, per_second):
+    """One sweep-table row, field by field, as a tuple in KeyRatePoint order.
+
+    outcome: the row's key_rate, e_zz, e_xx, omega_ref_upper, omega_upper
+    and zeta_obs, or the message of its error; an error row carries nan in
+    every number the estimate would have given.
+    """
+    if isinstance(outcome, str):
+        nan = math.nan
+        return (coordinate, eps, delta, nan, nan, nan, nan, nan, nan, nan,
+                nan if per_second else None, outcome)
+    return (coordinate, eps, delta, *outcome, cond_s,
+            outcome[0] * coordinate * 1e9 if per_second else None, None)
+
+
+def validate_row(row):
+    """emit_table's range checks on one row, in turn; ValueError on a bad good row.
+
+    row: an object with the TABLE_COLUMNS attributes. An error row passes;
+    on a good row every check refuses nan.
+    """
+    if row.error is not None:
+        return
+    checks = (
+        row.coordinate >= 0.0,
+        0.0 <= row.eps <= 1.0,
+        abs(row.delta) < math.pi / 2,
+        row.key_per_second is None or row.key_per_second >= 0.0,
+        row.key_rate >= 0.0,
+        0.0 <= row.e_zz <= 1.0,
+        0.0 <= row.e_xx <= 1.0,
+        row.omega_ref_upper >= 0.0,
+        0.0 <= row.omega_upper <= 1.0,
+        row.zeta_obs > 0.0,
+        row.cond_s >= 1.0,
+    )
+    if not all(checks):
+        raise ValueError(f"invalid diagnostics in row at coordinate {row.coordinate!r}")
+
+
+def curve_summaries_by_row(points):
+    """curve_summaries without its warnings, gathering rows curve by curve.
+
+    A curve is the rows of one (eps, delta), or of one delta in a
+    frequency table; it is labelled by its first row, curves follow in
+    label order, and each curve is sorted by coordinate before its cutoff
+    and revival are read off.
+    """
+    frequency = any(p.key_per_second is not None for p in points)
+    names = ("delta",) if frequency else ("eps", "delta")
+    curves = {}
+    for p in points:
+        curves.setdefault(tuple(getattr(p, n) for n in names), []).append(p)
+    summaries = []
+    for key, rows in sorted(curves.items(), key=lambda item: item[0]):
+        rows = sorted(rows, key=lambda p: p.coordinate)
+        positive = [i for i, p in enumerate(rows) if p.error is None and p.key_rate > 0.0]
+        summary = dict(zip(names, key))
+        summary["cutoff"] = rows[positive[-1]].coordinate if positive else None
+        summary["revival"] = bool(positive) and positive[-1] - positive[0] >= len(positive)
+        summaries.append(summary)
+    return summaries

@@ -5,7 +5,9 @@ import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from mdiqkd import (
     transmission_rates,
 )
 import mdiqkd.sweep
+from mdiqkd.channel import transmission_rates_grid
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError
 from mdiqkd.sweep import (
@@ -37,7 +40,7 @@ from mdiqkd.sweep import (
     run_frequency_sweep,
     run_loss_sweep,
 )
-from oracles import table_text
+from oracles import curve_summaries_by_row, table_row, table_text, validate_row
 
 TINY = SweepConfig(
     eps_values=(1e-6, 1e-7),
@@ -148,6 +151,36 @@ def test_load_config_yaml_file(tmp_path):
     assert config.frequency_range.anchor_high == (4.0, -5.0)
     assert config.out_path == "rates.jsonl"
     assert config.out_format == "json-lines"
+
+
+def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "channel: {eta_d: 0.2, p_d: 1.0e-6}\n"
+        "estimation: {f_ec: 1.2, include_sifting: true, cond_ceiling: 1.0e+3}\n"
+        "sweep:\n"
+        "  eps: [1e-7, 1.0e-6, 0]\n"
+        "  delta: [0.05, -0.0, 1]\n"
+        "  loss: {start: 1, stop: 2.0, step: 0.5}\n"
+        "  frequency: {loss_db: 5.0, anchor_low: [0.5, -9], anchor_high: [4.0, -5.0]}\n"
+        "output: {path: 'rates, all.jsonl', format: json-lines}\n"
+    )
+    load, fast, loaders, configs = yaml.load, getattr(yaml, "CSafeLoader", None), [], []
+
+    def recording_load(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recording_load)
+    configs.append(load_config(str(path)))
+    # the pure-Python fallback, for a PyYAML built without libyaml
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    configs.append(load_config(str(path)))
+    assert loaders == [fast or yaml.SafeLoader, yaml.SafeLoader]
+    assert configs[0] == configs[1]
+    assert configs[0].eps_values == (1e-7, 1e-6, 0.0)
+    assert repr(configs[0].delta_values) == repr((0.05, -0.0, 1.0))
+    assert configs[0].out_path == "rates, all.jsonl"
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -309,6 +342,59 @@ def test_curve_summaries_error_rows_break_the_curve():
     assert summary["revival"] is True
 
 
+def _summaries_and_warnings(points):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summaries = curve_summaries(points)
+    return summaries, [str(w.message) for w in caught]
+
+
+def _assert_summaries_like_the_oracle(points):
+    summaries, warned = _summaries_and_warnings(points)
+    expected = curve_summaries_by_row(points)
+    # repr tells -0.0 from 0.0 and an int coordinate from a float
+    assert repr(summaries) == repr(expected)
+    labels = [", ".join(f"{k}={s[k]}" for k in s if k not in ("cutoff", "revival"))
+              for s in expected if s["revival"]]
+    assert warned == [f"rate revival on curve {label}; cutoff is not trustworthy"
+                      for label in labels]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_curve_summaries_match_the_curve_by_curve_oracle(seed):
+    # curves whose eps order and delta order disagree, a delta that
+    # repeats across an eps step in label order, -0.0 and 0.0 as one curve,
+    # int and repeated coordinates, error rows, revivals and all-zero
+    # curves, in a shuffled table
+    rng = np.random.default_rng(seed)
+    rows = []
+    for eps, delta in [(1e-6, 0.1), (1e-7, 0.1), (1e-7, -0.0), (1e-6, 0.2), (2e-6, 0.2),
+                       (1e-7, 0.0)]:
+        for coordinate in (0, 1, 2.5, 2.5, 4, 5.0):
+            key_rate = float(rng.choice([0.0, 1e-3, 2e-3]))
+            error = "all ZZ yields vanish" if rng.random() < 0.15 else None
+            rows.append(_point(coordinate, math.nan if error else key_rate, eps=eps,
+                               delta=delta, error=error))
+    order = rng.permutation(len(rows))
+    points = [rows[i] for i in order]
+    _assert_summaries_like_the_oracle(points)
+    frequency = [p._replace(key_per_second=p.key_rate * 1e9) for p in points]
+    _assert_summaries_like_the_oracle(frequency)
+
+
+@pytest.mark.parametrize("config", [
+    replace(TINY, eps_values=(1e-7, 1e-6, 1e-8), delta_values=(0.126, -0.0, 0.0, 1.5),
+            cond_ceiling=1e3, loss_range=LossRange(0.0, 40.0, 0.5),
+            frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0,
+                                           anchor_high=(4.0, -4.5))),
+    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(2900.0, 3200.0, 50.0),
+            frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=3100.0)),
+], ids=["cutoffs", "no-signal"])
+def test_sweep_summaries_match_the_curve_by_curve_oracle(config):
+    _assert_summaries_like_the_oracle(run_loss_sweep(config))
+    _assert_summaries_like_the_oracle(run_frequency_sweep(config))
+
+
 def test_emit_table_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     points = [_point(0.0, 1.2345678901234e-4)]
@@ -380,6 +466,66 @@ def test_emit_table_revalidates_diagnostics(tmp_path):
         emit_table([loss_row._replace(key_per_second=1e9), loss_row], str(out), "csv")
 
 
+# a value that fails each range check of a good row, then nan in every number
+_BAD_FIELDS = [
+    ("coordinate", -0.5), ("eps", -1e-300), ("eps", 1.5), ("delta", math.pi / 2),
+    ("delta", -2.0), ("key_per_second", -1e-300), ("key_rate", -0.1), ("e_zz", -0.1),
+    ("e_zz", 1.5), ("e_xx", -0.1), ("e_xx", 1.5), ("omega_ref_upper", -1e-300),
+    ("omega_upper", -0.1), ("omega_upper", 1.5), ("zeta_obs", 0.0), ("cond_s", 0.5),
+] + [(name, math.nan) for name in KeyRatePoint._fields[:11]]
+
+
+def _first_invalid_row(points):
+    """The message of the per-row oracle's first refused row, in table order."""
+    for p in points:
+        try:
+            validate_row(p)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+# only a frequency table carries key_per_second
+_BAD_ROWS = [(table, field, value) for table in ("loss", "frequency")
+             for field, value in _BAD_FIELDS if table == "frequency" or field != "key_per_second"]
+
+
+@pytest.mark.parametrize("table, field, value", _BAD_ROWS,
+                         ids=[f"{t}-{f}={v!r}" for t, f, v in _BAD_ROWS])
+def test_emit_table_refuses_the_first_bad_row_like_the_per_row_oracle(tmp_path, table,
+                                                                    field, value):
+    # coordinates whose repr needs 17 digits, and an error row, whose nan
+    # must pass, in the middle of the table
+    good = [_point(0.1 * k, 1e-3) for k in range(1, 8)]
+    good[3] = _point(good[3].coordinate, math.nan, error="all ZZ yields vanish")
+    if table == "frequency":
+        good = [p._replace(key_per_second=p.key_rate * 1e9) for p in good]
+    for places in ([0], [2], [4], [6], [2, 5], [5, 6]):
+        points = list(good)
+        for i in places:
+            points[i] = points[i]._replace(**{field: value})
+        expected = _first_invalid_row(points)
+        assert expected == "invalid diagnostics in row at coordinate " + repr(
+            points[places[0]].coordinate)
+        with pytest.raises(ValueError) as exc:
+            emit_table(points, str(tmp_path / "t"), "csv")
+        assert str(exc.value) == expected
+        assert not (tmp_path / "t").exists()
+
+
+def test_error_rows_may_carry_none_for_numbers(tmp_path):
+    # only an error row's numbers are never compared; JSON-lines spells
+    # None null, as it does nan
+    nothing = KeyRatePoint(2.0, 1e-6, 0.1, *[None] * 7, error="boom")
+    points = [_point(0.0, 1.0, delta=0.1), _point(1.0, 0.0, delta=0.1), nothing]
+    summary = curve_summaries(points)
+    assert summary == [{"eps": 1e-6, "delta": 0.1, "cutoff": 0.0, "revival": False}]
+    path = tmp_path / "t.jsonl"
+    emit_table(points, str(path), "json-lines", summary=summary)
+    assert path.read_bytes() == table_text(points, "json-lines", summary).encode()
+    assert json.loads(path.read_text().splitlines()[2])["key_rate"] is None
+
+
 def _hand_built_rows():
     nan = math.nan
     loss = [_point(c, 1e-300) for c in LossRange(0, 2, 1).values()]  # int coordinates
@@ -417,6 +563,20 @@ def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
     path = tmp_path / "table"
     emit_table(points, str(path), out_format, summary=summary)
     assert path.read_bytes() == table_text(points, out_format, summary).encode()
+
+
+@pytest.mark.parametrize("write_lines", [1, 2, 3, 7, 10_000])
+@pytest.mark.parametrize("out_format", ["csv", "json-lines"])
+def test_emit_table_writes_every_line_whatever_the_chunk(tmp_path, monkeypatch, out_format,
+                                                         write_lines):
+    points = run_loss_sweep(replace(TINY, loss_range=LossRange(0.0, 5.0, 0.5),
+                                    delta_values=(0.0, 1.5), cond_ceiling=1e3))
+    summary = curve_summaries(points)
+    monkeypatch.setattr(mdiqkd.sweep, "WRITE_LINES", write_lines)
+    for rows in (1, 2, 3, 20, 43, 44):  # of 44 rows, with 4 summary lines
+        path = tmp_path / f"t{rows}"
+        emit_table(points[:rows], str(path), out_format, summary=summary)
+        assert path.read_bytes() == table_text(points[:rows], out_format, summary).encode()
 
 
 def test_frequency_sweep_requires_loss():
@@ -515,7 +675,8 @@ def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
 def _assert_pinned(points, expected):
     assert len(points) == len(expected)
     for got, want in zip(points, expected):
-        assert (got.coordinate, got.eps, got.delta) == (want.coordinate, want.eps, want.delta)
+        # repr tells -0.0 from 0.0
+        assert repr(got[:3]) == repr(want[:3])
         assert got.error == want.error
         if want.error is not None:
             assert math.isnan(got.key_rate) and math.isnan(got.cond_s)
@@ -560,8 +721,15 @@ def _expected_loss_rows(config):
     # at pi/4 the 0X state equals the 0Z one and S is singular (cond ~1e17)
     # under the default ceiling: only that delta's rows are error rows
     replace(TINY, delta_values=(0.0, 0.1, math.pi / 4)),
+    # a delta listed twice repeats its rows
+    replace(TINY, delta_values=(0.1, 0.0, 0.1)),
+    # -0.0 and 0.0 share one setup, and each row keeps the delta it was given
+    replace(TINY, delta_values=(-0.0, 0.1, 0.0)),
+    # a refused delta, listed twice, around an accepted one
+    replace(TINY, delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3),
 ], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta",
-        "denormal-yields", "subnormal-boundary", "singular-delta"])
+        "denormal-yields", "subnormal-boundary", "singular-delta", "duplicate-deltas",
+        "negative-zero-delta", "refused-duplicate-delta"])
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
@@ -646,23 +814,79 @@ def test_batches_keep_every_row_in_its_place(monkeypatch):
     assert sizes[:2] == [5, 5] and max(sizes) == 5 and len(sizes) == 12
 
 
-def test_frequency_sweep_matches_scalar_chain():
-    config = replace(
-        TINY,
-        delta_values=(0.0, 0.126),
-        include_sifting=True,
-        frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0,
-                                       anchor_high=(4.0, -4.5)),
-    )
-    points = run_frequency_sweep(config)
+_FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -4.5))
+
+
+def _expected_frequency_rows(config):
     fr = config.frequency_range
     channel = replace(config.channel, loss_db=fr.loss_db)
-    expected = [_scalar_row(config, channel, f, fr.eps_at(f), d, True)
-                for d in config.delta_values for f in fr.values()]
-    _assert_pinned(points, expected)
+    return [_scalar_row(config, channel, f, fr.eps_at(f), d, True)
+            for d in config.delta_values for f in fr.values()]
+
+
+def test_frequency_sweep_matches_scalar_chain():
+    config = replace(TINY, delta_values=(0.0, 0.126), include_sifting=True,
+                     frequency_range=_FREQUENCY_MAP)
+    points = run_frequency_sweep(config)
+    _assert_pinned(points, _expected_frequency_rows(config))
     # the map drives both curves through their cutoff
     assert all(s["cutoff"] is not None and s["cutoff"] < 4.0
                for s in curve_summaries(points))
+
+
+def test_frequency_sweep_without_signal_matches_scalar_chain():
+    # no dark counts at 3100 dB: zeta_obs is subnormal at every frequency,
+    # so every row is an error row
+    config = replace(TINY, channel=ChannelParams(p_d=0.0),
+                     frequency_range=replace(_FREQUENCY_MAP, loss_db=3100.0))
+    points = run_frequency_sweep(config)
+    _assert_pinned(points, _expected_frequency_rows(config))
+    assert {p.error for p in points} == {"all ZZ yields vanish"}
+    assert all(math.isnan(p.key_per_second) for p in points)
+    assert [s["cutoff"] for s in curve_summaries(points)] == [None, None]
+
+
+def _rows_one_by_one(config, sweep):
+    """A table built row by row with the table_row oracle from _evaluate's columns."""
+    if sweep == "loss":
+        coordinates = config.loss_range.values()
+        eps_rows = [[e] * len(coordinates) for e in config.eps_values]
+        rates = transmission_rates_grid(config.channel, coordinates)
+    else:
+        fr = config.frequency_range
+        coordinates = fr.values()
+        eps_rows = [[fr.eps_at(f) for f in coordinates]]
+        rates = transmission_rates_grid(config.channel, [fr.loss_db])
+    deltas, cond, values, messages = mdiqkd.sweep._evaluate(config, rates, np.array(eps_rows))
+    cond = cond.tolist()
+    outcomes = [r if m is None else m for r, m in zip(values.T.tolist(), messages)]
+    n = len(coordinates)
+    rows = []
+    for i, eps_row in enumerate(eps_rows):
+        for delta in config.delta_values:
+            k = deltas.index(delta)
+            first = (i * len(deltas) + k) * n
+            rows += [table_row(c, e, delta, cond[k], outcome, sweep == "frequency")
+                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:first + n])]
+    return rows
+
+
+@pytest.mark.parametrize("sweep", ["loss", "frequency"])
+@pytest.mark.parametrize("config", [
+    replace(TINY, frequency_range=_FREQUENCY_MAP),
+    replace(TINY, delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP),
+    replace(TINY, delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3,
+            frequency_range=_FREQUENCY_MAP),
+    # rows without signal beyond 3050 dB, among rows with signal
+    replace(TINY, channel=ChannelParams(p_d=0.0), delta_values=(0.126, 0.0),
+            loss_range=LossRange(2900.0, 3200.0, 50.0),
+            frequency_range=replace(_FREQUENCY_MAP, loss_db=3050.5)),
+], ids=["clean", "repeated-deltas", "refused-delta", "no-signal"])
+def test_rows_match_the_row_by_row_builder_bit_for_bit(config, sweep):
+    run = run_loss_sweep if sweep == "loss" else run_frequency_sweep
+    points = run(config)
+    assert all(type(p) is KeyRatePoint for p in points)
+    assert [repr(tuple(p)) for p in points] == [repr(r) for r in _rows_one_by_one(config, sweep)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -721,3 +945,26 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+@pytest.mark.parametrize("text, error", [
+    ("sweep: {eps: [1.0e-6\n", "ParserError"),
+    ("sweep: eps: [1.0e-6]\n", "ScannerError"),
+    ("sweep:\n\t- 1\n", "ScannerError"),
+], ids=["unclosed-list", "nested-mapping", "tab"])
+def test_cli_yaml_syntax_error_fails_with_one_json_line(tmp_path, capsys, monkeypatch,
+                                                        libyaml, text, error):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    rc = main(["--config", str(path), "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert "bad.yaml" in err["message"] and "line" in err["message"]
+    assert not (tmp_path / "t.csv").exists()
