@@ -10,11 +10,14 @@ one-line JSON error summary goes to stderr and the exit code is nonzero.
 import argparse
 import json
 import sys
-from operator import attrgetter
 
-from .sweep import curve_summaries, emit_table, load_config, run_frequency_sweep, run_loss_sweep
+from .sweep import frequency_table, load_config, loss_table
 
 __all__ = ["main", "build_parser"]
+
+# the flags that only a loss sweep reads, by argparse dest
+_LOSS_FLAGS = {"eps": "--eps", "start": "--loss-start", "stop": "--loss-stop",
+               "step": "--loss-step"}
 
 
 def _float_list(text):
@@ -48,17 +51,24 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.sweep == "frequency":
+            ignored = [flag for dest, flag in _LOSS_FLAGS.items()
+                       if getattr(args, dest) is not None]
+            if ignored:
+                # eps follows the frequency map, and the loss is sweep.frequency.loss_db
+                raise ValueError(f"--sweep frequency does not take {', '.join(ignored)}")
         config = load_config(args.config, vars(args))
-        run = run_loss_sweep if args.sweep == "loss" else run_frequency_sweep
-        points = run(config)
-        emit_table(points, config.out_path, config.out_format,
-                   summary=curve_summaries(points))
+        # the table stays columns from the estimate to the file; write
+        # range-checks it before it prints a line
+        table = (loss_table if args.sweep == "loss" else frequency_table)(config)
+        table.write(config.out_path, config.out_format, summary=table.summaries())
     except Exception as exc:  # noqa: BLE001 - single reporting funnel
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    failed = len(points) - list(map(attrgetter("error"), points)).count(None)
-    print(f"wrote {len(points)} rows to {config.out_path}"
+    errors = table.columns[-1]
+    failed = len(errors) - errors.count(None)
+    print(f"wrote {len(errors)} rows to {config.out_path}"
           + (f" ({failed} failed points)" if failed else ""))
     return 0
 

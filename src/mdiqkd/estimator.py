@@ -34,7 +34,7 @@ size allows, one for a table of up to 1820 rows.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,8 @@ class SideChannelParams:
     """
 
     eps: np.ndarray
+    # sqrt(1 - eps), taken on the first anchors() call and kept
+    _anchors: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = unit_interval(self.eps, "side-channel weights")
@@ -115,11 +117,17 @@ class SideChannelParams:
     def uniform(cls, value):
         """The same eps for all nine pairs; an (n,) array gives a batch."""
         value = np.asarray(value, dtype=float)
-        return cls(np.repeat(value[..., None], 9, axis=-1))
+        params = cls(np.repeat(value[..., None], 9, axis=-1))
+        # the nine pairs of a row share its eps, so one root serves them all
+        roots = np.sqrt(1.0 - params.eps[..., :1])
+        object.__setattr__(params, "_anchors", np.broadcast_to(roots, params.eps.shape))
+        return params
 
     def anchors(self):
-        # fidelity anchors delta^L = sqrt(1 - eps) per setting pair
-        return np.sqrt(1.0 - self.eps)
+        """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair, computed once."""
+        if self._anchors is None:
+            object.__setattr__(self, "_anchors", np.sqrt(1.0 - self.eps))
+        return self._anchors
 
 
 @dataclass(frozen=True, slots=True)

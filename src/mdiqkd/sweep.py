@@ -7,8 +7,12 @@ frequency through a lg-linear map. The tomography matrices of all
 modulation errors are built once per table, as one stack, and the chain
 runs over the rows of the table in even batches of at most BATCH_ROWS,
 one batch for most tables; a row whose estimation fails becomes an error
-row of the table. The results stay columns until every row is built in
-one pass, and emission checks the rows as columns too.
+row of the table. A table stays columns (SweepTable) from the estimate
+to the file: the command line summarises, checks and writes it without
+building a row. Only library callers get rows: run_loss_sweep and
+run_frequency_sweep build them from the table in one pass, and
+curve_summaries and emit_table read the rows they are given back into
+one table, so each stage has one implementation.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
@@ -20,7 +24,7 @@ import operator
 import warnings
 from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -371,53 +375,214 @@ def _estimate_batch(config, values, messages, rows, yields, eps, f_obj):
         break
 
 
-def _sweep_rows(config, coordinates, eps_rows, rates, per_second):
-    """Rows of every curve, eps outermost, then delta, then the coordinate.
+# the place of each KeyRatePoint field among a table's columns
+_COLUMN = {name: i for i, name in enumerate(KeyRatePoint._fields)}
+
+
+def _floats(column):
+    """A column of numbers as a float array; None, as an error row may carry, reads nan."""
+    return np.fromiter(column, dtype=float, count=len(column))
+
+
+def _good_rows(errors):
+    """Mask of the rows whose error is None."""
+    if errors.count(None) == len(errors):  # ~10x faster than the general case
+        return np.ones(len(errors), dtype=bool)
+    return np.fromiter(map(operator.is_, errors, repeat(None)), dtype=bool, count=len(errors))
+
+
+class SweepTable:
+    """A sweep table as columns, from the estimate to the file.
+
+    columns: the KeyRatePoint columns in field order, each a sequence of
+    the row values as they are printed; numbers: every column but the
+    error as one (11, rows) float64 array, None read as nan, for the
+    checks and the summaries; frequency_axis: True for a frequency table,
+    the only one whose rows carry key_per_second; good: the mask of the
+    rows whose error is None.
+    """
+
+    __slots__ = ("columns", "numbers", "frequency_axis", "good")
+
+    def __init__(self, columns, numbers, frequency_axis):
+        self.columns = columns
+        self.numbers = numbers
+        self.frequency_axis = frequency_axis
+        self.good = _good_rows(columns[-1])
+
+    @classmethod
+    def of_rows(cls, points):
+        """The table of a non-empty list of rows, transposed once."""
+        columns = list(zip(*points))
+        numbers = np.array([_floats(c) for c in columns[:-1]])
+        frequency_axis = columns[_COLUMN["key_per_second"]].count(None) < len(points)
+        return cls(columns, numbers, frequency_axis)
+
+    def rows(self):
+        """The table as a list of KeyRatePoints, built in one pass."""
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*self.columns)))
+
+    def check(self):
+        """Refuse a table with an impossible good row.
+
+        Emission is the last line of defense: a row that slipped past the
+        estimator with impossible diagnostics must not reach a table. The
+        checks run on the table's columns and name the first bad row in
+        table order.
+        """
+        (coordinate, eps, delta, key_rate, e_zz, e_xx, omega_ref_upper, omega_upper,
+         zeta_obs, cond_s, key_per_second) = self.numbers
+        # every comparison fails on nan: only an error row may carry it, as
+        # JSON-lines spells nan null and the row template cannot
+        valid = (
+            (coordinate >= 0.0)
+            & (0.0 <= eps) & (eps <= 1.0)
+            & (np.abs(delta) < math.pi / 2)
+            & (key_rate >= 0.0)
+            & (0.0 <= e_zz) & (e_zz <= 1.0)
+            & (0.0 <= e_xx) & (e_xx <= 1.0)
+            & (omega_ref_upper >= 0.0)
+            & (0.0 <= omega_upper) & (omega_upper <= 1.0)
+            & (zeta_obs > 0.0)
+            & (cond_s >= 1.0)
+        )
+        if self.frequency_axis:
+            valid &= key_per_second >= 0.0
+        bad = np.flatnonzero(self.good & ~valid)
+        if bad.size:
+            raise ValueError("invalid diagnostics in row at coordinate "
+                             f"{self.columns[0][bad[0]]!r}")
+
+    def summaries(self):
+        """Positive-rate cutoff per curve along the scan axis; see curve_summaries."""
+        coordinate, eps, delta, key_rate = self.numbers[:4]
+        labels = ("delta",) if self.frequency_axis else ("eps", "delta")
+        keys = [delta] if self.frequency_axis else [eps, delta]
+        rows = len(coordinate)
+        # curves in label order, each sorted by coordinate; ties keep table order
+        order = np.lexsort((coordinate, *keys[::-1]))
+        new_curve = np.zeros(rows, dtype=bool)
+        new_curve[0] = True
+        for key in keys:
+            key = key[order]
+            new_curve[1:] |= key[1:] != key[:-1]
+        starts = np.flatnonzero(new_curve)
+        positive = (self.good & (key_rate > 0.0))[order]
+        places = np.arange(rows)
+        count = np.add.reduceat(positive.astype(np.intp), starts).tolist()
+        first = np.minimum.reduceat(np.where(positive, places, rows), starts).tolist()
+        last = np.maximum.reduceat(np.where(positive, places, -1), starts).tolist()
+        # a curve is labelled by its first row in table order
+        label_rows = np.minimum.reduceat(order, starts).tolist()
+        label_columns = [(name, self.columns[_COLUMN[name]]) for name in labels]
+        summaries = []
+        for row, n_positive, first_positive, last_positive in zip(label_rows, count, first, last):
+            summary = {name: column[row] for name, column in label_columns}
+            # a curve revives if a non-positive point lies between two positive ones
+            revival = n_positive > 0 and last_positive - first_positive >= n_positive
+            if revival:
+                label = ", ".join(f"{k}={v}" for k, v in summary.items())
+                warnings.warn(
+                    f"rate revival on curve {label}; cutoff is not trustworthy"
+                )
+            cutoff = self.columns[0][order[last_positive]] if n_positive else None
+            summary.update(cutoff=cutoff, revival=revival)
+            summaries.append(summary)
+        return summaries
+
+    def write(self, path, out_format, summary=None):
+        """Check the table, then write it (and an optional summary block); see emit_table."""
+        self.check()
+        fields = ["coordinate", "eps", "delta", "key_rate"]
+        if self.frequency_axis:
+            fields.append("key_per_second")
+        fields += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs", "cond_s"]
+        names = ["frequency_ghz" if self.frequency_axis else "loss_db", *fields[1:]]
+        printed = [self.columns[_COLUMN[f]] for f in fields]
+        payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
+                    for s in summary or ()]
+        if out_format == "csv":
+            # a good row leaves the error cell empty
+            template = ",".join(["%.12g"] * len(fields)) + ","
+
+            def error_line(row, error):
+                return template % row + _csv_quote(error)
+
+            head = [",".join([*names, "error"])]
+            tail = ["# summary {" + payload + "}" for payload in payloads]
+        elif out_format == "json-lines":
+            template = "{" + "".join(f'"{n}": %.12g, ' for n in names) + '"error": null}'
+
+            def error_line(row, error):
+                # an error row carries nan, which JSON spells null
+                body = "".join(f'"{n}": {_fmt_json(v)}, ' for n, v in zip(names, row))
+                return "{" + body + f'"error": {_fmt_json(error)}' + "}"
+
+            head = []
+            tail = ['{"summary": {' + payload + "}}" for payload in payloads]
+        else:
+            raise ValueError(f"unknown format {out_format!r}")
+        lines = head + [template % row if error is None else error_line(row, error)
+                        for row, error in zip(zip(*printed), self.columns[-1])]
+        lines += tail
+        # in chunks of WRITE_LINES lines: no copy of the whole table is built
+        with open(path, "w", newline="\n") as fh:
+            for start in range(0, len(lines), WRITE_LINES):
+                fh.write("\n".join(lines[start:start + WRITE_LINES]) + "\n")
+        return path
+
+
+def _sweep_table(config, coordinates, eps_rows, rates, per_second):
+    """The table of every curve, eps outermost, then delta, then the coordinate.
 
     eps_rows: per curve, the list of its eps at each coordinate; rates as
-    _evaluate takes them. The table is built as columns, sharing the
-    coordinate, eps and delta objects between rows, and zipped into
-    KeyRatePoints in one pass.
+    _evaluate takes them. The printed columns share the coordinate, eps
+    and delta objects between rows; the numbers hold the same values.
     """
-    deltas, cond, values, messages = _evaluate(config, rates, np.array(eps_rows))
-    n, n_curves, rows = len(coordinates), len(eps_rows), len(messages)
-    # cond(S) of each row, nan on the error rows; an object array, so that
-    # the rows share one float per delta
-    cond_s = np.repeat(np.array(cond.tolist() * n_curves, dtype=object), n)
-    cond_s[np.isnan(values[0])] = math.nan
-    if per_second:
-        key_per_second = (values[0] * np.tile(coordinates, rows // n) * 1e9).tolist()
-    else:
-        key_per_second = [None] * rows
-    results = [*values.tolist(), cond_s.tolist(), key_per_second, messages]
-    del values, cond_s, key_per_second  # not held while the rows are built
-    if len(deltas) < len(config.delta_values):
+    eps = np.array(eps_rows)
+    deltas, cond, values, messages = _evaluate(config, rates, eps)
+    listed = config.delta_values
+    n, n_curves = len(coordinates), len(eps_rows)
+    # per block of n table rows, the place of its delta among the distinct ones
+    block_delta = [deltas.index(d) for d in listed] * n_curves
+    if len(deltas) < len(listed):
         # a delta listed twice repeats the rows of its first listing
-        blocks = [i * len(deltas) + deltas.index(d)
-                  for i in range(n_curves) for d in config.delta_values]
-        results = [list(chain.from_iterable(c[b * n:(b + 1) * n] for b in blocks))
-                   for c in results]
+        blocks = [i // len(listed) * len(deltas) + k for i, k in enumerate(block_delta)]
+        take = (np.array(blocks)[:, None] * n + np.arange(n)).ravel()
+        values = values[:, take]
+        messages = [messages[i] for i in take.tolist()]
+    # every column but the error, in KeyRatePoint field order
+    numbers = np.empty((len(_COLUMN) - 1, len(messages)))
+    numbers[0] = np.tile(coordinates, len(block_delta))
+    numbers[1] = np.repeat(eps, len(listed), axis=0).ravel()
+    numbers[2] = np.tile(np.repeat(np.array(listed, dtype=float), n), n_curves)
+    numbers[3:9] = values
+    numbers[9] = np.repeat(cond[block_delta], n)
+    numbers[9, np.isnan(values[0])] = math.nan  # only the error rows carry nan
+    numbers[10] = values[0] * numbers[0] * 1e9 if per_second else math.nan
+    del values  # numbers holds a copy
     eps_column, delta_block = [], []
     for row in eps_rows:
-        eps_column += row * len(config.delta_values)
-    for delta in config.delta_values:
+        eps_column += row * len(listed)
+    for delta in listed:
         delta_block += [delta] * n
-    columns = (coordinates * (n_curves * len(config.delta_values)), eps_column,
-               delta_block * n_curves, *results)
-    # tuple.__new__ skips the named tuple's Python-level __new__
-    return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*columns)))
+    key_per_second = numbers[10].tolist() if per_second else [None] * len(messages)
+    columns = [coordinates * len(block_delta), eps_column, delta_block * n_curves,
+               *numbers[3:10].tolist(), key_per_second, messages]
+    return SweepTable(columns, numbers, per_second)
 
 
-def run_loss_sweep(config):
-    """Key-rate rows over the loss grid for every (eps, delta) combination."""
+def loss_table(config):
+    """The key-rate table over the loss grid for every (eps, delta) combination."""
     losses = config.loss_range.values()
     rates = transmission_rates_grid(config.channel, losses)
     eps_rows = [[float(e)] * len(losses) for e in config.eps_values]
-    return _sweep_rows(config, losses, eps_rows, rates, per_second=False)
+    return _sweep_table(config, losses, eps_rows, rates, per_second=False)
 
 
-def run_frequency_sweep(config):
-    """Per-second key-rate rows over the frequency grid at fixed loss."""
+def frequency_table(config):
+    """The per-second key-rate table over the frequency grid at fixed loss."""
     fr = config.frequency_range
     if fr.loss_db is None:
         raise ValueError("frequency sweep requires sweep.frequency.loss_db")
@@ -426,24 +591,17 @@ def run_frequency_sweep(config):
     # differs in the last bit for about 5% of exponents
     eps_rows = [[fr.eps_at(f) for f in freqs]]
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
-    return _sweep_rows(config, freqs, eps_rows, rates, per_second=True)
+    return _sweep_table(config, freqs, eps_rows, rates, per_second=True)
 
 
-def _floats(column):
-    """A column of numbers as a float array; None, as an error row may carry, reads nan."""
-    return np.fromiter(column, dtype=float, count=len(column))
+def run_loss_sweep(config):
+    """Key-rate rows over the loss grid for every (eps, delta) combination."""
+    return loss_table(config).rows()
 
 
-def _frequency_axis(key_per_second):
-    """True for a frequency table, the only one whose rows carry key_per_second."""
-    return any(map(operator.is_not, key_per_second, repeat(None)))
-
-
-def _good_rows(errors):
-    """Mask of the rows whose error is None."""
-    if errors.count(None) == len(errors):  # ~10x faster than the general case
-        return np.ones(len(errors), dtype=bool)
-    return np.fromiter(map(operator.is_, errors, repeat(None)), dtype=bool, count=len(errors))
+def run_frequency_sweep(config):
+    """Per-second key-rate rows over the frequency grid at fixed loss."""
+    return frequency_table(config).rows()
 
 
 def curve_summaries(points):
@@ -457,38 +615,7 @@ def curve_summaries(points):
     """
     if not points:
         return []
-    coordinate, eps, delta, key_rate, *_, key_per_second, errors = zip(*points)
-    labels = ("delta",) if _frequency_axis(key_per_second) else ("eps", "delta")
-    keys = [_floats(delta)] if len(labels) == 1 else [_floats(eps), _floats(delta)]
-    # curves in label order, each sorted by coordinate; ties keep table order
-    order = np.lexsort((_floats(coordinate), *keys[::-1]))
-    new_curve = np.zeros(len(points), dtype=bool)
-    new_curve[0] = True
-    for key in keys:
-        key = key[order]
-        new_curve[1:] |= key[1:] != key[:-1]
-    starts = np.flatnonzero(new_curve)
-    positive = (_good_rows(errors) & (_floats(key_rate) > 0.0))[order]
-    places = np.arange(len(points))
-    count = np.add.reduceat(positive.astype(np.intp), starts).tolist()
-    first = np.minimum.reduceat(np.where(positive, places, len(points)), starts).tolist()
-    last = np.maximum.reduceat(np.where(positive, places, -1), starts).tolist()
-    # a curve is labelled by its first row in table order
-    label_rows = np.minimum.reduceat(order, starts).tolist()
-    summaries = []
-    for row, n_positive, first_positive, last_positive in zip(label_rows, count, first, last):
-        summary = {name: getattr(points[row], name) for name in labels}
-        # a curve revives if a non-positive point lies between two positive ones
-        revival = n_positive > 0 and last_positive - first_positive >= n_positive
-        if revival:
-            label = ", ".join(f"{k}={v}" for k, v in summary.items())
-            warnings.warn(
-                f"rate revival on curve {label}; cutoff is not trustworthy"
-            )
-        cutoff = coordinate[order[last_positive]] if n_positive else None
-        summary.update(cutoff=cutoff, revival=revival)
-        summaries.append(summary)
-    return summaries
+    return SweepTable.of_rows(points).summaries()
 
 
 def _csv_quote(text):
@@ -507,95 +634,20 @@ def _fmt_json(value):
     return f"{value:.12g}"
 
 
-def _check_rows(points):
-    """Refuse a table with an impossible good row; True for a frequency table.
-
-    Emission is the last line of defense: a row that slipped past the
-    estimator with impossible diagnostics must not reach a table. The
-    checks run on the table's columns and name the first bad row in table
-    order. Only a frequency table carries key_per_second, on every row.
-    """
-    *numbers, key_per_second, errors = zip(*points)
-    (coordinate, eps, delta, key_rate, e_zz, e_xx, omega_ref_upper, omega_upper,
-     zeta_obs, cond_s) = map(_floats, numbers)
-    # every comparison fails on nan: only an error row may carry it, as
-    # JSON-lines spells nan null and the row template cannot
-    valid = (
-        (coordinate >= 0.0)
-        & (0.0 <= eps) & (eps <= 1.0)
-        & (np.abs(delta) < math.pi / 2)
-        & (key_rate >= 0.0)
-        & (0.0 <= e_zz) & (e_zz <= 1.0)
-        & (0.0 <= e_xx) & (e_xx <= 1.0)
-        & (omega_ref_upper >= 0.0)
-        & (0.0 <= omega_upper) & (omega_upper <= 1.0)
-        & (zeta_obs > 0.0)
-        & (cond_s >= 1.0)
-    )
-    missing = key_per_second.count(None)
-    frequency_axis = missing < len(points)
-    mixed = frequency_axis and missing > 0
-    if frequency_axis:
-        # a loss row in a frequency table passes here and is refused below
-        valid &= _floats([0.0 if v is None else v for v in key_per_second]
-                         if mixed else key_per_second) >= 0.0
-    bad = np.flatnonzero(_good_rows(errors) & ~valid)
-    if bad.size:
-        raise ValueError("invalid diagnostics in row at coordinate "
-                         f"{points[bad[0]].coordinate!r}")
-    if mixed:
-        raise ValueError("table mixes loss and frequency sweep rows")
-    return frequency_axis
-
-
 def emit_table(points, path, out_format, summary=None):
     """Write rows (and an optional summary block) deterministically.
 
     The coordinate column is named loss_db, or frequency_ghz for the rows
-    of a frequency sweep. CSV: one header line, one line per point, then
-    '# summary ...' comment lines. JSON-lines: one object per point, then
-    one summary object. Every good row is range-checked, as columns,
-    before any is printed. Every number goes through one %.12g template
-    per table, which prints the bytes of f"{value:.12g}".
+    of a frequency sweep, the only rows that carry key_per_second; a
+    table that mixes the two is refused. CSV: one header line, one line
+    per point, then '# summary ...' comment lines. JSON-lines: one object
+    per point, then one summary object. Every good row is range-checked,
+    as columns, before any is printed. Every number goes through one
+    %.12g template per table, which prints the bytes of f"{value:.12g}".
     """
     if not points:
         raise ValueError("no points to emit")
-    frequency_axis = _check_rows(points)
-    cols = ["coordinate", "eps", "delta", "key_rate"]
-    if frequency_axis:
-        cols.append("key_per_second")
-    cols += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs",
-             "cond_s", "error"]
-    axis = "frequency_ghz" if frequency_axis else "loss_db"
-    names = [axis if c == "coordinate" else c for c in cols]
-    numbers = operator.attrgetter(*cols[:-1])  # every column but the error
-    payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
-                for s in summary or ()]
-    lines = []
-    if out_format == "csv":
-        # a good row leaves the error cell empty
-        template = ",".join(["%.12g"] * (len(cols) - 1)) + ","
-        lines.append(",".join(names))
-        for p in points:
-            line = template % numbers(p)
-            lines.append(line if p.error is None else line + _csv_quote(p.error))
-        lines += ["# summary {" + payload + "}" for payload in payloads]
-    elif out_format == "json-lines":
-        template = "{" + "".join(f'"{n}": %.12g, ' for n in names[:-1]) + '"error": null}'
-        for p in points:
-            if p.error is None:
-                lines.append(template % numbers(p))
-                continue
-            # an error row carries nan, which JSON spells null
-            body = ", ".join(
-                f'"{n}": {_fmt_json(getattr(p, c))}' for n, c in zip(names, cols)
-            )
-            lines.append("{" + body + "}")
-        lines += ['{"summary": {' + payload + "}}" for payload in payloads]
-    else:
-        raise ValueError(f"unknown format {out_format!r}")
-    # in chunks of WRITE_LINES lines: no copy of the whole table is built
-    with open(path, "w", newline="\n") as fh:
-        for start in range(0, len(lines), WRITE_LINES):
-            fh.write("\n".join(lines[start:start + WRITE_LINES]) + "\n")
-    return path
+    table = SweepTable.of_rows(points)
+    if table.frequency_axis and None in table.columns[_COLUMN["key_per_second"]]:
+        raise ValueError("table mixes loss and frequency sweep rows")
+    return table.write(path, out_format, summary)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,27 @@ def test_delta_vir_lower_limits():
     assert delta_vir_lower(SideChannelParams.uniform(1e-6)) == pytest.approx(
         0.9999995, abs=5e-8
     )
+
+
+def test_anchors_are_taken_once_per_side_channel_params():
+    # estimate reads the anchors in omega_ref_upper and in delta_vir_lower;
+    # both get one array, and a uniform row takes one root for its nine
+    # pairs, with the bits of nine
+    inputs = _pipeline()[3]
+    rows = np.array([0.0, 5e-324, 1e-12, 1e-6, 0.3, 1.0 - 2.0**-53, 1.0])
+    batch = YieldTable(np.broadcast_to(inputs.yields.y, (len(rows), 9)))
+    for eps, yields in ((SideChannelParams.uniform(1e-6), inputs.yields),
+                        (SideChannelParams.uniform(rows), batch),
+                        (SideChannelParams(np.outer(rows, np.linspace(0.1, 1.0, 9))), batch)):
+        first = eps.anchors()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
+            estimate(replace(inputs, yields=yields, eps=eps))
+        assert eps.anchors() is first
+        roots = np.sqrt(1.0 - eps.eps)
+        np.testing.assert_array_equal(first, roots)
+        np.testing.assert_array_equal(
+            delta_vir_lower(eps), 0.25 * roots[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
 
 
 def test_omega_upper_limits():

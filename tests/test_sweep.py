@@ -968,3 +968,96 @@ def test_cli_yaml_syntax_error_fails_with_one_json_line(tmp_path, capsys, monkey
     assert err["error"] == error
     assert "bad.yaml" in err["message"] and "line" in err["message"]
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps", "0.5"], ["--loss-start", "3"], ["--loss-stop", "12"], ["--loss-step", "0.5"],
+    ["--eps", "0.5", "--loss-start", "3"],
+], ids=["eps", "loss-start", "loss-stop", "loss-step", "eps-and-loss-start"])
+def test_cli_frequency_sweep_refuses_loss_flags(tmp_path, capsys, monkeypatch, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the config was loaded")
+
+    monkeypatch.setattr(mdiqkd.cli, "load_config", no_work)
+    out = tmp_path / "t.csv"
+    rc = main(["--sweep", "frequency", *flags, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    refused = [f for f in flags if f.startswith("--")]
+    assert err == {"error": "ValueError",
+                   "message": f"--sweep frequency does not take {', '.join(refused)}"}
+    assert not out.exists()
+
+
+# tables with every kind of row: a delta over cond_ceiling (1.5), a
+# repeated delta, and, without dark counts, rows without signal beyond
+# ~3051 dB
+_CLI_CONFIGS = {
+    "loss": """
+channel: {p_d: 0.0}
+estimation: {cond_ceiling: 1000.0}
+sweep:
+  eps: [1.0e-6, 1.0e-7]
+  delta: [0.0, 1.5, 0.126, 0.0]
+  loss: {start: 0.0, stop: 3200.0, step: 160.0}
+""",
+    "frequency": """
+estimation: {cond_ceiling: 1000.0}
+sweep:
+  delta: [0.126, 1.5, 0.126, 0.0]
+  frequency: {start_ghz: 0.5, stop_ghz: 4.0, step_ghz: 0.25, loss_db: 5.0,
+              anchor_high: [4.0, -4.5]}
+""",
+    "frequency-no-signal": """
+channel: {p_d: 0.0}
+sweep:
+  delta: [0.0, 0.1, 0.0]
+  frequency: {start_ghz: 0.5, stop_ghz: 4.0, step_ghz: 0.5, loss_db: 3100.0}
+""",
+    "loss-clean": """
+sweep:
+  eps: [1.0e-6]
+  delta: [0.0, 0.126]
+  loss: {start: 0.0, stop: 20.0, step: 0.5}
+""",
+}
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json-lines"])
+@pytest.mark.parametrize("name", list(_CLI_CONFIGS))
+def test_cli_writes_the_bytes_of_the_library_chain(tmp_path, capsys, name, out_format):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(_CLI_CONFIGS[name])
+    sweep = name.split("-")[0]
+    out = tmp_path / "cli"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # revival of a curve with rows without signal
+        rc = main(["--config", str(config_path), "--sweep", sweep, "--out", str(out),
+                   "--format", out_format])
+        assert rc == 0
+        config = load_config(str(config_path))
+        rows = (run_loss_sweep if sweep == "loss" else run_frequency_sweep)(config)
+        library = tmp_path / "library"
+        emit_table(rows, str(library), out_format, summary=curve_summaries(rows))
+    assert out.read_bytes() == library.read_bytes()
+    failed = sum(r.error is not None for r in rows)
+    assert (failed > 0) == (name != "loss-clean")
+    assert capsys.readouterr().out == (f"wrote {len(rows)} rows to {out}"
+                                       + (f" ({failed} failed points)" if failed else "")
+                                       + "\n")
+
+
+def test_cli_builds_no_rows(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command line built or read rows")
+
+    monkeypatch.setattr(mdiqkd.sweep.SweepTable, "rows", refuse)
+    monkeypatch.setattr(mdiqkd.sweep.SweepTable, "of_rows", refuse)
+    config_path = tmp_path / "config.yaml"
+    for name in ("loss", "frequency"):
+        config_path.write_text(_CLI_CONFIGS[name])
+        out = tmp_path / f"{name}.csv"
+        assert main(["--config", str(config_path), "--sweep", name, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
