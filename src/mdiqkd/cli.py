@@ -3,21 +3,17 @@
 Usage:
     mdiqkd-sweep --config cfg.yaml --sweep loss --eps 1e-6,1e-7 --out rates.csv
 
-Flag values override the config file. Exits 0 on success; on failure a
-one-line JSON error summary goes to stderr and the exit code is nonzero.
+Flags are laid over the config file before any value is checked. Exits 0
+on success; on failure a one-line JSON error goes to stderr, exit nonzero.
 """
 
 import argparse
 import json
 import sys
 
-from .sweep import frequency_table, load_config, loss_table
+from .sweep import CONFIG_KEYS, frequency_table, load_config, loss_table
 
 __all__ = ["main", "build_parser"]
-
-# the flags that only a loss sweep reads, by argparse dest
-_LOSS_FLAGS = {"eps": "--eps", "start": "--loss-start", "stop": "--loss-stop",
-               "step": "--loss-step"}
 
 
 def _float_list(text):
@@ -49,14 +45,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        if args.sweep == "frequency":
-            ignored = [flag for dest, flag in _LOSS_FLAGS.items()
-                       if getattr(args, dest) is not None]
-            if ignored:
-                # eps follows the frequency map, and the loss is sweep.frequency.loss_db
-                raise ValueError(f"--sweep frequency does not take {', '.join(ignored)}")
+        # before any work, refuse a flag whose key the chosen axis does not read
+        flags = {action.dest: action.option_strings[0] for action in parser._actions}
+        ignored = [flags[name] for _, _, _, name, axis in CONFIG_KEYS.values()
+                   if name and axis not in (None, args.sweep) and getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(f"--sweep {args.sweep} does not take {', '.join(ignored)}")
         config = load_config(args.config, vars(args))
         # the table stays columns from the estimate to the file; write
         # range-checks it before it prints a line

@@ -22,8 +22,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -123,15 +122,14 @@ class FrequencyRange:
     def __post_init__(self):
         for name in ("start_ghz", "stop_ghz", "step_ghz"):
             real(getattr(self, name), name)
-        for value in (*self.anchor_low, *self.anchor_high):
-            real(value, "map anchor")
-        if self.loss_db is not None:
-            real(self.loss_db, "loss_db")
+        anchors = (*self.anchor_low, *self.anchor_high)
+        if not all(math.isfinite(real(v, "map anchor")) for v in anchors):
+            raise ValueError("map anchors must be finite")
+        if self.loss_db is not None and not 0.0 <= real(self.loss_db, "loss_db") < math.inf:
+            raise ValueError(f"loss_db must be finite and >= 0, got {self.loss_db!r}")
         n = _grid_size(self.start_ghz, self.stop_ghz, self.step_ghz)
         if self.start_ghz <= 0.0:
             raise ValueError("frequencies must be positive")
-        if not all(math.isfinite(v) for v in (*self.anchor_low, *self.anchor_high)):
-            raise ValueError("map anchors must be finite")
         if self.anchor_low[0] >= self.anchor_high[0]:
             raise ValueError("map anchors must have increasing frequency")
         # lg eps is linear in f, so the grid ends bound it on the whole grid;
@@ -179,10 +177,7 @@ class SweepConfig:
             raise ValueError("cond_ceiling must be finite and > 0")
         if self.out_format not in ("csv", "json-lines"):
             raise ValueError("format must be csv or json-lines")
-        fr = self.frequency_range
-        if fr.loss_db is not None:
-            replace(self.channel, loss_db=fr.loss_db)  # raises on a bad loss
-        lr = self.loss_range
+        fr, lr = self.frequency_range, self.loss_range
         loss_rows = (len(self.eps_values) * len(self.delta_values)
                      * _grid_size(lr.start, lr.stop, lr.step))
         frequency_rows = (len(self.delta_values)
@@ -211,33 +206,77 @@ class KeyRatePoint(NamedTuple):
     error: str = None
 
 
-def _config_sections(raw):
-    known = {"channel", "estimation", "sweep", "output"}
-    unknown = set(raw) - known
+def _float_list(value, key):
+    """A list as a tuple of floats; a bool stays one, for SweepConfig to refuse."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list")
+    # float() also rescues 1e-7, which YAML 1.1 parses as a string (no dot)
+    return tuple(v if isinstance(v, bool) else float(v) for v in value)
+
+
+def _pair(value, key):
+    return tuple(value)
+
+
+# The config schema, one row per dotted key of a config file: the object
+# the key builds, the field it sets, its parser (None: kept as it is), its
+# override name (the command line's argparse dest; None if no flag sets
+# it) and the only sweep axis that reads it (None: both do). A key that no
+# sweep reads is not listed, so a file that sets one is refused.
+CONFIG_KEYS = {
+    "channel.eta_d": (ChannelParams, "eta_d", None, None, None),
+    "channel.p_d": (ChannelParams, "p_d", None, None, None),
+    "channel.e_d": (ChannelParams, "e_d", None, None, None),
+    "channel.p_za": (ChannelParams, "p_za", None, None, None),
+    "channel.p_zb": (ChannelParams, "p_zb", None, None, None),
+    "estimation.f_ec": (SweepConfig, "f_ec", None, None, None),
+    "estimation.include_sifting": (SweepConfig, "include_sifting", None, None, None),
+    "estimation.cond_ceiling": (SweepConfig, "cond_ceiling", None, None, None),
+    "sweep.eps": (SweepConfig, "eps_values", _float_list, "eps", "loss"),
+    "sweep.delta": (SweepConfig, "delta_values", _float_list, "delta", None),
+    "sweep.loss.start": (LossRange, "start", None, "start", "loss"),
+    "sweep.loss.stop": (LossRange, "stop", None, "stop", "loss"),
+    "sweep.loss.step": (LossRange, "step", None, "step", "loss"),
+    "sweep.frequency.start_ghz": (FrequencyRange, "start_ghz", None, None, "frequency"),
+    "sweep.frequency.stop_ghz": (FrequencyRange, "stop_ghz", None, None, "frequency"),
+    "sweep.frequency.step_ghz": (FrequencyRange, "step_ghz", None, None, "frequency"),
+    "sweep.frequency.loss_db": (FrequencyRange, "loss_db", None, None, "frequency"),
+    "sweep.frequency.anchor_low": (FrequencyRange, "anchor_low", _pair, None, "frequency"),
+    "sweep.frequency.anchor_high": (FrequencyRange, "anchor_high", _pair, None, "frequency"),
+    "output.path": (SweepConfig, "out_path", None, "out", None),
+    "output.format": (SweepConfig, "out_format", None, "format", None),
+}
+# (section, name) of every key and section a config file may hold; "" is the root
+_NAMES = {(".".join(parts[:i]), parts[i])
+          for parts in (key.split(".") for key in CONFIG_KEYS) for i in range(len(parts))}
+
+
+def _collect(mapping, section, values):
+    """Add the keys of the config mapping at dotted path section to values.
+
+    Refuses a section that is no mapping or sets a key outside CONFIG_KEYS.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"config section {section} must be a mapping")
+    unknown = sorted(name for name in mapping if (section, name) not in _NAMES)
+    if unknown and not section:
+        raise ValueError(f"unknown config sections: {unknown}")
     if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-
-
-def _section(body, name, known):
-    """A copy of the config mapping body at dotted path name; refuses keys outside known."""
-    if not isinstance(body, dict):
-        raise ValueError(f"config section {name} must be a mapping")
-    unknown = sorted(set(body) - set(known))
-    if unknown:
-        raise ValueError("unknown config keys: " + ", ".join(f"{name}.{k}" for k in unknown))
-    return dict(body)
-
-
-def _field_names(cls):
-    return [f.name for f in dataclass_fields(cls)]
+        raise ValueError("unknown config keys: " + ", ".join(f"{section}.{n}" for n in unknown))
+    for name, value in mapping.items():
+        key = f"{section}.{name}" if section else name
+        if key in CONFIG_KEYS:
+            values[key] = value
+        else:
+            _collect(value, key, values)
 
 
 def load_config(path=None, overrides=None):
-    """Build a SweepConfig from an optional YAML file plus CLI overrides.
+    """Build a SweepConfig from an optional YAML file plus overrides.
 
-    File layout: channel / estimation / sweep / output sections; every
-    field optional except frequency.loss_db, which must be present before
-    a frequency sweep runs.
+    The file sets keys of CONFIG_KEYS, every one optional. overrides maps
+    override names to values (None: unset); they are laid over the file's
+    keys before any value is parsed or checked. Each object is built once.
     """
     raw = {}
     if path is not None:
@@ -250,59 +289,20 @@ def load_config(path=None, overrides=None):
             raw = yaml.load(fh, Loader=loader) or {}
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")
-    _config_sections(raw)
-    ch = _section(raw.get("channel", {}), "channel", _field_names(ChannelParams))
-    est = _section(raw.get("estimation", {}), "estimation",
-                   ("f_ec", "include_sifting", "cond_ceiling"))
-    sw = _section(raw.get("sweep", {}), "sweep", ("eps", "delta", "loss", "frequency"))
-    out = _section(raw.get("output", {}), "output", ("path", "format"))
-
-    loss = _section(sw.get("loss", {}), "sweep.loss", _field_names(LossRange))
-    freq = _section(sw.get("frequency", {}), "sweep.frequency", _field_names(FrequencyRange))
-    anchors = {}
-    if "anchor_low" in freq:
-        anchors["anchor_low"] = tuple(freq.pop("anchor_low"))
-    if "anchor_high" in freq:
-        anchors["anchor_high"] = tuple(freq.pop("anchor_high"))
-
-    # pass only the keys the file sets, so that SweepConfig's defaults apply
-    fields = dict(est)
-    fields.update({f"out_{k}": v for k, v in out.items()})
-    for key, field in (("eps", "eps_values"), ("delta", "delta_values")):
-        if key in sw:
-            if not isinstance(sw[key], list):
-                raise ValueError(f"sweep.{key} must be a list")
-            # float() also rescues bare scientific notation, which YAML 1.1
-            # parses as a string ("1e-7" lacks the mandated dot); a bool
-            # stays one, for SweepConfig to refuse
-            fields[field] = tuple(v if isinstance(v, bool) else float(v) for v in sw[key])
-
-    config = SweepConfig(
-        channel=ChannelParams(**ch),
-        loss_range=LossRange(**loss),
-        frequency_range=FrequencyRange(**freq, **anchors),
-        **fields,
-    )
-    if overrides:
-        config = _apply_overrides(config, overrides)
-    return config
-
-
-def _apply_overrides(config, overrides):
-    fields = {}
-    if overrides.get("eps") is not None:
-        fields["eps_values"] = tuple(overrides["eps"])
-    if overrides.get("delta") is not None:
-        fields["delta_values"] = tuple(overrides["delta"])
-    if overrides.get("out") is not None:
-        fields["out_path"] = overrides["out"]
-    if overrides.get("format") is not None:
-        fields["out_format"] = overrides["format"]
-    loss_keys = {k: overrides[k] for k in ("start", "stop", "step")
-                 if overrides.get(k) is not None}
-    if loss_keys:
-        fields["loss_range"] = replace(config.loss_range, **loss_keys)
-    return replace(config, **fields) if fields else config
+    values = {}
+    _collect(raw, "", values)
+    overrides = overrides or {}
+    # pass only the keys that are set, so that the dataclass defaults apply
+    fields = {ChannelParams: {}, LossRange: {}, FrequencyRange: {}, SweepConfig: {}}
+    for key, (cls, field, parse, name, _) in CONFIG_KEYS.items():
+        if name and overrides.get(name) is not None:
+            values[key] = overrides[name]
+        if key in values:
+            fields[cls][field] = parse(values[key], key) if parse else values[key]
+    return SweepConfig(channel=ChannelParams(**fields[ChannelParams]),
+                       loss_range=LossRange(**fields[LossRange]),
+                       frequency_range=FrequencyRange(**fields[FrequencyRange]),
+                       **fields[SweepConfig])
 
 
 # the estimate results a row carries, in KeyRatePoint order after delta
@@ -507,7 +507,9 @@ class SweepTable:
             template = ",".join(["%.12g"] * len(fields)) + ","
 
             def error_line(row, error):
-                return template % row + _csv_quote(error)
+                # a library caller's error row may carry None, printed empty
+                cells = ("" if v is None else "%.12g" % v for v in row)
+                return ",".join(cells) + "," + _csv_quote(error)
 
             head = [",".join([*names, "error"])]
             tail = ["# summary {" + payload + "}" for payload in payloads]

@@ -1,14 +1,20 @@
-"""The documented entry points run: every demo script and the README quick start."""
+"""The documented entry points run: every demo script, the README quick start and config."""
 
 import runpy
 from pathlib import Path
 
+import pytest
+
+from mdiqkd.cli import main
+from mdiqkd.sweep import CONFIG_KEYS, load_config
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _readme_quick_start():
-    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+def _readme_block(heading, language):
+    """The first fenced block of the given language under a README heading."""
+    section = (ROOT / "README.md").read_text().split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def test_demos_and_readme_quick_start_run(tmp_path, monkeypatch, capsys):
@@ -20,6 +26,25 @@ def test_demos_and_readme_quick_start_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "rate_vs_loss.csv").read_text().startswith("loss_db,")
 
     capsys.readouterr()
-    exec(compile(_readme_quick_start(), "README.md", "exec"), {})
+    exec(compile(_readme_block("## Library quick start", "python"), "README.md", "exec"), {})
     key_rate, e_zz, e_xx = map(float, capsys.readouterr().out.split())
     assert key_rate > 0.0 and 0.0 < e_zz < e_xx < 0.5
+
+
+def test_readme_config_serves_both_axes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the config writes rates.csv to the cwd
+    (tmp_path / "config.yaml").write_text(_readme_block("## Command line", "yaml"))
+    for sweep, header in (("loss", "loss_db,"), ("frequency", "frequency_ghz,")):
+        assert main(["--config", "config.yaml", "--sweep", sweep]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "rates.csv").read_text().startswith(header)
+
+
+def test_readme_names_every_config_key(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    assert [key for key in CONFIG_KEYS if f"`{key}`" not in readme] == []
+    # no sweep reads the channel's loss, so the schema has no such key
+    path = tmp_path / "cfg.yaml"
+    path.write_text("channel: {loss_db: 30.0}\n")
+    with pytest.raises(ValueError, match="unknown config keys: channel.loss_db"):
+        load_config(str(path))

@@ -94,6 +94,9 @@ def test_frequency_range_validation():
         FrequencyRange(stop_ghz=12.0, anchor_high=(4.0, -3.0))
     with pytest.raises(ValueError):
         FrequencyRange(anchor_low=(0.1, math.nan))
+    for loss in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="loss_db must be finite and >= 0"):
+            FrequencyRange(loss_db=loss)
 
 
 def test_sweep_config_validation():
@@ -194,6 +197,14 @@ def test_load_config_overrides_win(tmp_path):
     assert config.eps_values == (1e-8,)
     assert config.loss_range == LossRange(0.5, 2.0, 0.5)  # stop/step kept
     assert config.out_path == "x.csv"
+
+
+def test_load_config_lays_overrides_over_the_file_before_any_check(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("sweep:\n  loss: {start: 5, stop: 2, step: 1}\n")
+    assert load_config(str(path), {"stop": 10}).loss_range == LossRange(5, 10, 1)
+    with pytest.raises(ValueError, match="need stop >= start"):
+        load_config(str(path))
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -534,6 +545,8 @@ def _hand_built_rows():
         _point(4.0, nan, error='cond(S) = 1e+30, "aborted",\nsee log'),
         _point(5.0, nan, error="plain message"),
         _point(6.0, nan, error="first line\nsecond line"),
+        # a library caller's error row may carry None where a sweep puts nan
+        KeyRatePoint(7.0, 1e-6, 0.1, *[None] * 7, error="boom"),
     ]
     frequency = [
         _point(0.5, 1e-300)._replace(key_per_second=5e-292),
