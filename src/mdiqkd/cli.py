@@ -63,7 +63,7 @@ def main(argv=None):
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    errors = table.columns[-1]
+    errors = table.errors
     failed = len(errors) - errors.count(None)
     print(f"wrote {len(errors)} rows to {config.out_path}"
           + (f" ({failed} failed points)" if failed else ""))

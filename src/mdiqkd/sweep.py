@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _g12
 from .channel import (
     ChannelParams,
     YieldTable,
@@ -64,9 +65,6 @@ MAX_TABLE_ROWS = 1_000_000
 # memory. One 1950-row call faulted in 353 fresh pages and took ~25% longer
 # than two 975-row calls.
 BATCH_ROWS = 128 * 1024 // (9 * 8)
-# the most table lines emit_table joins into one write: ~40 KB of text,
-# which also stays below the mmap threshold
-WRITE_LINES = 256
 
 
 def _grid_size(start, stop, step):
@@ -206,16 +204,26 @@ class KeyRatePoint(NamedTuple):
     error: str = None
 
 
+def _numbers(value, key, shape, length=None):
+    """A list of numbers as a tuple of floats; ValueError naming key and shape if not.
+
+    A bool stays one, for the config objects to refuse.
+    """
+    if isinstance(value, (list, tuple)) and length in (None, len(value)):
+        try:
+            # float() also rescues 1e-7, which YAML 1.1 parses as a string (no dot)
+            return tuple(v if isinstance(v, bool) else float(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be {shape}, got {value!r}")
+
+
 def _float_list(value, key):
-    """A list as a tuple of floats; a bool stays one, for SweepConfig to refuse."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list")
-    # float() also rescues 1e-7, which YAML 1.1 parses as a string (no dot)
-    return tuple(v if isinstance(v, bool) else float(v) for v in value)
+    return _numbers(value, key, "a list of numbers")
 
 
 def _pair(value, key):
-    return tuple(value)
+    return _numbers(value, key, "a [GHz, lg eps] pair", length=2)
 
 
 # The config schema, one row per dotted key of a config file: the object
@@ -394,21 +402,24 @@ def _good_rows(errors):
 class SweepTable:
     """A sweep table as columns, from the estimate to the file.
 
-    columns: the KeyRatePoint columns in field order, each a sequence of
-    the row values as they are printed; numbers: every column but the
-    error as one (11, rows) float64 array, None read as nan, for the
-    checks and the summaries; frequency_axis: True for a frequency table,
-    the only one whose rows carry key_per_second; good: the mask of the
-    rows whose error is None.
+    numbers: every KeyRatePoint field but the error as one (11, rows)
+    float64 array, None read as nan, which the checks, the summaries and
+    the writer read; errors: per row None or its error message;
+    frequency_axis: True for a frequency table, the only one whose rows
+    carry key_per_second; good: the mask of the rows whose error is
+    None. A table read from rows keeps them, so that what it reports of
+    a row (an error row's fields, a summary's labels and cutoff, the
+    refused row's coordinate) is the value the row carries.
     """
 
-    __slots__ = ("columns", "numbers", "frequency_axis", "good")
+    __slots__ = ("numbers", "errors", "frequency_axis", "good", "_points")
 
-    def __init__(self, columns, numbers, frequency_axis):
-        self.columns = columns
+    def __init__(self, numbers, errors, frequency_axis, points=None):
         self.numbers = numbers
+        self.errors = errors
         self.frequency_axis = frequency_axis
-        self.good = _good_rows(columns[-1])
+        self.good = _good_rows(errors)
+        self._points = points
 
     @classmethod
     def of_rows(cls, points):
@@ -416,12 +427,23 @@ class SweepTable:
         columns = list(zip(*points))
         numbers = np.array([_floats(c) for c in columns[:-1]])
         frequency_axis = columns[_COLUMN["key_per_second"]].count(None) < len(points)
-        return cls(columns, numbers, frequency_axis)
+        return cls(numbers, columns[-1], frequency_axis, points)
 
     def rows(self):
         """The table as a list of KeyRatePoints, built in one pass."""
+        columns = self.numbers.tolist()
+        if not self.frequency_axis:
+            columns[-1] = repeat(None)
         # tuple.__new__ skips the named tuple's Python-level __new__
-        return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*self.columns)))
+        return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*columns, self.errors)))
+
+    def _values(self, fields, rows):
+        """The values of the named fields at the given rows, one list per field."""
+        places = [_COLUMN[f] for f in fields]
+        if self._points is None:
+            return self.numbers[np.ix_(places, rows)].tolist()
+        points = [self._points[r] for r in rows.tolist()]
+        return [[p[k] for p in points] for k in places]
 
     def check(self):
         """Refuse a table with an impossible good row.
@@ -434,7 +456,7 @@ class SweepTable:
         (coordinate, eps, delta, key_rate, e_zz, e_xx, omega_ref_upper, omega_upper,
          zeta_obs, cond_s, key_per_second) = self.numbers
         # every comparison fails on nan: only an error row may carry it, as
-        # JSON-lines spells nan null and the row template cannot
+        # JSON-lines spells nan null and the digit kernel cannot
         valid = (
             (coordinate >= 0.0)
             & (0.0 <= eps) & (eps <= 1.0)
@@ -451,8 +473,8 @@ class SweepTable:
             valid &= key_per_second >= 0.0
         bad = np.flatnonzero(self.good & ~valid)
         if bad.size:
-            raise ValueError("invalid diagnostics in row at coordinate "
-                             f"{self.columns[0][bad[0]]!r}")
+            coordinate = self._values(["coordinate"], bad[:1])[0][0]
+            raise ValueError(f"invalid diagnostics in row at coordinate {coordinate!r}")
 
     def summaries(self):
         """Positive-rate cutoff per curve along the scan axis; see curve_summaries."""
@@ -472,13 +494,15 @@ class SweepTable:
         places = np.arange(rows)
         count = np.add.reduceat(positive.astype(np.intp), starts).tolist()
         first = np.minimum.reduceat(np.where(positive, places, rows), starts).tolist()
-        last = np.maximum.reduceat(np.where(positive, places, -1), starts).tolist()
+        last = np.maximum.reduceat(np.where(positive, places, -1), starts)
         # a curve is labelled by its first row in table order
-        label_rows = np.minimum.reduceat(order, starts).tolist()
-        label_columns = [(name, self.columns[_COLUMN[name]]) for name in labels]
+        label_rows = np.minimum.reduceat(order, starts)
+        label_values = zip(*self._values(labels, label_rows))
+        [cutoffs] = self._values(["coordinate"], order[np.maximum(last, 0)])
         summaries = []
-        for row, n_positive, first_positive, last_positive in zip(label_rows, count, first, last):
-            summary = {name: column[row] for name, column in label_columns}
+        for values, n_positive, first_positive, last_positive, cutoff in zip(
+                label_values, count, first, last.tolist(), cutoffs):
+            summary = dict(zip(labels, values))
             # a curve revives if a non-positive point lies between two positive ones
             revival = n_positive > 0 and last_positive - first_positive >= n_positive
             if revival:
@@ -486,8 +510,7 @@ class SweepTable:
                 warnings.warn(
                     f"rate revival on curve {label}; cutoff is not trustworthy"
                 )
-            cutoff = self.columns[0][order[last_positive]] if n_positive else None
-            summary.update(cutoff=cutoff, revival=revival)
+            summary.update(cutoff=cutoff if n_positive else None, revival=revival)
             summaries.append(summary)
         return summaries
 
@@ -499,39 +522,48 @@ class SweepTable:
             fields.append("key_per_second")
         fields += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs", "cond_s"]
         names = ["frequency_ghz" if self.frequency_axis else "loss_db", *fields[1:]]
-        printed = [self.columns[_COLUMN[f]] for f in fields]
         payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
                     for s in summary or ()]
         if out_format == "csv":
             # a good row leaves the error cell empty
-            template = ",".join(["%.12g"] * len(fields)) + ","
+            prefixes = ["", *[","] * (len(fields) - 1)]
+            suffix = ",\n"
 
             def error_line(row, error):
                 # a library caller's error row may carry None, printed empty
                 cells = ("" if v is None else "%.12g" % v for v in row)
                 return ",".join(cells) + "," + _csv_quote(error)
 
-            head = [",".join([*names, "error"])]
-            tail = ["# summary {" + payload + "}" for payload in payloads]
+            head = ",".join([*names, "error"]) + "\n"
+            tail = "".join("# summary {" + payload + "}\n" for payload in payloads)
         elif out_format == "json-lines":
-            template = "{" + "".join(f'"{n}": %.12g, ' for n in names) + '"error": null}'
+            prefixes = ["{" + f'"{names[0]}": ', *(f', "{n}": ' for n in names[1:])]
+            suffix = ', "error": null}\n'
 
             def error_line(row, error):
                 # an error row carries nan, which JSON spells null
                 body = "".join(f'"{n}": {_fmt_json(v)}, ' for n, v in zip(names, row))
                 return "{" + body + f'"error": {_fmt_json(error)}' + "}"
 
-            head = []
-            tail = ['{"summary": {' + payload + "}}" for payload in payloads]
+            head = ""
+            tail = "".join('{"summary": {' + payload + "}}\n" for payload in payloads)
         else:
             raise ValueError(f"unknown format {out_format!r}")
-        lines = head + [template % row if error is None else error_line(row, error)
-                        for row, error in zip(zip(*printed), self.columns[-1])]
-        lines += tail
-        # in chunks of WRITE_LINES lines: no copy of the whole table is built
+        block = [self.numbers[_COLUMN[f]] for f in fields]
+        chunks = _g12.print_rows(block, prefixes, suffix, keep=self.good)
         with open(path, "w", newline="\n") as fh:
-            for start in range(0, len(lines), WRITE_LINES):
-                fh.write("\n".join(lines[start:start + WRITE_LINES]) + "\n")
+            fh.write(head)
+            for first, text in zip(range(0, len(self.errors), _g12.CHUNK_ROWS), chunks):
+                failed = first + np.flatnonzero(~self.good[first:first + _g12.CHUNK_ROWS])
+                if failed.size:
+                    # the kernel printed the chunk's good rows; each error
+                    # row goes into its place, printed field by field
+                    lines = text.split("\n")[:-1]
+                    for i, row in zip(failed.tolist(), zip(*self._values(fields, failed))):
+                        lines.insert(i - first, error_line(row, self.errors[i]))
+                    text = "\n".join(lines) + "\n"
+                fh.write(text)
+            fh.write(tail)
         return path
 
 
@@ -539,8 +571,7 @@ def _sweep_table(config, coordinates, eps_rows, rates, per_second):
     """The table of every curve, eps outermost, then delta, then the coordinate.
 
     eps_rows: per curve, the list of its eps at each coordinate; rates as
-    _evaluate takes them. The printed columns share the coordinate, eps
-    and delta objects between rows; the numbers hold the same values.
+    _evaluate takes them.
     """
     eps = np.array(eps_rows)
     deltas, cond, values, messages = _evaluate(config, rates, eps)
@@ -563,16 +594,7 @@ def _sweep_table(config, coordinates, eps_rows, rates, per_second):
     numbers[9] = np.repeat(cond[block_delta], n)
     numbers[9, np.isnan(values[0])] = math.nan  # only the error rows carry nan
     numbers[10] = values[0] * numbers[0] * 1e9 if per_second else math.nan
-    del values  # numbers holds a copy
-    eps_column, delta_block = [], []
-    for row in eps_rows:
-        eps_column += row * len(listed)
-    for delta in listed:
-        delta_block += [delta] * n
-    key_per_second = numbers[10].tolist() if per_second else [None] * len(messages)
-    columns = [coordinates * len(block_delta), eps_column, delta_block * n_curves,
-               *numbers[3:10].tolist(), key_per_second, messages]
-    return SweepTable(columns, numbers, per_second)
+    return SweepTable(numbers, messages, per_second)
 
 
 def loss_table(config):
@@ -644,12 +666,13 @@ def emit_table(points, path, out_format, summary=None):
     table that mixes the two is refused. CSV: one header line, one line
     per point, then '# summary ...' comment lines. JSON-lines: one object
     per point, then one summary object. Every good row is range-checked,
-    as columns, before any is printed. Every number goes through one
-    %.12g template per table, which prints the bytes of f"{value:.12g}".
+    as columns, before any is printed. A good row's numbers are printed
+    by the digit kernel of mdiqkd._g12, which gives the bytes of
+    f"{value:.12g}"; an error row is printed field by field.
     """
     if not points:
         raise ValueError("no points to emit")
     table = SweepTable.of_rows(points)
-    if table.frequency_axis and None in table.columns[_COLUMN["key_per_second"]]:
+    if table.frequency_axis and any(p.key_per_second is None for p in points):
         raise ValueError("table mixes loss and frequency sweep rows")
     return table.write(path, out_format, summary)

@@ -25,6 +25,7 @@ from mdiqkd import (
     reference_yields,
     transmission_rates,
 )
+import mdiqkd._g12
 import mdiqkd.sweep
 from mdiqkd.channel import transmission_rates_grid
 from mdiqkd.cli import build_parser, main
@@ -236,6 +237,24 @@ def test_load_config_rejects_unknown_keys(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(key)):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sweep: {frequency: {anchor_low: 5}}\n",
+     "sweep.frequency.anchor_low must be a [GHz, lg eps] pair, got 5"),
+    ("sweep: {frequency: {anchor_low: [1, 2, 3]}}\n",
+     "sweep.frequency.anchor_low must be a [GHz, lg eps] pair, got [1, 2, 3]"),
+    # a mapping would otherwise pass its keys on as the anchor
+    ("sweep: {frequency: {anchor_high: {3.0: -6.0, 4.0: -5.0}}}\n",
+     "sweep.frequency.anchor_high must be a [GHz, lg eps] pair, got {3.0: -6.0, 4.0: -5.0}"),
+    ("sweep: {eps: [abc]}\n", "sweep.eps must be a list of numbers, got ['abc']"),
+], ids=["anchor-scalar", "anchor-triple", "anchor-mapping", "eps-word"])
+def test_load_config_names_the_key_and_shape_of_a_bad_list(tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == message
 
 
 def test_load_config_rejects_non_mapping(tmp_path):
@@ -578,14 +597,15 @@ def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
     assert path.read_bytes() == table_text(points, out_format, summary).encode()
 
 
-@pytest.mark.parametrize("write_lines", [1, 2, 3, 7, 10_000])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 10_000])
 @pytest.mark.parametrize("out_format", ["csv", "json-lines"])
 def test_emit_table_writes_every_line_whatever_the_chunk(tmp_path, monkeypatch, out_format,
-                                                         write_lines):
+                                                         chunk_rows):
+    # the refused delta's error rows straddle the chunk edges
     points = run_loss_sweep(replace(TINY, loss_range=LossRange(0.0, 5.0, 0.5),
                                     delta_values=(0.0, 1.5), cond_ceiling=1e3))
     summary = curve_summaries(points)
-    monkeypatch.setattr(mdiqkd.sweep, "WRITE_LINES", write_lines)
+    monkeypatch.setattr(mdiqkd._g12, "CHUNK_ROWS", chunk_rows)
     for rows in (1, 2, 3, 20, 43, 44):  # of 44 rows, with 4 summary lines
         path = tmp_path / f"t{rows}"
         emit_table(points[:rows], str(path), out_format, summary=summary)
