@@ -8,7 +8,7 @@ on success; on failure a one-line JSON error goes to stderr, exit nonzero.
 """
 
 import argparse
-import json
+import os
 import sys
 
 from .sweep import CONFIG_KEYS, frequency_table, load_config, loss_table
@@ -55,11 +55,16 @@ def main(argv=None):
         if ignored:
             raise ValueError(f"--sweep {args.sweep} does not take {', '.join(ignored)}")
         config = load_config(args.config, vars(args))
+        out_dir = os.path.dirname(config.out_path) or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
         # the table stays columns from the estimate to the file; write
         # range-checks it before it prints a line
         table = (loss_table if args.sweep == "loss" else frequency_table)(config)
         table.write(config.out_path, config.out_format, summary=table.summaries())
     except Exception as exc:  # noqa: BLE001 - single reporting funnel
+        import json  # only a failed run needs it; kept off the start-up path
+
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

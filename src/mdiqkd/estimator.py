@@ -29,16 +29,24 @@ same code that gives Python floats for a single point. f_obj is shared
 by all points, or given per point as an (n, 9) array, so one batch can
 mix reference sets. build_estimation_stack builds the tomography
 matrices of many reference sets as one stack; a sweep calls it once per
-table and evaluates the table in as few estimate calls as its batch
-size allows, one for a table of up to 1820 rows.
+table.
+
+Checks. Each formula of the chain lives once, in an unchecked private
+helper. The public functions are thin wrappers that check their
+arguments and call it. estimate checks its inputs once and runs
+_estimate_core, the chain on arrays, which takes the deviation bound of
+each yield once, on the branch the sign of its f_obj coefficient
+selects (that sign is fixed per reference set). A sweep calls the core
+directly, once per batch, on inputs its table checked when it was built;
+the core reports the rows without signal as a mask instead of raising.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import g_lower, g_upper, plain, unit_interval
+from .gbound import _bound, plain, unit_interval
 from .pauli_core import ZZ_PAIR_INDICES, VirtualEnsemble, amplitudes, s_matrix_stack, virtual_stack
 
 __all__ = [
@@ -66,6 +74,9 @@ DEFAULT_COND_CEILING = 1e8
 # by: a subnormal is a whole multiple of 2^-1074. Both NoSignalError
 # checks call such a row silent.
 _SILENT_BELOW = np.finfo(float).tiny
+# the message of a row without signal, from estimate and from a sweep
+NO_SIGNAL = "all ZZ yields vanish"
+_ZZ = np.array(ZZ_PAIR_INDICES)  # an index array gathers faster than a list
 
 
 class EstimationError(Exception):
@@ -104,8 +115,6 @@ class SideChannelParams:
     """
 
     eps: np.ndarray
-    # sqrt(1 - eps), taken on the first anchors() call and kept
-    _anchors: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps = unit_interval(self.eps, "side-channel weights")
@@ -117,17 +126,11 @@ class SideChannelParams:
     def uniform(cls, value):
         """The same eps for all nine pairs; an (n,) array gives a batch."""
         value = np.asarray(value, dtype=float)
-        params = cls(np.repeat(value[..., None], 9, axis=-1))
-        # the nine pairs of a row share its eps, so one root serves them all
-        roots = np.sqrt(1.0 - params.eps[..., :1])
-        object.__setattr__(params, "_anchors", np.broadcast_to(roots, params.eps.shape))
-        return params
+        return cls(np.repeat(value[..., None], 9, axis=-1))
 
     def anchors(self):
-        """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair, computed once."""
-        if self._anchors is None:
-            object.__setattr__(self, "_anchors", np.sqrt(1.0 - self.eps))
-        return self._anchors
+        """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair."""
+        return np.sqrt(1.0 - self.eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,6 +225,80 @@ def omega_ref_matrix(inputs):
     return plain(np.einsum("...i,...i->...", inputs.yields.y, inputs.f_obj))
 
 
+# The chain's formulas, each once and unchecked: the public functions
+# below check their arguments and call these, and so does the core,
+# which runs on inputs checked where a table is built.
+
+def _omega_ref_upper(y, roots, f_obj, upper):
+    return np.maximum((f_obj * _bound(y, roots, upper)).sum(axis=-1), 0.0)
+
+
+def _delta_vir_lower(roots):
+    return 0.25 * roots[..., _ZZ].sum(axis=-1)
+
+
+def _lift(omega_ref_up, delta_vir_low):
+    if np.any(omega_ref_up > 1.0):
+        worst = float(omega_ref_up.max())
+        warnings.warn(f"omega_ref_upper = {worst!r} clamped to 1")
+        omega_ref_up = np.minimum(omega_ref_up, 1.0)
+    return _bound(omega_ref_up, delta_vir_low, True)
+
+
+def _zz_rates(zz):
+    # (e_zz, zeta_obs, silent); a silent row divides by a ZZ sum of 0 or
+    # a subnormal, so its e_zz is no number to read
+    denom = zz.sum(axis=-1)
+    zeta_obs = 0.25 * denom  # joint over the uniform bit pairs
+    # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
+    return (zz[..., 0] + zz[..., 3]) / denom, zeta_obs, zeta_obs < _SILENT_BELOW
+
+
+def _phase_error_rate(omega_up, zeta_obs):
+    # capping the numerator gives the bits of capping the ratio, which
+    # can overflow for a small zeta_obs
+    return np.minimum(omega_up, zeta_obs) / zeta_obs
+
+
+def _binary_entropy(p):
+    inner = (p > 0.0) & (p < 1.0)
+    q = np.where(inner, p, 0.5)  # keeps log2 away from 0 at the endpoints
+    return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+
+
+def _key_rate(y_zz, e_zz, e_xx, f_ec):
+    bracket = (
+        1.0
+        - _binary_entropy(np.minimum(e_xx, 0.5))
+        - f_ec * _binary_entropy(np.minimum(e_zz, 0.5))
+    )
+    return y_zz * np.maximum(bracket, 0.0)
+
+
+def _estimate_core(y, roots, f_obj, upper, f_ec, sifting_prefactor):
+    """The chain of estimate on arrays, without a check of its own.
+
+    y: yields (..., 9); roots: sqrt(1 - eps) per pair, of y's shape;
+    f_obj (..., 9) and upper = f_obj > 0, the coefficients that take the
+    upper deviation bound, both fixed per reference set. Contiguous
+    arrays run fastest: numpy loops over a broadcast view row by row.
+    The caller has checked that yields and eps lie in [0, 1], f_obj is
+    finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
+    Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,
+    omega_upper, zeta_obs) and the mask of the rows without signal, whose
+    columns hold no number to read. Warns, as omega_upper does, when
+    omega_ref_upper exceeds 1.
+    """
+    omega_ref_up = _omega_ref_upper(y, roots, f_obj, upper)
+    omega_up = _lift(omega_ref_up, _delta_vir_lower(roots))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_zz, zeta_obs, silent = _zz_rates(y[..., _ZZ])
+        e_xx = _phase_error_rate(omega_up, zeta_obs)
+    y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor
+    rate = _key_rate(y_zz, e_zz, e_xx, f_ec)
+    return (rate, e_zz, e_xx, omega_ref_up, omega_up, zeta_obs), silent
+
+
 def omega_ref_upper(f_obj, yields, eps):
     """Worst-case omega_ref once each yield is only known up to fidelity.
 
@@ -229,27 +306,25 @@ def omega_ref_upper(f_obj, yields, eps):
     the lower bound, with anchors delta^L = sqrt(1 - eps) per pair; a zero
     coefficient adds nothing. Floored at 0.
     """
-    anchors = eps.anchors()
-    bounds = np.where(f_obj > 0.0, g_upper(yields.y, anchors), g_lower(yields.y, anchors))
-    return plain(np.maximum((f_obj * bounds).sum(axis=-1), 0.0))
+    f_obj = np.asarray(f_obj, dtype=float)
+    return plain(_omega_ref_upper(yields.y, eps.anchors(), f_obj, f_obj > 0.0))
 
 
 def delta_vir_lower(eps):
     """Fidelity floor of the virtual source state: (1/4) sum sqrt(1 - eps_ZZ)."""
-    return plain(0.25 * eps.anchors()[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
+    return plain(_delta_vir_lower(eps.anchors()))
 
 
 def omega_upper(omega_ref_up, delta_vir_low):
-    """Lift the reference-ensemble bound to the actual virtual ensemble."""
+    """Lift the reference-ensemble bound to the actual virtual ensemble.
+
+    An omega_ref_up above 1 is clamped to 1, with a warning.
+    """
     delta_vir_low = unit_interval(delta_vir_low, "delta_vir_lower")
     omega_ref_up = np.asarray(omega_ref_up, dtype=float)
     if not np.all(omega_ref_up >= 0.0):
         raise ValueError("omega_ref_upper must be >= 0")
-    if np.any(omega_ref_up > 1.0):
-        worst = float(omega_ref_up.max())
-        warnings.warn(f"omega_ref_upper = {worst!r} clamped to 1")
-        omega_ref_up = np.minimum(omega_ref_up, 1.0)
-    return g_upper(omega_ref_up, delta_vir_low)
+    return plain(_lift(omega_ref_up, delta_vir_low))
 
 
 def bit_error_rate(zz_yields):
@@ -261,12 +336,11 @@ def bit_error_rate(zz_yields):
     zz = np.asarray(zz_yields, dtype=float)
     if zz.shape[-1:] != (4,) or not np.all(zz >= 0.0):
         raise ValueError("expected 4 nonnegative ZZ yields")
-    denom = zz.sum(axis=-1)
-    silent = 0.25 * denom < _SILENT_BELOW  # zeta_obs, as estimate computes it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_zz, _, silent = _zz_rates(zz)
     if np.any(silent):
-        raise NoSignalError("all ZZ yields vanish", silent)
-    # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
-    return plain((zz[..., 0] + zz[..., 3]) / denom)
+        raise NoSignalError(NO_SIGNAL, silent)
+    return plain(e_zz)
 
 
 def phase_error_rate(omega_up, zeta_obs):
@@ -281,17 +355,12 @@ def phase_error_rate(omega_up, zeta_obs):
     silent = zeta_obs < _SILENT_BELOW
     if np.any(silent):
         raise NoSignalError("zeta_obs must be positive and normal", silent)
-    # capping the numerator gives the bits of capping the ratio, which
-    # can overflow for a small zeta_obs
-    return plain(np.minimum(omega_up, zeta_obs) / zeta_obs)
+    return plain(_phase_error_rate(omega_up, zeta_obs))
 
 
 def binary_entropy(p):
     """Shannon entropy of a bit, with h(0) = h(1) = 0 by continuity."""
-    p = unit_interval(p, "binary_entropy argument")
-    inner = (p > 0.0) & (p < 1.0)
-    q = np.where(inner, p, 0.5)  # keeps log2 away from 0 at the endpoints
-    return plain(np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0))
+    return plain(_binary_entropy(unit_interval(p, "binary_entropy argument")))
 
 
 def key_rate(y_zz, e_zz, e_xx, f_ec):
@@ -305,12 +374,7 @@ def key_rate(y_zz, e_zz, e_xx, f_ec):
         raise ValueError("y_zz must be >= 0")
     if not f_ec >= 1.0:
         raise ValueError("f_ec must be >= 1")
-    bracket = (
-        1.0
-        - binary_entropy(np.minimum(e_xx, 0.5))
-        - f_ec * binary_entropy(np.minimum(e_zz, 0.5))
-    )
-    return plain(y_zz * np.maximum(bracket, 0.0))
+    return plain(_key_rate(y_zz, e_zz, e_xx, f_ec))
 
 
 def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
@@ -318,23 +382,26 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
 
     sifting_prefactor: optional p_ZA * p_ZB factor on Y_ZZ; excluded by
     default since the key-rate bound is stated per ZZ-tagged pair.
+    Raises NoSignalError naming the rows without signal.
     """
-    omega_ref = omega_ref_matrix(inputs)
-    om_ref_up = omega_ref_upper(inputs.f_obj, inputs.yields, inputs.eps)
-    dv_low = delta_vir_lower(inputs.eps)
-    om_up = omega_upper(om_ref_up, dv_low)
-
-    zz = inputs.yields.y[..., list(ZZ_PAIR_INDICES)]
-    e_zz = bit_error_rate(zz)
-    zeta_obs = plain(0.25 * zz.sum(axis=-1))  # joint over the uniform bit pairs
-    e_xx = phase_error_rate(om_up, zeta_obs)
-
-    y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor
-    rate = key_rate(y_zz, e_zz, e_xx, f_ec)
+    # yields and eps were checked when they were built
+    f_obj = np.asarray(inputs.f_obj, dtype=float)
+    if not np.all(np.isfinite(f_obj)):
+        raise ValueError("f_obj must be finite")
+    if not f_ec >= 1.0:
+        raise ValueError("f_ec must be >= 1")
+    if not (sifting_prefactor is None or sifting_prefactor >= 0.0):
+        raise ValueError("sifting_prefactor must be >= 0")
+    roots = inputs.eps.anchors()
+    columns, silent = _estimate_core(inputs.yields.y, roots, f_obj, f_obj > 0.0, f_ec,
+                                     sifting_prefactor)
+    if np.any(silent):
+        raise NoSignalError(NO_SIGNAL, silent)
+    rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs = map(plain, columns)
     return EstimationResult(
-        omega_ref=omega_ref,
+        omega_ref=omega_ref_matrix(inputs),
         omega_ref_upper=om_ref_up,
-        delta_vir_lower=dv_low,
+        delta_vir_lower=plain(_delta_vir_lower(roots)),
         omega_upper=om_up,
         zeta_obs=zeta_obs,
         e_zz=e_zz,

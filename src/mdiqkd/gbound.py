@@ -15,8 +15,11 @@ with - for the lower and + for the upper bound. -g_lower and g_upper are
 concave in x; g_lower is nondecreasing and g_upper nonincreasing in y.
 
 Both functions take floats or broadcastable arrays: a float argument
-gives a float, arrays give an array of the broadcast shape. The other
-layers share the argument checks and the float conversion defined here.
+gives a float, arrays give an array of the broadcast shape. Both check
+their arguments and wrap _bound, the one unchecked implementation, which
+the estimator's core also calls with a per-entry choice of bound. The
+other layers share the argument checks and the float conversion defined
+here.
 """
 
 import numbers
@@ -53,10 +56,21 @@ def plain(arr):
     return arr.item() if arr.ndim == 0 else arr
 
 
-def _branch(x, y, sign):
+def _bound(x, y, upper):
+    """g_upper(x, y) where upper is true, g_lower(x, y) elsewhere; unchecked.
+
+    One analytic branch, whose sign upper selects: it has the bits of
+    either bound, as the sign factor +-2 is exact. upper broadcasts
+    against x and y, a bool for one bound throughout.
+    """
+    om = 1.0 - y * y
     # sqrt argument can stray to ~-1e-16 at the endpoints
-    root = np.sqrt(np.maximum((1.0 - y * y) * x * (1.0 - x), 0.0))
-    return x + (1.0 - y * y) * (1.0 - 2.0 * x) + sign * 2.0 * y * root
+    root = np.sqrt(np.maximum(om * x * (1.0 - x), 0.0))
+    branch = x + om * (1.0 - 2.0 * x) + (upper * 4.0 - 2.0) * y * root
+    branch = np.clip(branch, 0.0, 1.0)
+    # g_upper saturates at 1 above x = y^2, g_lower at 0 below x = 1 - y^2
+    saturated = ((x > y * y) & upper) | ((x < om) & np.logical_not(upper))
+    return np.where(saturated, upper, branch)
 
 
 def g_lower(x, y):
@@ -66,8 +80,7 @@ def g_lower(x, y):
     to [0, 1] against floating-point dust.
     """
     x, y = unit_interval(x, "x"), unit_interval(y, "y")
-    branch = np.clip(_branch(x, y, -1.0), 0.0, 1.0)
-    return plain(np.where(x < 1.0 - y * y, 0.0, branch))
+    return plain(_bound(x, y, False))
 
 
 def g_upper(x, y):
@@ -77,5 +90,4 @@ def g_upper(x, y):
     [0, 1].
     """
     x, y = unit_interval(x, "x"), unit_interval(y, "y")
-    branch = np.clip(_branch(x, y, +1.0), 0.0, 1.0)
-    return plain(np.where(x > y * y, 1.0, branch))
+    return plain(_bound(x, y, True))

@@ -3,12 +3,14 @@
 A sweep evaluates the full chain (POVM -> yields -> estimation -> key
 rate) over a grid, either against transmission loss at fixed side-channel
 budgets, or against system frequency with the side-channel weight tied to
-frequency through a lg-linear map. The tomography matrices of all
-modulation errors are built once per table, as one stack, and the chain
+frequency through a lg-linear map. Every input is checked once, where
+the table is built: the config, the clamped yields and the stack's
+cond(S) ceiling. The tomography matrices of all modulation errors are
+built once per table, as one stack, and the estimator's unchecked core
 runs over the rows of the table in even batches of at most BATCH_ROWS,
-one batch for most tables; a row whose estimation fails becomes an error
-row of the table. A table stays columns (SweepTable) from the estimate
-to the file: the command line summarises, checks and writes it without
+one call per batch and one batch for most tables; a row without signal,
+or of a refused reference set, becomes an error row of the table. A
+table stays columns (SweepTable) from the estimate to the file: the command line summarises, checks and writes it without
 building a row. Only library callers get rows: run_loss_sweep and
 run_frequency_sweep build them from the table in one pass, and
 curve_summaries and emit_table read the rows they are given back into
@@ -18,7 +20,6 @@ produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
 """
 
-import json
 import math
 import operator
 import warnings
@@ -29,20 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _g12
-from .channel import (
-    ChannelParams,
-    YieldTable,
-    reference_yields,
-    transmission_rates_grid,
-)
-from .estimator import (
-    DEFAULT_COND_CEILING,
-    EstimationInputs,
-    NoSignalError,
-    SideChannelParams,
-    build_estimation_stack,
-    estimate,
-)
+from .channel import ChannelParams, reference_yields, transmission_rates_grid
+from .estimator import DEFAULT_COND_CEILING, NO_SIGNAL, _estimate_core, build_estimation_stack
 from .gbound import real
 from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
 
@@ -60,7 +49,7 @@ __all__ = [
 
 # the most rows one table may hold; every row stays in memory until emission
 MAX_TABLE_ROWS = 1_000_000
-# the most rows one estimate call takes: the chain's (rows, 9) float64
+# the most rows one core call takes: the chain's (rows, 9) float64
 # temporaries then stay below glibc's 128 KiB mmap threshold and reuse heap
 # memory. One 1950-row call faulted in 353 fresh pages and took ~25% longer
 # than two 975-row calls.
@@ -313,7 +302,7 @@ def load_config(path=None, overrides=None):
                        **fields[SweepConfig])
 
 
-# the estimate results a row carries, in KeyRatePoint order after delta
+# the core's result columns a row carries, in KeyRatePoint order after delta
 _RESULT_FIELDS = KeyRatePoint._fields[3:9]
 
 
@@ -330,10 +319,10 @@ def _evaluate(config, rates, eps):
     None or the message of the error that row raises in the scalar
     chain. Exactly the error rows keep nan values. A refused reference
     set gives every row of its delta the message. The other rows go to
-    estimate in even batches of at most BATCH_ROWS, so a table of up to
-    BATCH_ROWS rows takes one call; each batch gathers its own yields,
-    eps and f_obj, so the inputs in memory grow with the batch, not the
-    table.
+    the estimator's core in even batches of at most BATCH_ROWS, so a
+    table of up to BATCH_ROWS rows takes one call; each batch gathers its
+    own yields, roots sqrt(1 - eps), f_obj and sign mask, so the inputs
+    in memory grow with the batch, not the table.
     """
     deltas = list(dict.fromkeys(config.delta_values))
     modulations = [ModulationErrors(d, d, d) for d in deltas]
@@ -351,36 +340,34 @@ def _evaluate(config, rates, eps):
     rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
     yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
     yields = np.broadcast_to(yields, grid[1:] + (9,))
+    roots = np.sqrt(1.0 - eps)
+    upper = setup.f_obj > 0.0  # the coefficients that take the upper deviation bound
     n_batches = max(1, -(-rows.size // BATCH_ROWS))
     for batch in np.array_split(rows, n_batches):
         curve, k, point = np.unravel_index(batch, grid)
-        _estimate_batch(config, values, messages, batch,
-                        yields[k, point], eps[curve, point], setup.f_obj[k])
+        # a row's nine pairs share its eps, and so its root
+        _estimate_batch(config, values, messages, batch, yields[k, point],
+                        np.repeat(roots[curve, point, None], 9, axis=1),
+                        setup.f_obj[k], upper[k])
     return deltas, setup.cond_s, values, messages
 
 
-def _estimate_batch(config, values, messages, rows, yields, eps, f_obj):
+def _estimate_batch(config, values, messages, rows, yields, roots, f_obj, upper):
     """Store the results of batch row i in column rows[i] of values.
 
-    A NoSignalError names the rows without signal; they get its message
-    and leave the batch, and the rest runs again, so a batch costs one
-    estimate call plus one per distinct failing check.
+    One call of the estimator's unchecked core, whose inputs the table
+    checked once: the yields by reference_yields' clamp, eps by the
+    config and f_obj by the stack's ceiling. The rows without signal get
+    NO_SIGNAL as their message and keep nan values.
     """
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-    while rows.size:
-        inputs = EstimationInputs(YieldTable(yields), SideChannelParams.uniform(eps), f_obj)
-        try:
-            result = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
-        except NoSignalError as exc:
-            message = str(exc)
-            for i in rows[exc.rows].tolist():
-                messages[i] = message
-            keep = ~exc.rows
-            rows, yields, eps, f_obj = rows[keep], yields[keep], eps[keep], f_obj[keep]
-            continue
-        for j, name in enumerate(_RESULT_FIELDS):
-            values[j, rows] = getattr(result, name)
-        break
+    columns, silent = _estimate_core(yields, roots, f_obj, upper, config.f_ec, sifting)
+    values[:, rows] = columns
+    if silent.any():
+        failed = rows[silent]
+        values[:, failed] = np.nan
+        for i in failed.tolist():
+            messages[i] = NO_SIGNAL
 
 
 # the place of each KeyRatePoint field among a table's columns
@@ -652,6 +639,8 @@ def _fmt_json(value):
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "null"
     if isinstance(value, str):
+        import json  # only error messages need it; kept off the start-up path
+
         return json.dumps(value)
     if isinstance(value, bool):
         return "true" if value else "false"

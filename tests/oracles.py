@@ -5,7 +5,8 @@ package: the relay POVM by brute-force Fock-amplitude propagation with
 explicit environment modes and an exhaustive dark-count enumeration, the
 virtual ensemble from the full 16-dimensional source state, Bloch
 coefficients by literal matrix traces, the singlet-error weight by direct
-traces against density matrices, entropies in high precision, and
+traces against density matrices, the deviation bounds as two branches
+evaluated in full, entropies in high precision, and
 sweep tables row by row: each row built, range-checked and formatted
 field by field on its own. None of them imports the package.
 """
@@ -163,6 +164,24 @@ def omega_ref_direct(ensemble, povm):
     for p, row in zip(ensemble.p_vir, ensemble.s_vir):
         total += p * float(np.trace(povm.m @ _bloch_to_density(row)))
     return total
+
+
+def deviation_bounds(x, y):
+    """(g_lower, g_upper) as two analytic branches, each taken on every entry.
+
+    The formula term for term as the module docstring of mdiqkd.gbound
+    states it, with the sign as a factor: the reference for the bits of
+    the package's single sign-selected branch.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    root = np.sqrt(np.maximum((1.0 - y * y) * x * (1.0 - x), 0.0))
+
+    def branch(sign):
+        return np.clip(x + (1.0 - y * y) * (1.0 - 2.0 * x) + sign * 2.0 * y * root, 0.0, 1.0)
+
+    lower = np.where(x < 1.0 - y * y, 0.0, branch(-1.0))
+    upper = np.where(x > y * y, 1.0, branch(+1.0))
+    return lower, upper
 
 
 def entropy_highprec(p):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import (
     SETTINGS,
@@ -20,6 +22,7 @@ from mdiqkd import (
 )
 from mdiqkd.channel import YieldTable
 from mdiqkd.estimator import (
+    NO_SIGNAL,
     EstimationInputs,
     EstimationResult,
     IllConditionedError,
@@ -33,9 +36,16 @@ from mdiqkd.estimator import (
     omega_ref_upper,
     omega_upper,
     phase_error_rate,
+    _estimate_core,
 )
 from mdiqkd.pauli_core import ZZ_PAIR_INDICES, DegenerateInputError
-from oracles import entropy_highprec, fock_povm, omega_ref_direct, virtual_ensemble_16dim
+from oracles import (
+    deviation_bounds,
+    entropy_highprec,
+    fock_povm,
+    omega_ref_direct,
+    virtual_ensemble_16dim,
+)
 
 BENCHMARK_DELTA = 0.126
 
@@ -188,23 +198,14 @@ def test_delta_vir_lower_limits():
     )
 
 
-def test_anchors_are_taken_once_per_side_channel_params():
-    # estimate reads the anchors in omega_ref_upper and in delta_vir_lower;
-    # both get one array, and a uniform row takes one root for its nine
-    # pairs, with the bits of nine
-    inputs = _pipeline()[3]
+def test_anchors_are_the_roots_of_one_minus_eps():
+    # a uniform row has the bits of nine roots, and delta_vir_lower sums
+    # the roots of the ZZ pairs
     rows = np.array([0.0, 5e-324, 1e-12, 1e-6, 0.3, 1.0 - 2.0**-53, 1.0])
-    batch = YieldTable(np.broadcast_to(inputs.yields.y, (len(rows), 9)))
-    for eps, yields in ((SideChannelParams.uniform(1e-6), inputs.yields),
-                        (SideChannelParams.uniform(rows), batch),
-                        (SideChannelParams(np.outer(rows, np.linspace(0.1, 1.0, 9))), batch)):
-        first = eps.anchors()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
-            estimate(replace(inputs, yields=yields, eps=eps))
-        assert eps.anchors() is first
+    for eps in (SideChannelParams.uniform(1e-6), SideChannelParams.uniform(rows),
+                SideChannelParams(np.outer(rows, np.linspace(0.1, 1.0, 9)))):
         roots = np.sqrt(1.0 - eps.eps)
-        np.testing.assert_array_equal(first, roots)
+        np.testing.assert_array_equal(eps.anchors(), roots)
         np.testing.assert_array_equal(
             delta_vir_lower(eps), 0.25 * roots[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
 
@@ -427,3 +428,114 @@ def test_estimate_takes_one_f_obj_per_row():
         alone = estimate(point)
         assert result.key_rate[i] == alone.key_rate and result.e_xx[i] == alone.e_xx
         assert result.omega_ref[i] == pytest.approx(alone.omega_ref, rel=1e-12, abs=1e-15)
+
+
+def _chain_of_public_steps(y, eps, f_obj, f_ec, sifting):
+    # the chain step by step through the checked functions, with both
+    # deviation bounds taken on every pair by the two-branch oracle and
+    # np.where keeping the one the sign of f_obj selects
+    params = SideChannelParams(eps)
+    lower, upper = deviation_bounds(y, params.anchors())
+    bounds = np.where(f_obj > 0.0, upper, lower)
+    om_ref_up = np.maximum((f_obj * bounds).sum(axis=-1), 0.0)
+    np.testing.assert_array_equal(omega_ref_upper(f_obj, YieldTable(y), params), om_ref_up)
+    om_up = omega_upper(om_ref_up, delta_vir_lower(params))
+    zz = y[..., list(ZZ_PAIR_INDICES)]
+    e_zz = bit_error_rate(zz)
+    zeta_obs = 0.25 * zz.sum(axis=-1)
+    e_xx = phase_error_rate(om_up, zeta_obs)
+    y_zz = zeta_obs if sifting is None else zeta_obs * sifting
+    return key_rate(y_zz, e_zz, e_xx, f_ec), e_zz, e_xx, om_ref_up, om_up, zeta_obs
+
+
+# every entry of a unit-interval table may be one of the edges
+_EDGES = st.sampled_from([0.0, 5e-324, np.finfo(float).tiny, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0])
+_UNIT = st.one_of(_EDGES, st.floats(0.0, 1.0))
+_F_OBJ = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _core_batches(draw):
+    n = draw(st.integers(1, 6))
+    y = np.array(draw(st.lists(st.lists(_UNIT, min_size=9, max_size=9), min_size=n, max_size=n)))
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        y[row, list(ZZ_PAIR_INDICES)] = draw(st.sampled_from([0.0, 5e-324]))  # no signal
+    if draw(st.booleans()):  # one eps per row, as a sweep has it
+        eps = np.repeat(np.array(draw(st.lists(_UNIT, min_size=n, max_size=n)))[:, None], 9, 1)
+    else:
+        eps = np.array(draw(st.lists(st.lists(_UNIT, min_size=9, max_size=9),
+                                     min_size=n, max_size=n)))
+    f_obj = np.array(draw(st.lists(st.lists(_F_OBJ, min_size=9, max_size=9),
+                                   min_size=n, max_size=n)))
+    f_ec = draw(st.sampled_from([1.0, 1.16, 2.0]))
+    sifting = draw(st.sampled_from([None, 0.0, 4.0 / 9.0, 1.0]))
+    return y, eps, f_obj, f_ec, sifting
+
+
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _messages(caught):
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def _check_core_against_chain(y, eps, f_obj, f_ec, sifting):
+    with warnings.catch_warnings(record=True) as core_warnings:
+        warnings.simplefilter("always")
+        columns, silent = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, f_ec, sifting)
+    # the chain warns of the omega_ref_upper clamp on every row, those
+    # without signal included, before it names them
+    with warnings.catch_warnings(record=True) as chain_warnings:
+        warnings.simplefilter("always")
+        try:
+            _chain_of_public_steps(y, eps, f_obj, f_ec, sifting)
+            rows = np.zeros(len(y), dtype=bool)
+        except NoSignalError as exc:
+            assert str(exc) == NO_SIGNAL
+            rows = exc.rows
+    assert _messages(core_warnings) == _messages(chain_warnings)
+    np.testing.assert_array_equal(silent, rows)
+    if silent.any():
+        inputs = EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NoSignalError, match=NO_SIGNAL) as excinfo:
+                estimate(inputs, f_ec=f_ec, sifting_prefactor=sifting)
+        np.testing.assert_array_equal(excinfo.value.rows, silent)
+    signal = ~silent
+    if not signal.any():
+        return
+    y, eps, f_obj = y[signal], eps[signal], f_obj[signal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = _chain_of_public_steps(y, eps, f_obj, f_ec, sifting)
+        result = estimate(EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj),
+                          f_ec=f_ec, sifting_prefactor=sifting)
+    fields = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
+    for name, core_column, chain_column in zip(fields, columns, chain):
+        _assert_bits_equal(core_column[signal], chain_column)
+        _assert_bits_equal(getattr(result, name), chain_column)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_core_batches())
+def test_core_equals_the_public_chain_bit_for_bit(batch):
+    _check_core_against_chain(*batch)
+
+
+def test_core_covers_the_clamp_and_the_edges():
+    # fixed cases the property must not miss: the omega_ref_upper clamp
+    # and its warning, eps 0 and 1, zero coefficients and a silent row
+    y = np.full((4, 9), 0.9)
+    y[3, list(ZZ_PAIR_INDICES)] = 0.0
+    eps = np.array([[0.0] * 9, [1.0] * 9, [1e-6] * 9, [1e-6] * 9])
+    f_obj = np.array([[2.0, 0.0, -0.0, 1.0, 0.5, 0.0, -1.0, 0.0, 0.0]] * 4)
+    with pytest.warns(UserWarning, match="clamped to 1"):
+        columns, silent = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, 1.16, None)
+    assert silent.tolist() == [False, False, False, True]
+    omega_ref_up = columns[3]
+    assert (omega_ref_up[:3] > 1.0).all() and (columns[4][:3] == 1.0).all()
+    _check_core_against_chain(y, eps, f_obj, 1.16, None)

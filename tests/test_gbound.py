@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import g_lower, g_upper
-from oracles import random_bounded_operator, random_pure_state
+from oracles import deviation_bounds, random_bounded_operator, random_pure_state
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# the seams, the endpoints and the smallest floats, beside any unit value
+edgy = st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1.0]),
+                 unit)
 
 
 def test_lower_zero_branch():
@@ -100,3 +103,14 @@ def test_sandwich_against_random_operators(seed, dim):
     y = min(y, 1.0)
     target = float(np.real(r.conj() @ m @ r))
     assert g_lower(x, y) - 1e-10 <= target <= g_upper(x, y) + 1e-10
+
+
+@given(x=st.lists(edgy, min_size=1, max_size=9), y=st.lists(edgy, min_size=1, max_size=9))
+def test_bits_of_the_two_branch_formula(x, y):
+    # one sign-selected branch gives each bound's bits, for floats and arrays
+    x, y = np.array(x), np.array(y)[:, None]
+    lower, upper = deviation_bounds(x, y)
+    for got, want in ((g_lower(x, y), lower), (g_upper(x, y), upper)):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert g_lower(x[0], y[0, 0]) == lower[0, 0] and g_upper(x[0], y[0, 0]) == upper[0, 0]

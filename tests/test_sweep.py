@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -28,6 +30,7 @@ from mdiqkd import (
 import mdiqkd._g12
 import mdiqkd.sweep
 from mdiqkd.channel import transmission_rates_grid
+from mdiqkd.estimator import NO_SIGNAL, _estimate_core
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError
 from mdiqkd.sweep import (
@@ -799,32 +802,34 @@ def test_denormal_yields_sweep_is_warning_free():
         run_loss_sweep(config)
 
 
-@pytest.mark.parametrize("config, batches", [
+@pytest.mark.parametrize("config, batches, n_silent", [
     # clean: one batch for the whole table
-    (TINY, [12]),
+    (TINY, [12], 0),
     # delta 1.5 is refused before the batch
-    (replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3), [6]),
-    # no signal anywhere: the one batch fails and nothing is left
-    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12]),
+    (replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
+    # no signal anywhere: the one batch gives error rows only
+    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
     # 8001 rows go in five even batches of at most BATCH_ROWS = 1820; the
     # 1899 rows without signal (zeta_obs subnormal or 0 beyond 3050.5 dB)
-    # leave the fourth batch once and empty the fifth
+    # are the last 299 of the fourth batch and all of the fifth
     (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.5)),
-     [1601, 1600, 1600, 1600, 1301, 1600]),
+     [1601, 1600, 1600, 1600, 1600], 1899),
 ], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
-def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches):
+def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_silent):
+    # a failing check runs no batch again: one core call per batch
     sizes = []
 
-    def counting_estimate(inputs, **kwargs):
-        sizes.append(len(inputs.yields.y))
-        return estimate(inputs, **kwargs)
+    def counting_core(yields, *args):
+        sizes.append(len(yields))
+        return _estimate_core(yields, *args)
 
-    monkeypatch.setattr(mdiqkd.sweep, "estimate", counting_estimate)
+    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
     points = run_loss_sweep(config)
-    failing_checks = {p.error for p in points} - {None}
     assert sizes == batches
-    n_batches = -(-len(points) // mdiqkd.sweep.BATCH_ROWS)
-    assert len(sizes) <= n_batches * (1 + len(failing_checks))
+    assert len(sizes) == -(-sum(sizes) // mdiqkd.sweep.BATCH_ROWS)
+    silent = [p for p in points if p.error == NO_SIGNAL]
+    assert len(silent) == n_silent
+    assert all(math.isnan(p.key_rate) and math.isnan(p.cond_s) for p in silent)
 
 
 def test_batches_keep_every_row_in_its_place(monkeypatch):
@@ -835,16 +840,17 @@ def test_batches_keep_every_row_in_its_place(monkeypatch):
     whole = run_loss_sweep(config)
     sizes = []
 
-    def counting_estimate(inputs, **kwargs):
-        sizes.append(len(inputs.yields.y))
-        return estimate(inputs, **kwargs)
+    def counting_core(yields, *args):
+        sizes.append(len(yields))
+        return _estimate_core(yields, *args)
 
-    monkeypatch.setattr(mdiqkd.sweep, "estimate", counting_estimate)
+    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
     monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 5)
     assert [repr(p) for p in run_loss_sweep(config)] == [repr(p) for p in whole]
-    # 36 rows of the two accepted deltas in eight even batches, four of
-    # which lose their rows without signal
-    assert sizes[:2] == [5, 5] and max(sizes) == 5 and len(sizes) == 12
+    # 36 rows of the two accepted deltas in eight even batches, one core
+    # call each, rows without signal included
+    assert sizes == [5, 5, 5, 5, 4, 4, 4, 4]
+    assert sum(p.error == NO_SIGNAL for p in whole) > 0
 
 
 _FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -4.5))
@@ -978,6 +984,47 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_cli_refuses_a_missing_output_directory_before_any_table(tmp_path, capsys,
+                                                                  monkeypatch, given_by):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mdiqkd.cli, "loss_table", no_table)
+    missing = tmp_path / "nodir"
+    argv = ["--eps", "1e-6", "--loss-start", "0", "--loss-stop", "1", "--loss-step", "0.5"]
+    if given_by == "flag":
+        argv += ["--out", str(missing / "x.csv")]
+    else:
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(f"output: {{path: {missing / 'x.csv'}}}\n")
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err == {"error": "FileNotFoundError",
+                   "message": f"output directory {str(missing)!r} does not exist"}
+    assert not missing.exists()
+
+
+def test_cli_start_up_and_csv_run_leave_json_unimported(tmp_path):
+    # json is imported only for JSON-lines error messages and the error report
+    code = (
+        "import sys\n"
+        "import mdiqkd.cli\n"
+        "assert 'json' not in sys.modules, 'import'\n"
+        "assert mdiqkd.cli.main(['--eps', '1e-6', '--loss-start', '0', '--loss-stop', '1',\n"
+        f"                        '--loss-step', '0.5', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "assert 'json' not in sys.modules, 'run'\n"
+    )
+    src = os.path.dirname(os.path.dirname(mdiqkd.sweep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
