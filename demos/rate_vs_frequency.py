@@ -9,13 +9,13 @@ point is a fixed 5 dB of transmission loss.
 
 import numpy as np
 
-from mdiqkd import ChannelParams, FrequencyRange, SweepConfig, run_frequency_sweep
+from mdiqkd import ChannelParams, FrequencyRange, SweepConfig, frequency_table
 
 config = SweepConfig(
     channel=ChannelParams(eta_d=0.145, p_d=6.02e-6, e_d=0.015),
     frequency_range=FrequencyRange(0.1, 4.0, 0.05, loss_db=5.0),
 )
-points = run_frequency_sweep(config)
+points = frequency_table(config).rows()
 
 print(f"  {'f/GHz':>6} {'eps':>10} {'R per pair':>12} {'R per second':>14}")
 for p in points[::10]:

@@ -9,14 +9,7 @@ while modulation errors barely move it. Also writes the perfect-
 modulation table to rate_vs_loss.csv in the deterministic CSV format.
 """
 
-from mdiqkd import (
-    ChannelParams,
-    LossRange,
-    SweepConfig,
-    curve_summaries,
-    emit_table,
-    run_loss_sweep,
-)
+from mdiqkd import ChannelParams, LossRange, SweepConfig, loss_table
 
 config = SweepConfig(
     channel=ChannelParams(eta_d=0.145, p_d=6.02e-6, e_d=0.015),
@@ -24,8 +17,8 @@ config = SweepConfig(
     delta_values=(0.0, 0.126),
     loss_range=LossRange(0.0, 12.0, 0.1),
 )
-points = run_loss_sweep(config)
-summaries = curve_summaries(points)
+table = loss_table(config)
+points = table.rows()
 
 marks = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 print("key rate per announced ZZ pair:")
@@ -42,7 +35,7 @@ for eps in config.eps_values:
 
 print("\npositive-rate cutoffs (largest loss with R > 0 on a 0.1 dB grid):")
 edge = config.loss_range.stop
-for s in summaries:
+for s in table.summaries():
     if s["cutoff"] is None:
         cutoff = "none"
     elif s["cutoff"] >= edge - 1e-9:
@@ -51,7 +44,6 @@ for s in summaries:
         cutoff = f"{s['cutoff']:.1f} dB"
     print(f"  eps = {s['eps']:<7} delta = {s['delta']:<6} cutoff = {cutoff}")
 
-table = [p for p in points if p.delta == 0.0]
-emit_table(table, "rate_vs_loss.csv", "csv",
-           summary=curve_summaries(table))
+perfect = table.select([p.delta == 0.0 for p in points])
+perfect.write("rate_vs_loss.csv", "csv", summary=perfect.summaries())
 print("\nwrote rate_vs_loss.csv")

@@ -28,11 +28,10 @@ from .sweep import (
     KeyRatePoint,
     LossRange,
     SweepConfig,
-    curve_summaries,
-    emit_table,
+    SweepTable,
+    frequency_table,
     load_config,
-    run_frequency_sweep,
-    run_loss_sweep,
+    loss_table,
 )
 
 __version__ = "0.1.0"
@@ -58,10 +57,9 @@ __all__ = [
     "KeyRatePoint",
     "LossRange",
     "SweepConfig",
-    "curve_summaries",
-    "emit_table",
+    "SweepTable",
+    "frequency_table",
     "load_config",
-    "run_frequency_sweep",
-    "run_loss_sweep",
+    "loss_table",
     "__version__",
 ]

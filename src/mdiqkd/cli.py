@@ -58,6 +58,8 @@ def main(argv=None):
         out_dir = os.path.dirname(config.out_path) or "."
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+        if os.path.isdir(config.out_path):
+            raise IsADirectoryError(f"output path {config.out_path!r} is a directory")
         # the table stays columns from the estimate to the file; write
         # range-checks it before it prints a line
         table = (loss_table if args.sweep == "loss" else frequency_table)(config)

@@ -10,11 +10,9 @@ built once per table, as one stack, and the estimator's unchecked core
 runs over the rows of the table in even batches of at most BATCH_ROWS,
 one call per batch and one batch for most tables; a row without signal,
 or of a refused reference set, becomes an error row of the table. A
-table stays columns (SweepTable) from the estimate to the file: the command line summarises, checks and writes it without
-building a row. Only library callers get rows: run_loss_sweep and
-run_frequency_sweep build them from the table in one pass, and
-curve_summaries and emit_table read the rows they are given back into
-one table, so each stage has one implementation.
+table stays columns (SweepTable) from the estimate to the file: the
+command line and library callers alike summarise, check and write it
+without building a row; rows() gives its KeyRatePoints for iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
@@ -24,7 +22,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +38,10 @@ __all__ = [
     "FrequencyRange",
     "SweepConfig",
     "KeyRatePoint",
+    "SweepTable",
     "load_config",
-    "run_loss_sweep",
-    "run_frequency_sweep",
-    "emit_table",
-    "curve_summaries",
+    "loss_table",
+    "frequency_table",
 ]
 
 # the most rows one table may hold; every row stays in memory until emission
@@ -162,6 +159,8 @@ class SweepConfig:
             raise ValueError("include_sifting must be true or false")
         if not 0.0 < real(self.cond_ceiling, "cond_ceiling") < math.inf:
             raise ValueError("cond_ceiling must be finite and > 0")
+        if not (isinstance(self.out_path, str) and self.out_path):
+            raise ValueError(f"output.path must be a non-empty string, got {self.out_path!r}")
         if self.out_format not in ("csv", "json-lines"):
             raise ValueError("format must be csv or json-lines")
         fr, lr = self.frequency_range, self.loss_range
@@ -374,11 +373,6 @@ def _estimate_batch(config, values, messages, rows, yields, roots, f_obj, upper)
 _COLUMN = {name: i for i, name in enumerate(KeyRatePoint._fields)}
 
 
-def _floats(column):
-    """A column of numbers as a float array; None, as an error row may carry, reads nan."""
-    return np.fromiter(column, dtype=float, count=len(column))
-
-
 def _good_rows(errors):
     """Mask of the rows whose error is None."""
     if errors.count(None) == len(errors):  # ~10x faster than the general case
@@ -390,31 +384,21 @@ class SweepTable:
     """A sweep table as columns, from the estimate to the file.
 
     numbers: every KeyRatePoint field but the error as one (11, rows)
-    float64 array, None read as nan, which the checks, the summaries and
-    the writer read; errors: per row None or its error message;
-    frequency_axis: True for a frequency table, the only one whose rows
-    carry key_per_second; good: the mask of the rows whose error is
-    None. A table read from rows keeps them, so that what it reports of
-    a row (an error row's fields, a summary's labels and cutoff, the
-    refused row's coordinate) is the value the row carries.
+    float64 array, nan in an error row's numbers and in a loss table's
+    key_per_second, which the checks, the summaries and the writer read;
+    errors: per row None or its error message; frequency_axis: True for a
+    frequency table, the only one whose rows carry key_per_second; good:
+    the mask of the rows whose error is None. A table has at least one
+    row.
     """
 
-    __slots__ = ("numbers", "errors", "frequency_axis", "good", "_points")
+    __slots__ = ("numbers", "errors", "frequency_axis", "good")
 
-    def __init__(self, numbers, errors, frequency_axis, points=None):
+    def __init__(self, numbers, errors, frequency_axis):
         self.numbers = numbers
         self.errors = errors
         self.frequency_axis = frequency_axis
         self.good = _good_rows(errors)
-        self._points = points
-
-    @classmethod
-    def of_rows(cls, points):
-        """The table of a non-empty list of rows, transposed once."""
-        columns = list(zip(*points))
-        numbers = np.array([_floats(c) for c in columns[:-1]])
-        frequency_axis = columns[_COLUMN["key_per_second"]].count(None) < len(points)
-        return cls(numbers, columns[-1], frequency_axis, points)
 
     def rows(self):
         """The table as a list of KeyRatePoints, built in one pass."""
@@ -424,13 +408,24 @@ class SweepTable:
         # tuple.__new__ skips the named tuple's Python-level __new__
         return list(map(tuple.__new__, repeat(KeyRatePoint), zip(*columns, self.errors)))
 
+    def select(self, mask):
+        """The table of the rows where mask, a boolean array over the rows, is True.
+
+        ValueError for a mask that is not boolean, does not match the
+        rows, or keeps no row.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != self.good.shape:
+            raise ValueError(f"need a boolean mask over the {self.good.size} rows,"
+                             f" got {mask.dtype} of shape {mask.shape}")
+        if not mask.any():
+            raise ValueError("the mask keeps no row")
+        errors = list(compress(self.errors, mask.tolist()))
+        return SweepTable(self.numbers[:, mask], errors, self.frequency_axis)
+
     def _values(self, fields, rows):
         """The values of the named fields at the given rows, one list per field."""
-        places = [_COLUMN[f] for f in fields]
-        if self._points is None:
-            return self.numbers[np.ix_(places, rows)].tolist()
-        points = [self._points[r] for r in rows.tolist()]
-        return [[p[k] for p in points] for k in places]
+        return self.numbers[np.ix_([_COLUMN[f] for f in fields], rows)].tolist()
 
     def check(self):
         """Refuse a table with an impossible good row.
@@ -464,7 +459,14 @@ class SweepTable:
             raise ValueError(f"invalid diagnostics in row at coordinate {coordinate!r}")
 
     def summaries(self):
-        """Positive-rate cutoff per curve along the scan axis; see curve_summaries."""
+        """Positive-rate cutoff per curve along the scan axis.
+
+        Loss tables carry one curve per (eps, delta) combination; frequency
+        tables tie eps to the coordinate, so a curve is one delta. The
+        cutoff is the largest coordinate with key_rate > 0. A curve that
+        returns to positive rate after a zero would make that notion
+        ill-defined; such revival is flagged (and is loudly surprising).
+        """
         coordinate, eps, delta, key_rate = self.numbers[:4]
         labels = ("delta",) if self.frequency_axis else ("eps", "delta")
         keys = [delta] if self.frequency_axis else [eps, delta]
@@ -502,7 +504,18 @@ class SweepTable:
         return summaries
 
     def write(self, path, out_format, summary=None):
-        """Check the table, then write it (and an optional summary block); see emit_table."""
+        """Check the table, then write it (and an optional summary block) deterministically.
+
+        The coordinate column is named frequency_ghz in a frequency table,
+        the only one with a key_per_second column, and loss_db otherwise.
+        CSV: one header line, one line per row, then '# summary ...'
+        comment lines. JSON-lines: one object per row, then one summary
+        object per curve. Every good row is range-checked, as columns,
+        before any is printed. A good row's numbers are printed by the
+        digit kernel of mdiqkd._g12, which gives the bytes of
+        f"{value:.12g}"; an error row is printed field by field, its nan
+        as nan in CSV and as null in JSON-lines.
+        """
         self.check()
         fields = ["coordinate", "eps", "delta", "key_rate"]
         if self.frequency_axis:
@@ -517,9 +530,7 @@ class SweepTable:
             suffix = ",\n"
 
             def error_line(row, error):
-                # a library caller's error row may carry None, printed empty
-                cells = ("" if v is None else "%.12g" % v for v in row)
-                return ",".join(cells) + "," + _csv_quote(error)
+                return ",".join("%.12g" % v for v in row) + "," + _csv_quote(error)
 
             head = ",".join([*names, "error"]) + "\n"
             tail = "".join("# summary {" + payload + "}\n" for payload in payloads)
@@ -605,30 +616,6 @@ def frequency_table(config):
     return _sweep_table(config, freqs, eps_rows, rates, per_second=True)
 
 
-def run_loss_sweep(config):
-    """Key-rate rows over the loss grid for every (eps, delta) combination."""
-    return loss_table(config).rows()
-
-
-def run_frequency_sweep(config):
-    """Per-second key-rate rows over the frequency grid at fixed loss."""
-    return frequency_table(config).rows()
-
-
-def curve_summaries(points):
-    """Positive-rate cutoff per curve along the scan axis.
-
-    Loss tables carry one curve per (eps, delta) combination; frequency
-    tables tie eps to the coordinate, so a curve is one delta. The cutoff
-    is the largest coordinate with key_rate > 0. A curve that returns to
-    positive rate after a zero would make that notion ill-defined; such
-    revival is flagged (and is loudly surprising).
-    """
-    if not points:
-        return []
-    return SweepTable.of_rows(points).summaries()
-
-
 def _csv_quote(text):
     if any(ch in text for ch in ',"\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -645,23 +632,3 @@ def _fmt_json(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     return f"{value:.12g}"
-
-
-def emit_table(points, path, out_format, summary=None):
-    """Write rows (and an optional summary block) deterministically.
-
-    The coordinate column is named loss_db, or frequency_ghz for the rows
-    of a frequency sweep, the only rows that carry key_per_second; a
-    table that mixes the two is refused. CSV: one header line, one line
-    per point, then '# summary ...' comment lines. JSON-lines: one object
-    per point, then one summary object. Every good row is range-checked,
-    as columns, before any is printed. A good row's numbers are printed
-    by the digit kernel of mdiqkd._g12, which gives the bytes of
-    f"{value:.12g}"; an error row is printed field by field.
-    """
-    if not points:
-        raise ValueError("no points to emit")
-    table = SweepTable.of_rows(points)
-    if table.frequency_axis and any(p.key_per_second is None for p in points):
-        raise ValueError("table mixes loss and frequency sweep rows")
-    return table.write(path, out_format, summary)

@@ -236,7 +236,7 @@ def _json_field(value):
 
 
 def table_text(points, out_format, summary=None):
-    """A sweep table as emit_table writes it, formatting field by field.
+    """A sweep table as SweepTable.write writes it, formatting field by field.
 
     points: rows with the TABLE_COLUMNS attributes; the table is a
     frequency table when any row carries key_per_second.
@@ -274,7 +274,7 @@ def table_row(coordinate, eps, delta, cond_s, outcome, per_second):
 
 
 def validate_row(row):
-    """emit_table's range checks on one row, in turn; ValueError on a bad good row.
+    """SweepTable.check's range checks on one row, in turn; ValueError on a bad good row.
 
     row: an object with the TABLE_COLUMNS attributes. An error row passes;
     on a good row every check refuses nan.
@@ -299,7 +299,7 @@ def validate_row(row):
 
 
 def curve_summaries_by_row(points):
-    """curve_summaries without its warnings, gathering rows curve by curve.
+    """SweepTable.summaries without its warnings, gathering rows curve by curve.
 
     A curve is the rows of one (eps, delta), or of one delta in a
     frequency table; it is labelled by its first row, curves follow in

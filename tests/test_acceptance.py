@@ -23,14 +23,13 @@ from mdiqkd import (
     build_bsm_povm,
     build_estimation_inputs,
     build_S_matrix,
-    curve_summaries,
     estimate,
+    frequency_table,
     g_lower,
     g_upper,
+    loss_table,
     make_reference_state,
     reference_yields,
-    run_frequency_sweep,
-    run_loss_sweep,
     transmission_rates,
 )
 from mdiqkd.channel import PSI_MINUS
@@ -46,8 +45,8 @@ def _report(capsys, ok, label):
     assert ok, label
 
 
-def _cutoff(points):
-    (summary,) = curve_summaries(points)
+def _cutoff(table):
+    (summary,) = table.summaries()
     assert not summary["revival"]
     return summary["cutoff"]
 
@@ -71,9 +70,9 @@ def test_criterion_1_positive_rate_cutoff(capsys):
         loss_range=LossRange(0.0, 12.0, 0.05),
     )
     t0 = time.perf_counter()
-    points = run_loss_sweep(config)
+    table = loss_table(config)
     runtime = time.perf_counter() - t0
-    cutoff = _cutoff(points)
+    cutoff = _cutoff(table)
     ok = 6.5 <= cutoff <= 9.5 and runtime < 10.0
     _report(
         capsys, ok,
@@ -98,8 +97,8 @@ def test_criterion_2_robust_to_modulation_errors(capsys):
         delta_values=(0.0,),
         loss_range=LossRange(20.0, 34.0, 0.05),
     )
-    cut0 = _cutoff(run_loss_sweep(config))
-    cut1 = _cutoff(run_loss_sweep(replace(config, delta_values=(0.126,))))
+    cut0 = _cutoff(loss_table(config))
+    cut1 = _cutoff(loss_table(replace(config, delta_values=(0.126,))))
     shift = abs(cut0 - cut1)
     ok = worst_ratio < 2.0 and shift < 1.0
     _report(
@@ -134,7 +133,7 @@ def test_criterion_4_interior_clock_optimum(capsys):
         channel=BENCHMARK_CHANNEL,
         frequency_range=FrequencyRange(0.1, 4.0, 0.05, loss_db=5.0),
     )
-    points = run_frequency_sweep(config)
+    points = frequency_table(config).rows()
     per_second = [p.key_per_second for p in points]
     best = int(np.argmax(per_second))
     ok = 0 < best < len(points) - 1 and per_second[best] > 0.0

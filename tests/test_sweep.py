@@ -38,11 +38,10 @@ from mdiqkd.sweep import (
     KeyRatePoint,
     LossRange,
     SweepConfig,
-    curve_summaries,
-    emit_table,
+    SweepTable,
+    frequency_table,
     load_config,
-    run_frequency_sweep,
-    run_loss_sweep,
+    loss_table,
 )
 from oracles import curve_summaries_by_row, table_row, table_text, validate_row
 
@@ -58,6 +57,13 @@ def _point(coordinate, key_rate, eps=1e-6, delta=0.0, error=None):
         coordinate, eps, delta, key_rate, 0.01, 0.1, 0.0, 0.1, 0.05, 10.0,
         error=error,
     )
+
+
+def _table(rows):
+    """The SweepTable of hand-built rows; a frequency table if any row carries key_per_second."""
+    axis = any(p.key_per_second is not None for p in rows)
+    return SweepTable(np.array([p[:11] for p in rows], dtype=float).T, [p.error for p in rows],
+                      axis)
 
 
 def test_loss_range_grid():
@@ -322,7 +328,7 @@ def test_key_rate_point_contract():
 
 
 def test_run_loss_sweep_row_order_and_diagnostics():
-    points = run_loss_sweep(TINY)
+    points = loss_table(TINY).rows()
     assert len(points) == 12
     # eps is the outer loop, then delta, then the loss grid
     assert [p.eps for p in points] == [1e-6] * 6 + [1e-7] * 6
@@ -338,7 +344,7 @@ def test_run_loss_sweep_row_order_and_diagnostics():
 
 def test_run_loss_sweep_records_failures_and_continues():
     config = replace(TINY, cond_ceiling=1.0)
-    points = run_loss_sweep(config)
+    points = loss_table(config).rows()
     assert len(points) == 12
     for p in points:
         assert p.error is not None and "cond" in p.error
@@ -347,19 +353,19 @@ def test_run_loss_sweep_records_failures_and_continues():
 
 def test_curve_summaries_cutoff():
     points = [_point(0.0, 1.0), _point(1.0, 0.5), _point(2.0, 0.0)]
-    (summary,) = curve_summaries(points)
+    (summary,) = _table(points).summaries()
     assert summary == {"eps": 1e-6, "delta": 0.0, "cutoff": 1.0, "revival": False}
 
 
 def test_curve_summaries_all_zero_curve():
-    (summary,) = curve_summaries([_point(0.0, 0.0), _point(1.0, 0.0)])
+    (summary,) = _table([_point(0.0, 0.0), _point(1.0, 0.0)]).summaries()
     assert summary["cutoff"] is None
 
 
 def test_curve_summaries_flags_revival():
     points = [_point(0.0, 1.0), _point(1.0, 0.0), _point(2.0, 0.5)]
     with pytest.warns(UserWarning, match="revival"):
-        (summary,) = curve_summaries(points)
+        (summary,) = _table(points).summaries()
     assert summary["revival"] is True
     assert summary["cutoff"] == 2.0
 
@@ -371,21 +377,21 @@ def test_curve_summaries_error_rows_break_the_curve():
         _point(2.0, 0.5),
     ]
     with pytest.warns(UserWarning, match="revival"):
-        (summary,) = curve_summaries(points)
+        (summary,) = _table(points).summaries()
     assert summary["revival"] is True
 
 
-def _summaries_and_warnings(points):
+def _summaries_and_warnings(table):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        summaries = curve_summaries(points)
+        summaries = table.summaries()
     return summaries, [str(w.message) for w in caught]
 
 
-def _assert_summaries_like_the_oracle(points):
-    summaries, warned = _summaries_and_warnings(points)
-    expected = curve_summaries_by_row(points)
-    # repr tells -0.0 from 0.0 and an int coordinate from a float
+def _assert_summaries_like_the_oracle(table):
+    summaries, warned = _summaries_and_warnings(table)
+    expected = curve_summaries_by_row(table.rows())
+    # repr tells -0.0 from 0.0
     assert repr(summaries) == repr(expected)
     labels = [", ".join(f"{k}={s[k]}" for k in s if k not in ("cutoff", "revival"))
               for s in expected if s["revival"]]
@@ -410,9 +416,9 @@ def test_curve_summaries_match_the_curve_by_curve_oracle(seed):
                                delta=delta, error=error))
     order = rng.permutation(len(rows))
     points = [rows[i] for i in order]
-    _assert_summaries_like_the_oracle(points)
+    _assert_summaries_like_the_oracle(_table(points))
     frequency = [p._replace(key_per_second=p.key_rate * 1e9) for p in points]
-    _assert_summaries_like_the_oracle(frequency)
+    _assert_summaries_like_the_oracle(_table(frequency))
 
 
 @pytest.mark.parametrize("config", [
@@ -424,14 +430,14 @@ def test_curve_summaries_match_the_curve_by_curve_oracle(seed):
             frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=3100.0)),
 ], ids=["cutoffs", "no-signal"])
 def test_sweep_summaries_match_the_curve_by_curve_oracle(config):
-    _assert_summaries_like_the_oracle(run_loss_sweep(config))
-    _assert_summaries_like_the_oracle(run_frequency_sweep(config))
+    _assert_summaries_like_the_oracle(loss_table(config))
+    _assert_summaries_like_the_oracle(frequency_table(config))
 
 
 def test_emit_table_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    points = [_point(0.0, 1.2345678901234e-4)]
-    emit_table(points, str(path), "csv", summary=curve_summaries(points))
+    table = _table([_point(0.0, 1.2345678901234e-4)])
+    table.write(str(path), "csv", summary=table.summaries())
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "loss_db"
@@ -445,7 +451,7 @@ def test_emit_table_csv_layout(tmp_path):
 
 def test_emit_table_twelve_digit_rounding(tmp_path):
     path = tmp_path / "t.csv"
-    emit_table([_point(0.0, 1.0 / 3.0)], str(path), "csv")
+    _table([_point(0.0, 1.0 / 3.0)]).write(str(path), "csv")
     lines = path.read_text().splitlines()
     assert len(lines) == 2  # header + the single row
     assert lines[1].split(",")[3] == "0.333333333333"
@@ -453,8 +459,9 @@ def test_emit_table_twelve_digit_rounding(tmp_path):
 
 def test_emit_table_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
-    points = run_loss_sweep(replace(TINY, eps_values=(1e-6,), delta_values=(0.0,)))
-    emit_table(points, str(path), "json-lines", summary=curve_summaries(points))
+    table = loss_table(replace(TINY, eps_values=(1e-6,), delta_values=(0.0,)))
+    table.write(str(path), "json-lines", summary=table.summaries())
+    points = table.rows()
     lines = path.read_text().splitlines()
     assert len(lines) == len(points) + 1
     for line, p in zip(lines, points):
@@ -466,37 +473,41 @@ def test_emit_table_jsonl_round_trip(tmp_path):
 
 
 def test_emit_table_deterministic(tmp_path):
-    points = run_loss_sweep(replace(TINY, eps_values=(1e-6,)))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_table(points, str(a), "csv", summary=curve_summaries(points))
-    emit_table(points, str(b), "csv", summary=curve_summaries(points))
+    for path in (a, b):
+        table = loss_table(replace(TINY, eps_values=(1e-6,)))
+        table.write(str(path), "csv", summary=table.summaries())
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_emit_table_rejects_empty():
-    with pytest.raises(ValueError):
-        emit_table([], "nowhere.csv", "csv")
+@pytest.mark.parametrize("mask, message", [
+    ([1, 0, 1], "need a boolean mask over the 3 rows, got int64 of shape (3,)"),
+    ([True, False], "need a boolean mask over the 3 rows, got bool of shape (2,)"),
+    ([[True, False, True]], "need a boolean mask over the 3 rows, got bool of shape (1, 3)"),
+    ([False, False, False], "the mask keeps no row"),
+], ids=["not-bool", "wrong-length", "wrong-shape", "all-false"])
+def test_select_refuses_a_bad_mask(mask, message):
+    table = _table([_point(0.0, 1.0), _point(1.0, 0.5), _point(2.0, 0.0)])
+    with pytest.raises(ValueError) as exc:
+        table.select(mask)
+    assert str(exc.value) == message
 
 
 def test_emit_table_revalidates_diagnostics(tmp_path):
     bad = KeyRatePoint(0.0, 1e-6, 0.0, -0.1, 0.01, 0.1, 0.0, 0.1, 0.05, 10.0)
     with pytest.raises(ValueError, match="diagnostics"):
-        emit_table([bad], str(tmp_path / "t.csv"), "csv")
+        _table([bad]).write(str(tmp_path / "t.csv"), "csv")
     # rows that failed upstream carry NaNs legitimately
     failed = _point(0.0, float("nan"), error="cond(S) too large, aborted")
     out = tmp_path / "t.csv"
-    emit_table([failed], str(out), "csv")
+    _table([failed]).write(str(out), "csv")
     row = out.read_text().splitlines()[1]
     assert row.startswith("0,") and row.endswith('"cond(S) too large, aborted"')
     # a good row may not carry nan, which only error rows print (as null in JSON)
     for bad in (_point(math.nan, 1.0), _point(0.0, 1.0, eps=math.nan),
                 _point(0.0, 1.0)._replace(key_per_second=math.nan)):
         with pytest.raises(ValueError, match="diagnostics"):
-            emit_table([bad], str(tmp_path / "t.jsonl"), "json-lines")
-    # a frequency table needs key_per_second on every row
-    loss_row = _point(1.0, 1.0)
-    with pytest.raises(ValueError, match="mixes"):
-        emit_table([loss_row._replace(key_per_second=1e9), loss_row], str(out), "csv")
+            _table([bad]).write(str(tmp_path / "t.jsonl"), "json-lines")
 
 
 # a value that fails each range check of a good row, then nan in every number
@@ -541,22 +552,9 @@ def test_emit_table_refuses_the_first_bad_row_like_the_per_row_oracle(tmp_path, 
         assert expected == "invalid diagnostics in row at coordinate " + repr(
             points[places[0]].coordinate)
         with pytest.raises(ValueError) as exc:
-            emit_table(points, str(tmp_path / "t"), "csv")
+            _table(points).write(str(tmp_path / "t"), "csv")
         assert str(exc.value) == expected
         assert not (tmp_path / "t").exists()
-
-
-def test_error_rows_may_carry_none_for_numbers(tmp_path):
-    # only an error row's numbers are never compared; JSON-lines spells
-    # None null, as it does nan
-    nothing = KeyRatePoint(2.0, 1e-6, 0.1, *[None] * 7, error="boom")
-    points = [_point(0.0, 1.0, delta=0.1), _point(1.0, 0.0, delta=0.1), nothing]
-    summary = curve_summaries(points)
-    assert summary == [{"eps": 1e-6, "delta": 0.1, "cutoff": 0.0, "revival": False}]
-    path = tmp_path / "t.jsonl"
-    emit_table(points, str(path), "json-lines", summary=summary)
-    assert path.read_bytes() == table_text(points, "json-lines", summary).encode()
-    assert json.loads(path.read_text().splitlines()[2])["key_rate"] is None
 
 
 def _hand_built_rows():
@@ -567,8 +565,6 @@ def _hand_built_rows():
         _point(4.0, nan, error='cond(S) = 1e+30, "aborted",\nsee log'),
         _point(5.0, nan, error="plain message"),
         _point(6.0, nan, error="first line\nsecond line"),
-        # a library caller's error row may carry None where a sweep puts nan
-        KeyRatePoint(7.0, 1e-6, 0.1, *[None] * 7, error="boom"),
     ]
     frequency = [
         _point(0.5, 1e-300)._replace(key_per_second=5e-292),
@@ -586,17 +582,17 @@ def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
     config = replace(TINY, loss_range=LossRange(0, 2, 1),
                      frequency_range=FrequencyRange(0.5, 4.0, 0.5, loss_db=5.0,
                                                     anchor_high=(4.0, -4.5)))
-    points = {
-        "loss": lambda: run_loss_sweep(config),
-        "frequency": lambda: run_frequency_sweep(config),
-        "hand-built-loss": lambda: _hand_built_rows()[0],
-        "hand-built-frequency": lambda: _hand_built_rows()[1],
-    }[rows]()
+    if rows.startswith("hand-built"):
+        points = _hand_built_rows()[rows == "hand-built-frequency"]
+        table = _table(points)
+    else:
+        table = (loss_table if rows == "loss" else frequency_table)(config)
+        points = table.rows()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # hand-built curves revive
-        summary = curve_summaries(points)
+        summary = table.summaries()
     path = tmp_path / "table"
-    emit_table(points, str(path), out_format, summary=summary)
+    table.write(str(path), out_format, summary=summary)
     assert path.read_bytes() == table_text(points, out_format, summary).encode()
 
 
@@ -604,20 +600,27 @@ def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
 @pytest.mark.parametrize("out_format", ["csv", "json-lines"])
 def test_emit_table_writes_every_line_whatever_the_chunk(tmp_path, monkeypatch, out_format,
                                                          chunk_rows):
-    # the refused delta's error rows straddle the chunk edges
-    points = run_loss_sweep(replace(TINY, loss_range=LossRange(0.0, 5.0, 0.5),
-                                    delta_values=(0.0, 1.5), cond_ceiling=1e3))
-    summary = curve_summaries(points)
+    # of 44 rows, the refused delta's error rows are rows 11-21 and 33-43;
+    # the kept ones straddle the chunk edges of the selected table
+    table = loss_table(replace(TINY, loss_range=LossRange(0.0, 5.0, 0.5),
+                               delta_values=(0.0, 1.5), cond_ceiling=1e3))
+    points = table.rows()
+    places = np.arange(len(points))
+    masks = [places < rows for rows in (1, 2, 3, 20, 43, 44)]
+    masks += [places % 3 != 1, (places > 8) & (places < 36), places % 2 == 1]
     monkeypatch.setattr(mdiqkd._g12, "CHUNK_ROWS", chunk_rows)
-    for rows in (1, 2, 3, 20, 43, 44):  # of 44 rows, with 4 summary lines
-        path = tmp_path / f"t{rows}"
-        emit_table(points[:rows], str(path), out_format, summary=summary)
-        assert path.read_bytes() == table_text(points[:rows], out_format, summary).encode()
+    for i, mask in enumerate(masks):
+        selected = table.select(mask)
+        kept = [p for p, keep in zip(points, mask) if keep]
+        path = tmp_path / f"t{i}"
+        selected.write(str(path), out_format, summary=selected.summaries())
+        expected = table_text(kept, out_format, curve_summaries_by_row(kept))
+        assert path.read_bytes() == expected.encode()
 
 
 def test_frequency_sweep_requires_loss():
     with pytest.raises(ValueError, match="loss_db"):
-        run_frequency_sweep(TINY)
+        frequency_table(TINY)
 
 
 def test_frequency_sweep_per_second_column():
@@ -627,7 +630,7 @@ def test_frequency_sweep_per_second_column():
         delta_values=(0.0,),
         frequency_range=FrequencyRange(1.0, 3.0, 1.0, loss_db=5.0),
     )
-    points = run_frequency_sweep(config)
+    points = frequency_table(config).rows()
     assert [p.coordinate for p in points] == [1.0, 2.0, 3.0]
     for p in points:
         assert p.key_per_second == pytest.approx(p.key_rate * p.coordinate * 1e9)
@@ -641,7 +644,7 @@ def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
         frequency_range=FrequencyRange(1.0, 2.0, 1.0, loss_db=5.0),
     )
     path = tmp_path / "f.csv"
-    emit_table(run_frequency_sweep(config), str(path), "csv")
+    frequency_table(config).write(str(path), "csv")
     header = path.read_text().splitlines()[0].split(",")
     assert header[0] == "frequency_ghz"
     assert "key_per_second" in header and "loss_db" not in header
@@ -653,8 +656,7 @@ def test_frequency_summaries_group_by_delta():
         eps_values=(1e-6,),
         frequency_range=FrequencyRange(1.0, 3.0, 1.0, loss_db=5.0),
     )
-    points = run_frequency_sweep(config)
-    summaries = curve_summaries(points)
+    summaries = frequency_table(config).summaries()
     # eps varies along the axis, so it cannot label a curve
     assert [set(s) for s in summaries] == [{"delta", "cutoff", "revival"}] * 2
     assert [s["delta"] for s in summaries] == [0.0, 0.1]
@@ -672,7 +674,7 @@ def test_frequency_sweep_flat_map_scales_with_clock():
             1.0, 3.0, 0.5, loss_db=5.0, anchor_high=(4.0, -9.0)
         ),
     )
-    points = run_frequency_sweep(config)
+    points = frequency_table(config).rows()
     rates = [p.key_rate for p in points]
     assert max(rates) - min(rates) < 1e-15
     per_second = [p.key_per_second for p in points]
@@ -708,7 +710,8 @@ def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
     )
 
 
-def _assert_pinned(points, expected):
+def _assert_pinned(table, expected):
+    points = table.rows()
     assert len(points) == len(expected)
     for got, want in zip(points, expected):
         # repr tells -0.0 from 0.0
@@ -724,7 +727,7 @@ def _assert_pinned(points, expected):
             assert (a is None) == (b is None), name
             assert a is None or math.isclose(a, b, rel_tol=PIN_REL, abs_tol=0.0), (
                 name, got.coordinate, a, b)
-    assert curve_summaries(points) == curve_summaries(expected)
+    assert table.summaries() == curve_summaries_by_row(expected)
 
 
 def _expected_loss_rows(config):
@@ -769,9 +772,10 @@ def _expected_loss_rows(config):
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
-        points = run_loss_sweep(config)
+        table = loss_table(config)
         expected = _expected_loss_rows(config)
-    _assert_pinned(points, expected)
+    _assert_pinned(table, expected)
+    points = table.rows()
     errors = {p.error for p in points}
     if config.cond_ceiling == 1e3:
         assert all(("cond" in p.error) == (p.delta == 1.5) for p in points
@@ -783,8 +787,8 @@ def test_loss_sweep_matches_scalar_chain(config):
         assert all((p.error is None) == (p.delta != math.pi / 4) for p in points)
         assert all("exceeds ceiling" in p.error for p in points if p.error is not None)
         # the other deltas' rows are those of a sweep without pi/4, bit for bit
-        assert [p for p in points if p.delta != math.pi / 4] == run_loss_sweep(
-            replace(config, delta_values=(0.0, 0.1)))
+        assert [p for p in points if p.delta != math.pi / 4] == loss_table(
+            replace(config, delta_values=(0.0, 0.1))).rows()
     if config.channel.eta_d == 0.0 or config.loss_range.start == 3150.0:
         assert errors == {"all ZZ yields vanish"}
     elif config.channel.p_d == 0.0:
@@ -799,7 +803,7 @@ def test_denormal_yields_sweep_is_warning_free():
                      loss_range=LossRange(3150.0, 3250.0, 5.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_loss_sweep(config)
+        loss_table(config)
 
 
 @pytest.mark.parametrize("config, batches, n_silent", [
@@ -824,7 +828,7 @@ def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_
         return _estimate_core(yields, *args)
 
     monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
-    points = run_loss_sweep(config)
+    points = loss_table(config).rows()
     assert sizes == batches
     assert len(sizes) == -(-sum(sizes) // mdiqkd.sweep.BATCH_ROWS)
     silent = [p for p in points if p.error == NO_SIGNAL]
@@ -837,7 +841,7 @@ def test_batches_keep_every_row_in_its_place(monkeypatch):
     # many small batches give the rows of one batch, bit for bit
     config = replace(TINY, channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
                      cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
-    whole = run_loss_sweep(config)
+    whole = loss_table(config).rows()
     sizes = []
 
     def counting_core(yields, *args):
@@ -846,7 +850,7 @@ def test_batches_keep_every_row_in_its_place(monkeypatch):
 
     monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
     monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 5)
-    assert [repr(p) for p in run_loss_sweep(config)] == [repr(p) for p in whole]
+    assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
     # 36 rows of the two accepted deltas in eight even batches, one core
     # call each, rows without signal included
     assert sizes == [5, 5, 5, 5, 4, 4, 4, 4]
@@ -866,11 +870,10 @@ def _expected_frequency_rows(config):
 def test_frequency_sweep_matches_scalar_chain():
     config = replace(TINY, delta_values=(0.0, 0.126), include_sifting=True,
                      frequency_range=_FREQUENCY_MAP)
-    points = run_frequency_sweep(config)
-    _assert_pinned(points, _expected_frequency_rows(config))
+    table = frequency_table(config)
+    _assert_pinned(table, _expected_frequency_rows(config))
     # the map drives both curves through their cutoff
-    assert all(s["cutoff"] is not None and s["cutoff"] < 4.0
-               for s in curve_summaries(points))
+    assert all(s["cutoff"] is not None and s["cutoff"] < 4.0 for s in table.summaries())
 
 
 def test_frequency_sweep_without_signal_matches_scalar_chain():
@@ -878,11 +881,12 @@ def test_frequency_sweep_without_signal_matches_scalar_chain():
     # so every row is an error row
     config = replace(TINY, channel=ChannelParams(p_d=0.0),
                      frequency_range=replace(_FREQUENCY_MAP, loss_db=3100.0))
-    points = run_frequency_sweep(config)
-    _assert_pinned(points, _expected_frequency_rows(config))
+    table = frequency_table(config)
+    _assert_pinned(table, _expected_frequency_rows(config))
+    points = table.rows()
     assert {p.error for p in points} == {"all ZZ yields vanish"}
     assert all(math.isnan(p.key_per_second) for p in points)
-    assert [s["cutoff"] for s in curve_summaries(points)] == [None, None]
+    assert [s["cutoff"] for s in table.summaries()] == [None, None]
 
 
 def _rows_one_by_one(config, sweep):
@@ -922,8 +926,7 @@ def _rows_one_by_one(config, sweep):
             frequency_range=replace(_FREQUENCY_MAP, loss_db=3050.5)),
 ], ids=["clean", "repeated-deltas", "refused-delta", "no-signal"])
 def test_rows_match_the_row_by_row_builder_bit_for_bit(config, sweep):
-    run = run_loss_sweep if sweep == "loss" else run_frequency_sweep
-    points = run(config)
+    points = (loss_table if sweep == "loss" else frequency_table)(config).rows()
     assert all(type(p) is KeyRatePoint for p in points)
     assert [repr(tuple(p)) for p in points] == [repr(r) for r in _rows_one_by_one(config, sweep)]
 
@@ -943,7 +946,7 @@ def test_rate_nonincreasing_in_loss(lg_eps, delta, eta_d, lg_p_d, e_d):
         delta_values=(delta,),
         loss_range=LossRange(0.0, 60.0, 0.25),
     )
-    rates = [p.key_rate for p in run_loss_sweep(config)]
+    rates = [p.key_rate for p in loss_table(config).rows()]
     assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
@@ -986,27 +989,36 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
-@pytest.mark.parametrize("given_by", ["flag", "config"])
+@pytest.mark.parametrize("given_by, out", [
+    ("flag", "missing-directory"), ("config", "missing-directory"), ("flag", "empty"),
+    ("flag", "directory"), ("config", "number"),
+], ids=["flag", "config", "flag-empty", "flag-directory", "config-number"])
 def test_cli_refuses_a_missing_output_directory_before_any_table(tmp_path, capsys,
-                                                                  monkeypatch, given_by):
+                                                                  monkeypatch, given_by, out):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(mdiqkd.cli, "loss_table", no_table)
     missing = tmp_path / "nodir"
+    path, error, message = {
+        "missing-directory": (str(missing / "x.csv"), "FileNotFoundError",
+                              f"output directory {str(missing)!r} does not exist"),
+        "empty": ("", "ValueError", "output.path must be a non-empty string, got ''"),
+        "directory": (str(tmp_path), "IsADirectoryError",
+                      f"output path {str(tmp_path)!r} is a directory"),
+        "number": (5, "ValueError", "output.path must be a non-empty string, got 5"),
+    }[out]
     argv = ["--eps", "1e-6", "--loss-start", "0", "--loss-stop", "1", "--loss-step", "0.5"]
     if given_by == "flag":
-        argv += ["--out", str(missing / "x.csv")]
+        argv += ["--out", path]
     else:
         config_path = tmp_path / "config.yaml"
-        config_path.write_text(f"output: {{path: {missing / 'x.csv'}}}\n")
+        config_path.write_text(f"output: {{path: {path}}}\n")
         argv += ["--config", str(config_path)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    err = json.loads(captured.err)
-    assert err == {"error": "FileNotFoundError",
-                   "message": f"output directory {str(missing)!r} does not exist"}
+    assert json.loads(captured.err) == {"error": error, "message": message}
     assert not missing.exists()
 
 
@@ -1108,6 +1120,7 @@ sweep:
 @pytest.mark.parametrize("out_format", ["csv", "json-lines"])
 @pytest.mark.parametrize("name", list(_CLI_CONFIGS))
 def test_cli_writes_the_bytes_of_the_library_chain(tmp_path, capsys, name, out_format):
+    # the command line's table, printed field by field from the library's rows
     config_path = tmp_path / "config.yaml"
     config_path.write_text(_CLI_CONFIGS[name])
     sweep = name.split("-")[0]
@@ -1116,12 +1129,11 @@ def test_cli_writes_the_bytes_of_the_library_chain(tmp_path, capsys, name, out_f
         warnings.simplefilter("ignore")  # revival of a curve with rows without signal
         rc = main(["--config", str(config_path), "--sweep", sweep, "--out", str(out),
                    "--format", out_format])
-        assert rc == 0
-        config = load_config(str(config_path))
-        rows = (run_loss_sweep if sweep == "loss" else run_frequency_sweep)(config)
-        library = tmp_path / "library"
-        emit_table(rows, str(library), out_format, summary=curve_summaries(rows))
-    assert out.read_bytes() == library.read_bytes()
+    assert rc == 0
+    config = load_config(str(config_path))
+    rows = (loss_table if sweep == "loss" else frequency_table)(config).rows()
+    expected = table_text(rows, out_format, curve_summaries_by_row(rows))
+    assert out.read_bytes() == expected.encode()
     failed = sum(r.error is not None for r in rows)
     assert (failed > 0) == (name != "loss-clean")
     assert capsys.readouterr().out == (f"wrote {len(rows)} rows to {out}"
@@ -1134,7 +1146,6 @@ def test_cli_builds_no_rows(tmp_path, capsys, monkeypatch):
         raise AssertionError("the command line built or read rows")
 
     monkeypatch.setattr(mdiqkd.sweep.SweepTable, "rows", refuse)
-    monkeypatch.setattr(mdiqkd.sweep.SweepTable, "of_rows", refuse)
     config_path = tmp_path / "config.yaml"
     for name in ("loss", "frequency"):
         config_path.write_text(_CLI_CONFIGS[name])
