@@ -5,14 +5,16 @@ rate) over a grid, either against transmission loss at fixed side-channel
 budgets, or against system frequency with the side-channel weight tied to
 frequency through a lg-linear map. Every input is checked once, where
 the table is built: the config, the clamped yields and the stack's
-cond(S) ceiling. The tomography matrices of all modulation errors are
-built once per table, as one stack, and the estimator's unchecked core
-runs over the rows of the table in even batches of at most BATCH_ROWS,
-one call per batch and one batch for most tables; a row without signal,
-or of a refused reference set, becomes an error row of the table. A
-table stays columns (SweepTable) from the estimate to the file: the
-command line and library callers alike summarise, check and write it
-without building a row; rows() gives its KeyRatePoints for iteration.
+cond(S) ceiling. The tomography matrices of the listed modulation errors
+are built once per table, as one stack (a delta listed twice is simply
+evaluated again), and the estimator's unchecked core runs over the rows
+of the table in even batches of at most BATCH_ROWS, one call per batch
+and one batch for most tables, writing its columns straight into the
+table; a row without signal, or of a refused reference set, becomes an
+error row of the table. A table stays columns (SweepTable) from the
+estimate to the file: the command line and library callers alike
+summarise, check and write it without building a row; rows() gives its
+KeyRatePoints for iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files, floats are printed with 12 significant
 digits, and a summary block records the per-curve positive-rate cutoff.
@@ -301,74 +303,6 @@ def load_config(path=None, overrides=None):
                        **fields[SweepConfig])
 
 
-# the core's result columns a row carries, in KeyRatePoint order after delta
-_RESULT_FIELDS = KeyRatePoint._fields[3:9]
-
-
-def _evaluate(config, rates, eps):
-    """Estimate every row of a table, as columns.
-
-    rates: transmission rates of shape (n_points, 9), or (1, 9) shared by
-    all points; eps: side-channel weights of shape (n_curves, n_points).
-    The tomography matrices of every distinct delta are built once per
-    table, as one stack. Returns (deltas, cond_s, values, messages): the
-    distinct deltas and cond(S) of each; values, of shape
-    (len(_RESULT_FIELDS), rows), with one column per row, curve
-    outermost, then distinct delta, then point; and messages, per row
-    None or the message of the error that row raises in the scalar
-    chain. Exactly the error rows keep nan values. A refused reference
-    set gives every row of its delta the message. The other rows go to
-    the estimator's core in even batches of at most BATCH_ROWS, so a
-    table of up to BATCH_ROWS rows takes one call; each batch gathers its
-    own yields, roots sqrt(1 - eps), f_obj and sign mask, so the inputs
-    in memory grow with the batch, not the table.
-    """
-    deltas = list(dict.fromkeys(config.delta_values))
-    modulations = [ModulationErrors(d, d, d) for d in deltas]
-    refs = [[make_reference_state(s, m) for s in SETTINGS] for m in modulations]
-    setup, errors = build_estimation_stack(refs, refs, config.cond_ceiling)
-    n_curves, n_points = eps.shape
-    messages = []
-    for err in errors:
-        messages += [None if err is None else str(err)] * n_points
-    messages *= n_curves
-    values = np.full((len(_RESULT_FIELDS), len(messages)), np.nan)
-    # the places of the rows of the accepted deltas
-    grid = (n_curves, len(deltas), n_points)
-    accepted = np.array([err is None for err in errors])
-    rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
-    yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
-    yields = np.broadcast_to(yields, grid[1:] + (9,))
-    roots = np.sqrt(1.0 - eps)
-    upper = setup.f_obj > 0.0  # the coefficients that take the upper deviation bound
-    n_batches = max(1, -(-rows.size // BATCH_ROWS))
-    for batch in np.array_split(rows, n_batches):
-        curve, k, point = np.unravel_index(batch, grid)
-        # a row's nine pairs share its eps, and so its root
-        _estimate_batch(config, values, messages, batch, yields[k, point],
-                        np.repeat(roots[curve, point, None], 9, axis=1),
-                        setup.f_obj[k], upper[k])
-    return deltas, setup.cond_s, values, messages
-
-
-def _estimate_batch(config, values, messages, rows, yields, roots, f_obj, upper):
-    """Store the results of batch row i in column rows[i] of values.
-
-    One call of the estimator's unchecked core, whose inputs the table
-    checked once: the yields by reference_yields' clamp, eps by the
-    config and f_obj by the stack's ceiling. The rows without signal get
-    NO_SIGNAL as their message and keep nan values.
-    """
-    sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-    columns, silent = _estimate_core(yields, roots, f_obj, upper, config.f_ec, sifting)
-    values[:, rows] = columns
-    if silent.any():
-        failed = rows[silent]
-        values[:, failed] = np.nan
-        for i in failed.tolist():
-            messages[i] = NO_SIGNAL
-
-
 # the place of each KeyRatePoint field among a table's columns
 _COLUMN = {name: i for i, name in enumerate(KeyRatePoint._fields)}
 
@@ -565,33 +499,59 @@ class SweepTable:
         return path
 
 
-def _sweep_table(config, coordinates, eps_rows, rates, per_second):
-    """The table of every curve, eps outermost, then delta, then the coordinate.
+def _sweep_table(config, coordinates, eps, rates, per_second):
+    """The table of every curve, eps outermost, then delta as listed, then the coordinate.
 
-    eps_rows: per curve, the list of its eps at each coordinate; rates as
-    _evaluate takes them.
+    eps: the side-channel weights, of shape (n_curves, n_points); rates:
+    the transmission rates, of shape (n_points, 9), or (1, 9) shared by
+    all points. The tomography matrices of the listed deltas are built
+    once per table, as one stack; a delta listed twice is simply
+    evaluated again. A refused reference set gives every row of its delta
+    the error's message. The other rows go to the estimator's core in
+    even batches of at most BATCH_ROWS, so a table of up to BATCH_ROWS
+    rows takes one call; each batch gathers its own yields, roots
+    sqrt(1 - eps), f_obj and sign mask, so the inputs in memory grow with
+    the batch, not the table. The core's inputs were checked once, by the
+    table: the yields by reference_yields' clamp, eps by the config and
+    f_obj by the stack's ceiling. Its columns go straight into the
+    table's numbers; a row without signal becomes a NO_SIGNAL error row in
+    place. Exactly the error rows carry nan in the estimate's numbers.
     """
-    eps = np.array(eps_rows)
-    deltas, cond, values, messages = _evaluate(config, rates, eps)
-    listed = config.delta_values
-    n, n_curves = len(coordinates), len(eps_rows)
-    # per block of n table rows, the place of its delta among the distinct ones
-    block_delta = [deltas.index(d) for d in listed] * n_curves
-    if len(deltas) < len(listed):
-        # a delta listed twice repeats the rows of its first listing
-        blocks = [i // len(listed) * len(deltas) + k for i, k in enumerate(block_delta)]
-        take = (np.array(blocks)[:, None] * n + np.arange(n)).ravel()
-        values = values[:, take]
-        messages = [messages[i] for i in take.tolist()]
+    deltas = config.delta_values
+    refs = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
+            for d in deltas]
+    setup, errors = build_estimation_stack(refs, refs, config.cond_ceiling)
+    n_curves, n = eps.shape
+    grid = (n_curves, len(deltas), n)
+    messages = [None if err is None else str(err) for err in errors for _ in range(n)]
+    messages *= n_curves
+    accepted = np.array([err is None for err in errors])
     # every column but the error, in KeyRatePoint field order
-    numbers = np.empty((len(_COLUMN) - 1, len(messages)))
-    numbers[0] = np.tile(coordinates, len(block_delta))
-    numbers[1] = np.repeat(eps, len(listed), axis=0).ravel()
-    numbers[2] = np.tile(np.repeat(np.array(listed, dtype=float), n), n_curves)
-    numbers[3:9] = values
-    numbers[9] = np.repeat(cond[block_delta], n)
-    numbers[9, np.isnan(values[0])] = math.nan  # only the error rows carry nan
-    numbers[10] = values[0] * numbers[0] * 1e9 if per_second else math.nan
+    numbers = np.full((len(_COLUMN) - 1, len(messages)), np.nan)
+    numbers[0] = np.tile(coordinates, n_curves * len(deltas))
+    numbers[1] = np.repeat(eps, len(deltas), axis=0).ravel()
+    numbers[2] = np.tile(np.repeat(np.array(deltas, dtype=float), n), n_curves)
+    numbers[9] = np.tile(np.repeat(np.where(accepted, setup.cond_s, np.nan), n), n_curves)
+    # the places of the rows of the accepted deltas
+    rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
+    yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
+    yields = np.broadcast_to(yields, grid[1:] + (9,))
+    roots = np.sqrt(1.0 - eps)
+    upper = setup.f_obj > 0.0  # the coefficients that take the upper deviation bound
+    sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
+    for batch in np.array_split(rows, max(1, -(-rows.size // BATCH_ROWS))):
+        curve, k, point = np.unravel_index(batch, grid)
+        # a row's nine pairs share its eps, and so its root
+        columns, silent = _estimate_core(
+            yields[k, point], np.repeat(roots[curve, point, None], 9, axis=1),
+            setup.f_obj[k], upper[k], config.f_ec, sifting)
+        numbers[3:9, batch] = columns
+        failed = batch[silent]
+        numbers[3:10, failed] = np.nan
+        for i in failed.tolist():
+            messages[i] = NO_SIGNAL
+    if per_second:
+        numbers[10] = numbers[3] * numbers[0] * 1e9
     return SweepTable(numbers, messages, per_second)
 
 
@@ -599,8 +559,8 @@ def loss_table(config):
     """The key-rate table over the loss grid for every (eps, delta) combination."""
     losses = config.loss_range.values()
     rates = transmission_rates_grid(config.channel, losses)
-    eps_rows = [[float(e)] * len(losses) for e in config.eps_values]
-    return _sweep_table(config, losses, eps_rows, rates, per_second=False)
+    eps = np.repeat(np.array(config.eps_values, dtype=float)[:, None], len(losses), axis=1)
+    return _sweep_table(config, losses, eps, rates, per_second=False)
 
 
 def frequency_table(config):
@@ -611,9 +571,9 @@ def frequency_table(config):
     freqs = fr.values()
     # Python's pow, not np.power: numpy's SIMD power is not libm and
     # differs in the last bit for about 5% of exponents
-    eps_rows = [[fr.eps_at(f) for f in freqs]]
+    eps = np.array([[fr.eps_at(f) for f in freqs]])
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
-    return _sweep_table(config, freqs, eps_rows, rates, per_second=True)
+    return _sweep_table(config, freqs, eps, rates, per_second=True)
 
 
 def _csv_quote(text):

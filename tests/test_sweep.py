@@ -29,7 +29,6 @@ from mdiqkd import (
 )
 import mdiqkd._g12
 import mdiqkd.sweep
-from mdiqkd.channel import transmission_rates_grid
 from mdiqkd.estimator import NO_SIGNAL, _estimate_core
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError
@@ -762,7 +761,7 @@ def _expected_loss_rows(config):
     replace(TINY, delta_values=(0.0, 0.1, math.pi / 4)),
     # a delta listed twice repeats its rows
     replace(TINY, delta_values=(0.1, 0.0, 0.1)),
-    # -0.0 and 0.0 share one setup, and each row keeps the delta it was given
+    # -0.0 and 0.0 are evaluated apart, and each row keeps the delta it was given
     replace(TINY, delta_values=(-0.0, 0.1, 0.0)),
     # a refused delta, listed twice, around an accepted one
     replace(TINY, delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3),
@@ -889,29 +888,26 @@ def test_frequency_sweep_without_signal_matches_scalar_chain():
     assert [s["cutoff"] for s in table.summaries()] == [None, None]
 
 
-def _rows_one_by_one(config, sweep):
-    """A table built row by row with the table_row oracle from _evaluate's columns."""
+def _rows_one_by_one(config, sweep, table):
+    """The table's rows built one by one with the table_row oracle.
+
+    Each row's coordinate, eps and delta come from the config, curve
+    outermost, then delta as listed, then the coordinate; its cond(S) and
+    its six estimated numbers, or its error message, from the table.
+    """
     if sweep == "loss":
         coordinates = config.loss_range.values()
         eps_rows = [[e] * len(coordinates) for e in config.eps_values]
-        rates = transmission_rates_grid(config.channel, coordinates)
     else:
         fr = config.frequency_range
         coordinates = fr.values()
         eps_rows = [[fr.eps_at(f) for f in coordinates]]
-        rates = transmission_rates_grid(config.channel, [fr.loss_db])
-    deltas, cond, values, messages = mdiqkd.sweep._evaluate(config, rates, np.array(eps_rows))
-    cond = cond.tolist()
-    outcomes = [r if m is None else m for r, m in zip(values.T.tolist(), messages)]
-    n = len(coordinates)
-    rows = []
-    for i, eps_row in enumerate(eps_rows):
-        for delta in config.delta_values:
-            k = deltas.index(delta)
-            first = (i * len(deltas) + k) * n
-            rows += [table_row(c, e, delta, cond[k], outcome, sweep == "frequency")
-                     for c, e, outcome in zip(coordinates, eps_row, outcomes[first:first + n])]
-    return rows
+    places = [(c, e, d) for eps_row in eps_rows for d in config.delta_values
+              for c, e in zip(coordinates, eps_row)]
+    return [table_row(c, e, d, column[9], column[3:9] if error is None else error,
+                      sweep == "frequency")
+            for (c, e, d), column, error in zip(places, table.numbers.T.tolist(),
+                                                table.errors, strict=True)]
 
 
 @pytest.mark.parametrize("sweep", ["loss", "frequency"])
@@ -926,9 +922,32 @@ def _rows_one_by_one(config, sweep):
             frequency_range=replace(_FREQUENCY_MAP, loss_db=3050.5)),
 ], ids=["clean", "repeated-deltas", "refused-delta", "no-signal"])
 def test_rows_match_the_row_by_row_builder_bit_for_bit(config, sweep):
-    points = (loss_table if sweep == "loss" else frequency_table)(config).rows()
+    table = (loss_table if sweep == "loss" else frequency_table)(config)
+    points = table.rows()
     assert all(type(p) is KeyRatePoint for p in points)
-    assert [repr(tuple(p)) for p in points] == [repr(r) for r in _rows_one_by_one(config, sweep)]
+    assert [repr(tuple(p)) for p in points] == [
+        repr(r) for r in _rows_one_by_one(config, sweep, table)]
+
+
+@pytest.mark.parametrize("make_table", [loss_table, frequency_table])
+def test_a_repeated_delta_gives_the_bits_of_its_first_listing(make_table):
+    # 0.1 is listed twice and 0.0 after -0.0; each listing is evaluated on
+    # its own, and every number but the delta must keep the bits of the
+    # first listing's rows
+    config = replace(TINY, delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP)
+    table = make_table(config)
+    n_curves = len(config.eps_values) if make_table is loss_table else 1
+    # rows: curve outermost, then delta as listed, then the coordinate
+    bits = table.numbers.view(np.uint64).reshape(11, n_curves, 4, -1)
+    errors = np.array(table.errors, dtype=object).reshape(n_curves, 4, -1)
+    assert table.good.all()
+    for again, first in [(2, 0), (3, 1)]:
+        for row in [0, 1, *range(3, 11)]:
+            assert np.array_equal(bits[row, :, again], bits[row, :, first]), (again, row)
+        assert (errors[:, again] == errors[:, first]).all()
+    # each listing keeps the delta it was given, -0.0 included
+    deltas = table.numbers[2].reshape(n_curves, 4, -1)[0, :, 0].tolist()
+    assert [repr(d) for d in deltas] == ["0.1", "-0.0", "0.1", "0.0"]
 
 
 @settings(max_examples=40, deadline=None)
