@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import real, unit_interval
+from .gbound import Frozen, real, unit_interval
 from .pauli_core import PAULI_PRODUCTS
 
 __all__ = [
@@ -88,14 +88,13 @@ def _arm_transmission(eta_d, loss_db):
     return eta_d * 10.0 ** (-loss_db / 20.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BsmPovm:
+class BsmPovm(Frozen):
     """4x4 POVM element in the |00>,|01>,|10>,|11> basis (Alice first)."""
 
-    m: np.ndarray
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+    def __init__(self, m):
+        m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
         if np.abs(m - m.T).max() > _ATOL:
@@ -103,42 +102,40 @@ class BsmPovm:
         eig = np.linalg.eigvalsh(m)
         if eig.min() < -_ATOL or eig.max() > 1.0 + _ATOL:
             raise ValueError(f"POVM eigenvalues out of [0, 1]: {eig}")
-        object.__setattr__(self, "m", m)
+        self.m = m
 
 
-@dataclass(frozen=True, slots=True)
-class TransmissionRates:
+class TransmissionRates(Frozen):
     """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order.
 
     q has shape (9,), or (n, 9) for n relay elements (one per grid point).
     """
 
-    q: np.ndarray
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+    def __init__(self, q):
+        q = np.asarray(q, dtype=float)
         if q.shape[-1:] != (9,):
             raise ValueError("expected 9 transmission rates")
         # M >= 0 forces |q_{l,l'}| <= q_{I,I}; the negated test refuses nan
         if not np.all(np.abs(q).max(axis=-1) <= q[..., 0] + _ATOL):
             raise ValueError("transmission rates exceed the q_II envelope")
-        object.__setattr__(self, "q", q)
+        self.q = q
 
 
-@dataclass(frozen=True, slots=True)
-class YieldTable:
+class YieldTable(Frozen):
     """Announcement probabilities per setting pair, SETTING_PAIRS order.
 
     y has shape (9,), or (n, 9) for a batch of grid points.
     """
 
-    y: np.ndarray
+    __slots__ = ("y",)
 
-    def __post_init__(self):
-        y = unit_interval(self.y, "yields")
+    def __init__(self, y):
+        y = unit_interval(y, "yields")
         if y.shape[-1:] != (9,):
             raise ValueError("expected 9 yields")
-        object.__setattr__(self, "y", y)
+        self.y = y
 
 
 def _accept_weight(occupied, p_d):

@@ -42,11 +42,10 @@ the core reports the rows without signal as a mask instead of raising.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import _bound, plain, unit_interval
+from .gbound import Frozen, _bound, plain, unit_interval
 from .pauli_core import ZZ_PAIR_INDICES, VirtualEnsemble, amplitudes, s_matrix_stack, virtual_stack
 
 __all__ = [
@@ -107,20 +106,19 @@ class NoSignalError(EstimationError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class SideChannelParams:
+class SideChannelParams(Frozen):
     """Fidelity budget eps per setting pair, SETTING_PAIRS order.
 
     eps has shape (9,), or (n, 9) for a batch of grid points.
     """
 
-    eps: np.ndarray
+    __slots__ = ("eps",)
 
-    def __post_init__(self):
-        eps = unit_interval(self.eps, "side-channel weights")
+    def __init__(self, eps):
+        eps = unit_interval(eps, "side-channel weights")
         if eps.shape[-1:] != (9,):
             raise ValueError("expected 9 side-channel entries")
-        object.__setattr__(self, "eps", eps)
+        self.eps = eps
 
     @classmethod
     def uniform(cls, value):
@@ -133,46 +131,53 @@ class SideChannelParams:
         return np.sqrt(1.0 - self.eps)
 
 
-@dataclass(frozen=True, slots=True)
-class EstimationInputs:
+class EstimationInputs(Frozen):
     """Everything the bound of the estimation chain consumes.
 
-    estimate reads yields, eps and f_obj; f_obj has shape (9,), or (n, 9)
-    with one row per yield row. The other fields are the reference-set
-    quantities f_obj = P_vir S_vir S^-1 came from, None for a batch that
-    mixes reference sets. yields and eps may be None while the
-    reference-set part is reused across a grid; dataclasses.replace
-    attaches them before estimate.
+    estimate reads yields (a YieldTable), eps (a SideChannelParams) and
+    f_obj; f_obj has shape (9,), or (n, 9) with one row per yield row.
+    The other fields are the reference-set quantities f_obj = P_vir
+    S_vir S^-1 came from, None for a batch that mixes reference sets.
+    yields and eps may be None while the reference-set part is reused
+    across a grid; a new EstimationInputs with the same reference-set
+    fields attaches them before estimate.
     """
 
-    yields: object
-    eps: SideChannelParams
-    f_obj: np.ndarray
-    p_vir_ensemble: object = None
-    s_matrix: np.ndarray = None
-    s_matrix_inverse: np.ndarray = None
-    cond_s: float = None
+    __slots__ = ("yields", "eps", "f_obj", "p_vir_ensemble", "s_matrix",
+                 "s_matrix_inverse", "cond_s")
+
+    def __init__(self, yields, eps, f_obj, p_vir_ensemble=None, s_matrix=None,
+                 s_matrix_inverse=None, cond_s=None):
+        self.yields = yields
+        self.eps = eps
+        self.f_obj = f_obj
+        self.p_vir_ensemble = p_vir_ensemble
+        self.s_matrix = s_matrix
+        self.s_matrix_inverse = s_matrix_inverse
+        self.cond_s = cond_s
 
 
-@dataclass(frozen=True, slots=True)
-class EstimationResult:
+class EstimationResult(Frozen):
     """Floats for one point; arrays of n values for a batch of n points."""
 
-    omega_ref: float
-    omega_ref_upper: float
-    delta_vir_lower: float
-    omega_upper: float
-    zeta_obs: float
-    e_zz: float
-    e_xx: float
-    key_rate: float
+    __slots__ = ("omega_ref", "omega_ref_upper", "delta_vir_lower", "omega_upper",
+                 "zeta_obs", "e_zz", "e_xx", "key_rate")
 
-    def __post_init__(self):
+    def __init__(self, omega_ref, omega_ref_upper, delta_vir_lower, omega_upper,
+                 zeta_obs, e_zz, e_xx, key_rate):
         # negated tests, so that a nan fails them too
-        if not np.all(self.omega_ref <= self.omega_ref_upper + 1e-12):
+        if not np.all(omega_ref <= omega_ref_upper + 1e-12):
             raise ValueError("omega_ref exceeds its upper bound")
-        if not np.all(self.key_rate >= 0.0):
+        if not np.all(key_rate >= 0.0):
             raise ValueError("key rate must be floored at 0")
+        self.omega_ref = omega_ref
+        self.omega_ref_upper = omega_ref_upper
+        self.delta_vir_lower = delta_vir_lower
+        self.omega_upper = omega_upper
+        self.zeta_obs = zeta_obs
+        self.e_zz = e_zz
+        self.e_xx = e_xx
+        self.key_rate = key_rate
 
 
 def build_estimation_stack(refs_a, refs_b, cond_ceiling=DEFAULT_COND_CEILING):

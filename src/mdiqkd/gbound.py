@@ -18,8 +18,8 @@ Both functions take floats or broadcastable arrays: a float argument
 gives a float, arrays give an array of the broadcast shape. Both check
 their arguments and wrap _bound, the one unchecked implementation, which
 the estimator's core also calls with a per-entry choice of bound. The
-other layers share the argument checks and the float conversion defined
-here.
+other layers share the argument checks, the float conversion and the
+read-only base of their value types defined here.
 """
 
 import numbers
@@ -27,6 +27,25 @@ import numbers
 import numpy as np
 
 __all__ = ["g_lower", "g_upper"]
+
+
+class Frozen:
+    """Base of the checked value types: each field is set once, in __init__.
+
+    A subclass lists its fields in __slots__ and stores each after its
+    checks; setting a field again, or deleting one, raises AttributeError.
+    Instances compare and hash by identity.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def unit_interval(value, name):

@@ -17,11 +17,10 @@ X-basis convention: |jX> = (|0Z> + (-1)^j |1Z>)/sqrt(2).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import real
+from .gbound import Frozen, real
 
 __all__ = [
     "SETTINGS",
@@ -48,16 +47,16 @@ SETTINGS = ("0Z", "1Z", "0X")
 PAULI_AXES = ("I", "X", "Z")
 PAULI_PAIRS = tuple((l, lp) for l in PAULI_AXES for lp in PAULI_AXES)
 SETTING_PAIRS = tuple((a, b) for a in SETTINGS for b in SETTINGS)
-_PAULI_MATRICES = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-# sigma_l x sigma_l' for each of PAULI_PAIRS, a (9, 4, 4) stack; every
-# entry is real and symmetric
-PAULI_PRODUCTS = np.array(
-    [np.kron(_PAULI_MATRICES[l], _PAULI_MATRICES[lp]) for l, lp in PAULI_PAIRS]
-)
+# I, X, Z in PAULI_AXES order, a (3, 2, 2) stack
+_PAULI_MATRICES = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                            [[0.0, 1.0], [1.0, 0.0]],
+                            [[1.0, 0.0], [0.0, -1.0]]])
+# sigma_l x sigma_l' for each of PAULI_PAIRS, a (9, 4, 4) stack built as
+# one broadcast product: entry [3l + l', 2i + k, 2j + m] = sigma_l[i, j] *
+# sigma_l'[k, m], the bytes of np.kron. Every entry is real and symmetric.
+PAULI_PRODUCTS = (
+    _PAULI_MATRICES[:, None, :, None, :, None] * _PAULI_MATRICES[None, :, None, :, None, :]
+).reshape(9, 4, 4)
 # positions of the four (jZ, sZ) pairs inside SETTING_PAIRS
 ZZ_PAIR_INDICES = (0, 1, 3, 4)
 
@@ -68,37 +67,36 @@ class DegenerateInputError(ValueError):
     """Raised when a reference set collapses a virtual state to zero trace."""
 
 
-@dataclass(frozen=True, slots=True)
-class QubitState:
+class QubitState(Frozen):
     """Pure single-qubit state with real amplitudes on |0Z>, |1Z>."""
 
-    amp0: float
-    amp1: float
+    __slots__ = ("amp0", "amp1")
 
-    def __post_init__(self):
-        norm = self.amp0 * self.amp0 + self.amp1 * self.amp1
+    def __init__(self, amp0, amp1):
+        norm = amp0 * amp0 + amp1 * amp1
         if not abs(norm - 1.0) <= _NORM_ATOL:  # the negated test also refuses nan
             raise ValueError(f"state not normalized: |amp|^2 = {norm!r}")
+        self.amp0 = amp0
+        self.amp1 = amp1
 
 
-@dataclass(frozen=True, slots=True)
-class ModulationErrors:
+class ModulationErrors(Frozen):
     """Phase-modulation offsets (radians) for the three settings."""
 
-    delta1: float = 0.0
-    delta2: float = 0.0
-    delta3: float = 0.0
+    __slots__ = ("delta1", "delta2", "delta3")
 
-    def __post_init__(self):
-        for name in ("delta1", "delta2", "delta3"):
-            if not abs(real(getattr(self, name), name)) < math.pi / 2:
+    def __init__(self, delta1=0.0, delta2=0.0, delta3=0.0):
+        for name, value in (("delta1", delta1), ("delta2", delta2), ("delta3", delta3)):
+            if not abs(real(value, name)) < math.pi / 2:
                 # beyond pi/2 the state is closer to the complementary one;
                 # the negated test also refuses nan
                 raise ValueError(f"|{name}| must be finite and < pi/2")
+        self.delta1 = delta1
+        self.delta2 = delta2
+        self.delta3 = delta3
 
 
-@dataclass(frozen=True, slots=True)
-class VirtualEnsemble:
+class VirtualEnsemble(Frozen):
     """X-outcome ensemble of the entanglement-based source description.
 
     p_vir holds the probabilities of the kept outcomes (j, s) = (0, 0)
@@ -107,18 +105,17 @@ class VirtualEnsemble:
     for a stack of n reference sets.
     """
 
-    p_vir: np.ndarray
-    s_vir: np.ndarray
+    __slots__ = ("p_vir", "s_vir")
 
-    def __post_init__(self):
-        p = np.asarray(self.p_vir, dtype=float)
-        s = np.asarray(self.s_vir, dtype=float)
+    def __init__(self, p_vir, s_vir):
+        p = np.asarray(p_vir, dtype=float)
+        s = np.asarray(s_vir, dtype=float)
         if p.shape[-1:] != (2,) or s.shape != p.shape + (9,):
             raise ValueError("expected 2 probabilities and a 2x9 Bloch block")
         if not np.all((p >= -_NORM_ATOL) & (p <= 1.0 + _NORM_ATOL)):
             raise ValueError("virtual probabilities out of [0, 1]")
-        object.__setattr__(self, "p_vir", p)
-        object.__setattr__(self, "s_vir", s)
+        self.p_vir = p
+        self.s_vir = s
 
 
 def make_reference_state(setting, deltas):

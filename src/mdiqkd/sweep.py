@@ -74,6 +74,8 @@ def _grid(start, stop, step):
 
 @dataclass(frozen=True, slots=True)
 class LossRange:
+    """Loss grid in dB: start, start + step, ..., up to stop."""
+
     start: float = 0.0
     stop: float = 12.0
     step: float = 0.1
@@ -136,6 +138,8 @@ class FrequencyRange:
 
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
+    """One sweep: the channel, eps and delta lists, both grids, estimation and output settings."""
+
     channel: ChannelParams = ChannelParams()
     eps_values: tuple = (1e-6,)
     delta_values: tuple = (0.0,)

@@ -14,7 +14,13 @@ from mdiqkd import (
     transmission_rates,
 )
 from mdiqkd import channel
-from mdiqkd.channel import PSI_MINUS, TransmissionRates, YieldTable, transmission_rates_grid
+from mdiqkd.channel import (
+    PSI_MINUS,
+    BsmPovm,
+    TransmissionRates,
+    YieldTable,
+    transmission_rates_grid,
+)
 from oracles import density_matrix, fock_povm
 
 BENCHMARK = ChannelParams()  # eta_d=0.145, p_d=6.02e-6, e_d=0.015
@@ -115,6 +121,23 @@ def test_transmission_rates_ideal_projector():
     expected = np.zeros(9)
     expected[0], expected[4], expected[8] = 1 / 8, -1 / 8, -1 / 8
     np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
+
+
+def test_bsm_povm_validation():
+    povm = BsmPovm([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert povm.m.dtype == float and povm.m.shape == (4, 4)
+    with pytest.raises(ValueError, match="4x4"):
+        BsmPovm(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="4x4"):
+        BsmPovm(np.zeros(16))
+    skew = np.zeros((4, 4))
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        BsmPovm(skew)
+    with pytest.raises(ValueError, match="eigenvalues"):
+        BsmPovm(1.5 * np.eye(4))
+    with pytest.raises(ValueError, match="eigenvalues"):
+        BsmPovm(-0.1 * np.eye(4))
 
 
 def test_transmission_rates_envelope_enforced():

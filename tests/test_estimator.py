@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,8 +145,9 @@ def test_no_signal_error_names_the_batch_rows():
 
     def run(rows):
         y = batch[rows]
-        return estimate(replace(inputs, yields=YieldTable(y),
-                                eps=SideChannelParams.uniform(np.full(len(y), 1e-6))))
+        return estimate(EstimationInputs(YieldTable(y),
+                                         SideChannelParams.uniform(np.full(len(y), 1e-6)),
+                                         inputs.f_obj))
 
     # a ZZ sum of one denormal step is no signal either: zeta_obs, a
     # quarter of the sum, lies below the smallest normal float
@@ -227,7 +227,7 @@ def test_omega_upper_clamps_with_warning():
 def test_omega_ref_zero_cases():
     ref, povm, yields, inputs = _pipeline()
     zeros = YieldTable(np.zeros(9))
-    assert omega_ref_matrix(replace(inputs, yields=zeros)) == 0.0
+    assert omega_ref_matrix(EstimationInputs(zeros, inputs.eps, inputs.f_obj)) == 0.0
 
     class _Zero:
         m = np.zeros((4, 4))

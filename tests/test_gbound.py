@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import g_lower, g_upper
+from mdiqkd.channel import BsmPovm, TransmissionRates, YieldTable
+from mdiqkd.estimator import EstimationInputs, EstimationResult, SideChannelParams
+from mdiqkd.pauli_core import ModulationErrors, QubitState, VirtualEnsemble
 from oracles import deviation_bounds, random_bounded_operator, random_pure_state
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -114,3 +117,32 @@ def test_bits_of_the_two_branch_formula(x, y):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     assert g_lower(x[0], y[0, 0]) == lower[0, 0] and g_upper(x[0], y[0, 0]) == upper[0, 0]
+
+
+# one valid instance of each checked value type
+VALUE_TYPES = {
+    "QubitState": lambda: QubitState(1.0, 0.0),
+    "ModulationErrors": lambda: ModulationErrors(delta1=0.126),
+    "VirtualEnsemble": lambda: VirtualEnsemble(np.array([0.5, 0.5]), np.zeros((2, 9))),
+    "BsmPovm": lambda: BsmPovm(np.zeros((4, 4))),
+    "TransmissionRates": lambda: TransmissionRates(np.zeros(9)),
+    "YieldTable": lambda: YieldTable(np.zeros(9)),
+    "SideChannelParams": lambda: SideChannelParams.uniform(1e-6),
+    "EstimationInputs": lambda: EstimationInputs(None, None, np.zeros(9)),
+    "EstimationResult": lambda: EstimationResult(0.0, 0.0, 1.0, 0.0, 0.25, 0.0, 0.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_read_only(name):
+    value = VALUE_TYPES[name]()
+    assert type(value).__name__ == name and not hasattr(value, "__dict__")
+    for field in type(value).__slots__:  # a default None is set too
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(value, field, 0.5)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1.0

@@ -12,7 +12,14 @@ from mdiqkd import (
     build_virtual,
     make_reference_state,
 )
-from mdiqkd.pauli_core import DegenerateInputError, QubitState, VirtualEnsemble, two_qubit_bloch
+from mdiqkd.pauli_core import (
+    PAULI_PAIRS,
+    PAULI_PRODUCTS,
+    DegenerateInputError,
+    QubitState,
+    VirtualEnsemble,
+    two_qubit_bloch,
+)
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
 IDEAL = ModulationErrors()
@@ -113,6 +120,15 @@ def test_bloch_products_equal_kron_bitwise():
                          for a in ref_a for b in ref_b])
         np.testing.assert_array_equal(two_qubit_bloch(ref_a[0], ref_b[1]), kron[1])
         np.testing.assert_array_equal(build_S_matrix(ref_a, ref_b), kron)
+
+
+def test_pauli_products_are_the_krons_of_their_pairs():
+    paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+              "Z": np.array([[1.0, 0.0], [0.0, -1.0]])}
+    assert PAULI_PRODUCTS.shape == (9, 4, 4) and PAULI_PRODUCTS.dtype == float
+    for product, (l, lp) in zip(PAULI_PRODUCTS, PAULI_PAIRS, strict=True):
+        # bytes, so that each -0.0 of np.kron is pinned too
+        assert product.tobytes() == np.kron(paulis[l], paulis[lp]).tobytes()
 
 
 def test_s_matrix_first_row_ideal():

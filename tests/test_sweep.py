@@ -1,6 +1,9 @@
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from mdiqkd import (
     reference_yields,
     transmission_rates,
 )
+import mdiqkd
 import mdiqkd._g12
 import mdiqkd.sweep
 from mdiqkd.estimator import NO_SIGNAL, _estimate_core
@@ -1056,6 +1060,18 @@ def test_cli_start_up_and_csv_run_leave_json_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "t.csv").exists()
+
+
+def test_only_the_config_records_are_dataclasses():
+    # the value types are plain slotted classes: a dataclass generates and
+    # compiles its methods at every import
+    found = set()
+    for info in pkgutil.walk_packages(mdiqkd.__path__, "mdiqkd."):
+        module = importlib.import_module(info.name)
+        found.update(name for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__
+                     and dataclasses.is_dataclass(obj))
+    assert found == {"ChannelParams", "LossRange", "FrequencyRange", "SweepConfig"}
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
