@@ -181,16 +181,16 @@ def _nonfinite_slots(x):
     return _NONFINITE[np.where(np.isnan(x), 0, 1 + np.signbit(x))]
 
 
-def print_rows(block, prefixes, suffix, keep=None):
+def print_rows(block, prefixes, suffix, keep):
     """Yield the text of the rows of block, CHUNK_ROWS rows at a time.
 
     block: a (fields, rows) float64 array, or a sequence of fields
     float64 rows of equal length; prefixes: one str per field, printed
     before it; suffix: printed after the last field. Each row's text is
     prefixes[0] + "%.12g" % block[0][r] + ... + suffix, byte for byte.
-    keep: an optional mask over the rows; a chunk's text then holds only
-    its rows where keep is True. The row buffer, with the prefixes and
-    the suffix in place, is made once and reused for every chunk.
+    keep: a mask over the rows; a chunk's text holds only its rows where
+    keep is True. The row buffer, with the prefixes and the suffix in
+    place, is made once and reused for every chunk.
     """
     fields, rows = len(block), len(block[0])
     widths = [len(p) + _SLOT for p in prefixes]
@@ -204,8 +204,8 @@ def print_rows(block, prefixes, suffix, keep=None):
     v = np.empty((fields, chunk))
     for first in range(0, rows, chunk):
         stop = min(first + chunk, rows)
-        kept = slice(first, stop) if keep is None else first + np.flatnonzero(keep[first:stop])
-        n = stop - first if keep is None else len(kept)
+        kept = first + np.flatnonzero(keep[first:stop])
+        n = len(kept)
         for j, field in enumerate(block):
             v[j, :n] = field[kept]
         if n:

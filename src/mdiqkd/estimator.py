@@ -31,20 +31,21 @@ mix reference sets. build_estimation_stack builds the tomography
 matrices of many reference sets as one stack; a sweep calls it once per
 table.
 
-Checks. Each formula of the chain lives once, in an unchecked private
-helper. The public functions are thin wrappers that check their
-arguments and call it. estimate checks its inputs once and runs
-_estimate_core, the chain on arrays, which takes the deviation bound of
-each yield once, on the branch the sign of its f_obj coefficient
-selects (that sign is fixed per reference set). A sweep calls the core
-directly, once per batch, on inputs its table checked when it was built;
-the core reports the rows without signal as a mask instead of raising.
+Checks. estimate is the chain's one public entry, and its result holds
+every intermediate value above. Each formula lives once, in an unchecked
+private helper. estimate checks its inputs once and runs _estimate_core,
+the chain on arrays, which takes the deviation bound of each yield once,
+on the branch the sign of its f_obj coefficient selects (that sign is
+fixed per reference set). A sweep calls the core directly, once per
+batch, on inputs its table checked when it was built; the core reports
+the rows without signal as a mask instead of raising.
 """
 
 import warnings
 
 import numpy as np
 
+from .channel import YieldTable
 from .gbound import Frozen, _bound, plain, unit_interval
 from .pauli_core import ZZ_PAIR_INDICES, VirtualEnsemble, amplitudes, s_matrix_stack, virtual_stack
 
@@ -58,20 +59,12 @@ __all__ = [
     "build_estimation_stack",
     "build_estimation_inputs",
     "omega_ref_matrix",
-    "omega_ref_upper",
-    "delta_vir_lower",
-    "omega_upper",
-    "bit_error_rate",
-    "phase_error_rate",
-    "key_rate",
-    "binary_entropy",
     "estimate",
 ]
 
 DEFAULT_COND_CEILING = 1e8
 # a zeta_obs below the smallest normal float holds too few bits to divide
-# by: a subnormal is a whole multiple of 2^-1074. Both NoSignalError
-# checks call such a row silent.
+# by: a subnormal is a whole multiple of 2^-1074. Such a row is silent.
 _SILENT_BELOW = np.finfo(float).tiny
 # the message of a row without signal, from estimate and from a sweep
 NO_SIGNAL = "all ZZ yields vanish"
@@ -230,19 +223,21 @@ def omega_ref_matrix(inputs):
     return plain(np.einsum("...i,...i->...", inputs.yields.y, inputs.f_obj))
 
 
-# The chain's formulas, each once and unchecked: the public functions
-# below check their arguments and call these, and so does the core,
-# which runs on inputs checked where a table is built.
+# The chain's formulas, each once and unchecked: the core runs them on
+# inputs that estimate, or a sweep's table, checked.
 
 def _omega_ref_upper(y, roots, f_obj, upper):
+    """omega_ref with each yield at the deviation bound upper selects, floored at 0."""
     return np.maximum((f_obj * _bound(y, roots, upper)).sum(axis=-1), 0.0)
 
 
 def _delta_vir_lower(roots):
+    """Fidelity floor of the virtual source state: (1/4) sum sqrt(1 - eps_ZZ)."""
     return 0.25 * roots[..., _ZZ].sum(axis=-1)
 
 
 def _lift(omega_ref_up, delta_vir_low):
+    """omega_upper; an omega_ref_up above 1 is clamped to 1, with a warning."""
     if np.any(omega_ref_up > 1.0):
         worst = float(omega_ref_up.max())
         warnings.warn(f"omega_ref_upper = {worst!r} clamped to 1")
@@ -251,8 +246,9 @@ def _lift(omega_ref_up, delta_vir_low):
 
 
 def _zz_rates(zz):
-    # (e_zz, zeta_obs, silent); a silent row divides by a ZZ sum of 0 or
-    # a subnormal, so its e_zz is no number to read
+    """(e_zz, zeta_obs, silent) of the ZZ yields; a silent row's e_zz is no number."""
+    # equal announced bits are errors: the kept announcement anti-correlates
+    # the raw bits, and Bob flips his afterwards
     denom = zz.sum(axis=-1)
     zeta_obs = 0.25 * denom  # joint over the uniform bit pairs
     # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
@@ -260,24 +256,26 @@ def _zz_rates(zz):
 
 
 def _phase_error_rate(omega_up, zeta_obs):
+    """Virtual X-basis error rate Omega^U / zeta_obs, capped at 1."""
     # capping the numerator gives the bits of capping the ratio, which
     # can overflow for a small zeta_obs
     return np.minimum(omega_up, zeta_obs) / zeta_obs
 
 
 def _binary_entropy(p):
+    """Shannon entropy of a bit, with h(0) = h(1) = 0 by continuity."""
     inner = (p > 0.0) & (p < 1.0)
     q = np.where(inner, p, 0.5)  # keeps log2 away from 0 at the endpoints
     return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
 
 
 def _key_rate(y_zz, e_zz, e_xx, f_ec):
-    bracket = (
-        1.0
-        - _binary_entropy(np.minimum(e_xx, 0.5))
-        - f_ec * _binary_entropy(np.minimum(e_zz, 0.5))
-    )
-    return y_zz * np.maximum(bracket, 0.0)
+    """Y_ZZ [1 - h(e_XX) - f_EC h(e_ZZ)], floored at 0."""
+    # a rate at or beyond 1/2 certifies nothing: capping the entropy
+    # arguments there can only lower the bound
+    h_xx = _binary_entropy(np.minimum(e_xx, 0.5))
+    h_zz = _binary_entropy(np.minimum(e_zz, 0.5))
+    return y_zz * np.maximum(1.0 - h_xx - f_ec * h_zz, 0.0)
 
 
 def _estimate_core(y, roots, f_obj, upper, f_ec, sifting_prefactor):
@@ -291,8 +289,7 @@ def _estimate_core(y, roots, f_obj, upper, f_ec, sifting_prefactor):
     finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
     Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,
     omega_upper, zeta_obs) and the mask of the rows without signal, whose
-    columns hold no number to read. Warns, as omega_upper does, when
-    omega_ref_upper exceeds 1.
+    columns hold no number to read. Warns when omega_ref_upper exceeds 1.
     """
     omega_ref_up = _omega_ref_upper(y, roots, f_obj, upper)
     omega_up = _lift(omega_ref_up, _delta_vir_lower(roots))
@@ -304,84 +301,6 @@ def _estimate_core(y, roots, f_obj, upper, f_ec, sifting_prefactor):
     return (rate, e_zz, e_xx, omega_ref_up, omega_up, zeta_obs), silent
 
 
-def omega_ref_upper(f_obj, yields, eps):
-    """Worst-case omega_ref once each yield is only known up to fidelity.
-
-    Positive coefficients take the upper deviation bound, negative ones
-    the lower bound, with anchors delta^L = sqrt(1 - eps) per pair; a zero
-    coefficient adds nothing. Floored at 0.
-    """
-    f_obj = np.asarray(f_obj, dtype=float)
-    return plain(_omega_ref_upper(yields.y, eps.anchors(), f_obj, f_obj > 0.0))
-
-
-def delta_vir_lower(eps):
-    """Fidelity floor of the virtual source state: (1/4) sum sqrt(1 - eps_ZZ)."""
-    return plain(_delta_vir_lower(eps.anchors()))
-
-
-def omega_upper(omega_ref_up, delta_vir_low):
-    """Lift the reference-ensemble bound to the actual virtual ensemble.
-
-    An omega_ref_up above 1 is clamped to 1, with a warning.
-    """
-    delta_vir_low = unit_interval(delta_vir_low, "delta_vir_lower")
-    omega_ref_up = np.asarray(omega_ref_up, dtype=float)
-    if not np.all(omega_ref_up >= 0.0):
-        raise ValueError("omega_ref_upper must be >= 0")
-    return plain(_lift(omega_ref_up, delta_vir_low))
-
-
-def bit_error_rate(zz_yields):
-    """Share of equal-bit announcements among the four ZZ setting pairs.
-
-    Equal bits are errors: the kept announcement anti-correlates the raw
-    bits, and Bob flips his afterwards.
-    """
-    zz = np.asarray(zz_yields, dtype=float)
-    if zz.shape[-1:] != (4,) or not np.all(zz >= 0.0):
-        raise ValueError("expected 4 nonnegative ZZ yields")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_zz, _, silent = _zz_rates(zz)
-    if np.any(silent):
-        raise NoSignalError(NO_SIGNAL, silent)
-    return plain(e_zz)
-
-
-def phase_error_rate(omega_up, zeta_obs):
-    """Virtual X-basis error rate Omega^U / zeta_obs, capped at 1.
-
-    A zeta_obs below the smallest normal float counts as no signal.
-    """
-    omega_up = np.asarray(omega_up, dtype=float)
-    zeta_obs = np.asarray(zeta_obs, dtype=float)
-    if not np.all(omega_up >= 0.0):
-        raise ValueError("omega_up must be >= 0")
-    silent = zeta_obs < _SILENT_BELOW
-    if np.any(silent):
-        raise NoSignalError("zeta_obs must be positive and normal", silent)
-    return plain(_phase_error_rate(omega_up, zeta_obs))
-
-
-def binary_entropy(p):
-    """Shannon entropy of a bit, with h(0) = h(1) = 0 by continuity."""
-    return plain(_binary_entropy(unit_interval(p, "binary_entropy argument")))
-
-
-def key_rate(y_zz, e_zz, e_xx, f_ec):
-    """Distillable-key lower bound Y_ZZ [1 - h(e_XX) - f_EC h(e_ZZ)], floored at 0.
-
-    Error rates certified at or beyond 1/2 yield nothing; the entropy
-    arguments are capped there, which can only lower the bound.
-    """
-    e_zz, e_xx = unit_interval(e_zz, "e_zz"), unit_interval(e_xx, "e_xx")
-    if not np.all(np.asarray(y_zz) >= 0.0):
-        raise ValueError("y_zz must be >= 0")
-    if not f_ec >= 1.0:
-        raise ValueError("f_ec must be >= 1")
-    return plain(_key_rate(y_zz, e_zz, e_xx, f_ec))
-
-
 def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     """Run the full chain on assembled inputs and return an EstimationResult.
 
@@ -389,7 +308,10 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     default since the key-rate bound is stated per ZZ-tagged pair.
     Raises NoSignalError naming the rows without signal.
     """
-    # yields and eps were checked when they were built
+    # yields and eps checked their values when they were built
+    for name, kind in (("yields", YieldTable), ("eps", SideChannelParams)):
+        if not isinstance(getattr(inputs, name), kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(inputs, name)!r}")
     f_obj = np.asarray(inputs.f_obj, dtype=float)
     if not np.all(np.isfinite(f_obj)):
         raise ValueError("f_obj must be finite")

@@ -36,7 +36,6 @@ __all__ = [
     "make_reference_state",
     "amplitudes",
     "bloch_vector",
-    "two_qubit_bloch",
     "s_matrix_stack",
     "build_S_matrix",
     "virtual_stack",
@@ -158,11 +157,6 @@ def _pair_bloch(a, b):
 def bloch_vector(state):
     """Coefficients <sigma_l> for l in (I, X, Z), a (3,) array; requires a normalized state."""
     return _bloch(np.array([state.amp0, state.amp1]))
-
-
-def two_qubit_bloch(state_a, state_b):
-    """Product-state coefficients s_{l,l'} = s_l(A) * s_{l'}(B), PAULI_PAIRS order."""
-    return _pair_bloch(bloch_vector(state_a), bloch_vector(state_b))
 
 
 def s_matrix_stack(refs_a, refs_b):

@@ -152,6 +152,9 @@ class SweepConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
+        for key, value in (("eps_values", self.eps_values), ("delta_values", self.delta_values)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list or tuple of numbers, got {value!r}")
         if not self.eps_values or not self.delta_values:
             raise ValueError("eps and delta lists must be non-empty")
         for e in self.eps_values:

@@ -1,5 +1,6 @@
-"""The documented entry points run: every demo script, the README quick start and config."""
+"""The documented entry points run: the demos and the README quick start, config and imports."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -48,3 +49,12 @@ def test_readme_names_every_config_key(tmp_path):
     path.write_text("channel: {loss_db: 30.0}\n")
     with pytest.raises(ValueError, match="unknown config keys: channel.loss_db"):
         load_config(str(path))
+
+
+def test_every_import_line_the_readme_quotes_runs():
+    readme = (ROOT / "README.md").read_text()
+    # a quoted line may wrap across lines of the README
+    lines = [" ".join(m.split()) for m in re.findall(r"`(from\s+mdiqkd[^`]*)`", readme)]
+    assert len(lines) >= 2
+    for line in lines:
+        exec(compile(line, "README.md", "exec"), {})

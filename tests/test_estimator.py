@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from mdiqkd import (
     reference_yields,
     transmission_rates,
 )
+from mdiqkd import estimator
 from mdiqkd.channel import YieldTable
 from mdiqkd.estimator import (
     NO_SIGNAL,
@@ -26,15 +28,8 @@ from mdiqkd.estimator import (
     EstimationResult,
     IllConditionedError,
     NoSignalError,
-    binary_entropy,
     build_estimation_stack,
-    bit_error_rate,
-    delta_vir_lower,
-    key_rate,
     omega_ref_matrix,
-    omega_ref_upper,
-    omega_upper,
-    phase_error_rate,
     _estimate_core,
 )
 from mdiqkd.pauli_core import ZZ_PAIR_INDICES, DegenerateInputError
@@ -69,71 +64,72 @@ def test_side_channel_validation():
         SideChannelParams(np.full(9, math.nan))
 
 
+# The chain's formulas are private helpers of estimator; the tests below
+# pin each one on its own, reached through the module.
+
 def test_binary_entropy_endpoints_and_half():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
+    assert estimator._binary_entropy(np.array([0.0, 1.0, 0.5])).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_binary_entropy_against_high_precision():
     for p in (0.11, 0.015, 0.3, 0.499):
-        assert binary_entropy(p) == pytest.approx(entropy_highprec(p), abs=1e-14)
-    assert round(binary_entropy(0.11), 6) == 0.499916
-
-
-def test_binary_entropy_domain():
-    with pytest.raises(ValueError):
-        binary_entropy(-0.01)
-    with pytest.raises(ValueError):
-        binary_entropy(1.01)
+        assert estimator._binary_entropy(p) == pytest.approx(entropy_highprec(p), abs=1e-14)
+    assert round(float(estimator._binary_entropy(0.11)), 6) == 0.499916
 
 
 def test_key_rate_no_errors_returns_yield():
-    assert key_rate(0.37, 0.0, 0.0, 1.16) == pytest.approx(0.37, abs=1e-15)
+    assert estimator._key_rate(0.37, 0.0, 0.0, 1.16) == pytest.approx(0.37, abs=1e-15)
 
 
 def test_key_rate_floors_at_half_phase_error():
-    assert key_rate(0.3, 0.1, 0.5, 1.16) == 0.0
+    assert estimator._key_rate(0.3, 0.1, 0.5, 1.16) == 0.0
 
 
 def test_key_rate_no_revival_beyond_half():
     # a certified phase-error bound past 1/2 must not resurrect the rate
-    assert key_rate(0.3, 0.01, 0.9, 1.16) == 0.0
-    assert key_rate(0.3, 0.01, 1.0, 1.16) == 0.0
+    assert estimator._key_rate(0.3, 0.01, 0.9, 1.16) == 0.0
+    assert estimator._key_rate(0.3, 0.01, 1.0, 1.16) == 0.0
 
 
-def test_key_rate_validation():
-    with pytest.raises(ValueError):
-        key_rate(0.1, 0.0, 1.2, 1.16)
-    with pytest.raises(ValueError):
-        key_rate(0.1, 0.0, 0.0, 0.9)
-    with pytest.raises(ValueError):
-        key_rate(-0.1, 0.0, 0.0, 1.16)
+def _zz_rates(zz):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return estimator._zz_rates(np.array(zz, dtype=float))
 
 
 def test_bit_error_rate_perfect_anticorrelation():
-    assert bit_error_rate([0.0, 0.25, 0.25, 0.0]) == 0.0
+    e_zz, zeta_obs, silent = _zz_rates([0.0, 0.25, 0.25, 0.0])
+    assert (e_zz, zeta_obs, silent) == (0.0, 0.125, False)
 
 
 def test_bit_error_rate_symmetry():
-    assert bit_error_rate([0.1, 0.1, 0.1, 0.1]) == 0.5
+    assert _zz_rates([0.1, 0.1, 0.1, 0.1])[0] == 0.5
 
 
 def test_bit_error_rate_no_signal():
-    with pytest.raises(NoSignalError):
-        bit_error_rate([0.0, 0.0, 0.0, 0.0])
+    assert _zz_rates([0.0, 0.0, 0.0, 0.0])[2]
 
 
 def test_no_signal_threshold_is_the_smallest_normal_zeta_obs():
     # zeta_obs = ZZ sum / 4: exactly the smallest normal float still counts
     tiny = np.finfo(float).tiny
-    assert bit_error_rate([4.0 * tiny, 0.0, 0.0, 0.0]) == 1.0
-    assert phase_error_rate(0.0, tiny) == 0.0
     below = np.nextafter(tiny, 0.0)
-    with pytest.raises(NoSignalError, match="all ZZ yields vanish"):
-        bit_error_rate([4.0 * below, 0.0, 0.0, 0.0])
-    with pytest.raises(NoSignalError, match="zeta_obs must be positive"):
-        phase_error_rate(0.0, below)
+    e_zz, zeta_obs, silent = _zz_rates([[4.0 * tiny, 0.0, 0.0, 0.0], [4.0 * below, 0.0, 0.0, 0.0]])
+    assert silent.tolist() == [False, True]
+    assert e_zz[0] == 1.0 and zeta_obs[0] == tiny
+    assert estimator._phase_error_rate(0.0, tiny) == 0.0
+    *_, inputs = _pipeline()
+    y = np.zeros((2, 9))
+    y[:, ZZ_PAIR_INDICES[0]] = [4.0 * tiny, 4.0 * below]
+
+    def run(rows):
+        return estimate(EstimationInputs(YieldTable(y[rows]),
+                                         SideChannelParams.uniform(np.full(len(rows), 1e-6)),
+                                         inputs.f_obj))
+
+    assert run([0]).e_zz.tolist() == [1.0]
+    with pytest.raises(NoSignalError, match=NO_SIGNAL) as excinfo:
+        run([0, 1])
+    assert excinfo.value.rows.tolist() == [False, True]
 
 
 def test_no_signal_error_names_the_batch_rows():
@@ -155,21 +151,16 @@ def test_no_signal_error_names_the_batch_rows():
         run([0, 1, 2])
     assert excinfo.value.rows.tolist() == [False, True, True]
     assert run([0]).key_rate.shape == (1,)
-    # phase_error_rate applies the same threshold to the zeta_obs it is given
-    tiny = np.finfo(float).tiny
-    with pytest.raises(NoSignalError, match="zeta_obs must be positive") as excinfo:
-        phase_error_rate(np.zeros(3), np.array([0.1, 5e-324, tiny]))
-    assert excinfo.value.rows.tolist() == [False, True, False]
     # a single point gets a 0-d mask
     with pytest.raises(NoSignalError) as excinfo:
-        bit_error_rate([0.0, 0.0, 0.0, 0.0])
+        estimate(EstimationInputs(YieldTable(quiet), SideChannelParams.uniform(1e-6),
+                                  inputs.f_obj))
     assert excinfo.value.rows.shape == () and excinfo.value.rows
 
 
 def test_bit_error_rate_tracks_misalignment():
-    _, povm, yields, _ = _pipeline(loss_db=4.0)
-    zz = yields.y[list(ZZ_PAIR_INDICES)]
-    observed = bit_error_rate(zz)
+    *_, inputs = _pipeline(loss_db=4.0)
+    observed = estimate(inputs).e_zz
     oracle = fock_povm(0.145, 6.02e-6, 0.015, 4.0)
     diag = [oracle[i, i] for i in range(4)]
     expected = (diag[0] + diag[3]) / sum(diag)
@@ -179,23 +170,17 @@ def test_bit_error_rate_tracks_misalignment():
 
 
 def test_phase_error_rate_basics():
-    assert phase_error_rate(0.0, 0.1) == 0.0
-    assert phase_error_rate(0.05, 0.1) == 0.5
-    assert phase_error_rate(0.5, 0.1) == 1.0  # clamped
-    with pytest.raises(NoSignalError):
-        phase_error_rate(0.1, 0.0)
-    # a bound on a probability weight is never negative
-    for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError, match="omega_up"):
-            phase_error_rate(bad, 0.1)
+    rates = estimator._phase_error_rate(np.array([0.0, 0.05, 0.5]), 0.1)
+    assert rates.tolist() == [0.0, 0.5, 1.0]  # capped at 1
 
 
 def test_delta_vir_lower_limits():
-    assert delta_vir_lower(SideChannelParams.uniform(0.0)) == 1.0
-    assert delta_vir_lower(SideChannelParams.uniform(1.0)) == 0.0
-    assert delta_vir_lower(SideChannelParams.uniform(1e-6)) == pytest.approx(
-        0.9999995, abs=5e-8
-    )
+    def floor(eps):
+        return estimator._delta_vir_lower(SideChannelParams.uniform(eps).anchors())
+
+    assert floor(0.0) == 1.0
+    assert floor(1.0) == 0.0
+    assert floor(1e-6) == pytest.approx(0.9999995, abs=5e-8)
 
 
 def test_anchors_are_the_roots_of_one_minus_eps():
@@ -206,22 +191,19 @@ def test_anchors_are_the_roots_of_one_minus_eps():
                 SideChannelParams(np.outer(rows, np.linspace(0.1, 1.0, 9)))):
         roots = np.sqrt(1.0 - eps.eps)
         np.testing.assert_array_equal(eps.anchors(), roots)
-        np.testing.assert_array_equal(
-            delta_vir_lower(eps), 0.25 * roots[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
+        np.testing.assert_array_equal(estimator._delta_vir_lower(eps.anchors()),
+                                      0.25 * roots[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
 
 
 def test_omega_upper_limits():
-    assert omega_upper(0.3, 1.0) == 0.3
-    assert omega_upper(0.0, 0.5) == pytest.approx(0.75, abs=1e-15)
-    with pytest.raises(ValueError):
-        omega_upper(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        omega_upper(0.1, 1.5)
+    # a virtual fidelity of 1 lifts nothing
+    assert estimator._lift(np.array(0.3), 1.0) == 0.3
+    assert estimator._lift(np.array(0.0), 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_omega_upper_clamps_with_warning():
-    with pytest.warns(UserWarning, match="clamped"):
-        assert omega_upper(1.2, 0.5) == 1.0
+    with pytest.warns(UserWarning, match=r"omega_ref_upper = 1\.2 clamped to 1"):
+        assert estimator._lift(np.array([0.3, 1.2]), 0.5)[1] == 1.0
 
 
 def test_omega_ref_zero_cases():
@@ -270,23 +252,24 @@ def test_omega_ref_x_convention_independent():
 
 
 def test_omega_ref_upper_collapses_at_zero_eps():
-    ref, _, yields, inputs = _pipeline(delta=BENCHMARK_DELTA, eps_value=0.0)
-    upper = omega_ref_upper(inputs.f_obj, yields, SideChannelParams.uniform(0.0))
-    assert abs(upper - omega_ref_matrix(inputs)) < 1e-12
+    *_, inputs = _pipeline(delta=BENCHMARK_DELTA, eps_value=0.0)
+    r = estimate(inputs)
+    assert abs(r.omega_ref_upper - r.omega_ref) < 1e-12
 
 
 def test_omega_ref_upper_saturated_eps():
-    ref, _, yields, inputs = _pipeline()
-    upper = omega_ref_upper(inputs.f_obj, yields, SideChannelParams.uniform(1.0))
+    *_, inputs = _pipeline(eps_value=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lift clamps a bound above 1
+        upper = estimate(inputs).omega_ref_upper
     expected = sum(f for f in inputs.f_obj if f > 0.0)
     assert upper == pytest.approx(expected, abs=1e-12)
 
 
 def test_omega_ref_upper_strictly_above_matrix_value():
-    ref, _, yields, inputs = _pipeline(delta=BENCHMARK_DELTA)
-    base = omega_ref_matrix(inputs)
-    upper = omega_ref_upper(inputs.f_obj, yields, SideChannelParams.uniform(1e-6))
-    assert upper > base
+    *_, inputs = _pipeline(delta=BENCHMARK_DELTA)
+    r = estimate(inputs)
+    assert r.omega_ref_upper > r.omega_ref
 
 
 def test_degradation_monotone_in_eps():
@@ -311,6 +294,20 @@ def test_ill_conditioned_reference_set_is_refused():
     with pytest.raises(IllConditionedError) as excinfo:
         build_estimation_inputs(ref, ref, yields, SideChannelParams.uniform(1e-6))
     assert excinfo.value.condition_number > 1e8
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda ref, yields, inputs: build_estimation_inputs(ref, ref),
+                 "yields must be a YieldTable, got None", id="reference-set-alone"),
+    pytest.param(lambda ref, yields, inputs: EstimationInputs(yields.y, inputs.eps, inputs.f_obj),
+                 "yields must be a YieldTable, got array(", id="yields-array"),
+    pytest.param(lambda ref, yields, inputs: EstimationInputs(yields, 1e-6, inputs.f_obj),
+                 "eps must be a SideChannelParams, got 1e-06", id="eps-float"),
+])
+def test_estimate_names_a_field_of_the_wrong_type(build, message):
+    ref, _, yields, inputs = _pipeline()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate(build(ref, yields, inputs))
 
 
 def test_no_signal_channel_is_reported():
@@ -430,22 +427,39 @@ def test_estimate_takes_one_f_obj_per_row():
         assert result.omega_ref[i] == pytest.approx(alone.omega_ref, rel=1e-12, abs=1e-15)
 
 
-def _chain_of_public_steps(y, eps, f_obj, f_ec, sifting):
-    # the chain step by step through the checked functions, with both
-    # deviation bounds taken on every pair by the two-branch oracle and
-    # np.where keeping the one the sign of f_obj selects
-    params = SideChannelParams(eps)
-    lower, upper = deviation_bounds(y, params.anchors())
-    bounds = np.where(f_obj > 0.0, upper, lower)
-    om_ref_up = np.maximum((f_obj * bounds).sum(axis=-1), 0.0)
-    np.testing.assert_array_equal(omega_ref_upper(f_obj, YieldTable(y), params), om_ref_up)
-    om_up = omega_upper(om_ref_up, delta_vir_lower(params))
-    zz = y[..., list(ZZ_PAIR_INDICES)]
-    e_zz = bit_error_rate(zz)
-    zeta_obs = 0.25 * zz.sum(axis=-1)
-    e_xx = phase_error_rate(om_up, zeta_obs)
+def _entropy(p):
+    # h(p) term by term, 0 at the endpoints
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p > 0.0) & (p < 1.0), h, 0.0)
+
+
+def _reference_chain(y, eps, f_obj, f_ec, sifting):
+    """The paper's chain step by step in plain numpy, deviation bounds from the oracle.
+
+    Both deviation bounds are taken on every pair by the two-branch
+    oracle, and np.where keeps the one the sign of f_obj selects. Returns
+    the core's six columns, delta_vir_lower and the mask of the rows
+    without signal; warns of the omega_ref_upper clamp as the core does.
+    """
+    zz_pairs = list(ZZ_PAIR_INDICES)
+    roots = np.sqrt(1.0 - eps)
+    lower, upper = deviation_bounds(y, roots)
+    om_ref_up = np.maximum((f_obj * np.where(f_obj > 0.0, upper, lower)).sum(axis=-1), 0.0)
+    if (om_ref_up > 1.0).any():
+        warnings.warn(f"omega_ref_upper = {float(om_ref_up.max())!r} clamped to 1")
+    delta_vir_low = 0.25 * roots[..., zz_pairs].sum(axis=-1)
+    om_up = deviation_bounds(np.minimum(om_ref_up, 1.0), delta_vir_low)[1]
+    zz = y[..., zz_pairs]
+    zeta_obs = 0.25 * zz.sum(axis=-1)  # each Z bit pair is drawn with probability 1/4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_zz = (zz[..., 0] + zz[..., 3]) / zz.sum(axis=-1)  # equal bits are errors
+        e_xx = np.minimum(om_up, zeta_obs) / zeta_obs
     y_zz = zeta_obs if sifting is None else zeta_obs * sifting
-    return key_rate(y_zz, e_zz, e_xx, f_ec), e_zz, e_xx, om_ref_up, om_up, zeta_obs
+    bracket = 1.0 - _entropy(np.minimum(e_xx, 0.5)) - f_ec * _entropy(np.minimum(e_zz, 0.5))
+    rate = y_zz * np.maximum(bracket, 0.0)
+    silent = zeta_obs < np.finfo(float).tiny
+    return (rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs), delta_vir_low, silent
 
 
 # every entry of a unit-interval table may be one of the edges
@@ -467,6 +481,9 @@ def _core_batches(draw):
                                      min_size=n, max_size=n)))
     f_obj = np.array(draw(st.lists(st.lists(_F_OBJ, min_size=9, max_size=9),
                                    min_size=n, max_size=n)))
+    if draw(st.booleans()):  # near a working point, where the key rate and its entropies live
+        y[:, [0, 4]] *= 1e-2  # (0Z,0Z) and (1Z,1Z): few equal announced bits
+        eps, f_obj = eps * 1e-6, f_obj * 1e-3
     f_ec = draw(st.sampled_from([1.0, 1.16, 2.0]))
     sifting = draw(st.sampled_from([None, 0.0, 4.0 / 9.0, 1.0]))
     return y, eps, f_obj, f_ec, sifting
@@ -482,22 +499,20 @@ def _messages(caught):
     return [(w.category, str(w.message)) for w in caught]
 
 
-def _check_core_against_chain(y, eps, f_obj, f_ec, sifting):
+def _check_core_against_reference(y, eps, f_obj, f_ec, sifting):
     with warnings.catch_warnings(record=True) as core_warnings:
         warnings.simplefilter("always")
         columns, silent = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, f_ec, sifting)
-    # the chain warns of the omega_ref_upper clamp on every row, those
-    # without signal included, before it names them
-    with warnings.catch_warnings(record=True) as chain_warnings:
+    # both warn of the omega_ref_upper clamp on every row, those without
+    # signal included
+    with warnings.catch_warnings(record=True) as reference_warnings:
         warnings.simplefilter("always")
-        try:
-            _chain_of_public_steps(y, eps, f_obj, f_ec, sifting)
-            rows = np.zeros(len(y), dtype=bool)
-        except NoSignalError as exc:
-            assert str(exc) == NO_SIGNAL
-            rows = exc.rows
-    assert _messages(core_warnings) == _messages(chain_warnings)
-    np.testing.assert_array_equal(silent, rows)
+        reference, delta_vir_low, reference_silent = _reference_chain(y, eps, f_obj, f_ec, sifting)
+    assert _messages(core_warnings) == _messages(reference_warnings)
+    np.testing.assert_array_equal(silent, reference_silent)
+    signal = ~silent
+    for core_column, reference_column in zip(columns, reference):
+        _assert_bits_equal(core_column[signal], reference_column[signal])
     if silent.any():
         inputs = EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj)
         with warnings.catch_warnings():
@@ -505,25 +520,22 @@ def _check_core_against_chain(y, eps, f_obj, f_ec, sifting):
             with pytest.raises(NoSignalError, match=NO_SIGNAL) as excinfo:
                 estimate(inputs, f_ec=f_ec, sifting_prefactor=sifting)
         np.testing.assert_array_equal(excinfo.value.rows, silent)
-    signal = ~silent
     if not signal.any():
         return
-    y, eps, f_obj = y[signal], eps[signal], f_obj[signal]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        chain = _chain_of_public_steps(y, eps, f_obj, f_ec, sifting)
-        result = estimate(EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj),
-                          f_ec=f_ec, sifting_prefactor=sifting)
+        result = estimate(EstimationInputs(YieldTable(y[signal]), SideChannelParams(eps[signal]),
+                                           f_obj[signal]), f_ec=f_ec, sifting_prefactor=sifting)
     fields = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
-    for name, core_column, chain_column in zip(fields, columns, chain):
-        _assert_bits_equal(core_column[signal], chain_column)
-        _assert_bits_equal(getattr(result, name), chain_column)
+    for name, reference_column in zip(fields, reference):
+        _assert_bits_equal(getattr(result, name), reference_column[signal])
+    _assert_bits_equal(result.delta_vir_lower, delta_vir_low[signal])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_core_batches())
-def test_core_equals_the_public_chain_bit_for_bit(batch):
-    _check_core_against_chain(*batch)
+def test_core_equals_the_reference_chain_bit_for_bit(batch):
+    _check_core_against_reference(*batch)
 
 
 def test_core_covers_the_clamp_and_the_edges():
@@ -538,4 +550,16 @@ def test_core_covers_the_clamp_and_the_edges():
     assert silent.tolist() == [False, False, False, True]
     omega_ref_up = columns[3]
     assert (omega_ref_up[:3] > 1.0).all() and (columns[4][:3] == 1.0).all()
-    _check_core_against_chain(y, eps, f_obj, 1.16, None)
+    _check_core_against_reference(y, eps, f_obj, 1.16, None)
+
+
+def test_core_equals_the_reference_chain_on_the_relay_model():
+    # working points of the relay model, where every step of the chain is live
+    points = [_pipeline(loss_db=loss, delta=delta)[3]
+              for delta in (0.0, BENCHMARK_DELTA) for loss in (0.0, 4.0, 8.0)]
+    y = np.array([p.yields.y for p in points])
+    eps = np.full_like(y, 1e-6)
+    f_obj = np.array([p.f_obj for p in points])
+    (rate, *_), _ = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, 1.16, None)
+    assert (rate > 0.0).all()
+    _check_core_against_reference(y, eps, f_obj, 1.16, None)

@@ -9,7 +9,8 @@ from mdiqkd._g12 import print_rows
 
 def _fields(values):
     """values printed as one field per row, read back field by field."""
-    text = "".join(print_rows(np.array([values], dtype=np.float64), ["|"], "\n"))
+    block = np.array([values], dtype=np.float64)
+    text = "".join(print_rows(block, ["|"], "\n", np.ones(len(values), dtype=bool)))
     lines = text.split("\n")
     assert lines.pop() == "" and all(line.startswith("|") for line in lines)
     return [line[1:] for line in lines]
@@ -27,7 +28,7 @@ def test_every_field_is_the_bytes_of_percent_12g(rows):
     # any float64: +-0, subnormals, +-inf and nan among them
     prefixes, suffix = ["{", ", b: ", ", c: "], "}\n"
     block = np.array(rows, dtype=np.float64).T
-    text = "".join(print_rows(block, prefixes, suffix))
+    text = "".join(print_rows(block, prefixes, suffix, np.ones(len(rows), dtype=bool)))
     assert text == "".join(
         "".join(p + "%.12g" % v for p, v in zip(prefixes, row)) + suffix for row in rows)
 

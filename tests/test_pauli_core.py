@@ -18,7 +18,6 @@ from mdiqkd.pauli_core import (
     DegenerateInputError,
     QubitState,
     VirtualEnsemble,
-    two_qubit_bloch,
 )
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
@@ -89,23 +88,26 @@ def test_bloch_vector_rejects_unnormalized():
         bloch_vector(SimpleNamespace(amp0=math.nan, amp1=0.0))
 
 
-def test_two_qubit_bloch_zz():
-    zero = QubitState(1.0, 0.0)
-    s = two_qubit_bloch(zero, zero)
-    # (I,I), (I,Z), (Z,I), (Z,Z) are 1, X entries vanish
-    np.testing.assert_allclose(s, [1, 0, 1, 0, 0, 0, 1, 0, 1], rtol=0, atol=1e-15)
+def test_s_matrix_zz_row():
+    ideal = _states(IDEAL)
+    # (0Z,0Z): (I,I), (I,Z), (Z,I), (Z,Z) are 1, X entries vanish
+    np.testing.assert_allclose(build_S_matrix(ideal, ideal)[0], [1, 0, 1, 0, 0, 0, 1, 0, 1],
+                               rtol=0, atol=1e-15)
 
 
-def test_two_qubit_bloch_matches_trace_oracle():
+def test_s_matrix_rows_match_trace_oracle():
+    # row 3i + j holds the product-state coefficients of ref_a[i] and ref_b[j]
     rng = np.random.default_rng(1234)
-    for _ in range(1000):
-        ta, tb = rng.uniform(-math.pi, math.pi, size=2)
-        a = QubitState(math.cos(ta), math.sin(ta))
-        b = QubitState(math.cos(tb), math.sin(tb))
-        rho = np.kron(density_matrix(a), density_matrix(b))
-        np.testing.assert_allclose(
-            two_qubit_bloch(a, b), bloch_by_trace(rho), rtol=0, atol=1e-12
-        )
+    for _ in range(120):
+        ref_a, ref_b = [
+            [QubitState(math.cos(t), math.sin(t)) for t in rng.uniform(-math.pi, math.pi, 3)]
+            for _ in range(2)
+        ]
+        s = build_S_matrix(ref_a, ref_b)
+        for i, a in enumerate(ref_a):
+            for j, b in enumerate(ref_b):
+                rho = np.kron(density_matrix(a), density_matrix(b))
+                np.testing.assert_allclose(s[3 * i + j], bloch_by_trace(rho), rtol=0, atol=1e-12)
 
 
 def test_bloch_products_equal_kron_bitwise():
@@ -118,7 +120,6 @@ def test_bloch_products_equal_kron_bitwise():
         ]
         kron = np.array([np.kron(bloch_vector(a), bloch_vector(b))
                          for a in ref_a for b in ref_b])
-        np.testing.assert_array_equal(two_qubit_bloch(ref_a[0], ref_b[1]), kron[1])
         np.testing.assert_array_equal(build_S_matrix(ref_a, ref_b), kron)
 
 

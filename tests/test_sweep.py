@@ -132,6 +132,13 @@ def test_sweep_config_validation():
             SweepConfig(include_sifting=flag)
 
 
+@pytest.mark.parametrize("key", ["eps_values", "delta_values"])
+@pytest.mark.parametrize("value", [1e-6, "0.1", np.array([0.0, 0.1])], ids=["float", "str", "array"])
+def test_sweep_config_refuses_a_list_that_is_not_one(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a list or tuple of numbers, got "):
+        SweepConfig(**{key: value})
+
+
 def test_load_config_defaults():
     config = load_config()
     assert config.eps_values == (1e-6,)
