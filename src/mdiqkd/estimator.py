@@ -315,6 +315,10 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     f_obj = np.asarray(inputs.f_obj, dtype=float)
     if not np.all(np.isfinite(f_obj)):
         raise ValueError("f_obj must be finite")
+    shape = inputs.yields.y.shape  # eps and f_obj are shared, or given per yield row
+    for name, value in (("eps", inputs.eps.eps), ("f_obj", f_obj)):
+        if value.shape not in ((9,), shape):
+            raise ValueError(f"{name} must have shape (9,) or {shape}, got {value.shape}")
     if not f_ec >= 1.0:
         raise ValueError("f_ec must be >= 1")
     if not (sifting_prefactor is None or sifting_prefactor >= 0.0):

@@ -171,7 +171,7 @@ class SweepConfig:
         if not (isinstance(self.out_path, str) and self.out_path):
             raise ValueError(f"output.path must be a non-empty string, got {self.out_path!r}")
         if self.out_format not in ("csv", "json-lines"):
-            raise ValueError("format must be csv or json-lines")
+            raise ValueError(f"output.format must be csv or json-lines, got {self.out_format!r}")
         fr, lr = self.frequency_range, self.loss_range
         loss_rows = (len(self.eps_values) * len(self.delta_values)
                      * _grid_size(lr.start, lr.stop, lr.step))
@@ -215,6 +215,19 @@ def _numbers(value, key, shape, length=None):
     raise ValueError(f"{key} must be {shape}, got {value!r}")
 
 
+def _number(value, key):
+    """A string as the float that float() reads, or ValueError naming key; else value itself.
+
+    YAML 1.1 reads 1e-5 (no dot) as a string. A bool stays one, for the records to refuse.
+    """
+    if not isinstance(value, str):
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
 def _float_list(value, key):
     return _numbers(value, key, "a list of numbers")
 
@@ -224,32 +237,32 @@ def _pair(value, key):
 
 
 # The config schema, one row per dotted key of a config file: the object
-# the key builds, the field it sets, its parser (None: kept as it is), its
-# override name (the command line's argparse dest; None if no flag sets
-# it) and the only sweep axis that reads it (None: both do). A key that no
+# the key builds, the field it sets, its parser (None: kept as it is) of a
+# file's value and a flag's text alike, its flag (None if none sets it)
+# and the only sweep axis that reads it (None: both do). A key that no
 # sweep reads is not listed, so a file that sets one is refused.
 CONFIG_KEYS = {
-    "channel.eta_d": (ChannelParams, "eta_d", None, None, None),
-    "channel.p_d": (ChannelParams, "p_d", None, None, None),
-    "channel.e_d": (ChannelParams, "e_d", None, None, None),
-    "channel.p_za": (ChannelParams, "p_za", None, None, None),
-    "channel.p_zb": (ChannelParams, "p_zb", None, None, None),
-    "estimation.f_ec": (SweepConfig, "f_ec", None, None, None),
+    "channel.eta_d": (ChannelParams, "eta_d", _number, None, None),
+    "channel.p_d": (ChannelParams, "p_d", _number, None, None),
+    "channel.e_d": (ChannelParams, "e_d", _number, None, None),
+    "channel.p_za": (ChannelParams, "p_za", _number, None, None),
+    "channel.p_zb": (ChannelParams, "p_zb", _number, None, None),
+    "estimation.f_ec": (SweepConfig, "f_ec", _number, None, None),
     "estimation.include_sifting": (SweepConfig, "include_sifting", None, None, None),
-    "estimation.cond_ceiling": (SweepConfig, "cond_ceiling", None, None, None),
-    "sweep.eps": (SweepConfig, "eps_values", _float_list, "eps", "loss"),
-    "sweep.delta": (SweepConfig, "delta_values", _float_list, "delta", None),
-    "sweep.loss.start": (LossRange, "start", None, "start", "loss"),
-    "sweep.loss.stop": (LossRange, "stop", None, "stop", "loss"),
-    "sweep.loss.step": (LossRange, "step", None, "step", "loss"),
-    "sweep.frequency.start_ghz": (FrequencyRange, "start_ghz", None, None, "frequency"),
-    "sweep.frequency.stop_ghz": (FrequencyRange, "stop_ghz", None, None, "frequency"),
-    "sweep.frequency.step_ghz": (FrequencyRange, "step_ghz", None, None, "frequency"),
-    "sweep.frequency.loss_db": (FrequencyRange, "loss_db", None, None, "frequency"),
+    "estimation.cond_ceiling": (SweepConfig, "cond_ceiling", _number, None, None),
+    "sweep.eps": (SweepConfig, "eps_values", _float_list, "--eps", "loss"),
+    "sweep.delta": (SweepConfig, "delta_values", _float_list, "--delta", None),
+    "sweep.loss.start": (LossRange, "start", _number, "--loss-start", "loss"),
+    "sweep.loss.stop": (LossRange, "stop", _number, "--loss-stop", "loss"),
+    "sweep.loss.step": (LossRange, "step", _number, "--loss-step", "loss"),
+    "sweep.frequency.start_ghz": (FrequencyRange, "start_ghz", _number, None, "frequency"),
+    "sweep.frequency.stop_ghz": (FrequencyRange, "stop_ghz", _number, None, "frequency"),
+    "sweep.frequency.step_ghz": (FrequencyRange, "step_ghz", _number, None, "frequency"),
+    "sweep.frequency.loss_db": (FrequencyRange, "loss_db", _number, None, "frequency"),
     "sweep.frequency.anchor_low": (FrequencyRange, "anchor_low", _pair, None, "frequency"),
     "sweep.frequency.anchor_high": (FrequencyRange, "anchor_high", _pair, None, "frequency"),
-    "output.path": (SweepConfig, "out_path", None, "out", None),
-    "output.format": (SweepConfig, "out_format", None, "format", None),
+    "output.path": (SweepConfig, "out_path", None, "--out", None),
+    "output.format": (SweepConfig, "out_format", None, "--format", None),
 }
 # (section, name) of every key and section a config file may hold; "" is the root
 _NAMES = {(".".join(parts[:i]), parts[i])
@@ -280,8 +293,8 @@ def load_config(path=None, overrides=None):
     """Build a SweepConfig from an optional YAML file plus overrides.
 
     The file sets keys of CONFIG_KEYS, every one optional. overrides maps
-    override names to values (None: unset); they are laid over the file's
-    keys before any value is parsed or checked. Each object is built once.
+    dotted keys to values (None: unset), laid over the file's keys before
+    any value goes through its key's parser and check. Each object is built once.
     """
     raw = {}
     if path is not None:
@@ -297,11 +310,13 @@ def load_config(path=None, overrides=None):
     values = {}
     _collect(raw, "", values)
     overrides = overrides or {}
+    unknown = sorted(set(overrides) - CONFIG_KEYS.keys())
+    if unknown:
+        raise ValueError("unknown config keys: " + ", ".join(unknown))
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     # pass only the keys that are set, so that the dataclass defaults apply
     fields = {ChannelParams: {}, LossRange: {}, FrequencyRange: {}, SweepConfig: {}}
-    for key, (cls, field, parse, name, _) in CONFIG_KEYS.items():
-        if name and overrides.get(name) is not None:
-            values[key] = overrides[name]
+    for key, (cls, field, parse, _, _) in CONFIG_KEYS.items():
         if key in values:
             fields[cls][field] = parse(values[key], key) if parse else values[key]
     return SweepConfig(channel=ChannelParams(**fields[ChannelParams]),

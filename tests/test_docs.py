@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mdiqkd.cli import main
+from mdiqkd.cli import build_parser, main
 from mdiqkd.sweep import CONFIG_KEYS, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,9 +41,23 @@ def test_readme_config_serves_both_axes(tmp_path, monkeypatch, capsys):
         assert (tmp_path / "rates.csv").read_text().startswith(header)
 
 
+def _readme_table(header):
+    """The rows of the README table under the given header line, as lists of cells."""
+    body = (ROOT / "README.md").read_text().split(header + "\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in body.splitlines()[1:]]
+
+
 def test_readme_names_every_config_key(tmp_path):
-    readme = (ROOT / "README.md").read_text()
-    assert [key for key in CONFIG_KEYS if f"`{key}`" not in readme] == []
+    # the key table is CONFIG_KEYS: key, the axis that reads it, its flag
+    axes = {None: "both axes", "loss": "`--sweep loss`", "frequency": "`--sweep frequency`"}
+    expected = [[f"`{key}`", axes[axis], f"`{flag}`" if flag else ""]
+                for key, (*_, flag, axis) in CONFIG_KEYS.items()]
+    assert _readme_table("| key | read by | flag |") == expected
+    # the flag table lists exactly the flags of the parser
+    flags = [re.findall(r"--[\w-]+", row[0]) for row in _readme_table("| flag | meaning |")]
+    usage = build_parser().format_usage()
+    assert [flag for [flag] in flags] == re.findall(r"\[(--[\w-]+)", usage)
     # no sweep reads the channel's loss, so the schema has no such key
     path = tmp_path / "cfg.yaml"
     path.write_text("channel: {loss_db: 30.0}\n")

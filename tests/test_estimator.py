@@ -310,6 +310,38 @@ def test_estimate_names_a_field_of_the_wrong_type(build, message):
         estimate(build(ref, yields, inputs))
 
 
+@pytest.mark.parametrize("yields, eps, f_obj, message", [
+    # one yield row may not give three key rates
+    (np.full(9, 0.1), 1e-6, np.zeros((3, 9)), "f_obj must have shape (9,) or (9,), got (3, 9)"),
+    # nor may two yield rows meet three eps rows in numpy's broadcast error
+    (np.full((2, 9), 0.1), np.full(3, 1e-6), np.zeros(9),
+     "eps must have shape (9,) or (2, 9), got (3, 9)"),
+    (np.full(9, 0.1), np.full(2, 1e-6), np.zeros(9),
+     "eps must have shape (9,) or (9,), got (2, 9)"),
+    (np.full((2, 9), 0.1), 1e-6, np.zeros((3, 9)),
+     "f_obj must have shape (9,) or (2, 9), got (3, 9)"),
+], ids=["one-yield-row-three-f_obj-rows", "two-yield-rows-three-eps-rows",
+        "one-yield-row-two-eps-rows", "two-yield-rows-three-f_obj-rows"])
+def test_estimate_refuses_shapes_that_do_not_agree(monkeypatch, yields, eps, f_obj, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(estimator, "_estimate_core", no_work)
+    inputs = EstimationInputs(YieldTable(yields), SideChannelParams.uniform(eps), f_obj)
+    with pytest.raises(ValueError) as excinfo:
+        estimate(inputs)
+    assert str(excinfo.value) == message
+
+
+def test_estimate_shares_a_nine_entry_eps_and_f_obj_over_the_yield_rows():
+    *_, inputs = _pipeline()
+    rows = np.stack([inputs.yields.y] * 2)
+    for eps, f_obj in ((inputs.eps, np.stack([inputs.f_obj] * 2)),
+                       (SideChannelParams(np.stack([inputs.eps.eps] * 2)), inputs.f_obj)):
+        result = estimate(EstimationInputs(YieldTable(rows), eps, f_obj))
+        assert result.key_rate.tolist() == [estimate(inputs).key_rate] * 2
+
+
 def test_no_signal_channel_is_reported():
     with pytest.raises(NoSignalError):
         ref, _, yields, inputs = _pipeline(eta_d=0.0, p_d=0.0)

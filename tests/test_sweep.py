@@ -37,6 +37,7 @@ from mdiqkd.estimator import NO_SIGNAL, _estimate_core
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError
 from mdiqkd.sweep import (
+    CONFIG_KEYS,
     FrequencyRange,
     KeyRatePoint,
     LossRange,
@@ -152,12 +153,14 @@ def test_load_config_yaml_file(tmp_path):
     path.write_text(
         "channel:\n"
         "  eta_d: 0.2\n"
+        "  p_d: 1e-5\n"
         "estimation:\n"
         "  f_ec: 1.2\n"
+        "  cond_ceiling: 1e8\n"
         "sweep:\n"
         "  eps: [1e-7, 1.0e-6]\n"
         "  delta: [0.05]\n"
-        "  loss: {start: 1.0, stop: 2.0, step: 0.5}\n"
+        "  loss: {start: 1.0, stop: 2.0, step: 5e-1}\n"
         "  frequency: {loss_db: 5.0, anchor_high: [4.0, -5.0]}\n"
         "output:\n"
         "  path: rates.jsonl\n"
@@ -166,7 +169,10 @@ def test_load_config_yaml_file(tmp_path):
     config = load_config(str(path))
     assert config.channel.eta_d == 0.2
     assert config.f_ec == 1.2
-    # scientific notation without a dot arrives as a string from YAML
+    # scientific notation without a dot arrives as a string from YAML, in
+    # a list as in a scalar key
+    assert config.channel.p_d == 1e-5 and type(config.channel.p_d) is float
+    assert config.cond_ceiling == 1e8
     assert config.eps_values == (1e-7, 1e-6)
     assert config.delta_values == (0.05,)
     assert config.loss_range == LossRange(1.0, 2.0, 0.5)
@@ -213,7 +219,8 @@ def test_load_config_overrides_win(tmp_path):
         "  eps: [1.0e-7]\n"
         "  loss: {start: 1.0, stop: 2.0, step: 0.5}\n"
     )
-    config = load_config(str(path), {"eps": [1e-8], "start": 0.5, "out": "x.csv"})
+    config = load_config(str(path), {"sweep.eps": [1e-8], "sweep.loss.start": 0.5,
+                                     "output.path": "x.csv", "sweep.loss.step": None})
     assert config.eps_values == (1e-8,)
     assert config.loss_range == LossRange(0.5, 2.0, 0.5)  # stop/step kept
     assert config.out_path == "x.csv"
@@ -222,9 +229,27 @@ def test_load_config_overrides_win(tmp_path):
 def test_load_config_lays_overrides_over_the_file_before_any_check(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("sweep:\n  loss: {start: 5, stop: 2, step: 1}\n")
-    assert load_config(str(path), {"stop": 10}).loss_range == LossRange(5, 10, 1)
+    assert load_config(str(path), {"sweep.loss.stop": 10}).loss_range == LossRange(5, 10, 1)
     with pytest.raises(ValueError, match="need stop >= start"):
         load_config(str(path))
+
+
+def test_load_config_refuses_an_override_that_is_no_config_key():
+    # the command line's old argparse dests would otherwise be dropped unread
+    with pytest.raises(ValueError) as exc:
+        load_config(None, {"eps": [1e-8], "stop": 10, "sweep.loss.start": 1})
+    assert str(exc.value) == "unknown config keys: eps, stop"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("channel: {p_d: '1e-5'}\n", 1e-5),  # a quoted number, as a list already reads it
+    ("channel: {p_d: 0}\n", 0),
+])
+def test_load_config_reads_a_scalar_key_as_float_does(tmp_path, text, value):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    p_d = load_config(str(path)).channel.p_d
+    assert p_d == value and type(p_d) is type(value)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -269,6 +294,19 @@ def test_load_config_rejects_unknown_keys(tmp_path, text, key):
     ("sweep: {eps: [abc]}\n", "sweep.eps must be a list of numbers, got ['abc']"),
 ], ids=["anchor-scalar", "anchor-triple", "anchor-mapping", "eps-word"])
 def test_load_config_names_the_key_and_shape_of_a_bad_list(tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("channel: {p_d: abc}\n", "channel.p_d must be a number, got 'abc'"),
+    ("sweep: {loss: {step: '0.5 dB'}}\n", "sweep.loss.step must be a number, got '0.5 dB'"),
+    ("output: {format: xml}\n", "output.format must be csv or json-lines, got 'xml'"),
+], ids=["p_d-word", "loss-step-unit", "format"])
+def test_load_config_names_the_key_and_value_of_a_bad_scalar(tmp_path, text, message):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     with pytest.raises(ValueError) as exc:
@@ -980,15 +1018,71 @@ def test_rate_nonincreasing_in_loss(lg_eps, delta, eta_d, lg_p_d, e_d):
     assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
-def test_cli_parser_flags():
-    args = build_parser().parse_args(
-        ["--eps", "1e-6,1e-7", "--delta", "0.0", "--loss-start", "1",
-         "--loss-stop", "2", "--loss-step", "0.5", "--format", "csv"]
-    )
-    assert args.eps == [1e-6, 1e-7]
-    assert args.delta == [0.0]
-    assert (args.start, args.stop, args.step) == (1.0, 2.0, 0.5)
-    assert args.sweep == "loss"
+# the flags of CONFIG_KEYS, in their order
+_FLAGS = [flag for *_, flag, _ in CONFIG_KEYS.values() if flag]
+
+
+def test_cli_flags_set_their_config_keys(tmp_path, capsys, monkeypatch):
+    # each generated flag reaches load_config under its dotted key, as the
+    # text its key's parser reads; a list flag drops its empty entries
+    configs = []
+
+    def recording_load(path, overrides):
+        configs.append(load_config(path, overrides))
+        return configs[-1]
+
+    monkeypatch.setattr(mdiqkd.cli, "load_config", recording_load)
+    out = tmp_path / "rates.jsonl"
+    argv = ["--eps", "1e-6,,1e-7", "--delta", "0.0", "--loss-start", "1", "--loss-stop", "2",
+            "--loss-step", "0.5", "--out", str(out), "--format", "json-lines"]
+    assert argv[::2] == _FLAGS
+    assert main(argv) == 0
+    [config] = configs
+    assert config.eps_values == (1e-6, 1e-7)
+    assert config.delta_values == (0.0,)
+    assert config.loss_range == LossRange(1.0, 2.0, 0.5)
+    assert (config.out_path, config.out_format) == (str(out), "json-lines")
+    assert capsys.readouterr().out == f"wrote 6 rows to {out}\n"
+    # two curves of three points, then one summary per curve
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 8
+    assert sorted(line["summary"]["eps"] for line in lines[6:]) == [1e-7, 1e-6]
+
+
+def test_cli_help_names_every_flag_of_the_schema():
+    usage = build_parser().format_usage()
+    assert re.findall(r"\[(--[\w-]+)", usage) == ["--config", "--sweep", *_FLAGS]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "1e-6,abc"], "sweep.eps must be a list of numbers, got ['1e-6', 'abc']"),
+    (["--delta", "0,0.1rad"], "sweep.delta must be a list of numbers, got ['0', '0.1rad']"),
+    (["--format", "xml"], "output.format must be csv or json-lines, got 'xml'"),
+    (["--loss-start", "abc"], "sweep.loss.start must be a number, got 'abc'"),
+    (["--loss-step", ""], "sweep.loss.step must be a number, got ''"),
+], ids=["eps", "delta", "format", "loss-start", "loss-step-empty"])
+def test_cli_refuses_a_bad_flag_value_with_one_json_line(tmp_path, capsys, monkeypatch,
+                                                         flags, message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mdiqkd.cli, "loss_table", no_table)
+    out = tmp_path / "x.csv"
+    assert main([*flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--eps"], ["--epsilon", "1e-6"], ["--sweep", "time"]],
+                         ids=["missing-value", "unknown-flag", "unknown-axis"])
+def test_cli_leaves_a_malformed_command_line_to_argparse(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: mdiqkd-sweep")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_loss_sweep_writes_table(tmp_path, capsys):
