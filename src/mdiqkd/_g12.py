@@ -181,16 +181,15 @@ def _nonfinite_slots(x):
     return _NONFINITE[np.where(np.isnan(x), 0, 1 + np.signbit(x))]
 
 
-def print_rows(block, prefixes, suffix, keep):
+def print_rows(block, prefixes, suffix):
     """Yield the text of the rows of block, CHUNK_ROWS rows at a time.
 
     block: a (fields, rows) float64 array, or a sequence of fields
     float64 rows of equal length; prefixes: one str per field, printed
     before it; suffix: printed after the last field. Each row's text is
     prefixes[0] + "%.12g" % block[0][r] + ... + suffix, byte for byte.
-    keep: a mask over the rows; a chunk's text holds only its rows where
-    keep is True. The row buffer, with the prefixes and the suffix in
-    place, is made once and reused for every chunk.
+    The row buffer, with the prefixes and the suffix in place, is made
+    once and reused for every chunk.
     """
     fields, rows = len(block), len(block[0])
     widths = [len(p) + _SLOT for p in prefixes]
@@ -203,11 +202,8 @@ def print_rows(block, prefixes, suffix, keep):
     slots = starts[:-1] + [len(p) for p in prefixes]
     v = np.empty((fields, chunk))
     for first in range(0, rows, chunk):
-        stop = min(first + chunk, rows)
-        kept = first + np.flatnonzero(keep[first:stop])
-        n = len(kept)
+        n = min(chunk, rows - first)
         for j, field in enumerate(block):
-            v[j, :n] = field[kept]
-        if n:
-            _print(v[:, :n], out, slots)
+            v[j, :n] = field[first:first + n]
+        _print(v[:, :n], out, slots)
         yield out[:n].tobytes().translate(None, b"\0").decode("ascii")

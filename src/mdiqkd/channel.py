@@ -20,6 +20,10 @@ The element is exactly quadratic in eta_arm: each photon survives its arm
 independently, so M(eta_arm) mixes four eta-independent elements (both
 photons arrive, only Alice's, only Bob's, neither) with the probabilities
 of those cases. A whole loss grid therefore costs one small product.
+
+The beam splitter's amplitudes and the isometry rows that can give the
+kept pattern are module constants; a channel adds two acceptance weights
+and its misalignment, and its four elements form one validated stack.
 """
 
 import math
@@ -48,8 +52,20 @@ _ATOL = 1e-12
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
-# channel indices: 0 = D1-early, 1 = D1-late, 2 = D2-early, 3 = D2-late
-_PATTERN = frozenset((0, 3))
+# channel indices: 0 = D1-early, 1 = D1-late, 2 = D2-early, 3 = D2-late.
+# The amplitude of each sender's time bin t at each channel: D1 port t and
+# D2 port 2 + t, with the beam splitter's sign on Bob's D2 port.
+_AMP_A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]) / math.sqrt(2.0)
+_AMP_B = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]) / math.sqrt(2.0)
+
+# the rows of the two-photon isometry from |t_A, t_B> (row-major) whose
+# states can give the kept pattern: both photons in D1-early, one in each,
+# both in D2-late
+_KEPT_PAIRS = np.array([
+    np.outer(math.sqrt(2.0) * _AMP_A[:, 0], _AMP_B[:, 0]).ravel(),
+    (np.outer(_AMP_A[:, 0], _AMP_B[:, 3]) + np.outer(_AMP_A[:, 3], _AMP_B[:, 0])).ravel(),
+    np.outer(math.sqrt(2.0) * _AMP_A[:, 3], _AMP_B[:, 3]).ravel(),
+])
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,15 +105,19 @@ def _arm_transmission(eta_d, loss_db):
 
 
 class BsmPovm(Frozen):
-    """4x4 POVM element in the |00>,|01>,|10>,|11> basis (Alice first)."""
+    """4x4 POVM element in the |00>,|01>,|10>,|11> basis (Alice first).
+
+    m has shape (4, 4), or (k, 4, 4) for a stack of k elements; one
+    symmetry check and one eigvalsh validate the whole stack.
+    """
 
     __slots__ = ("m",)
 
     def __init__(self, m):
         m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix")
-        if np.abs(m - m.T).max() > _ATOL:
+        if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3) or not m.size:
+            raise ValueError("expected a 4x4 matrix or a stack of them")
+        if np.abs(m - np.swapaxes(m, -1, -2)).max() > _ATOL:
             raise ValueError("POVM element must be Hermitian")
         eig = np.linalg.eigvalsh(m)
         if eig.min() < -_ATOL or eig.max() > 1.0 + _ATOL:
@@ -138,57 +158,30 @@ class YieldTable(Frozen):
         self.y = y
 
 
-def _accept_weight(occupied, p_d):
-    # probability that exactly the accepted pattern clicks, given the set
-    # of channels holding at least one photon
-    if not occupied <= _PATTERN:
-        return 0.0
-    missing = len(_PATTERN - occupied)
-    return p_d**missing * (1.0 - p_d) ** 2
-
-
-def _two_photon_map():
-    # isometry from |t_A, t_B> to the 10 symmetric two-photon mode states
-    pairs = [(m, n) for m in range(4) for n in range(m, 4)]
-    amp_a = np.zeros((2, 4))
-    amp_b = np.zeros((2, 4))
-    for t in range(2):
-        amp_a[t, t] = 1.0 / math.sqrt(2.0)       # D1 port
-        amp_a[t, 2 + t] = 1.0 / math.sqrt(2.0)   # D2 port
-        amp_b[t, t] = 1.0 / math.sqrt(2.0)
-        amp_b[t, 2 + t] = -1.0 / math.sqrt(2.0)  # beam-splitter sign
-    iso = np.zeros((10, 4))
-    for col, (ta, tb) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        for row, (m, n) in enumerate(pairs):
-            if m == n:
-                iso[row, col] = math.sqrt(2.0) * amp_a[ta, m] * amp_b[tb, m]
-            else:
-                iso[row, col] = amp_a[ta, m] * amp_b[tb, n] + amp_a[ta, n] * amp_b[tb, m]
-    return pairs, iso, amp_a, amp_b
-
-
 def povm_components(params):
     """The relay element of each photon-survival case, misalignment applied.
 
-    Returns four BsmPovm in the order both photons arrive, only Alice's,
-    only Bob's, neither; eta_d and loss_db do not enter, the survival
-    probabilities are applied by _arm_weights. Each element is validated
-    on construction, and the weights sum to 1, so every M(eta_arm) is a
-    convex combination of validated elements and lies in [0, 1] too.
+    Returns one BsmPovm stack of four elements, in the order both photons
+    arrive, only Alice's, only Bob's, neither; eta_d and loss_db do not
+    enter, the survival probabilities are applied by _arm_weights. The
+    stack is validated on construction, and the weights sum to 1, so every
+    M(eta_arm) is a convex combination of validated elements and lies in
+    [0, 1] too.
     """
     p_d = params.p_d
+    # the kept pattern clicks, and nothing else, with both of its channels
+    # lit and the other two dark; a photon-free channel of it must dark-fire
+    both_lit = (1.0 - p_d) ** 2
+    one_dark = p_d * both_lit
 
-    pairs, iso, amp_a, amp_b = _two_photon_map()
-    w2 = np.array(
-        [_accept_weight(frozenset((m, n)), p_d) for m, n in pairs]
-    )
-    m_both = iso.T @ (w2[:, None] * iso)
+    w2 = np.array([one_dark, both_lit, one_dark])
+    m_both = _KEPT_PAIRS.T @ (w2[:, None] * _KEPT_PAIRS)
 
-    w1 = np.array([_accept_weight(frozenset((c,)), p_d) for c in range(4)])
-    m_alice = amp_a @ (w1[:, None] * amp_a.T)
-    m_bob = amp_b @ (w1[:, None] * amp_b.T)
+    w1 = np.array([one_dark, 0.0, 0.0, one_dark])
+    m_alice = _AMP_A @ (w1[:, None] * _AMP_A.T)
+    m_bob = _AMP_B @ (w1[:, None] * _AMP_B.T)
 
-    p_vac = p_d * p_d * (1.0 - p_d) ** 2
+    p_vac = p_d * p_d * both_lit
 
     s = math.sqrt(params.e_d)
     c = math.sqrt(1.0 - params.e_d)
@@ -196,7 +189,7 @@ def povm_components(params):
     iu = np.kron(np.eye(2), rot)
     cases = (m_both, np.kron(m_alice, np.eye(2)), np.kron(np.eye(2), m_bob),
              p_vac * np.eye(4))
-    return tuple(BsmPovm(iu.T @ m @ iu) for m in cases)
+    return BsmPovm(np.array([iu.T @ m @ iu for m in cases]))
 
 
 def _arm_weights(eta_arm):
@@ -214,14 +207,17 @@ def _arm_weights(eta_arm):
 
 def build_bsm_povm(params):
     """Assemble the 4x4 singlet-announcement POVM element for given params."""
-    parts = np.array([part.m for part in povm_components(params)])
+    parts = povm_components(params).m
     return BsmPovm(np.tensordot(_arm_weights(params.eta_arm), parts, axes=1))
 
 
 def transmission_rates(povm):
-    """Project the POVM element onto the 9 two-qubit Pauli operators."""
-    # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric
-    return TransmissionRates(PAULI_PRODUCTS.reshape(9, 16) @ povm.m.reshape(16) / 4.0)
+    """Project the POVM element, or each of a stack, onto the 9 two-qubit Pauli operators."""
+    # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric.
+    # One matrix-vector product per element: a single (k, 16) @ (16, 9)
+    # product sums in another order and changes the last bits of q.
+    q = np.array([PAULI_PRODUCTS.reshape(9, 16) @ m / 4.0 for m in povm.m.reshape(-1, 16)])
+    return TransmissionRates(q.reshape(povm.m.shape[:-2] + (9,)))
 
 
 def transmission_rates_grid(params, losses_db):
@@ -235,7 +231,7 @@ def transmission_rates_grid(params, losses_db):
     if not np.all((losses >= 0.0) & (losses < math.inf)):  # also refuses nan
         raise ValueError("losses must be finite and >= 0 dB")
     etas = [_arm_transmission(params.eta_d, loss) for loss in losses_db]
-    table = np.array([transmission_rates(part).q for part in povm_components(params)])
+    table = transmission_rates(povm_components(params)).q
     return TransmissionRates(_arm_weights(etas) @ table)
 
 

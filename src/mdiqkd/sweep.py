@@ -152,6 +152,9 @@ class SweepConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
+        if self.channel.loss_db != 0.0:  # a sweep sets the loss per point
+            raise ValueError("a sweep does not read channel.loss_db: set the loss with"
+                             " sweep.loss or sweep.frequency.loss_db")
         for key, value in (("eps_values", self.eps_values), ("delta_values", self.delta_values)):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list or tuple of numbers, got {value!r}")
@@ -467,10 +470,10 @@ class SweepTable:
         CSV: one header line, one line per row, then '# summary ...'
         comment lines. JSON-lines: one object per row, then one summary
         object per curve. Every good row is range-checked, as columns,
-        before any is printed. A good row's numbers are printed by the
+        before any is printed. Every row's numbers are printed by the
         digit kernel of mdiqkd._g12, which gives the bytes of
-        f"{value:.12g}"; an error row is printed field by field, its nan
-        as nan in CSV and as null in JSON-lines.
+        f"{value:.12g}"; an error row's line then gains its message, and
+        in JSON-lines spells its nan as null.
         """
         self.check()
         fields = ["coordinate", "eps", "delta", "key_rate"]
@@ -485,8 +488,8 @@ class SweepTable:
             prefixes = ["", *[","] * (len(fields) - 1)]
             suffix = ",\n"
 
-            def error_line(row, error):
-                return ",".join("%.12g" % v for v in row) + "," + _csv_quote(error)
+            def error_line(line, error):
+                return line + _csv_quote(error)
 
             head = ",".join([*names, "error"]) + "\n"
             tail = "".join("# summary {" + payload + "}\n" for payload in payloads)
@@ -494,28 +497,27 @@ class SweepTable:
             prefixes = ["{" + f'"{names[0]}": ', *(f', "{n}": ' for n in names[1:])]
             suffix = ', "error": null}\n'
 
-            def error_line(row, error):
-                # an error row carries nan, which JSON spells null
-                body = "".join(f'"{n}": {_fmt_json(v)}, ' for n, v in zip(names, row))
-                return "{" + body + f'"error": {_fmt_json(error)}' + "}"
+            def error_line(line, error):
+                # an error row carries nan, which JSON spells null; no
+                # field name holds "nan", so only the values change
+                body = line.replace("nan", "null").removesuffix("null}")
+                return body + _fmt_json(error) + "}"
 
             head = ""
             tail = "".join('{"summary": {' + payload + "}}\n" for payload in payloads)
         else:
             raise ValueError(f"unknown format {out_format!r}")
         block = [self.numbers[_COLUMN[f]] for f in fields]
-        chunks = _g12.print_rows(block, prefixes, suffix, keep=self.good)
+        chunks = _g12.print_rows(block, prefixes, suffix)
         with open(path, "w", newline="\n") as fh:
             fh.write(head)
             for first, text in zip(range(0, len(self.errors), _g12.CHUNK_ROWS), chunks):
-                failed = first + np.flatnonzero(~self.good[first:first + _g12.CHUNK_ROWS])
+                failed = np.flatnonzero(~self.good[first:first + _g12.CHUNK_ROWS])
                 if failed.size:
-                    # the kernel printed the chunk's good rows; each error
-                    # row goes into its place, printed field by field
-                    lines = text.split("\n")[:-1]
-                    for i, row in zip(failed.tolist(), zip(*self._values(fields, failed))):
-                        lines.insert(i - first, error_line(row, self.errors[i]))
-                    text = "\n".join(lines) + "\n"
+                    lines = text.split("\n")
+                    for i in failed.tolist():
+                        lines[i] = error_line(lines[i], self.errors[first + i])
+                    text = "\n".join(lines)
                 fh.write(text)
             fh.write(tail)
         return path
@@ -605,7 +607,7 @@ def _csv_quote(text):
 
 
 def _fmt_json(value):
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    if value is None:
         return "null"
     if isinstance(value, str):
         import json  # only error messages need it; kept off the start-up path

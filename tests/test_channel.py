@@ -83,12 +83,12 @@ def test_povm_matches_fock_oracle_at_benchmark_params():
 
 def test_povm_matches_fock_oracle_at_random_params():
     rng = np.random.default_rng(2024)
-    for _ in range(20):
+    # p_d and e_d over all of [0, 1], both ends included
+    ends = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5)]
+    draws = ends + [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)) for _ in range(24)]
+    for p_d, e_d in draws:
         params = ChannelParams(
-            eta_d=rng.uniform(0.01, 1.0),
-            p_d=rng.uniform(0.0, 0.2),
-            e_d=rng.uniform(0.0, 1.0),
-            loss_db=rng.uniform(0.0, 30.0),
+            eta_d=rng.uniform(0.01, 1.0), p_d=p_d, e_d=e_d, loss_db=rng.uniform(0.0, 30.0)
         )
         oracle = fock_povm(params.eta_d, params.p_d, params.e_d, params.loss_db)
         np.testing.assert_allclose(build_bsm_povm(params).m, oracle, rtol=0, atol=1e-12)
@@ -138,6 +138,34 @@ def test_bsm_povm_validation():
         BsmPovm(1.5 * np.eye(4))
     with pytest.raises(ValueError, match="eigenvalues"):
         BsmPovm(-0.1 * np.eye(4))
+    # a stack is validated as a whole: one bad element refuses it
+    stack = np.array([0.25 * np.eye(4)] * 4)
+    assert BsmPovm(stack).m.shape == (4, 4, 4)
+    for bad, message in ((skew, "Hermitian"), (1.5 * np.eye(4), "eigenvalues")):
+        with pytest.raises(ValueError, match=message):
+            BsmPovm(np.concatenate([stack[:2], [bad], stack[3:]]))
+    for shape in ((3, 4), (4,), (0, 4, 4), (2, 2, 4, 4)):
+        with pytest.raises(ValueError, match="4x4"):
+            BsmPovm(np.zeros(shape))
+
+
+def test_povm_components_validate_one_stack(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+    stack = channel.povm_components(BENCHMARK)
+    assert isinstance(stack, BsmPovm) and shapes == [(4, 4, 4)]
+
+
+def test_transmission_rates_of_a_stack_are_each_elements_own():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        params = ChannelParams(p_d=rng.uniform(0.0, 1.0), e_d=rng.uniform(0.0, 1.0))
+        stack = channel.povm_components(params)
+        q = transmission_rates(stack).q
+        assert q.shape == (4, 9)
+        for element, rates in zip(stack.m, q):
+            assert transmission_rates(BsmPovm(element)).q.tobytes() == rates.tobytes()
 
 
 def test_transmission_rates_envelope_enforced():

@@ -133,6 +133,16 @@ def test_sweep_config_validation():
             SweepConfig(include_sifting=flag)
 
 
+def test_sweep_config_refuses_a_channel_loss():
+    # the loss of a sweep comes from its grid; a channel's own loss_db
+    # would be silently ignored, so it is refused as a config file's is
+    message = "channel.loss_db: set the loss with sweep.loss or sweep.frequency.loss_db"
+    for loss in (30.0, 1e-300):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(channel=ChannelParams(loss_db=loss), loss_range=LossRange(0, 1, 1))
+    SweepConfig(channel=ChannelParams(loss_db=0.0))
+
+
 @pytest.mark.parametrize("key", ["eps_values", "delta_values"])
 @pytest.mark.parametrize("value", [1e-6, "0.1", np.array([0.0, 0.1])], ids=["float", "str", "array"])
 def test_sweep_config_refuses_a_list_that_is_not_one(key, value):
