@@ -11,8 +11,6 @@ projector; loss scales it quadratically, dark counts pollute it, and
 misalignment rotates it.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from mdiqkd import (
@@ -38,7 +36,7 @@ s_matrix = build_S_matrix(ref, ref)
 print("\nyields of the four ZZ setting pairs versus loss (benchmark hardware):")
 print(f"  {'loss/dB':>8} {'Y(0,0)':>10} {'Y(0,1)':>10} {'Y(1,0)':>10} {'Y(1,1)':>10}")
 for loss in (0.0, 5.0, 10.0, 20.0, 40.0):
-    povm = build_bsm_povm(replace(benchmark, loss_db=loss))
+    povm = build_bsm_povm(benchmark.replace(loss_db=loss))
     y = reference_yields(s_matrix, transmission_rates(povm)).y
     # ZZ pairs sit at indices 0, 1, 3, 4 of the row-major setting grid
     print(f"  {loss:>8} " + " ".join(f"{y[k]:>10.3e}" for k in (0, 1, 3, 4)))

@@ -28,11 +28,10 @@ and its misalignment, and its four elements form one validated stack.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gbound import Frozen, real, unit_interval
+from .gbound import Frozen, Record, real, unit_interval
 from .pauli_core import PAULI_PRODUCTS
 
 __all__ = [
@@ -68,19 +67,20 @@ _KEPT_PAIRS = np.array([
 ])
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelParams:
+class ChannelParams(Record):
     """Detector and line parameters of the relay link."""
 
-    eta_d: float = 0.145
-    p_d: float = 6.02e-6
-    e_d: float = 0.015
-    loss_db: float = 0.0
-    p_za: float = 2.0 / 3.0
-    p_zb: float = 2.0 / 3.0
+    __slots__ = ("eta_d", "p_d", "e_d", "loss_db", "p_za", "p_zb")
 
-    def __post_init__(self):
-        for name in ("eta_d", "p_d", "e_d", "loss_db", "p_za", "p_zb"):
+    def __init__(self, eta_d=0.145, p_d=6.02e-6, e_d=0.015, loss_db=0.0,
+                 p_za=2.0 / 3.0, p_zb=2.0 / 3.0):
+        self.eta_d = eta_d
+        self.p_d = p_d
+        self.e_d = e_d
+        self.loss_db = loss_db
+        self.p_za = p_za
+        self.p_zb = p_zb
+        for name in self.__slots__:
             real(getattr(self, name), name)
         for name in ("eta_d", "p_d", "e_d"):
             v = getattr(self, name)

@@ -5,11 +5,14 @@ Usage:
 
 Each flag but --config and --sweep is generated from sweep.CONFIG_KEYS and
 sets its dotted key, laid over the config file before any value is parsed
-or checked. Exits 0 on success; a bad value ends the run with a one-line
-JSON error on stderr and exit 1; argparse refuses an unknown flag (exit 2).
+or checked. A flag takes its value as --name value or --name=value; a
+repeated flag keeps its last value. -h or --help prints the usage and exits
+0. Exits 0 on success; a bad value, and a command line that cannot be read
+(an unknown or abbreviated flag, a flag without its value, a stray
+argument, an axis other than loss and frequency), end the run with a
+one-line JSON error on stderr and exit 1.
 """
 
-import argparse
 import os
 import sys
 
@@ -24,28 +27,66 @@ def _split(text):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="mdiqkd-sweep",
-        description="Key-rate sweeps for MDI-QKD with imperfect sources.",
-    )
-    parser.add_argument("--config", help="YAML config file")
-    parser.add_argument("--sweep", choices=("loss", "frequency"), default="loss",
-                        help="scan axis (default: loss)")
+    """The flag table: each flag's key, whether it takes a list, its metavar and its help.
+
+    --config and --sweep come first; every other flag is generated from
+    sweep.CONFIG_KEYS and sets its dotted key.
+    """
+    flags = {"--config": ("config", False, "PATH", "YAML config file"),
+             "--sweep": ("sweep", False, "{loss,frequency}", "scan axis (default: loss)")}
     for key, (_, _, parse, flag, _) in CONFIG_KEYS.items():
         if flag:
             many, name = parse is _float_list, key.rsplit(".", 1)[1].upper()
-            parser.add_argument(flag, dest=key, type=_split if many else None,
-                                metavar=name + ",..." if many else name, help=f"sets {key}")
-    return parser
+            flags[flag] = (key, many, name + ",..." if many else name, f"sets {key}")
+    return flags
+
+
+def _usage(flags):
+    """The usage line, then one line per flag, as --help prints them."""
+    options = {f"{flag} {metavar}": text for flag, (_, _, metavar, text) in flags.items()}
+    return ("usage: mdiqkd-sweep [-h] " + " ".join(f"[{option}]" for option in options)
+            + "\n\nKey-rate sweeps for MDI-QKD with imperfect sources.\n\n"
+            + "  -h, --help  show this help and exit\n"
+            + "".join(f"  {option}  {text}\n" for option, text in options.items()))
+
+
+def _read(argv, flags):
+    """{key: text} of the flags in argv, a list flag's text split; ValueError if malformed.
+
+    A flag is spelt in full, as --name value or --name=value; a repeated
+    flag keeps its last value.
+    """
+    args = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, given, text = token.partition("=")
+        if flag not in flags:
+            if not token.startswith("-"):
+                raise ValueError(f"unexpected argument {token!r}")
+            raise ValueError(f"unknown flag {flag!r}")
+        if not given:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+        key, many, _, _ = flags[flag]
+        args[key] = _split(text) if many else text
+    return args
 
 
 def main(argv=None):
-    args = vars(build_parser().parse_args(argv))
-    path, sweep = args.pop("config"), args.pop("sweep")
+    argv = sys.argv[1:] if argv is None else argv
+    flags = build_parser()
+    if "-h" in argv or "--help" in argv:
+        print(_usage(flags), end="")
+        return 0
     try:
+        args = _read(argv, flags)
+        path, sweep = args.pop("config", None), args.pop("sweep", "loss")
+        if sweep not in ("loss", "frequency"):
+            raise ValueError(f"--sweep must be loss or frequency, got {sweep!r}")
         # before any work, refuse a flag whose key the chosen axis does not read
         ignored = [flag for key, (*_, flag, axis) in CONFIG_KEYS.items()
-                   if axis not in (None, sweep) and args.get(key) is not None]
+                   if axis not in (None, sweep) and key in args]
         if ignored:
             raise ValueError(f"--sweep {sweep} does not take {', '.join(ignored)}")
         config = load_config(path, args)

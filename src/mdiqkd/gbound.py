@@ -18,8 +18,9 @@ Both functions take floats or broadcastable arrays: a float argument
 gives a float, arrays give an array of the broadcast shape. Both check
 their arguments and wrap _bound, the one unchecked implementation, which
 the estimator's core also calls with a per-entry choice of bound. The
-other layers share the argument checks, the float conversion and the
-read-only base of their value types defined here.
+other layers share the argument checks, the float conversion, the
+read-only base of their value types and the value-compared base of their
+config records defined here.
 """
 
 import numbers
@@ -46,6 +47,36 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record(Frozen):
+    """Base of the config records: a Frozen that compares by its fields.
+
+    Records of one class with equal fields are equal and hash equal; repr
+    names each field, as a dataclass's does. replace(**changes) builds a
+    changed copy through __init__, so every check runs again; a name that
+    is no field raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._fields()), **changes))
 
 
 def unit_interval(value, name):

@@ -23,7 +23,6 @@ digits, and a summary block records the per-curve positive-rate cutoff.
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ import numpy as np
 from . import _g12
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
 from .estimator import DEFAULT_COND_CEILING, NO_SIGNAL, _estimate_core, build_estimation_stack
-from .gbound import real
+from .gbound import Record, real
 from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
 
 __all__ = [
@@ -72,16 +71,16 @@ def _grid(start, stop, step):
     return [start + k * step for k in range(_grid_size(start, stop, step))]
 
 
-@dataclass(frozen=True, slots=True)
-class LossRange:
+class LossRange(Record):
     """Loss grid in dB: start, start + step, ..., up to stop."""
 
-    start: float = 0.0
-    stop: float = 12.0
-    step: float = 0.1
+    __slots__ = ("start", "stop", "step")
 
-    def __post_init__(self):
-        for name in ("start", "stop", "step"):
+    def __init__(self, start=0.0, stop=12.0, step=0.1):
+        self.start = start
+        self.stop = stop
+        self.step = step
+        for name in self.__slots__:
             real(getattr(self, name), f"loss {name}")
         _grid_size(self.start, self.stop, self.step)
         if self.start < 0.0:
@@ -91,8 +90,7 @@ class LossRange:
         return _grid(self.start, self.stop, self.step)
 
 
-@dataclass(frozen=True, slots=True)
-class FrequencyRange:
+class FrequencyRange(Record):
     """Frequency grid plus the lg-linear side-channel map.
 
     loss_db has no default: a frequency sweep is only meaningful at a
@@ -100,14 +98,16 @@ class FrequencyRange:
     interpolate linearly in f.
     """
 
-    start_ghz: float = 0.1
-    stop_ghz: float = 4.0
-    step_ghz: float = 0.05
-    loss_db: float = None
-    anchor_low: tuple = (0.1, -9.0)   # (f in GHz, lg eps)
-    anchor_high: tuple = (4.0, -6.0)
+    __slots__ = ("start_ghz", "stop_ghz", "step_ghz", "loss_db", "anchor_low", "anchor_high")
 
-    def __post_init__(self):
+    def __init__(self, start_ghz=0.1, stop_ghz=4.0, step_ghz=0.05, loss_db=None,
+                 anchor_low=(0.1, -9.0), anchor_high=(4.0, -6.0)):
+        self.start_ghz = start_ghz
+        self.stop_ghz = stop_ghz
+        self.step_ghz = step_ghz
+        self.loss_db = loss_db
+        self.anchor_low = anchor_low  # (f in GHz, lg eps)
+        self.anchor_high = anchor_high
         for name in ("start_ghz", "stop_ghz", "step_ghz"):
             real(getattr(self, name), name)
         anchors = (*self.anchor_low, *self.anchor_high)
@@ -136,22 +136,26 @@ class FrequencyRange:
         return 10.0**lg
 
 
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
+class SweepConfig(Record):
     """One sweep: the channel, eps and delta lists, both grids, estimation and output settings."""
 
-    channel: ChannelParams = ChannelParams()
-    eps_values: tuple = (1e-6,)
-    delta_values: tuple = (0.0,)
-    loss_range: LossRange = LossRange()
-    frequency_range: FrequencyRange = FrequencyRange()
-    f_ec: float = 1.16
-    include_sifting: bool = False
-    cond_ceiling: float = DEFAULT_COND_CEILING
-    out_path: str = "sweep.csv"
-    out_format: str = "csv"
+    __slots__ = ("channel", "eps_values", "delta_values", "loss_range", "frequency_range",
+                 "f_ec", "include_sifting", "cond_ceiling", "out_path", "out_format")
 
-    def __post_init__(self):
+    def __init__(self, channel=ChannelParams(), eps_values=(1e-6,), delta_values=(0.0,),
+                 loss_range=LossRange(), frequency_range=FrequencyRange(), f_ec=1.16,
+                 include_sifting=False, cond_ceiling=DEFAULT_COND_CEILING,
+                 out_path="sweep.csv", out_format="csv"):
+        self.channel = channel
+        self.eps_values = eps_values
+        self.delta_values = delta_values
+        self.loss_range = loss_range
+        self.frequency_range = frequency_range
+        self.f_ec = f_ec
+        self.include_sifting = include_sifting
+        self.cond_ceiling = cond_ceiling
+        self.out_path = out_path
+        self.out_format = out_format
         if self.channel.loss_db != 0.0:  # a sweep sets the loss per point
             raise ValueError("a sweep does not read channel.loss_db: set the loss with"
                              " sweep.loss or sweep.frequency.loss_db")
@@ -317,7 +321,7 @@ def load_config(path=None, overrides=None):
     if unknown:
         raise ValueError("unknown config keys: " + ", ".join(unknown))
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    # pass only the keys that are set, so that the dataclass defaults apply
+    # pass only the keys that are set, so that the records' defaults apply
     fields = {ChannelParams: {}, LossRange: {}, FrequencyRange: {}, SweepConfig: {}}
     for key, (cls, field, parse, _, _) in CONFIG_KEYS.items():
         if key in values:

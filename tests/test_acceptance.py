@@ -7,7 +7,6 @@ each check.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def _cutoff(table):
 def _estimate_at(loss_db, delta, eps_value, channel=BENCHMARK_CHANNEL):
     deltas = ModulationErrors(delta, delta, delta)
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
-    povm = build_bsm_povm(replace(channel, loss_db=loss_db))
+    povm = build_bsm_povm(channel.replace(loss_db=loss_db))
     yields = reference_yields(build_S_matrix(ref, ref), transmission_rates(povm))
     inputs = build_estimation_inputs(
         ref, ref, yields, SideChannelParams.uniform(eps_value)
@@ -98,7 +97,7 @@ def test_criterion_2_robust_to_modulation_errors(capsys):
         loss_range=LossRange(20.0, 34.0, 0.05),
     )
     cut0 = _cutoff(loss_table(config))
-    cut1 = _cutoff(loss_table(replace(config, delta_values=(0.126,))))
+    cut1 = _cutoff(loss_table(config.replace(delta_values=(0.126,))))
     shift = abs(cut0 - cut1)
     ok = worst_ratio < 2.0 and shift < 1.0
     _report(
@@ -234,7 +233,7 @@ def test_criterion_8_zero_eps_collapses_bound(capsys):
     for loss in (0.0, 4.0, 8.0):
         deltas = ModulationErrors(0.126, 0.126, 0.126)
         ref = [make_reference_state(s, deltas) for s in SETTINGS]
-        povm = build_bsm_povm(replace(BENCHMARK_CHANNEL, loss_db=loss))
+        povm = build_bsm_povm(BENCHMARK_CHANNEL.replace(loss_db=loss))
         yields = reference_yields(
             build_S_matrix(ref, ref), transmission_rates(povm)
         )
@@ -268,7 +267,7 @@ def test_criterion_9_announcement_operator_sanity(capsys):
 
     oracle_dev = 0.0
     for loss in (0.0, 4.0):
-        ours = build_bsm_povm(replace(BENCHMARK_CHANNEL, loss_db=loss)).m
+        ours = build_bsm_povm(BENCHMARK_CHANNEL.replace(loss_db=loss)).m
         ref = fock_povm(0.145, 6.02e-6, 0.015, loss)
         oracle_dev = max(oracle_dev, float(np.abs(ours - ref).max()))
 

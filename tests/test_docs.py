@@ -48,7 +48,7 @@ def _readme_table(header):
             for line in body.splitlines()[1:]]
 
 
-def test_readme_names_every_config_key(tmp_path):
+def test_readme_names_every_config_key(tmp_path, capsys):
     # the key table is CONFIG_KEYS: key, the axis that reads it, its flag
     axes = {None: "both axes", "loss": "`--sweep loss`", "frequency": "`--sweep frequency`"}
     expected = [[f"`{key}`", axes[axis], f"`{flag}`" if flag else ""]
@@ -56,8 +56,10 @@ def test_readme_names_every_config_key(tmp_path):
     assert _readme_table("| key | read by | flag |") == expected
     # the flag table lists exactly the flags of the parser
     flags = [re.findall(r"--[\w-]+", row[0]) for row in _readme_table("| flag | meaning |")]
-    usage = build_parser().format_usage()
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
     assert [flag for [flag] in flags] == re.findall(r"\[(--[\w-]+)", usage)
+    assert [flag for [flag] in flags] == list(build_parser())
     # no sweep reads the channel's loss, so the schema has no such key
     path = tmp_path / "cfg.yaml"
     path.write_text("channel: {loss_db: 30.0}\n")

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import g_lower, g_upper
-from mdiqkd.channel import BsmPovm, TransmissionRates, YieldTable
+from mdiqkd.channel import BsmPovm, ChannelParams, TransmissionRates, YieldTable
 from mdiqkd.estimator import EstimationInputs, EstimationResult, SideChannelParams
 from mdiqkd.pauli_core import ModulationErrors, QubitState, VirtualEnsemble
+from mdiqkd.sweep import FrequencyRange, LossRange, SweepConfig
 from oracles import deviation_bounds, random_bounded_operator, random_pure_state
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -130,6 +131,11 @@ VALUE_TYPES = {
     "SideChannelParams": lambda: SideChannelParams.uniform(1e-6),
     "EstimationInputs": lambda: EstimationInputs(None, None, np.zeros(9)),
     "EstimationResult": lambda: EstimationResult(0.0, 0.0, 1.0, 0.0, 0.25, 0.0, 0.0, 0.25),
+    # the config records, which compare by their fields
+    "ChannelParams": ChannelParams,
+    "LossRange": LossRange,
+    "FrequencyRange": lambda: FrequencyRange(loss_db=5.0),
+    "SweepConfig": SweepConfig,
 }
 
 

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,7 +400,7 @@ def test_run_loss_sweep_row_order_and_diagnostics():
 
 
 def test_run_loss_sweep_records_failures_and_continues():
-    config = replace(TINY, cond_ceiling=1.0)
+    config = TINY.replace(cond_ceiling=1.0)
     points = loss_table(config).rows()
     assert len(points) == 12
     for p in points:
@@ -480,12 +479,12 @@ def test_curve_summaries_match_the_curve_by_curve_oracle(seed):
 
 
 @pytest.mark.parametrize("config", [
-    replace(TINY, eps_values=(1e-7, 1e-6, 1e-8), delta_values=(0.126, -0.0, 0.0, 1.5),
-            cond_ceiling=1e3, loss_range=LossRange(0.0, 40.0, 0.5),
-            frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0,
-                                           anchor_high=(4.0, -4.5))),
-    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(2900.0, 3200.0, 50.0),
-            frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=3100.0)),
+    TINY.replace(eps_values=(1e-7, 1e-6, 1e-8), delta_values=(0.126, -0.0, 0.0, 1.5),
+                 cond_ceiling=1e3, loss_range=LossRange(0.0, 40.0, 0.5),
+                 frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0,
+                                                anchor_high=(4.0, -4.5))),
+    TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(2900.0, 3200.0, 50.0),
+                 frequency_range=FrequencyRange(0.5, 4.0, 0.25, loss_db=3100.0)),
 ], ids=["cutoffs", "no-signal"])
 def test_sweep_summaries_match_the_curve_by_curve_oracle(config):
     _assert_summaries_like_the_oracle(loss_table(config))
@@ -517,7 +516,7 @@ def test_emit_table_twelve_digit_rounding(tmp_path):
 
 def test_emit_table_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
-    table = loss_table(replace(TINY, eps_values=(1e-6,), delta_values=(0.0,)))
+    table = loss_table(TINY.replace(eps_values=(1e-6,), delta_values=(0.0,)))
     table.write(str(path), "json-lines", summary=table.summaries())
     points = table.rows()
     lines = path.read_text().splitlines()
@@ -533,7 +532,7 @@ def test_emit_table_jsonl_round_trip(tmp_path):
 def test_emit_table_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        table = loss_table(replace(TINY, eps_values=(1e-6,)))
+        table = loss_table(TINY.replace(eps_values=(1e-6,)))
         table.write(str(path), "csv", summary=table.summaries())
     assert a.read_bytes() == b.read_bytes()
 
@@ -637,9 +636,9 @@ def _hand_built_rows():
 @pytest.mark.parametrize("rows", ["loss", "frequency", "hand-built-loss",
                                   "hand-built-frequency"])
 def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
-    config = replace(TINY, loss_range=LossRange(0, 2, 1),
-                     frequency_range=FrequencyRange(0.5, 4.0, 0.5, loss_db=5.0,
-                                                    anchor_high=(4.0, -4.5)))
+    config = TINY.replace(loss_range=LossRange(0, 2, 1),
+                          frequency_range=FrequencyRange(0.5, 4.0, 0.5, loss_db=5.0,
+                                                         anchor_high=(4.0, -4.5)))
     if rows.startswith("hand-built"):
         points = _hand_built_rows()[rows == "hand-built-frequency"]
         table = _table(points)
@@ -660,8 +659,8 @@ def test_emit_table_writes_every_line_whatever_the_chunk(tmp_path, monkeypatch, 
                                                          chunk_rows):
     # of 44 rows, the refused delta's error rows are rows 11-21 and 33-43;
     # the kept ones straddle the chunk edges of the selected table
-    table = loss_table(replace(TINY, loss_range=LossRange(0.0, 5.0, 0.5),
-                               delta_values=(0.0, 1.5), cond_ceiling=1e3))
+    table = loss_table(TINY.replace(loss_range=LossRange(0.0, 5.0, 0.5),
+                                    delta_values=(0.0, 1.5), cond_ceiling=1e3))
     points = table.rows()
     places = np.arange(len(points))
     masks = [places < rows for rows in (1, 2, 3, 20, 43, 44)]
@@ -682,8 +681,7 @@ def test_frequency_sweep_requires_loss():
 
 
 def test_frequency_sweep_per_second_column():
-    config = replace(
-        TINY,
+    config = TINY.replace(
         eps_values=(1e-6,),
         delta_values=(0.0,),
         frequency_range=FrequencyRange(1.0, 3.0, 1.0, loss_db=5.0),
@@ -696,8 +694,7 @@ def test_frequency_sweep_per_second_column():
 
 
 def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
-    config = replace(
-        TINY,
+    config = TINY.replace(
         delta_values=(0.0,),
         frequency_range=FrequencyRange(1.0, 2.0, 1.0, loss_db=5.0),
     )
@@ -709,8 +706,7 @@ def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
 
 
 def test_frequency_summaries_group_by_delta():
-    config = replace(
-        TINY,
+    config = TINY.replace(
         eps_values=(1e-6,),
         frequency_range=FrequencyRange(1.0, 3.0, 1.0, loss_db=5.0),
     )
@@ -724,8 +720,7 @@ def test_frequency_summaries_group_by_delta():
 def test_frequency_sweep_flat_map_scales_with_clock():
     # with both anchors at the same eps the per-pair rate is constant,
     # so the per-second rate must grow linearly with frequency
-    config = replace(
-        TINY,
+    config = TINY.replace(
         eps_values=(1e-6,),
         delta_values=(0.0,),
         frequency_range=FrequencyRange(
@@ -790,7 +785,7 @@ def _assert_pinned(table, expected):
 
 def _expected_loss_rows(config):
     return [
-        _scalar_row(config, replace(config.channel, loss_db=loss), loss, e, d, False)
+        _scalar_row(config, config.channel.replace(loss_db=loss), loss, e, d, False)
         for e in config.eps_values for d in config.delta_values
         for loss in config.loss_range.values()
     ]
@@ -798,32 +793,32 @@ def _expected_loss_rows(config):
 
 @pytest.mark.parametrize("config", [
     # eps = 0 and eps = 1, curves that cross their cutoff inside the grid
-    replace(TINY, eps_values=(0.0, 1e-6, 1.0), delta_values=(0.0, 0.126),
-            loss_range=LossRange(0.0, 14.0, 0.5)),
+    TINY.replace(eps_values=(0.0, 1e-6, 1.0), delta_values=(0.0, 0.126),
+                 loss_range=LossRange(0.0, 14.0, 0.5)),
     # delta = 1.5 has cond(S) ~ 1.6e3: all its rows are error rows
-    replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3),
+    TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3),
     # no photons and no dark counts: every point raises NoSignalError
-    replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)),
+    TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)),
     # no dark counts and eta_arm^2 underflowing to 0 beyond ~3200 dB: only
     # the far end of each curve raises NoSignalError
-    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 500.0)),
+    TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 500.0)),
     # a delta 1e-9 short of pi/2 passes a lifted ceiling but collapses a
     # virtual state: only its rows are error rows
-    replace(TINY, delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
+    TINY.replace(delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
     # no dark counts again, where zeta_obs is subnormal and then vanishes:
     # a subnormal zeta_obs counts as no signal
-    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(3150.0, 3250.0, 5.0)),
+    TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(3150.0, 3250.0, 5.0)),
     # the same channel across 3051 dB, where zeta_obs leaves the normal floats
-    replace(TINY, channel=ChannelParams(p_d=0.0), loss_range=LossRange(3000.0, 3100.0, 5.0)),
+    TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(3000.0, 3100.0, 5.0)),
     # at pi/4 the 0X state equals the 0Z one and S is singular (cond ~1e17)
     # under the default ceiling: only that delta's rows are error rows
-    replace(TINY, delta_values=(0.0, 0.1, math.pi / 4)),
+    TINY.replace(delta_values=(0.0, 0.1, math.pi / 4)),
     # a delta listed twice repeats its rows
-    replace(TINY, delta_values=(0.1, 0.0, 0.1)),
+    TINY.replace(delta_values=(0.1, 0.0, 0.1)),
     # -0.0 and 0.0 are evaluated apart, and each row keeps the delta it was given
-    replace(TINY, delta_values=(-0.0, 0.1, 0.0)),
+    TINY.replace(delta_values=(-0.0, 0.1, 0.0)),
     # a refused delta, listed twice, around an accepted one
-    replace(TINY, delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3),
+    TINY.replace(delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3),
 ], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta",
         "denormal-yields", "subnormal-boundary", "singular-delta", "duplicate-deltas",
         "negative-zero-delta", "refused-duplicate-delta"])
@@ -846,7 +841,7 @@ def test_loss_sweep_matches_scalar_chain(config):
         assert all("exceeds ceiling" in p.error for p in points if p.error is not None)
         # the other deltas' rows are those of a sweep without pi/4, bit for bit
         assert [p for p in points if p.delta != math.pi / 4] == loss_table(
-            replace(config, delta_values=(0.0, 0.1))).rows()
+            config.replace(delta_values=(0.0, 0.1))).rows()
     if config.channel.eta_d == 0.0 or config.loss_range.start == 3150.0:
         assert errors == {"all ZZ yields vanish"}
     elif config.channel.p_d == 0.0:
@@ -857,8 +852,8 @@ def test_loss_sweep_matches_scalar_chain(config):
 
 
 def test_denormal_yields_sweep_is_warning_free():
-    config = replace(TINY, channel=ChannelParams(p_d=0.0),
-                     loss_range=LossRange(3150.0, 3250.0, 5.0))
+    config = TINY.replace(channel=ChannelParams(p_d=0.0),
+                          loss_range=LossRange(3150.0, 3250.0, 5.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loss_table(config)
@@ -868,9 +863,9 @@ def test_denormal_yields_sweep_is_warning_free():
     # clean: one batch for the whole table
     (TINY, [12], 0),
     # delta 1.5 is refused before the batch
-    (replace(TINY, delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
+    (TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
     # no signal anywhere: the one batch gives error rows only
-    (replace(TINY, channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
+    (TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
     # 8001 rows go in five even batches of at most BATCH_ROWS = 1820; the
     # 1899 rows without signal (zeta_obs subnormal or 0 beyond 3050.5 dB)
     # are the last 299 of the fourth batch and all of the fifth
@@ -897,8 +892,8 @@ def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_
 def test_batches_keep_every_row_in_its_place(monkeypatch):
     # a refused delta, and rows without signal beyond 3050 dB, spread over
     # many small batches give the rows of one batch, bit for bit
-    config = replace(TINY, channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
-                     cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
+    config = TINY.replace(channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
+                          cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
     whole = loss_table(config).rows()
     sizes = []
 
@@ -920,14 +915,14 @@ _FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -
 
 def _expected_frequency_rows(config):
     fr = config.frequency_range
-    channel = replace(config.channel, loss_db=fr.loss_db)
+    channel = config.channel.replace(loss_db=fr.loss_db)
     return [_scalar_row(config, channel, f, fr.eps_at(f), d, True)
             for d in config.delta_values for f in fr.values()]
 
 
 def test_frequency_sweep_matches_scalar_chain():
-    config = replace(TINY, delta_values=(0.0, 0.126), include_sifting=True,
-                     frequency_range=_FREQUENCY_MAP)
+    config = TINY.replace(delta_values=(0.0, 0.126), include_sifting=True,
+                          frequency_range=_FREQUENCY_MAP)
     table = frequency_table(config)
     _assert_pinned(table, _expected_frequency_rows(config))
     # the map drives both curves through their cutoff
@@ -937,8 +932,8 @@ def test_frequency_sweep_matches_scalar_chain():
 def test_frequency_sweep_without_signal_matches_scalar_chain():
     # no dark counts at 3100 dB: zeta_obs is subnormal at every frequency,
     # so every row is an error row
-    config = replace(TINY, channel=ChannelParams(p_d=0.0),
-                     frequency_range=replace(_FREQUENCY_MAP, loss_db=3100.0))
+    config = TINY.replace(channel=ChannelParams(p_d=0.0),
+                          frequency_range=_FREQUENCY_MAP.replace(loss_db=3100.0))
     table = frequency_table(config)
     _assert_pinned(table, _expected_frequency_rows(config))
     points = table.rows()
@@ -971,14 +966,14 @@ def _rows_one_by_one(config, sweep, table):
 
 @pytest.mark.parametrize("sweep", ["loss", "frequency"])
 @pytest.mark.parametrize("config", [
-    replace(TINY, frequency_range=_FREQUENCY_MAP),
-    replace(TINY, delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP),
-    replace(TINY, delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3,
-            frequency_range=_FREQUENCY_MAP),
+    TINY.replace(frequency_range=_FREQUENCY_MAP),
+    TINY.replace(delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP),
+    TINY.replace(delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3,
+                 frequency_range=_FREQUENCY_MAP),
     # rows without signal beyond 3050 dB, among rows with signal
-    replace(TINY, channel=ChannelParams(p_d=0.0), delta_values=(0.126, 0.0),
-            loss_range=LossRange(2900.0, 3200.0, 50.0),
-            frequency_range=replace(_FREQUENCY_MAP, loss_db=3050.5)),
+    TINY.replace(channel=ChannelParams(p_d=0.0), delta_values=(0.126, 0.0),
+                 loss_range=LossRange(2900.0, 3200.0, 50.0),
+                 frequency_range=_FREQUENCY_MAP.replace(loss_db=3050.5)),
 ], ids=["clean", "repeated-deltas", "refused-delta", "no-signal"])
 def test_rows_match_the_row_by_row_builder_bit_for_bit(config, sweep):
     table = (loss_table if sweep == "loss" else frequency_table)(config)
@@ -993,7 +988,7 @@ def test_a_repeated_delta_gives_the_bits_of_its_first_listing(make_table):
     # 0.1 is listed twice and 0.0 after -0.0; each listing is evaluated on
     # its own, and every number but the delta must keep the bits of the
     # first listing's rows
-    config = replace(TINY, delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP)
+    config = TINY.replace(delta_values=(0.1, -0.0, 0.1, 0.0), frequency_range=_FREQUENCY_MAP)
     table = make_table(config)
     n_curves = len(config.eps_values) if make_table is loss_table else 1
     # rows: curve outermost, then delta as listed, then the coordinate
@@ -1035,13 +1030,7 @@ _FLAGS = [flag for *_, flag, _ in CONFIG_KEYS.values() if flag]
 def test_cli_flags_set_their_config_keys(tmp_path, capsys, monkeypatch):
     # each generated flag reaches load_config under its dotted key, as the
     # text its key's parser reads; a list flag drops its empty entries
-    configs = []
-
-    def recording_load(path, overrides):
-        configs.append(load_config(path, overrides))
-        return configs[-1]
-
-    monkeypatch.setattr(mdiqkd.cli, "load_config", recording_load)
+    configs = _recorded_configs(monkeypatch)
     out = tmp_path / "rates.jsonl"
     argv = ["--eps", "1e-6,,1e-7", "--delta", "0.0", "--loss-start", "1", "--loss-stop", "2",
             "--loss-step", "0.5", "--out", str(out), "--format", "json-lines"]
@@ -1059,9 +1048,70 @@ def test_cli_flags_set_their_config_keys(tmp_path, capsys, monkeypatch):
     assert sorted(line["summary"]["eps"] for line in lines[6:]) == [1e-7, 1e-6]
 
 
-def test_cli_help_names_every_flag_of_the_schema():
-    usage = build_parser().format_usage()
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--eps", "1e-6", "--help", "--bogus"]],
+                         ids=["help", "h", "among-other-flags"])
+def test_cli_help_names_every_flag_of_the_schema(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the default output path is sweep.csv
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: mdiqkd-sweep [-h] ")
+    usage = captured.out.splitlines()[0]
     assert re.findall(r"\[(--[\w-]+)", usage) == ["--config", "--sweep", *_FLAGS]
+    assert list(build_parser()) == ["--config", "--sweep", *_FLAGS]
+    for key, (*_, flag, _) in CONFIG_KEYS.items():
+        if flag:
+            assert f"sets {key}\n" in captured.out
+    assert os.listdir(tmp_path) == []
+
+
+def _recorded_configs(monkeypatch):
+    """The configs that main builds, recorded as load_config returns them."""
+    configs = []
+
+    def recording_load(path, overrides):
+        configs.append(load_config(path, overrides))
+        return configs[-1]
+
+    monkeypatch.setattr(mdiqkd.cli, "load_config", recording_load)
+    return configs
+
+
+def test_cli_reads_a_flag_and_its_value_as_one_token_or_two(tmp_path, capsys, monkeypatch):
+    configs = _recorded_configs(monkeypatch)
+    pairs = [("--eps", "1e-6,,1e-7"), ("--delta", "0.0,0.1"), ("--loss-start", "1"),
+             ("--loss-stop", "2"), ("--loss-step", "0.5"), ("--out", str(tmp_path / "t.csv")),
+             ("--format", "json-lines")]
+    assert [flag for flag, _ in pairs] == _FLAGS
+    assert main([token for pair in pairs for token in pair]) == 0
+    assert main([f"{flag}={value}" for flag, value in pairs]) == 0
+    # a value may itself hold "=", and a list flag splits after the first "="
+    assert main(["--out=" + str(tmp_path / "a=b.csv"), "--eps=1e-6,1e-7"]) == 0
+    first, second, third = configs
+    assert first == second and hash(first) == hash(second)
+    assert first.eps_values == (1e-6, 1e-7) and first.loss_range == LossRange(1.0, 2.0, 0.5)
+    assert third.out_path == str(tmp_path / "a=b.csv") and third.eps_values == (1e-6, 1e-7)
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_keeps_the_last_value_of_a_repeated_flag(tmp_path, capsys, monkeypatch):
+    configs = _recorded_configs(monkeypatch)
+    out = tmp_path / "t.csv"
+    argv = ["--eps", "1e-6,1e-7", "--loss-stop", "3", "--eps=1e-8", "--loss-stop", "1",
+            "--sweep", "frequency", "--sweep", "loss", "--out", str(tmp_path / "x.csv"),
+            "--out", str(out)]
+    assert main(argv) == 0
+    [config] = configs
+    assert config.eps_values == (1e-8,) and config.loss_range == LossRange(0.0, 1.0, 0.1)
+    assert capsys.readouterr().out == f"wrote 11 rows to {out}\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_cli_reads_no_argv_as_the_process_arguments(tmp_path, capsys, monkeypatch):
+    # the console script calls main() without arguments
+    out = tmp_path / "t.csv"
+    monkeypatch.setattr(sys, "argv", ["mdiqkd-sweep", "--loss-stop", "1", "--out", str(out)])
+    assert main() == 0
+    assert capsys.readouterr().out == f"wrote 11 rows to {out}\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1085,14 +1135,44 @@ def test_cli_refuses_a_bad_flag_value_with_one_json_line(tmp_path, capsys, monke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--eps"], ["--epsilon", "1e-6"], ["--sweep", "time"]],
-                         ids=["missing-value", "unknown-flag", "unknown-axis"])
-def test_cli_leaves_a_malformed_command_line_to_argparse(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv, "--out", str(tmp_path / "x.csv")])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: mdiqkd-sweep")
-    assert not (tmp_path / "x.csv").exists()
+@pytest.mark.parametrize("argv, message", [
+    (["--eps"], "--eps needs a value"),
+    (["--out", "x.csv", "--eps"], "--eps needs a value"),
+    (["--epsilon", "1e-6"], "unknown flag '--epsilon'"),
+    (["--epsilon=1e-6"], "unknown flag '--epsilon'"),
+    (["-e", "1e-6"], "unknown flag '-e'"),
+    (["--form", "csv"], "unknown flag '--form'"),
+    (["rates.csv"], "unexpected argument 'rates.csv'"),
+    (["--eps", "1e-6", "1e-7"], "unexpected argument '1e-7'"),
+    (["--sweep", "time"], "--sweep must be loss or frequency, got 'time'"),
+], ids=["missing-value", "missing-last-value", "unknown-flag", "unknown-flag-with-value",
+        "short-flag", "abbreviated-flag", "positional", "stray-value", "unknown-axis"])
+def test_cli_refuses_a_malformed_command_line_with_one_json_line(tmp_path, capsys,
+                                                                 monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the config was loaded")
+
+    monkeypatch.setattr(mdiqkd.cli, "load_config", no_work)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(["--out", str(out), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--loss-start", "-1"], ["--loss-start=-1"]],
+                         ids=["two-tokens", "one-token"])
+def test_cli_reads_a_negative_number_as_a_value(tmp_path, capsys, argv):
+    # "-1" is no flag: it reaches the config's check
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "loss grid must start at >= 0 dB"}
+    assert not out.exists()
 
 
 def test_cli_loss_sweep_writes_table(tmp_path, capsys):
@@ -1173,16 +1253,86 @@ def test_cli_start_up_and_csv_run_leave_json_unimported(tmp_path):
     assert (tmp_path / "t.csv").exists()
 
 
-def test_only_the_config_records_are_dataclasses():
-    # the value types are plain slotted classes: a dataclass generates and
-    # compiles its methods at every import
+def test_cli_start_up_and_run_leave_argparse_and_dataclasses_unimported(tmp_path):
+    # numpy and yaml load first, as in any run with a config file; the
+    # command line then adds neither a parser library nor dataclasses
+    config = tmp_path / "config.yaml"
+    config.write_text("sweep: {eps: [1.0e-6], loss: {start: 0.0, stop: 1.0, step: 0.5}}\n")
+    out = "--out=" + str(tmp_path / "t.csv")
+    code = (
+        "import sys\n"
+        "import numpy, yaml\n"
+        "names = {'argparse', 'gettext', 'locale', 'dataclasses', 'copy'}\n"
+        "before = names & set(sys.modules)\n"
+        "import mdiqkd.cli\n"
+        f"argv = ['--config', {str(config)!r}, '--delta', '0,0.1', {out!r}]\n"
+        "assert mdiqkd.cli.main(argv) == 0\n"
+        "print(sorted(names & set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mdiqkd.sweep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "t.csv").read_text().count("\n") == 6 + 1 + 2
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    # the value types and the config records are plain slotted classes: a
+    # dataclass generates and compiles its methods at every import
     found = set()
     for info in pkgutil.walk_packages(mdiqkd.__path__, "mdiqkd."):
         module = importlib.import_module(info.name)
         found.update(name for name, obj in vars(module).items()
                      if isinstance(obj, type) and obj.__module__ == module.__name__
                      and dataclasses.is_dataclass(obj))
-    assert found == {"ChannelParams", "LossRange", "FrequencyRange", "SweepConfig"}
+    assert found == set()
+
+
+# one record of each config type, with fields that differ from the defaults
+CONFIG_RECORDS = {
+    "ChannelParams": lambda: ChannelParams(eta_d=0.5, p_d=1e-5),
+    "LossRange": lambda: LossRange(1.0, 3.0, 0.5),
+    "FrequencyRange": lambda: FrequencyRange(0.5, 2.0, 0.5, loss_db=5.0),
+    "SweepConfig": lambda: SweepConfig(channel=ChannelParams(p_d=0.0), eps_values=(1e-7,),
+                                       loss_range=LossRange(1.0, 3.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_RECORDS)
+def test_config_records_compare_and_hash_by_their_fields(name):
+    record, twin = CONFIG_RECORDS[name](), CONFIG_RECORDS[name]()
+    default = type(record)()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert record != default and len({record, twin, default}) == 2
+    assert record != tuple(getattr(record, field) for field in record.__slots__)
+    # replace builds a new record; a name that is no field is refused
+    assert record.replace() == record and record.replace() is not record
+    with pytest.raises(TypeError, match="bogus"):
+        record.replace(bogus=1)
+
+
+def test_config_record_replace_runs_every_check_again():
+    with pytest.raises(ValueError, match="need stop >= start and step > 0"):
+        LossRange().replace(step=0)
+    with pytest.raises(ValueError, match="loss grid must start at >= 0 dB"):
+        LossRange().replace(start=-1.0)
+    with pytest.raises(ValueError, match="eta_d must lie in"):
+        ChannelParams().replace(eta_d=2.0)
+    with pytest.raises(ValueError, match="frequencies must be positive"):
+        FrequencyRange().replace(start_ghz=-1.0)
+    with pytest.raises(ValueError, match="a sweep does not read channel.loss_db"):
+        SweepConfig().replace(channel=ChannelParams(loss_db=3.0))
+    assert LossRange().replace(stop=1.0) == LossRange(0.0, 1.0, 0.1)
+
+
+def test_config_records_repr_like_a_dataclass():
+    assert repr(LossRange()) == "LossRange(start=0.0, stop=12.0, step=0.1)"
+    assert repr(ChannelParams(p_d=0.0)) == (
+        "ChannelParams(eta_d=0.145, p_d=0.0, e_d=0.015, loss_db=0.0,"
+        " p_za=0.6666666666666666, p_zb=0.6666666666666666)")
+    assert repr(SweepConfig()).startswith(
+        "SweepConfig(channel=ChannelParams(eta_d=0.145, p_d=6.02e-06, ")
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
