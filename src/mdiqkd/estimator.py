@@ -173,26 +173,38 @@ class EstimationResult(Frozen):
         self.key_rate = key_rate
 
 
-def build_estimation_stack(refs_a, refs_b, cond_ceiling=DEFAULT_COND_CEILING):
+def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
     """The tomography matrices and f_obj of n reference sets at once.
 
-    refs_a, refs_b: n reference sets per side, each the three reference
-    states in SETTINGS order. Returns (inputs, errors). inputs is an
-    EstimationInputs without yields and eps whose fields carry a leading
-    axis of n: f_obj (n, 9), s_matrix and s_matrix_inverse (n, 9, 9),
-    cond_s (n,) and the virtual ensemble. errors holds per set None, or
-    the error build_estimation_inputs raises for it: IllConditionedError
-    when cond(S) exceeds the ceiling (the linear inversion amplifies
-    yield noise by that factor), else a DegenerateInputError. Only the
-    accepted sets are inverted; a refused set's inverse and f_obj are nan.
+    amps_a, amps_b: the real amplitudes of n reference sets per side,
+    shape (n, 3, 2), the three reference states of a set in SETTINGS
+    order (pauli_core.reference_amplitudes, or amplitudes of states).
+    Returns (inputs, errors). inputs is an EstimationInputs without
+    yields and eps whose fields carry a leading axis of n: f_obj (n, 9),
+    s_matrix and s_matrix_inverse (n, 9, 9), cond_s (n,) and the virtual
+    ensemble. errors holds per set None, or the error
+    build_estimation_inputs raises for it: IllConditionedError when
+    cond(S) exceeds the ceiling (the linear inversion amplifies yield
+    noise by that factor, or S is singular to working precision, when its
+    cond_s reads inf), else a DegenerateInputError. Only the accepted
+    sets are inverted; a refused set's inverse and f_obj are nan.
     """
-    amps_a, amps_b = amplitudes(refs_a), amplitudes(refs_b)
+    amps_a, amps_b = np.asarray(amps_a, dtype=float), np.asarray(amps_b, dtype=float)
     s_matrix = s_matrix_stack(amps_a, amps_b)
     cond = np.linalg.cond(s_matrix)
     inverted = np.isfinite(cond) & (cond <= cond_ceiling)
     s_inv = np.full_like(s_matrix, np.nan)
     if inverted.any():
-        s_inv[inverted] = np.linalg.inv(s_matrix[inverted])
+        try:
+            s_inv[inverted] = np.linalg.inv(s_matrix[inverted])
+        except np.linalg.LinAlgError:
+            # an S that is singular to working precision passed a lifted
+            # ceiling: its condition number is infinite, and it is refused
+            for k in np.flatnonzero(inverted).tolist():
+                try:
+                    s_inv[k] = np.linalg.inv(s_matrix[k])
+                except np.linalg.LinAlgError:
+                    cond[k], inverted[k] = np.inf, False
     ensemble, errors = virtual_stack(amps_a[:, :2], amps_b[:, :2])
     errors = [err if ok else IllConditionedError(c, cond_ceiling)
               for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
@@ -208,7 +220,8 @@ def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
     ref_a, ref_b: the three reference states per side in SETTINGS order.
     The one-set case of build_estimation_stack; raises its error.
     """
-    stack, errors = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+    stack, errors = build_estimation_stack(amplitudes([ref_a]), amplitudes([ref_b]),
+                                           cond_ceiling)
     if errors[0] is not None:
         raise errors[0]
     ensemble = stack.p_vir_ensemble

@@ -43,7 +43,7 @@ class Frozen:
     def __setattr__(self, name, value):
         if hasattr(self, name):
             raise AttributeError(f"cannot assign to field {name!r}")
-        super().__setattr__(name, value)
+        object.__setattr__(self, name, value)
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
@@ -93,8 +93,11 @@ def real(value, name):
     """value itself; ValueError unless it is a real number and not a bool.
 
     YAML spells true and false as booleans, which Python would otherwise
-    take as the numbers 1 and 0.
+    take as the numbers 1 and 0. A plain float, what a config holds,
+    passes before the much slower check against numbers.Real.
     """
+    if type(value) is float:
+        return value
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value

@@ -34,6 +34,7 @@ __all__ = [
     "VirtualEnsemble",
     "DegenerateInputError",
     "make_reference_state",
+    "reference_amplitudes",
     "amplitudes",
     "bloch_vector",
     "s_matrix_stack",
@@ -79,6 +80,15 @@ class QubitState(Frozen):
         self.amp1 = amp1
 
 
+def check_delta(value, name):
+    """value itself; ValueError unless it is a real number with |value| < pi/2."""
+    if not abs(real(value, name)) < math.pi / 2:
+        # beyond pi/2 the state is closer to the complementary one;
+        # the negated test also refuses nan
+        raise ValueError(f"|{name}| must be finite and < pi/2")
+    return value
+
+
 class ModulationErrors(Frozen):
     """Phase-modulation offsets (radians) for the three settings."""
 
@@ -86,10 +96,7 @@ class ModulationErrors(Frozen):
 
     def __init__(self, delta1=0.0, delta2=0.0, delta3=0.0):
         for name, value in (("delta1", delta1), ("delta2", delta2), ("delta3", delta3)):
-            if not abs(real(value, name)) < math.pi / 2:
-                # beyond pi/2 the state is closer to the complementary one;
-                # the negated test also refuses nan
-                raise ValueError(f"|{name}| must be finite and < pi/2")
+            check_delta(value, name)
         self.delta1 = delta1
         self.delta2 = delta2
         self.delta3 = delta3
@@ -117,22 +124,33 @@ class VirtualEnsemble(Frozen):
         self.s_vir = s
 
 
+def reference_amplitudes(deltas):
+    """Amplitudes of the three reference states per modulation error, shape (n, 3, 2).
+
+    Row i holds the settings in SETTINGS order, each under the offset
+    deltas[i]: 0Z -> (cos(d/2), sin(d/2)); 1Z -> (sin(d/2), cos(d/2));
+    0X -> (sin(pi/4 + d/2), cos(pi/4 + d/2)). The offsets are not checked.
+    """
+    flat = []
+    for delta in deltas:
+        half = delta / 2.0
+        angle = math.pi / 4.0 + half
+        cos, sin = math.cos(half), math.sin(half)
+        flat += (cos, sin, sin, cos, math.sin(angle), math.cos(angle))
+    return np.array(flat, dtype=float).reshape(-1, 3, 2)
+
+
 def make_reference_state(setting, deltas):
     """Reference state for one setting under modulation errors.
 
-    0Z -> (cos(d1/2), sin(d1/2)); 1Z -> (sin(d2/2), cos(d2/2));
-    0X -> (sin(pi/4 + d3/2), cos(pi/4 + d3/2)).
+    The one-state case of reference_amplitudes: 0Z takes deltas.delta1,
+    1Z deltas.delta2 and 0X deltas.delta3.
     """
-    if setting == "0Z":
-        half = deltas.delta1 / 2.0
-        return QubitState(math.cos(half), math.sin(half))
-    if setting == "1Z":
-        half = deltas.delta2 / 2.0
-        return QubitState(math.sin(half), math.cos(half))
-    if setting == "0X":
-        angle = math.pi / 4.0 + deltas.delta3 / 2.0
-        return QubitState(math.sin(angle), math.cos(angle))
-    raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    k = SETTINGS.index(setting)
+    delta = (deltas.delta1, deltas.delta2, deltas.delta3)[k]
+    return QubitState(*reference_amplitudes([delta])[0, k].tolist())
 
 
 def amplitudes(sets):

@@ -32,7 +32,7 @@ from . import _g12
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
 from .estimator import DEFAULT_COND_CEILING, NO_SIGNAL, _estimate_core, build_estimation_stack
 from .gbound import Record, real
-from .pauli_core import SETTINGS, ModulationErrors, make_reference_state
+from .pauli_core import check_delta, reference_amplitudes
 
 __all__ = [
     "LossRange",
@@ -128,9 +128,17 @@ class FrequencyRange(Record):
     def values(self):
         return _grid(self.start_ghz, self.stop_ghz, self.step_ghz)
 
-    def eps_at(self, f_ghz):
+    def _lg_eps(self, f_ghz):
+        """lg eps at f_ghz, unchecked: a float, or an array of the grid's values at once.
+
+        One expression, so an array gives each entry the bits of a float:
+        numpy runs the same IEEE operations in the same order.
+        """
         (f1, lg1), (f2, lg2) = self.anchor_low, self.anchor_high
-        lg = lg1 + (f_ghz - f1) * (lg2 - lg1) / (f2 - f1)
+        return lg1 + (f_ghz - f1) * (lg2 - lg1) / (f2 - f1)
+
+    def eps_at(self, f_ghz):
+        lg = self._lg_eps(f_ghz)
         if not lg <= 0.0:
             raise ValueError(f"side-channel map gives eps = 10**{lg!r} > 1 at {f_ghz!r} GHz")
         return 10.0**lg
@@ -146,9 +154,13 @@ class SweepConfig(Record):
                  loss_range=LossRange(), frequency_range=FrequencyRange(), f_ec=1.16,
                  include_sifting=False, cond_ceiling=DEFAULT_COND_CEILING,
                  out_path="sweep.csv", out_format="csv"):
+        for key, value in (("eps_values", eps_values), ("delta_values", delta_values)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list or tuple of numbers, got {value!r}")
         self.channel = channel
-        self.eps_values = eps_values
-        self.delta_values = delta_values
+        # tuples, so that a config built from lists compares and hashes by value
+        self.eps_values = tuple(eps_values)
+        self.delta_values = tuple(delta_values)
         self.loss_range = loss_range
         self.frequency_range = frequency_range
         self.f_ec = f_ec
@@ -159,16 +171,13 @@ class SweepConfig(Record):
         if self.channel.loss_db != 0.0:  # a sweep sets the loss per point
             raise ValueError("a sweep does not read channel.loss_db: set the loss with"
                              " sweep.loss or sweep.frequency.loss_db")
-        for key, value in (("eps_values", self.eps_values), ("delta_values", self.delta_values)):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{key} must be a list or tuple of numbers, got {value!r}")
         if not self.eps_values or not self.delta_values:
             raise ValueError("eps and delta lists must be non-empty")
         for e in self.eps_values:
             if not 0.0 <= real(e, "eps") <= 1.0:
                 raise ValueError("eps values must lie in [0, 1]")
         for d in self.delta_values:
-            ModulationErrors(d, d, d)  # raises on a bad delta
+            check_delta(d, "delta")
         if not 1.0 <= real(self.f_ec, "f_ec") < math.inf:
             raise ValueError("f_ec must be finite and >= 1")
         if not isinstance(self.include_sifting, bool):
@@ -546,9 +555,8 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     place. Exactly the error rows carry nan in the estimate's numbers.
     """
     deltas = config.delta_values
-    refs = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
-            for d in deltas]
-    setup, errors = build_estimation_stack(refs, refs, config.cond_ceiling)
+    amps = reference_amplitudes(deltas)  # (n_deltas, 3, 2), the same sets on both sides
+    setup, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
     n_curves, n = eps.shape
     grid = (n_curves, len(deltas), n)
     messages = [None if err is None else str(err) for err in errors for _ in range(n)]
@@ -597,9 +605,12 @@ def frequency_table(config):
     if fr.loss_db is None:
         raise ValueError("frequency sweep requires sweep.frequency.loss_db")
     freqs = fr.values()
-    # Python's pow, not np.power: numpy's SIMD power is not libm and
+    # eps_at of every point: each rounding step of _lg_eps is monotone in f,
+    # so the grid's two ends, which FrequencyRange checked, bound lg eps
+    # by 0. Python's pow, not np.power: numpy's SIMD power is not libm and
     # differs in the last bit for about 5% of exponents
-    eps = np.array([[fr.eps_at(f) for f in freqs]])
+    lg = fr._lg_eps(np.array(freqs)).tolist()
+    eps = np.array([list(map(pow, repeat(10.0), lg))])
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
     return _sweep_table(config, freqs, eps, rates, per_second=True)
 

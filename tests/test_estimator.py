@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
@@ -32,7 +32,13 @@ from mdiqkd.estimator import (
     omega_ref_matrix,
     _estimate_core,
 )
-from mdiqkd.pauli_core import ZZ_PAIR_INDICES, DegenerateInputError
+from mdiqkd.pauli_core import (
+    ZZ_PAIR_INDICES,
+    DegenerateInputError,
+    amplitudes,
+    build_virtual,
+    reference_amplitudes,
+)
 from oracles import (
     deviation_bounds,
     entropy_highprec,
@@ -412,7 +418,7 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
     refs_a = [[make_reference_state(s, ModulationErrors(*t)) for s in SETTINGS]
               for t in STACK_TRIPLES]
     refs_b = refs_a[3:] + refs_a[:3]  # a different set on each side
-    stack, errors = build_estimation_stack(refs_a, refs_b, cond_ceiling)
+    stack, errors = build_estimation_stack(amplitudes(refs_a), amplitudes(refs_b), cond_ceiling)
     assert stack.f_obj.shape == (len(refs_a), 9)
     refused = set()
     for k, (ref_a, ref_b) in enumerate(zip(refs_a, refs_b)):
@@ -441,6 +447,87 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
     inverted = np.array([e is None or isinstance(e, DegenerateInputError) for e in errors])
     assert np.isnan(stack.s_matrix_inverse[~inverted]).all()
     assert np.isfinite(stack.s_matrix_inverse[inverted]).all()
+
+
+def _stack_from_states(refs_a, refs_b, cond_ceiling):
+    """The stack's fields and error messages, one set of QubitStates at a time."""
+    fields, messages = [], []
+    for ref_a, ref_b in zip(refs_a, refs_b):
+        s_matrix = build_S_matrix(ref_a, ref_b)
+        cond = np.linalg.cond(s_matrix)
+        if not cond <= cond_ceiling:
+            fields.append((s_matrix, cond, None, None))
+            messages.append(str(IllConditionedError(float(cond), cond_ceiling)))
+            continue
+        try:
+            s_inv = np.linalg.inv(s_matrix)
+        except np.linalg.LinAlgError:  # singular to working precision
+            fields.append((s_matrix, math.inf, None, None))
+            messages.append(str(IllConditionedError(math.inf, cond_ceiling)))
+            continue
+        try:
+            ens = build_virtual(ref_a[:2], ref_b[:2])
+        except DegenerateInputError as exc:
+            fields.append((s_matrix, cond, s_inv, None))
+            messages.append(str(exc))
+            continue
+        fields.append((s_matrix, cond, s_inv, ens.p_vir @ ens.s_vir @ s_inv))
+        messages.append(None)
+    return fields, messages
+
+
+_HALF_PI = math.pi / 2
+# anywhere in (-pi/2, pi/2), both zeros, pi/4 (singular S) and within 1e-9
+# of either end (cond(S) ~1e17, or a collapsed virtual state)
+_DELTAS = st.one_of(
+    st.floats(-_HALF_PI, _HALF_PI, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 0.126, -0.126, math.pi / 4]),
+    st.floats(_HALF_PI - 1e-9, _HALF_PI, exclude_max=True),
+    st.floats(-_HALF_PI, -_HALF_PI + 1e-9, exclude_min=True),
+)
+
+
+@pytest.mark.parametrize("cond_ceiling", [1e8, 1e300])
+@settings(max_examples=60, deadline=None)
+@given(deltas=st.lists(_DELTAS, min_size=1, max_size=6), shift=st.integers(0, 5))
+@example(deltas=[0.0, math.pi / 4, _HALF_PI - 1e-9, -0.126, -0.0], shift=1)
+@example(deltas=[0.5, math.pi / 4], shift=1)  # an S singular to working precision, here
+def test_stack_of_amplitudes_equals_the_states_one_set_at_a_time(cond_ceiling, deltas, shift):
+    # a sweep hands the stack one reference_amplitudes array per side; it
+    # gives the bits and the messages of the states built one set at a time
+    shift %= len(deltas)
+    amps = reference_amplitudes(deltas)
+    amps_b = np.roll(amps, shift, axis=0)  # another set on side B
+    stack, errors = build_estimation_stack(amps, amps_b, cond_ceiling)
+    refs = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
+            for d in deltas]
+    fields, messages = _stack_from_states(refs, refs[-shift:] + refs[:-shift], cond_ceiling)
+    assert [None if e is None else str(e) for e in errors] == messages
+    for k, (s_matrix, cond, s_inv, f_obj) in enumerate(fields):
+        np.testing.assert_array_equal(stack.s_matrix[k], s_matrix, strict=True)
+        np.testing.assert_array_equal(stack.cond_s[k], cond)  # inf and nan equal themselves
+        if s_inv is not None:
+            np.testing.assert_array_equal(stack.s_matrix_inverse[k], s_inv, strict=True)
+        if f_obj is not None:
+            np.testing.assert_array_equal(stack.f_obj[k], f_obj, strict=True)
+
+
+def test_stack_refuses_an_s_singular_to_working_precision():
+    # equal 0Z and 0X states on side A give S two equal rows: LU meets an
+    # exact zero pivot, while the SVD's cond(S) stays finite. Under a
+    # lifted ceiling that set is refused as cond(S) = inf; the batch's
+    # other set keeps the bits it has alone
+    amps_a = reference_amplitudes([0.3, 0.3])
+    amps_a[1, 2] = amps_a[1, 0]
+    amps_b = reference_amplitudes([0.3, 0.1])
+    stack, errors = build_estimation_stack(amps_a, amps_b, 1e300)
+    assert errors[0] is None
+    assert type(errors[1]) is IllConditionedError
+    assert str(errors[1]) == "cond(S) = inf exceeds ceiling 1.000e+300"
+    assert stack.cond_s[1] == math.inf and np.isnan(stack.f_obj[1]).all()
+    alone, _ = build_estimation_stack(amps_a[:1], amps_b[:1], 1e300)
+    np.testing.assert_array_equal(stack.f_obj[0], alone.f_obj[0], strict=True)
+    np.testing.assert_array_equal(stack.s_matrix_inverse[0], alone.s_matrix_inverse[0])
 
 
 def test_estimate_takes_one_f_obj_per_row():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import g_lower, g_upper
+from mdiqkd.gbound import real
 from mdiqkd.channel import BsmPovm, ChannelParams, TransmissionRates, YieldTable
 from mdiqkd.estimator import EstimationInputs, EstimationResult, SideChannelParams
 from mdiqkd.pauli_core import ModulationErrors, QubitState, VirtualEnsemble
@@ -118,6 +119,19 @@ def test_bits_of_the_two_branch_formula(x, y):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     assert g_lower(x[0], y[0, 0]) == lower[0, 0] and g_upper(x[0], y[0, 0]) == upper[0, 0]
+
+
+@pytest.mark.parametrize("value", [0.5, -0.0, math.inf, np.float64(0.5), 3],
+                         ids=["float", "negative-zero", "inf", "np.float64", "int"])
+def test_real_passes_a_number_through(value):
+    assert real(value, "x") is value
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1.0", None],
+                         ids=["bool", "np.bool_", "str", "None"])
+def test_real_refuses_what_is_no_number(value):
+    with pytest.raises(ValueError, match=r"^x must be a number, got "):
+        real(value, "x")
 
 
 # one valid instance of each checked value type

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import (
     SETTINGS,
@@ -18,6 +20,8 @@ from mdiqkd.pauli_core import (
     DegenerateInputError,
     QubitState,
     VirtualEnsemble,
+    amplitudes,
+    reference_amplitudes,
 )
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
@@ -47,6 +51,47 @@ def test_reference_state_with_modulation_error():
     s = make_reference_state("0Z", ModulationErrors(delta1=0.126))
     assert s.amp0 == pytest.approx(math.cos(0.063), abs=1e-15)
     assert s.amp1 == pytest.approx(math.sin(0.063), abs=1e-15)
+
+
+_HALF_PI = math.pi / 2
+# modulation errors over (-pi/2, pi/2): anywhere, both zeros, and within
+# 1e-9 of either end
+DELTAS = st.one_of(
+    st.floats(-_HALF_PI, _HALF_PI, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(_HALF_PI - 1e-9, _HALF_PI, exclude_max=True),
+    st.floats(-_HALF_PI, -_HALF_PI + 1e-9, exclude_min=True),
+)
+
+
+def _formula(setting, d):
+    # the reference states as the paper writes them, one setting at a time
+    if setting == "0Z":
+        return math.cos(d / 2.0), math.sin(d / 2.0)
+    if setting == "1Z":
+        return math.sin(d / 2.0), math.cos(d / 2.0)
+    return math.sin(math.pi / 4.0 + d / 2.0), math.cos(math.pi / 4.0 + d / 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(DELTAS, max_size=8))
+def test_reference_amplitudes_are_the_states_bit_for_bit(deltas):
+    got = reference_amplitudes(deltas)
+    assert got.shape == (len(deltas), 3, 2) and got.dtype == np.float64
+    states = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
+              for d in deltas]
+    formula = np.array([[_formula(s, d) for s in SETTINGS] for d in deltas]).reshape(-1, 3, 2)
+    assert got.tobytes() == amplitudes(states).reshape(-1, 3, 2).tobytes()
+    assert got.tobytes() == formula.tobytes()
+
+
+def test_reference_state_takes_its_own_settings_delta():
+    errors = ModulationErrors(0.1, -0.2, 0.3)
+    rows = reference_amplitudes([0.1, -0.2, 0.3])
+    for k, setting in enumerate(SETTINGS):
+        state = make_reference_state(setting, errors)
+        assert (state.amp0, state.amp1) == tuple(rows[k, k].tolist())
+        assert type(state.amp0) is float
 
 
 def test_reference_state_rejects_unknown_setting():

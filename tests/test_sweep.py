@@ -8,11 +8,12 @@ import re
 import subprocess
 import sys
 import warnings
+from itertools import compress
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
@@ -34,7 +35,7 @@ import mdiqkd._g12
 import mdiqkd.sweep
 from mdiqkd.estimator import NO_SIGNAL, _estimate_core
 from mdiqkd.cli import build_parser, main
-from mdiqkd.pauli_core import DegenerateInputError
+from mdiqkd.pauli_core import DegenerateInputError, QubitState
 from mdiqkd.sweep import (
     CONFIG_KEYS,
     FrequencyRange,
@@ -147,6 +148,18 @@ def test_sweep_config_refuses_a_channel_loss():
 def test_sweep_config_refuses_a_list_that_is_not_one(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be a list or tuple of numbers, got "):
         SweepConfig(**{key: value})
+
+
+def test_sweep_config_stores_its_lists_as_tuples():
+    # a library caller's lists compare and hash as the tuples load_config passes
+    from_lists = SweepConfig(eps_values=[1e-6, 1e-7], delta_values=[0.0, 0.1])
+    from_tuples = SweepConfig(eps_values=(1e-6, 1e-7), delta_values=(0.0, 0.1))
+    assert from_lists.eps_values == (1e-6, 1e-7) and from_lists.delta_values == (0.0, 0.1)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert len({from_lists, from_tuples}) == 1
+    changed = from_tuples.replace(eps_values=[1e-8])
+    assert changed.eps_values == (1e-8,) and hash(changed) == hash(changed.replace())
+    assert changed == SweepConfig(eps_values=(1e-8,), delta_values=(0.0, 0.1))
 
 
 def test_load_config_defaults():
@@ -691,6 +704,72 @@ def test_frequency_sweep_per_second_column():
     for p in points:
         assert p.key_per_second == pytest.approx(p.key_rate * p.coordinate * 1e9)
         assert p.eps == pytest.approx(config.frequency_range.eps_at(p.coordinate))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f_low=st.floats(0.01, 5.0),
+    f_gap=st.floats(0.01, 5.0),
+    lg_low=st.floats(-12.0, 0.0),
+    lg_high=st.floats(-12.0, 0.0),
+    start=st.floats(0.01, 6.0),
+    span=st.floats(0.0, 4.0),
+    step=st.floats(0.002, 0.5),
+)
+def test_frequency_table_eps_are_eps_at_bit_for_bit(f_low, f_gap, lg_low, lg_high, start,
+                                                    span, step):
+    # the table maps its whole grid at once; every eps keeps the bits of eps_at
+    try:
+        fr = FrequencyRange(start, start + span, step, loss_db=5.0,
+                            anchor_low=(f_low, lg_low), anchor_high=(f_low + f_gap, lg_high))
+    except ValueError:  # the map gives eps > 1 at an end of the grid
+        assume(False)
+    with warnings.catch_warnings():  # an eps near 1 clamps omega_ref_upper
+        warnings.simplefilter("ignore", UserWarning)
+        table = frequency_table(TINY.replace(delta_values=(0.0,), frequency_range=fr))
+    want = np.array([fr.eps_at(f) for f in fr.values()])
+    assert table.numbers[1].tobytes() == want.tobytes()
+
+
+def test_a_singular_s_under_a_lifted_ceiling_gives_error_rows(monkeypatch):
+    # a set whose 0X state is its 0Z state has two equal rows of S: LU finds
+    # a zero pivot although the SVD's cond(S) is finite (8.3e16). Under a
+    # lifted ceiling the table refuses that delta's set and evaluates the
+    # other. A delta five ulps below pi/4 did the same here with the real
+    # states, but whether LU meets an exact zero there depends on rounding
+    reference_amplitudes = mdiqkd.sweep.reference_amplitudes
+
+    def with_a_repeated_state(deltas):
+        amps = reference_amplitudes(deltas)
+        amps[1, 2] = amps[1, 0]
+        return amps
+
+    monkeypatch.setattr(mdiqkd.sweep, "reference_amplitudes", with_a_repeated_state)
+    config = TINY.replace(delta_values=(0.0, 0.3), cond_ceiling=1e300)
+    table = loss_table(config)
+    delta_rows = table.numbers[2] == 0.3
+    assert set(compress(table.errors, delta_rows.tolist())) == {
+        "cond(S) = inf exceeds ceiling 1.000e+300"}
+    assert table.good[~delta_rows].all()
+
+
+def test_tables_build_no_state_objects(monkeypatch):
+    # a table builds its reference sets as one amplitude array: with the
+    # state types unusable once the config is built, both tables still run
+    config = TINY.replace(frequency_range=FrequencyRange(1.0, 3.0, 1.0, loss_db=5.0))
+    want = [loss_table(config).numbers, frequency_table(config).numbers]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a table built a {type(self).__name__}")
+
+    monkeypatch.setattr(QubitState, "__init__", refuse)
+    monkeypatch.setattr(ModulationErrors, "__init__", refuse)
+    for state_type in (QubitState, ModulationErrors):
+        with pytest.raises(AssertionError, match=f"built a {state_type.__name__}"):
+            state_type(1.0, 0.0)
+    got = [loss_table(config).numbers, frequency_table(config).numbers]
+    for table_got, table_want in zip(got, want):
+        assert table_got.tobytes() == table_want.tobytes()
 
 
 def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
