@@ -6,11 +6,12 @@ Usage:
 Each flag but --config and --sweep is generated from sweep.CONFIG_KEYS and
 sets its dotted key, laid over the config file before any value is parsed
 or checked. A flag takes its value as --name value or --name=value; a
-repeated flag keeps its last value. -h or --help prints the usage and exits
-0. Exits 0 on success; a bad value, and a command line that cannot be read
-(an unknown or abbreviated flag, a flag without its value, a stray
-argument, an axis other than loss and frequency), end the run with a
-one-line JSON error on stderr and exit 1.
+repeated flag keeps its last value. -h or --help where a flag is expected,
+not as a flag's value, prints the usage and exits 0. Exits 0 on success; a
+bad value, and a command line that cannot be read (an unknown or
+abbreviated flag, a flag without its value, a stray argument, an axis
+other than loss and frequency), end the run with a one-line JSON error on
+stderr and exit 1.
 """
 
 import os
@@ -50,6 +51,18 @@ def _usage(flags):
             + "".join(f"  {option}  {text}\n" for option, text in options.items()))
 
 
+def _wants_help(argv, flags):
+    """Whether -h or --help stands where _read expects a flag: --delta -h asks for no help."""
+    i = 0
+    while i < len(argv):
+        if argv[i] in ("-h", "--help"):
+            return True
+        # as in _read, a flag spelt without = takes the next token unless it starts with --
+        value = argv[i + 1] if i + 1 < len(argv) else "--"
+        i += 2 if argv[i] in flags and not value.startswith("--") else 1
+    return False
+
+
 def _read(argv, flags):
     """{key: text} of the flags in argv, a list flag's text split; ValueError if malformed.
 
@@ -76,7 +89,7 @@ def _read(argv, flags):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     flags = build_parser()
-    if "-h" in argv or "--help" in argv:
+    if _wants_help(argv, flags):
         print(_usage(flags), end="")
         return 0
     try:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .channel import YieldTable
 from .gbound import Frozen, _bound, plain, unit_interval
-from .pauli_core import ZZ_PAIR_INDICES, VirtualEnsemble, amplitudes, s_matrix_stack, virtual_stack
+from .pauli_core import ZZ_PAIR_INDICES, amplitudes, s_matrix_stack, virtual_stack
 
 __all__ = [
     "EstimationError",
@@ -69,6 +69,8 @@ _SILENT_BELOW = np.finfo(float).tiny
 # the message of a row without signal, from estimate and from a sweep
 NO_SIGNAL = "all ZZ yields vanish"
 _ZZ = np.array(ZZ_PAIR_INDICES)  # an index array gathers faster than a list
+# matrix_rank's default tolerance for a 9x9 matrix: an S whose cond(S) reaches it is singular
+_SINGULAR_COND = 1.0 / (9 * np.finfo(float).eps)
 
 
 class EstimationError(Exception):
@@ -119,35 +121,22 @@ class SideChannelParams(Frozen):
         value = np.asarray(value, dtype=float)
         return cls(np.repeat(value[..., None], 9, axis=-1))
 
-    def anchors(self):
-        """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair."""
-        return np.sqrt(1.0 - self.eps)
-
 
 class EstimationInputs(Frozen):
-    """Everything the bound of the estimation chain consumes.
+    """Everything the estimation chain reads: yields, eps and f_obj.
 
-    estimate reads yields (a YieldTable), eps (a SideChannelParams) and
-    f_obj; f_obj has shape (9,), or (n, 9) with one row per yield row.
-    The other fields are the reference-set quantities f_obj = P_vir
-    S_vir S^-1 came from, None for a batch that mixes reference sets.
-    yields and eps may be None while the reference-set part is reused
-    across a grid; a new EstimationInputs with the same reference-set
-    fields attaches them before estimate.
+    yields is a YieldTable, eps a SideChannelParams and f_obj = P_vir
+    S_vir S^-1 of the reference states, of shape (9,), or (n, 9) with one
+    row per yield row. For one reference set, build_S_matrix gives S,
+    np.linalg.cond of it cond(S), and build_virtual the virtual ensemble.
     """
 
-    __slots__ = ("yields", "eps", "f_obj", "p_vir_ensemble", "s_matrix",
-                 "s_matrix_inverse", "cond_s")
+    __slots__ = ("yields", "eps", "f_obj")
 
-    def __init__(self, yields, eps, f_obj, p_vir_ensemble=None, s_matrix=None,
-                 s_matrix_inverse=None, cond_s=None):
+    def __init__(self, yields, eps, f_obj):
         self.yields = yields
         self.eps = eps
         self.f_obj = f_obj
-        self.p_vir_ensemble = p_vir_ensemble
-        self.s_matrix = s_matrix
-        self.s_matrix_inverse = s_matrix_inverse
-        self.cond_s = cond_s
 
 
 class EstimationResult(Frozen):
@@ -179,27 +168,26 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
     amps_a, amps_b: the real amplitudes of n reference sets per side,
     shape (n, 3, 2), the three reference states of a set in SETTINGS
     order (pauli_core.reference_amplitudes, or amplitudes of states).
-    Returns (inputs, errors). inputs is an EstimationInputs without
-    yields and eps whose fields carry a leading axis of n: f_obj (n, 9),
-    s_matrix and s_matrix_inverse (n, 9, 9), cond_s (n,) and the virtual
-    ensemble. errors holds per set None, or the error
-    build_estimation_inputs raises for it: IllConditionedError when
-    cond(S) exceeds the ceiling (the linear inversion amplifies yield
-    noise by that factor, or S is singular to working precision, when its
-    cond_s reads inf), else a DegenerateInputError. Only the accepted
-    sets are inverted; a refused set's inverse and f_obj are nan.
+    Returns (s_matrix, cond_s, f_obj, errors): S (n, 9, 9), cond(S) (n,),
+    f_obj (n, 9) and per set None or the error build_estimation_inputs
+    raises for it: IllConditionedError when cond(S) exceeds the ceiling
+    (the inversion amplifies yield noise by that factor) or S is singular
+    to working precision (cond_s then reads inf), else a
+    DegenerateInputError. Only the accepted sets are inverted; a refused
+    set's f_obj is nan.
     """
     amps_a, amps_b = np.asarray(amps_a, dtype=float), np.asarray(amps_b, dtype=float)
     s_matrix = s_matrix_stack(amps_a, amps_b)
     cond = np.linalg.cond(s_matrix)
+    # a singular S that passes a lifted ceiling is refused as cond(S) = inf
+    cond[(cond >= _SINGULAR_COND) & (cond <= cond_ceiling)] = np.inf
     inverted = np.isfinite(cond) & (cond <= cond_ceiling)
     s_inv = np.full_like(s_matrix, np.nan)
     if inverted.any():
         try:
             s_inv[inverted] = np.linalg.inv(s_matrix[inverted])
         except np.linalg.LinAlgError:
-            # an S that is singular to working precision passed a lifted
-            # ceiling: its condition number is infinite, and it is refused
+            # LU met an exact zero pivot below _SINGULAR_COND: S is singular
             for k in np.flatnonzero(inverted).tolist():
                 try:
                     s_inv[k] = np.linalg.inv(s_matrix[k])
@@ -210,25 +198,21 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
               for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
     # stacked matmul gives the bits of p_vir @ s_vir @ s_inv for one set
     f_obj = (ensemble.p_vir[:, None, :] @ ensemble.s_vir @ s_inv)[:, 0]
-    return EstimationInputs(None, None, f_obj, ensemble, s_matrix, s_inv, cond), errors
+    return s_matrix, cond, f_obj, errors
 
 
 def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
                             cond_ceiling=DEFAULT_COND_CEILING):
-    """Assemble the tomography matrices and f_obj for one reference set.
+    """The EstimationInputs of yields and eps on one reference set.
 
     ref_a, ref_b: the three reference states per side in SETTINGS order.
-    The one-set case of build_estimation_stack; raises its error.
+    f_obj is the one-set case of build_estimation_stack; raises its error.
     """
-    stack, errors = build_estimation_stack(amplitudes([ref_a]), amplitudes([ref_b]),
-                                           cond_ceiling)
+    *_, f_obj, errors = build_estimation_stack(amplitudes([ref_a]), amplitudes([ref_b]),
+                                               cond_ceiling)
     if errors[0] is not None:
         raise errors[0]
-    ensemble = stack.p_vir_ensemble
-    return EstimationInputs(
-        yields, eps, stack.f_obj[0], VirtualEnsemble(ensemble.p_vir[0], ensemble.s_vir[0]),
-        stack.s_matrix[0], stack.s_matrix_inverse[0], float(stack.cond_s[0]),
-    )
+    return EstimationInputs(yields, eps, f_obj[0])
 
 
 def omega_ref_matrix(inputs):
@@ -239,9 +223,14 @@ def omega_ref_matrix(inputs):
 # The chain's formulas, each once and unchecked: the core runs them on
 # inputs that estimate, or a sweep's table, checked.
 
-def _omega_ref_upper(y, roots, f_obj, upper):
-    """omega_ref with each yield at the deviation bound upper selects, floored at 0."""
-    return np.maximum((f_obj * _bound(y, roots, upper)).sum(axis=-1), 0.0)
+def _anchors(eps):
+    """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair."""
+    return np.sqrt(1.0 - eps)
+
+
+def _omega_ref_upper(y, roots, f_obj):
+    """omega_ref, each yield at the bound the sign of its coefficient selects, floored at 0."""
+    return np.maximum((f_obj * _bound(y, roots, f_obj > 0.0)).sum(axis=-1), 0.0)
 
 
 def _delta_vir_lower(roots):
@@ -291,20 +280,21 @@ def _key_rate(y_zz, e_zz, e_xx, f_ec):
     return y_zz * np.maximum(1.0 - h_xx - f_ec * h_zz, 0.0)
 
 
-def _estimate_core(y, roots, f_obj, upper, f_ec, sifting_prefactor):
+def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
     """The chain of estimate on arrays, without a check of its own.
 
-    y: yields (..., 9); roots: sqrt(1 - eps) per pair, of y's shape;
-    f_obj (..., 9) and upper = f_obj > 0, the coefficients that take the
-    upper deviation bound, both fixed per reference set. Contiguous
-    arrays run fastest: numpy loops over a broadcast view row by row.
+    y: yields (..., 9); eps: the side-channel budget per pair, of y's
+    shape; f_obj (..., 9), fixed per reference set, whose signs select
+    each yield's deviation bound. Contiguous arrays run fastest: numpy
+    loops over a broadcast view row by row.
     The caller has checked that yields and eps lie in [0, 1], f_obj is
     finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
     Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,
     omega_upper, zeta_obs) and the mask of the rows without signal, whose
     columns hold no number to read. Warns when omega_ref_upper exceeds 1.
     """
-    omega_ref_up = _omega_ref_upper(y, roots, f_obj, upper)
+    roots = _anchors(eps)
+    omega_ref_up = _omega_ref_upper(y, roots, f_obj)
     omega_up = _lift(omega_ref_up, _delta_vir_lower(roots))
     with np.errstate(divide="ignore", invalid="ignore"):
         e_zz, zeta_obs, silent = _zz_rates(y[..., _ZZ])
@@ -328,24 +318,23 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     f_obj = np.asarray(inputs.f_obj, dtype=float)
     if not np.all(np.isfinite(f_obj)):
         raise ValueError("f_obj must be finite")
+    eps = inputs.eps.eps
     shape = inputs.yields.y.shape  # eps and f_obj are shared, or given per yield row
-    for name, value in (("eps", inputs.eps.eps), ("f_obj", f_obj)):
+    for name, value in (("eps", eps), ("f_obj", f_obj)):
         if value.shape not in ((9,), shape):
             raise ValueError(f"{name} must have shape (9,) or {shape}, got {value.shape}")
     if not f_ec >= 1.0:
         raise ValueError("f_ec must be >= 1")
     if not (sifting_prefactor is None or sifting_prefactor >= 0.0):
         raise ValueError("sifting_prefactor must be >= 0")
-    roots = inputs.eps.anchors()
-    columns, silent = _estimate_core(inputs.yields.y, roots, f_obj, f_obj > 0.0, f_ec,
-                                     sifting_prefactor)
+    columns, silent = _estimate_core(inputs.yields.y, eps, f_obj, f_ec, sifting_prefactor)
     if np.any(silent):
         raise NoSignalError(NO_SIGNAL, silent)
     rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs = map(plain, columns)
     return EstimationResult(
         omega_ref=omega_ref_matrix(inputs),
         omega_ref_upper=om_ref_up,
-        delta_vir_lower=plain(_delta_vir_lower(roots)),
+        delta_vir_lower=plain(_delta_vir_lower(_anchors(eps))),
         omega_upper=om_up,
         zeta_obs=zeta_obs,
         e_zz=e_zz,

@@ -546,17 +546,17 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     evaluated again. A refused reference set gives every row of its delta
     the error's message. The other rows go to the estimator's core in
     even batches of at most BATCH_ROWS, so a table of up to BATCH_ROWS
-    rows takes one call; each batch gathers its own yields, roots
-    sqrt(1 - eps), f_obj and sign mask, so the inputs in memory grow with
-    the batch, not the table. The core's inputs were checked once, by the
-    table: the yields by reference_yields' clamp, eps by the config and
-    f_obj by the stack's ceiling. Its columns go straight into the
-    table's numbers; a row without signal becomes a NO_SIGNAL error row in
-    place. Exactly the error rows carry nan in the estimate's numbers.
+    rows takes one call; each batch gathers its own yields, eps and f_obj,
+    so the inputs in memory grow with the batch, not the table. The core's
+    inputs were checked once, by the table: the yields by
+    reference_yields' clamp, eps by the config and f_obj by the stack's
+    ceiling. Its columns go straight into the table's numbers; a row
+    without signal becomes a NO_SIGNAL error row in place. Exactly the
+    error rows carry nan in the estimate's numbers.
     """
     deltas = config.delta_values
     amps = reference_amplitudes(deltas)  # (n_deltas, 3, 2), the same sets on both sides
-    setup, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
+    s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
     n_curves, n = eps.shape
     grid = (n_curves, len(deltas), n)
     messages = [None if err is None else str(err) for err in errors for _ in range(n)]
@@ -567,20 +567,18 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     numbers[0] = np.tile(coordinates, n_curves * len(deltas))
     numbers[1] = np.repeat(eps, len(deltas), axis=0).ravel()
     numbers[2] = np.tile(np.repeat(np.array(deltas, dtype=float), n), n_curves)
-    numbers[9] = np.tile(np.repeat(np.where(accepted, setup.cond_s, np.nan), n), n_curves)
+    numbers[9] = np.tile(np.repeat(np.where(accepted, cond_s, np.nan), n), n_curves)
     # the places of the rows of the accepted deltas
     rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
-    yields = reference_yields(setup.s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
+    yields = reference_yields(s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
     yields = np.broadcast_to(yields, grid[1:] + (9,))
-    roots = np.sqrt(1.0 - eps)
-    upper = setup.f_obj > 0.0  # the coefficients that take the upper deviation bound
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
     for batch in np.array_split(rows, max(1, -(-rows.size // BATCH_ROWS))):
         curve, k, point = np.unravel_index(batch, grid)
-        # a row's nine pairs share its eps, and so its root
+        # a row's nine pairs share its eps
         columns, silent = _estimate_core(
-            yields[k, point], np.repeat(roots[curve, point, None], 9, axis=1),
-            setup.f_obj[k], upper[k], config.f_ec, sifting)
+            yields[k, point], np.repeat(eps[curve, point, None], 9, axis=1),
+            f_obj[k], config.f_ec, sifting)
         numbers[3:9, batch] = columns
         failed = batch[silent]
         numbers[3:10, failed] = np.nan

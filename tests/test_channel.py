@@ -168,6 +168,12 @@ def test_transmission_rates_of_a_stack_are_each_elements_own():
             assert transmission_rates(BsmPovm(element)).q.tobytes() == rates.tobytes()
 
 
+def test_transmission_rates_refuse_rows_that_are_not_nine_long():
+    for q in (np.zeros((4, 8)), np.zeros(10)):
+        with pytest.raises(ValueError, match="^expected 9 transmission rates$"):
+            TransmissionRates(q)
+
+
 def test_transmission_rates_envelope_enforced():
     with pytest.raises(ValueError):
         TransmissionRates(np.array([0.1, 0.2, 0, 0, 0, 0, 0, 0, 0]))

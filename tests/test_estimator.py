@@ -182,7 +182,7 @@ def test_phase_error_rate_basics():
 
 def test_delta_vir_lower_limits():
     def floor(eps):
-        return estimator._delta_vir_lower(SideChannelParams.uniform(eps).anchors())
+        return estimator._delta_vir_lower(estimator._anchors(SideChannelParams.uniform(eps).eps))
 
     assert floor(0.0) == 1.0
     assert floor(1.0) == 0.0
@@ -196,8 +196,8 @@ def test_anchors_are_the_roots_of_one_minus_eps():
     for eps in (SideChannelParams.uniform(1e-6), SideChannelParams.uniform(rows),
                 SideChannelParams(np.outer(rows, np.linspace(0.1, 1.0, 9)))):
         roots = np.sqrt(1.0 - eps.eps)
-        np.testing.assert_array_equal(eps.anchors(), roots)
-        np.testing.assert_array_equal(estimator._delta_vir_lower(eps.anchors()),
+        np.testing.assert_array_equal(estimator._anchors(eps.eps), roots)
+        np.testing.assert_array_equal(estimator._delta_vir_lower(estimator._anchors(eps.eps)),
                                       0.25 * roots[..., list(ZZ_PAIR_INDICES)].sum(axis=-1))
 
 
@@ -220,7 +220,7 @@ def test_omega_ref_zero_cases():
     class _Zero:
         m = np.zeros((4, 4))
 
-    assert omega_ref_direct(inputs.p_vir_ensemble, _Zero()) == 0.0
+    assert omega_ref_direct(build_virtual(ref[:2], ref[:2]), _Zero()) == 0.0
 
 
 def test_omega_ref_vanishes_for_ideal_setup():
@@ -230,13 +230,13 @@ def test_omega_ref_vanishes_for_ideal_setup():
         loss_db=0.0, eta_d=1.0, p_d=0.0, e_d=0.0, eps_value=0.0
     )
     ideal_povm = build_bsm_povm(ChannelParams(eta_d=1.0, p_d=0.0, e_d=0.0))
-    assert abs(omega_ref_direct(inputs.p_vir_ensemble, ideal_povm)) < 1e-12
+    assert abs(omega_ref_direct(build_virtual(ref[:2], ref[:2]), ideal_povm)) < 1e-12
     assert abs(omega_ref_matrix(inputs)) < 1e-12
 
 
 def test_omega_ref_route_equivalence_at_benchmark_point():
     ref, povm, yields, inputs = _pipeline(delta=BENCHMARK_DELTA)
-    direct = omega_ref_direct(inputs.p_vir_ensemble, povm)
+    direct = omega_ref_direct(build_virtual(ref[:2], ref[:2]), povm)
     via_matrix = omega_ref_matrix(inputs)
     assert via_matrix == pytest.approx(direct, abs=1e-10)
     assert direct > 0.0
@@ -339,6 +339,30 @@ def test_estimate_refuses_shapes_that_do_not_agree(monkeypatch, yields, eps, f_o
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("f_obj_entry, keywords, message", [
+    (math.nan, {}, "f_obj must be finite"),
+    (-math.inf, {}, "f_obj must be finite"),
+    (None, {"f_ec": 0.99}, "f_ec must be >= 1"),
+    (None, {"f_ec": math.nan}, "f_ec must be >= 1"),
+    (None, {"sifting_prefactor": -0.1}, "sifting_prefactor must be >= 0"),
+    (None, {"sifting_prefactor": math.nan}, "sifting_prefactor must be >= 0"),
+], ids=["f_obj-nan", "f_obj-inf", "f_ec-below-1", "f_ec-nan", "sifting-negative",
+        "sifting-nan"])
+def test_estimate_refuses_a_bad_f_obj_f_ec_or_sifting_prefactor(monkeypatch, f_obj_entry,
+                                                                keywords, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    *_, inputs = _pipeline()
+    f_obj = inputs.f_obj.copy()
+    if f_obj_entry is not None:
+        f_obj[4] = f_obj_entry
+    monkeypatch.setattr(estimator, "_estimate_core", no_work)
+    with pytest.raises(ValueError) as excinfo:
+        estimate(EstimationInputs(inputs.yields, inputs.eps, f_obj), **keywords)
+    assert str(excinfo.value) == message
+
+
 def test_estimate_shares_a_nine_entry_eps_and_f_obj_over_the_yield_rows():
     *_, inputs = _pipeline()
     rows = np.stack([inputs.yields.y] * 2)
@@ -396,6 +420,15 @@ def test_estimation_result_guards_bound_ordering():
         EstimationResult(*[math.nan] * 8)
 
 
+def test_estimation_result_refuses_a_negative_key_rate():
+    fields = dict(omega_ref=0.1, omega_ref_upper=0.2, delta_vir_lower=1.0, omega_upper=0.2,
+                  zeta_obs=0.1, e_zz=0.0, e_xx=0.0)
+    for key_rate in (-5e-324, -1.0, math.nan, np.array([0.1, -0.1])):
+        with pytest.raises(ValueError, match="^key rate must be floored at 0$"):
+            EstimationResult(**fields, key_rate=key_rate)
+    assert EstimationResult(**fields, key_rate=0.0).key_rate == 0.0
+
+
 def test_zeta_obs_is_joint_zz_weight():
     _, _, yields, inputs = _pipeline(loss_db=4.0)
     result = estimate(inputs)
@@ -404,12 +437,13 @@ def test_zeta_obs_is_joint_zz_weight():
     )
 
 
-# 17 uniform deltas, asymmetric triples, a singular S at pi/4 and a delta
-# 1e-9 short of pi/2, whose virtual state collapses
+# 17 uniform deltas, asymmetric triples, a singular S at pi/4, a delta 1e-9
+# short of pi/2, whose S is singular to working precision, and one 1.4e-7
+# short of pi/2 (cond(S) 3.7e14), whose virtual state collapses
 STACK_TRIPLES = (
     [(d, d, d) for d in np.linspace(-0.4, 0.4, 17).tolist()]
     + [(0.126, -0.07, 0.05), (0.0, 0.2, -0.1), (1.5, -1.2, 0.3)]
-    + [(math.pi / 4,) * 3, (math.pi / 2 - 1e-9,) * 3]
+    + [(math.pi / 4,) * 3, (math.pi / 2 - 1e-9,) * 3, (1.5707961867948965,) * 3]
 )
 
 
@@ -418,8 +452,9 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
     refs_a = [[make_reference_state(s, ModulationErrors(*t)) for s in SETTINGS]
               for t in STACK_TRIPLES]
     refs_b = refs_a[3:] + refs_a[:3]  # a different set on each side
-    stack, errors = build_estimation_stack(amplitudes(refs_a), amplitudes(refs_b), cond_ceiling)
-    assert stack.f_obj.shape == (len(refs_a), 9)
+    s_matrix, cond_s, f_obj, errors = build_estimation_stack(
+        amplitudes(refs_a), amplitudes(refs_b), cond_ceiling)
+    assert f_obj.shape == (len(refs_a), 9)
     refused = set()
     for k, (ref_a, ref_b) in enumerate(zip(refs_a, refs_b)):
         try:
@@ -429,24 +464,26 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
             refused.add(type(exc))
             continue
         assert errors[k] is None
-        for got, want in ((stack.s_matrix[k], one.s_matrix),
-                          (stack.s_matrix_inverse[k], one.s_matrix_inverse),
-                          (stack.cond_s[k], one.cond_s),
-                          (stack.f_obj[k], one.f_obj),
-                          (stack.p_vir_ensemble.p_vir[k], one.p_vir_ensemble.p_vir),
-                          (stack.p_vir_ensemble.s_vir[k], one.p_vir_ensemble.s_vir)):
+        s_one = build_S_matrix(ref_a, ref_b)
+        for got, want in ((s_matrix[k], s_one), (cond_s[k], np.linalg.cond(s_one)),
+                          (f_obj[k], one.f_obj)):
             np.testing.assert_array_equal(got, want)
-        # the fields estimate reads are what the removed check recomputed
-        ens = one.p_vir_ensemble
-        np.testing.assert_array_equal(one.f_obj, ens.p_vir @ ens.s_vir @ one.s_matrix_inverse)
-    # pi/4 (cond ~1e17) passes only the lifted ceiling, and the collapse
-    # of a virtual state is checked only on sets that pass it
-    assert refused == ({DegenerateInputError} if cond_ceiling == 1e300
-                       else {IllConditionedError})
+        # f_obj has the bits of p_vir S_vir S^-1 of the set alone
+        ens = build_virtual(ref_a[:2], ref_b[:2])
+        np.testing.assert_array_equal(one.f_obj, ens.p_vir @ ens.s_vir @ np.linalg.inv(s_one))
+    # the collapse of a virtual state is checked only on sets that pass the
+    # ceiling. A lifted one refuses just the two sets with pi/4 on a side
+    # (cond(S) ~1e17), as singular to working precision
+    assert refused == {IllConditionedError, DegenerateInputError}
+    ill = [str(e) for e in errors if isinstance(e, IllConditionedError)]
+    if cond_ceiling == 1e300:
+        assert ill == ["cond(S) = inf exceeds ceiling 1.000e+300"] * 2
+    else:
+        assert len(ill) == 5 and not any("inf" in message for message in ill)
     # only the accepted sets are inverted
     inverted = np.array([e is None or isinstance(e, DegenerateInputError) for e in errors])
-    assert np.isnan(stack.s_matrix_inverse[~inverted]).all()
-    assert np.isfinite(stack.s_matrix_inverse[inverted]).all()
+    assert np.isnan(f_obj[~inverted]).all()
+    assert np.isfinite(f_obj[inverted]).all()
 
 
 def _stack_from_states(refs_a, refs_b, cond_ceiling):
@@ -456,32 +493,35 @@ def _stack_from_states(refs_a, refs_b, cond_ceiling):
         s_matrix = build_S_matrix(ref_a, ref_b)
         cond = np.linalg.cond(s_matrix)
         if not cond <= cond_ceiling:
-            fields.append((s_matrix, cond, None, None))
+            fields.append((s_matrix, cond, None))
             messages.append(str(IllConditionedError(float(cond), cond_ceiling)))
             continue
         try:
+            if np.linalg.matrix_rank(s_matrix) < 9:
+                raise np.linalg.LinAlgError("rank deficient")
             s_inv = np.linalg.inv(s_matrix)
         except np.linalg.LinAlgError:  # singular to working precision
-            fields.append((s_matrix, math.inf, None, None))
+            fields.append((s_matrix, math.inf, None))
             messages.append(str(IllConditionedError(math.inf, cond_ceiling)))
             continue
         try:
             ens = build_virtual(ref_a[:2], ref_b[:2])
         except DegenerateInputError as exc:
-            fields.append((s_matrix, cond, s_inv, None))
+            fields.append((s_matrix, cond, None))
             messages.append(str(exc))
             continue
-        fields.append((s_matrix, cond, s_inv, ens.p_vir @ ens.s_vir @ s_inv))
+        fields.append((s_matrix, cond, ens.p_vir @ ens.s_vir @ s_inv))
         messages.append(None)
     return fields, messages
 
 
 _HALF_PI = math.pi / 2
 # anywhere in (-pi/2, pi/2), both zeros, pi/4 (singular S) and within 1e-9
-# of either end (cond(S) ~1e17, or a collapsed virtual state)
+# of either end (cond(S) ~1e17), or 1.4e-7 short of pi/2 (a collapsed
+# virtual state)
 _DELTAS = st.one_of(
     st.floats(-_HALF_PI, _HALF_PI, exclude_min=True, exclude_max=True),
-    st.sampled_from([0.0, -0.0, 0.126, -0.126, math.pi / 4]),
+    st.sampled_from([0.0, -0.0, 0.126, -0.126, math.pi / 4, 1.5707961867948965]),
     st.floats(_HALF_PI - 1e-9, _HALF_PI, exclude_max=True),
     st.floats(-_HALF_PI, -_HALF_PI + 1e-9, exclude_min=True),
 )
@@ -492,42 +532,82 @@ _DELTAS = st.one_of(
 @given(deltas=st.lists(_DELTAS, min_size=1, max_size=6), shift=st.integers(0, 5))
 @example(deltas=[0.0, math.pi / 4, _HALF_PI - 1e-9, -0.126, -0.0], shift=1)
 @example(deltas=[0.5, math.pi / 4], shift=1)  # an S singular to working precision, here
+@example(deltas=[1.5707961867948965, 0.0], shift=0)  # a collapsed virtual state
 def test_stack_of_amplitudes_equals_the_states_one_set_at_a_time(cond_ceiling, deltas, shift):
     # a sweep hands the stack one reference_amplitudes array per side; it
     # gives the bits and the messages of the states built one set at a time
     shift %= len(deltas)
     amps = reference_amplitudes(deltas)
     amps_b = np.roll(amps, shift, axis=0)  # another set on side B
-    stack, errors = build_estimation_stack(amps, amps_b, cond_ceiling)
+    s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps_b, cond_ceiling)
     refs = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
             for d in deltas]
     fields, messages = _stack_from_states(refs, refs[-shift:] + refs[:-shift], cond_ceiling)
     assert [None if e is None else str(e) for e in errors] == messages
-    for k, (s_matrix, cond, s_inv, f_obj) in enumerate(fields):
-        np.testing.assert_array_equal(stack.s_matrix[k], s_matrix, strict=True)
-        np.testing.assert_array_equal(stack.cond_s[k], cond)  # inf and nan equal themselves
-        if s_inv is not None:
-            np.testing.assert_array_equal(stack.s_matrix_inverse[k], s_inv, strict=True)
-        if f_obj is not None:
-            np.testing.assert_array_equal(stack.f_obj[k], f_obj, strict=True)
+    for k, (s_one, cond, f_one) in enumerate(fields):
+        np.testing.assert_array_equal(s_matrix[k], s_one, strict=True)
+        np.testing.assert_array_equal(cond_s[k], cond)  # inf and nan equal themselves
+        if f_one is not None:
+            np.testing.assert_array_equal(f_obj[k], f_one, strict=True)
 
 
 def test_stack_refuses_an_s_singular_to_working_precision():
-    # equal 0Z and 0X states on side A give S two equal rows: LU meets an
-    # exact zero pivot, while the SVD's cond(S) stays finite. Under a
-    # lifted ceiling that set is refused as cond(S) = inf; the batch's
-    # other set keeps the bits it has alone
+    # equal 0Z and 0X states on side A give S two equal rows, while the
+    # SVD's cond(S) stays finite (8.3e16). Under a lifted ceiling that set
+    # is refused as cond(S) = inf; the batch's other set keeps the bits it
+    # has alone
     amps_a = reference_amplitudes([0.3, 0.3])
     amps_a[1, 2] = amps_a[1, 0]
     amps_b = reference_amplitudes([0.3, 0.1])
-    stack, errors = build_estimation_stack(amps_a, amps_b, 1e300)
+    _, cond_s, f_obj, errors = build_estimation_stack(amps_a, amps_b, 1e300)
     assert errors[0] is None
     assert type(errors[1]) is IllConditionedError
     assert str(errors[1]) == "cond(S) = inf exceeds ceiling 1.000e+300"
-    assert stack.cond_s[1] == math.inf and np.isnan(stack.f_obj[1]).all()
-    alone, _ = build_estimation_stack(amps_a[:1], amps_b[:1], 1e300)
-    np.testing.assert_array_equal(stack.f_obj[0], alone.f_obj[0], strict=True)
-    np.testing.assert_array_equal(stack.s_matrix_inverse[0], alone.s_matrix_inverse[0])
+    assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
+    *_, alone, _ = build_estimation_stack(amps_a[:1], amps_b[:1], 1e300)
+    np.testing.assert_array_equal(f_obj[0], alone[0], strict=True)
+
+
+def test_stack_refuses_an_s_past_the_rank_tolerance_as_singular():
+    # at pi/4 the 0X state equals the 0Z one: S has repeated rows, and its
+    # cond(S) 1.7e17 lies past np.linalg.matrix_rank's tolerance for a 9x9
+    # matrix, 1 / (9 eps) = 5.0e14, although LU inverts it. A lifted ceiling
+    # refuses it as cond(S) = inf; a ceiling below its cond(S) keeps the
+    # finite message. 1.4e-7 short of pi/2, cond(S) 3.7e14 stays below the
+    # tolerance: that set is inverted, and refused for its collapsed state
+    amps = reference_amplitudes([0.3, math.pi / 4, 1.5707961867948965])
+    s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, 1e300)
+    assert [np.linalg.matrix_rank(s) < 9 for s in s_matrix] == [False, True, False]
+    assert errors[0] is None
+    assert type(errors[1]) is IllConditionedError
+    assert str(errors[1]) == "cond(S) = inf exceeds ceiling 1.000e+300"
+    assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
+    assert 3e14 < cond_s[2] < 5e14 and type(errors[2]) is DegenerateInputError
+    assert np.isfinite(f_obj[[0, 2]]).all()
+    _, cond_s, _, errors = build_estimation_stack(amps, amps, 1e15)
+    assert str(errors[1]) == "cond(S) = 1.709e+17 exceeds ceiling 1.000e+15"
+    assert 1e17 < cond_s[1] < math.inf and type(errors[2]) is DegenerateInputError
+
+
+def test_stack_refuses_a_zero_pivot_below_the_rank_tolerance(monkeypatch):
+    # should LU meet an exact zero pivot in an S whose cond(S) stays below
+    # the rank tolerance, that set is refused as cond(S) = inf, and the
+    # others keep the bits they have alone
+    amps = reference_amplitudes([0.3, 0.1, -0.2])
+    s_matrix, _, want, _ = build_estimation_stack(amps, amps)
+    inv = np.linalg.inv
+
+    def zero_pivot(a):
+        if any(np.array_equal(m, s_matrix[1]) for m in a.reshape(-1, 9, 9)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", zero_pivot)
+    _, cond_s, f_obj, errors = build_estimation_stack(amps, amps)
+    assert [None if e is None else str(e) for e in errors] == [
+        None, "cond(S) = inf exceeds ceiling 1.000e+08", None]
+    assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
+    np.testing.assert_array_equal(f_obj[[0, 2]], want[[0, 2]], strict=True)
 
 
 def test_estimate_takes_one_f_obj_per_row():
@@ -621,7 +701,7 @@ def _messages(caught):
 def _check_core_against_reference(y, eps, f_obj, f_ec, sifting):
     with warnings.catch_warnings(record=True) as core_warnings:
         warnings.simplefilter("always")
-        columns, silent = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, f_ec, sifting)
+        columns, silent = _estimate_core(y, eps, f_obj, f_ec, sifting)
     # both warn of the omega_ref_upper clamp on every row, those without
     # signal included
     with warnings.catch_warnings(record=True) as reference_warnings:
@@ -665,7 +745,7 @@ def test_core_covers_the_clamp_and_the_edges():
     eps = np.array([[0.0] * 9, [1.0] * 9, [1e-6] * 9, [1e-6] * 9])
     f_obj = np.array([[2.0, 0.0, -0.0, 1.0, 0.5, 0.0, -1.0, 0.0, 0.0]] * 4)
     with pytest.warns(UserWarning, match="clamped to 1"):
-        columns, silent = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, 1.16, None)
+        columns, silent = _estimate_core(y, eps, f_obj, 1.16, None)
     assert silent.tolist() == [False, False, False, True]
     omega_ref_up = columns[3]
     assert (omega_ref_up[:3] > 1.0).all() and (columns[4][:3] == 1.0).all()
@@ -679,6 +759,6 @@ def test_core_equals_the_reference_chain_on_the_relay_model():
     y = np.array([p.yields.y for p in points])
     eps = np.full_like(y, 1e-6)
     f_obj = np.array([p.f_obj for p in points])
-    (rate, *_), _ = _estimate_core(y, np.sqrt(1.0 - eps), f_obj, f_obj > 0.0, 1.16, None)
+    (rate, *_), _ = _estimate_core(y, eps, f_obj, 1.16, None)
     assert (rate > 0.0).all()
     _check_core_against_reference(y, eps, f_obj, 1.16, None)

@@ -22,6 +22,8 @@ from mdiqkd.pauli_core import (
     VirtualEnsemble,
     amplitudes,
     reference_amplitudes,
+    s_matrix_stack,
+    virtual_stack,
 )
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
@@ -237,6 +239,28 @@ def test_virtual_ensemble_validation():
         VirtualEnsemble(np.array([0.5, math.nan]), rows)
     with pytest.raises(ValueError):
         VirtualEnsemble(np.array([0.5, 0.5]), np.zeros((2, 8)))
+
+
+def test_stacks_refuse_the_wrong_number_of_states_per_side():
+    three = reference_amplitudes([0.0, 0.1])
+    two = three[:, :2]
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(ValueError) as excinfo:
+            s_matrix_stack(a, b)
+        assert str(excinfo.value) == "expected three reference states per side"
+        with pytest.raises(ValueError) as excinfo:
+            virtual_stack(b, a)
+        assert str(excinfo.value) == "expected the two Z-basis states per side"
+
+
+def test_virtual_stack_refuses_unnormalised_amplitudes():
+    # doubling side A's amplitudes makes the four outcome probabilities sum to 4
+    z = reference_amplitudes([0.0, 0.1])[:, :2]
+    for a, b in ((2.0 * z, z), (z, 2.0 * z)):
+        with pytest.raises(ValueError, match="^virtual outcome probabilities sum to ") as excinfo:
+            virtual_stack(a, b)
+        assert float(str(excinfo.value).rsplit(" ", 1)[1]) == pytest.approx(4.0, rel=1e-12)
+    virtual_stack(z, z)
 
 
 def test_virtual_degenerate_reference_set():

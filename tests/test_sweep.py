@@ -38,6 +38,7 @@ from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError, QubitState
 from mdiqkd.sweep import (
     CONFIG_KEYS,
+    MAX_TABLE_ROWS,
     FrequencyRange,
     KeyRatePoint,
     LossRange,
@@ -131,6 +132,25 @@ def test_sweep_config_validation():
     for flag in ("no thanks", 0.5, 1):
         with pytest.raises(ValueError, match="include_sifting"):
             SweepConfig(include_sifting=flag)
+
+
+@pytest.mark.parametrize("ceiling", [0.0, -1.0, math.inf, math.nan])
+def test_sweep_config_refuses_a_cond_ceiling_that_is_not_finite_and_positive(ceiling):
+    with pytest.raises(ValueError, match="^cond_ceiling must be finite and > 0$"):
+        SweepConfig(cond_ceiling=ceiling)
+
+
+@pytest.mark.parametrize("changes", [
+    # 2 eps x a 600001-point loss grid
+    {"eps_values": (1e-6, 1e-7), "loss_range": LossRange(0.0, 600000.0, 1.0)},
+    # 2 deltas x a 600001-point frequency grid
+    {"delta_values": (0.0, 0.1),
+     "frequency_range": FrequencyRange(1.0, 600001.0, 1.0, anchor_low=(1.0, -9.0),
+                                       anchor_high=(600001.0, -6.0))},
+], ids=["loss", "frequency"])
+def test_sweep_config_refuses_a_table_over_max_table_rows(changes):
+    with pytest.raises(ValueError, match=f"^sweep table exceeds {MAX_TABLE_ROWS} rows$"):
+        SweepConfig(**changes)
 
 
 def test_sweep_config_refuses_a_channel_loss():
@@ -563,6 +583,12 @@ def test_select_refuses_a_bad_mask(mask, message):
     assert str(exc.value) == message
 
 
+def test_write_refuses_an_unknown_format_and_creates_no_file(tmp_path):
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        _table([_point(0.0, 0.5)]).write(str(tmp_path / "t.xml"), "xml")
+    assert os.listdir(tmp_path) == []
+
+
 def test_emit_table_revalidates_diagnostics(tmp_path):
     bad = KeyRatePoint(0.0, 1e-6, 0.0, -0.1, 0.01, 0.1, 0.0, 0.1, 0.05, 10.0)
     with pytest.raises(ValueError, match="diagnostics"):
@@ -731,12 +757,25 @@ def test_frequency_table_eps_are_eps_at_bit_for_bit(f_low, f_gap, lg_low, lg_hig
     assert table.numbers[1].tobytes() == want.tobytes()
 
 
+def test_an_s_past_the_rank_tolerance_under_a_lifted_ceiling_gives_error_rows():
+    # at pi/4 the 0X state equals the 0Z one, so S has repeated rows
+    # (cond(S) 1.7e17) and no key can be certified, although LU inverts S:
+    # every row is an error row, and no curve has a cutoff
+    config = SweepConfig(eps_values=(0.0, 1e-6), delta_values=(0.7853981633974483,),
+                         cond_ceiling=1e300, loss_range=LossRange(0.0, 10.0, 5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no omega_ref_upper clamp either
+        table = loss_table(config)
+    assert table.errors == ["cond(S) = inf exceeds ceiling 1.000e+300"] * 6
+    assert np.isnan(table.numbers[3:]).all()
+    assert [s["cutoff"] for s in table.summaries()] == [None, None]
+
+
 def test_a_singular_s_under_a_lifted_ceiling_gives_error_rows(monkeypatch):
-    # a set whose 0X state is its 0Z state has two equal rows of S: LU finds
-    # a zero pivot although the SVD's cond(S) is finite (8.3e16). Under a
-    # lifted ceiling the table refuses that delta's set and evaluates the
-    # other. A delta five ulps below pi/4 did the same here with the real
-    # states, but whether LU meets an exact zero there depends on rounding
+    # a set whose 0X state is its 0Z state has two equal rows of S: its
+    # cond(S) 8.3e16 is past the rank tolerance, and LU finds a zero pivot.
+    # Under a lifted ceiling the table refuses that delta's set and
+    # evaluates the other
     reference_amplitudes = mdiqkd.sweep.reference_amplitudes
 
     def with_a_repeated_state(deltas):
@@ -837,7 +876,7 @@ def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
                             error=str(exc))
     return KeyRatePoint(
         coordinate, eps_value, delta, r.key_rate, r.e_zz, r.e_xx, r.omega_ref_upper,
-        r.omega_upper, r.zeta_obs, inputs.cond_s,
+        r.omega_upper, r.zeta_obs, np.linalg.cond(build_S_matrix(ref, ref)),
         key_per_second=r.key_rate * coordinate * 1e9 if per_second else None,
     )
 
@@ -881,9 +920,9 @@ def _expected_loss_rows(config):
     # no dark counts and eta_arm^2 underflowing to 0 beyond ~3200 dB: only
     # the far end of each curve raises NoSignalError
     TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 500.0)),
-    # a delta 1e-9 short of pi/2 passes a lifted ceiling but collapses a
-    # virtual state: only its rows are error rows
-    TINY.replace(delta_values=(0.0, math.pi / 2 - 1e-9), cond_ceiling=1e300),
+    # a delta 1.4e-7 short of pi/2 (cond(S) 3.7e14) passes a lifted ceiling
+    # but collapses a virtual state: only its rows are error rows
+    TINY.replace(delta_values=(0.0, 1.5707961867948965), cond_ceiling=1e300),
     # no dark counts again, where zeta_obs is subnormal and then vanishes:
     # a subnormal zeta_obs counts as no signal
     TINY.replace(channel=ChannelParams(p_d=0.0), loss_range=LossRange(3150.0, 3250.0, 5.0)),
@@ -1199,7 +1238,12 @@ def test_cli_reads_no_argv_as_the_process_arguments(tmp_path, capsys, monkeypatc
     (["--format", "xml"], "output.format must be csv or json-lines, got 'xml'"),
     (["--loss-start", "abc"], "sweep.loss.start must be a number, got 'abc'"),
     (["--loss-step", ""], "sweep.loss.step must be a number, got ''"),
-], ids=["eps", "delta", "format", "loss-start", "loss-step-empty"])
+    # -h is a value here, not a request for help
+    (["--delta", "-h"], "sweep.delta must be a list of numbers, got ['-h']"),
+    # 2 eps x a 600001-point loss grid
+    (["--eps", "1e-6,1e-7", "--loss-stop", "600000", "--loss-step", "1"],
+     f"sweep table exceeds {MAX_TABLE_ROWS} rows"),
+], ids=["eps", "delta", "format", "loss-start", "loss-step-empty", "delta-h", "too-many-rows"])
 def test_cli_refuses_a_bad_flag_value_with_one_json_line(tmp_path, capsys, monkeypatch,
                                                          flags, message):
     def no_table(*args, **kwargs):
