@@ -28,13 +28,13 @@ for label, deltas in (
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
     for setting, state in zip(SETTINGS, ref):
         i, x, z = bloch_vector(state)
-        print(f"  {setting}:  amplitudes ({state.amp0:+.6f}, {state.amp1:+.6f})"
+        print(f"  {setting}:  amplitudes ({state[0]:+.6f}, {state[1]:+.6f})"
               f"   Bloch (X, Z) = ({x:+.6f}, {z:+.6f})")
 
     s_matrix = build_S_matrix(ref, ref)
     print(f"  cond(S) = {np.linalg.cond(s_matrix):.3f}")
 
     # the kept X outcomes form the virtual ensemble used for phase errors
-    ensemble = build_virtual(ref[:2], ref[:2])
-    probs = ", ".join(f"{p:.6f}" for p in ensemble.p_vir)
+    p_vir, _ = build_virtual(ref[:2], ref[:2])
+    probs = ", ".join(f"{p:.6f}" for p in p_vir)
     print(f"  virtual outcome probabilities: {probs}  (1/4 each when perfect)")

@@ -37,7 +37,6 @@ from .pauli_core import PAULI_PRODUCTS
 __all__ = [
     "ChannelParams",
     "BsmPovm",
-    "TransmissionRates",
     "YieldTable",
     "PSI_MINUS",
     "povm_components",
@@ -125,24 +124,6 @@ class BsmPovm(Frozen):
         self.m = m
 
 
-class TransmissionRates(Frozen):
-    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order.
-
-    q has shape (9,), or (n, 9) for n relay elements (one per grid point).
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.shape[-1:] != (9,):
-            raise ValueError("expected 9 transmission rates")
-        # M >= 0 forces |q_{l,l'}| <= q_{I,I}; the negated test refuses nan
-        if not np.all(np.abs(q).max(axis=-1) <= q[..., 0] + _ATOL):
-            raise ValueError("transmission rates exceed the q_II envelope")
-        self.q = q
-
-
 class YieldTable(Frozen):
     """Announcement probabilities per setting pair, SETTING_PAIRS order.
 
@@ -212,12 +193,15 @@ def build_bsm_povm(params):
 
 
 def transmission_rates(povm):
-    """Project the POVM element, or each of a stack, onto the 9 two-qubit Pauli operators."""
+    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order.
+
+    One (9,) row for the POVM element, or (k, 9) for a stack of k.
+    """
     # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric.
     # One matrix-vector product per element: a single (k, 16) @ (16, 9)
     # product sums in another order and changes the last bits of q.
     q = np.array([PAULI_PRODUCTS.reshape(9, 16) @ m / 4.0 for m in povm.m.reshape(-1, 16)])
-    return TransmissionRates(q.reshape(povm.m.shape[:-2] + (9,)))
+    return q.reshape(povm.m.shape[:-2] + (9,))
 
 
 def transmission_rates_grid(params, losses_db):
@@ -231,8 +215,7 @@ def transmission_rates_grid(params, losses_db):
     if not np.all((losses >= 0.0) & (losses < math.inf)):  # also refuses nan
         raise ValueError("losses must be finite and >= 0 dB")
     etas = [_arm_transmission(params.eta_d, loss) for loss in losses_db]
-    table = transmission_rates(povm_components(params)).q
-    return TransmissionRates(_arm_weights(etas) @ table)
+    return _arm_weights(etas) @ transmission_rates(povm_components(params))
 
 
 def reference_yields(s_matrix, rates):
@@ -242,7 +225,7 @@ def reference_yields(s_matrix, rates):
     m matrices S, shape (m, 9, 9), gives yields of shape (m, n, 9), and
     one warning for the whole stack if any yield is clamped.
     """
-    raw = rates.q @ np.swapaxes(s_matrix, -1, -2)
+    raw = rates @ np.swapaxes(s_matrix, -1, -2)
     clamped = np.clip(raw, 0.0, 1.0)
     worst = np.abs(raw - clamped).max()
     if worst > 1e-9:

@@ -51,49 +51,47 @@ def _usage(flags):
             + "".join(f"  {option}  {text}\n" for option, text in options.items()))
 
 
-def _wants_help(argv, flags):
-    """Whether -h or --help stands where _read expects a flag: --delta -h asks for no help."""
-    i = 0
-    while i < len(argv):
-        if argv[i] in ("-h", "--help"):
-            return True
-        # as in _read, a flag spelt without = takes the next token unless it starts with --
-        value = argv[i + 1] if i + 1 < len(argv) else "--"
-        i += 2 if argv[i] in flags and not value.startswith("--") else 1
-    return False
-
-
 def _read(argv, flags):
-    """{key: text} of the flags in argv, a list flag's text split; ValueError if malformed.
+    """{key: text} of the flags in argv, a list flag's text split; None if help is asked.
 
-    A flag is spelt in full, as --name value or --name=value; a repeated
-    flag keeps its last value.
+    A flag is spelt in full, as --name value or --name=value, and takes
+    the next token as its value unless that starts with --; a repeated
+    flag keeps its last value. -h or --help where a flag is expected asks
+    for help, so --delta -h does not. Otherwise the first malformed token
+    raises ValueError.
     """
-    args = {}
-    tokens = iter(argv)
-    for token in tokens:
+    args, error, i = {}, None, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token in ("-h", "--help"):
+            return None
         flag, given, text = token.partition("=")
+        if flag in flags and not given:
+            text = argv[i] if i < len(argv) and not argv[i].startswith("--") else None
+            i += text is not None
         if flag not in flags:
-            if not token.startswith("-"):
-                raise ValueError(f"unexpected argument {token!r}")
-            raise ValueError(f"unknown flag {flag!r}")
-        if not given:
-            text = next(tokens, None)
-            if text is None or text.startswith("--"):
-                raise ValueError(f"{flag} needs a value")
-        key, many, _, _ = flags[flag]
-        args[key] = _split(text) if many else text
+            problem = (f"unknown flag {flag!r}" if token.startswith("-")
+                       else f"unexpected argument {token!r}")
+        elif text is None:
+            problem = f"{flag} needs a value"
+        else:
+            key, many, _, _ = flags[flag]
+            args[key] = _split(text) if many else text
+            continue
+        error = error or ValueError(problem)
+    if error:
+        raise error
     return args
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     flags = build_parser()
-    if _wants_help(argv, flags):
-        print(_usage(flags), end="")
-        return 0
     try:
         args = _read(argv, flags)
+        if args is None:
+            print(_usage(flags), end="")
+            return 0
         path, sweep = args.pop("config", None), args.pop("sweep", "loss")
         if sweep not in ("loss", "frequency"):
             raise ValueError(f"--sweep must be loss or frequency, got {sweep!r}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .channel import YieldTable
 from .gbound import Frozen, _bound, plain, unit_interval
-from .pauli_core import ZZ_PAIR_INDICES, amplitudes, s_matrix_stack, virtual_stack
+from .pauli_core import ZZ_PAIR_INDICES, s_matrix_stack, virtual_stack
 
 __all__ = [
     "EstimationError",
@@ -128,7 +128,8 @@ class EstimationInputs(Frozen):
     yields is a YieldTable, eps a SideChannelParams and f_obj = P_vir
     S_vir S^-1 of the reference states, of shape (9,), or (n, 9) with one
     row per yield row. For one reference set, build_S_matrix gives S,
-    np.linalg.cond of it cond(S), and build_virtual the virtual ensemble.
+    np.linalg.cond of it cond(S), and build_virtual the virtual ensemble
+    (p_vir, s_vir).
     """
 
     __slots__ = ("yields", "eps", "f_obj")
@@ -167,14 +168,14 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
 
     amps_a, amps_b: the real amplitudes of n reference sets per side,
     shape (n, 3, 2), the three reference states of a set in SETTINGS
-    order (pauli_core.reference_amplitudes, or amplitudes of states).
+    order (pauli_core.reference_amplitudes, or make_reference_state rows).
     Returns (s_matrix, cond_s, f_obj, errors): S (n, 9, 9), cond(S) (n,),
     f_obj (n, 9) and per set None or the error build_estimation_inputs
     raises for it: IllConditionedError when cond(S) exceeds the ceiling
     (the inversion amplifies yield noise by that factor) or S is singular
     to working precision (cond_s then reads inf), else a
-    DegenerateInputError. Only the accepted sets are inverted; a refused
-    set's f_obj is nan.
+    DegenerateInputError. Only the sets that pass the ceiling are
+    inverted; the f_obj of every refused set is nan.
     """
     amps_a, amps_b = np.asarray(amps_a, dtype=float), np.asarray(amps_b, dtype=float)
     s_matrix = s_matrix_stack(amps_a, amps_b)
@@ -193,11 +194,12 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
                     s_inv[k] = np.linalg.inv(s_matrix[k])
                 except np.linalg.LinAlgError:
                     cond[k], inverted[k] = np.inf, False
-    ensemble, errors = virtual_stack(amps_a[:, :2], amps_b[:, :2])
+    p_vir, s_vir, errors = virtual_stack(amps_a[:, :2], amps_b[:, :2])
     errors = [err if ok else IllConditionedError(c, cond_ceiling)
               for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
     # stacked matmul gives the bits of p_vir @ s_vir @ s_inv for one set
-    f_obj = (ensemble.p_vir[:, None, :] @ ensemble.s_vir @ s_inv)[:, 0]
+    f_obj = (p_vir[:, None, :] @ s_vir @ s_inv)[:, 0]
+    f_obj[[err is not None for err in errors]] = np.nan
     return s_matrix, cond, f_obj, errors
 
 
@@ -205,11 +207,11 @@ def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
                             cond_ceiling=DEFAULT_COND_CEILING):
     """The EstimationInputs of yields and eps on one reference set.
 
-    ref_a, ref_b: the three reference states per side in SETTINGS order.
-    f_obj is the one-set case of build_estimation_stack; raises its error.
+    ref_a, ref_b: the amplitudes of the three reference states per side
+    in SETTINGS order. f_obj is the one-set case of build_estimation_stack;
+    raises its error.
     """
-    *_, f_obj, errors = build_estimation_stack(amplitudes([ref_a]), amplitudes([ref_b]),
-                                               cond_ceiling)
+    *_, f_obj, errors = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
     if errors[0] is not None:
         raise errors[0]
     return EstimationInputs(yields, eps, f_obj[0])

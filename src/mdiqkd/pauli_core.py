@@ -14,6 +14,9 @@ Fixed orderings, shared by every consumer:
   (1Z,0Z), (1Z,1Z), (1Z,0X), (0X,0Z), (0X,1Z), (0X,0X)
 
 X-basis convention: |jX> = (|0Z> + (-1)^j |1Z>)/sqrt(2).
+
+States travel as their real amplitudes on |0Z>, |1Z>: a (2,) array for
+one state, (n, k, 2) for n sets of k states.
 """
 
 import math
@@ -29,13 +32,10 @@ __all__ = [
     "SETTING_PAIRS",
     "PAULI_PRODUCTS",
     "ZZ_PAIR_INDICES",
-    "QubitState",
     "ModulationErrors",
-    "VirtualEnsemble",
     "DegenerateInputError",
     "make_reference_state",
     "reference_amplitudes",
-    "amplitudes",
     "bloch_vector",
     "s_matrix_stack",
     "build_S_matrix",
@@ -67,19 +67,6 @@ class DegenerateInputError(ValueError):
     """Raised when a reference set collapses a virtual state to zero trace."""
 
 
-class QubitState(Frozen):
-    """Pure single-qubit state with real amplitudes on |0Z>, |1Z>."""
-
-    __slots__ = ("amp0", "amp1")
-
-    def __init__(self, amp0, amp1):
-        norm = amp0 * amp0 + amp1 * amp1
-        if not abs(norm - 1.0) <= _NORM_ATOL:  # the negated test also refuses nan
-            raise ValueError(f"state not normalized: |amp|^2 = {norm!r}")
-        self.amp0 = amp0
-        self.amp1 = amp1
-
-
 def check_delta(value, name):
     """value itself; ValueError unless it is a real number with |value| < pi/2."""
     if not abs(real(value, name)) < math.pi / 2:
@@ -102,28 +89,6 @@ class ModulationErrors(Frozen):
         self.delta3 = delta3
 
 
-class VirtualEnsemble(Frozen):
-    """X-outcome ensemble of the entanglement-based source description.
-
-    p_vir holds the probabilities of the kept outcomes (j, s) = (0, 0)
-    and (1, 1); s_vir holds the Bloch rows of the normalized states sent
-    on those outcomes. Shapes (2,) and (2, 9), or (n, 2) and (n, 2, 9)
-    for a stack of n reference sets.
-    """
-
-    __slots__ = ("p_vir", "s_vir")
-
-    def __init__(self, p_vir, s_vir):
-        p = np.asarray(p_vir, dtype=float)
-        s = np.asarray(s_vir, dtype=float)
-        if p.shape[-1:] != (2,) or s.shape != p.shape + (9,):
-            raise ValueError("expected 2 probabilities and a 2x9 Bloch block")
-        if not np.all((p >= -_NORM_ATOL) & (p <= 1.0 + _NORM_ATOL)):
-            raise ValueError("virtual probabilities out of [0, 1]")
-        self.p_vir = p
-        self.s_vir = s
-
-
 def reference_amplitudes(deltas):
     """Amplitudes of the three reference states per modulation error, shape (n, 3, 2).
 
@@ -143,19 +108,15 @@ def reference_amplitudes(deltas):
 def make_reference_state(setting, deltas):
     """Reference state for one setting under modulation errors.
 
-    The one-state case of reference_amplitudes: 0Z takes deltas.delta1,
-    1Z deltas.delta2 and 0X deltas.delta3.
+    The one-state case of reference_amplitudes, its (2,) amplitudes on
+    |0Z>, |1Z>: 0Z takes deltas.delta1, 1Z deltas.delta2 and 0X
+    deltas.delta3.
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
     k = SETTINGS.index(setting)
     delta = (deltas.delta1, deltas.delta2, deltas.delta3)[k]
-    return QubitState(*reference_amplitudes([delta])[0, k].tolist())
-
-
-def amplitudes(sets):
-    """Real amplitudes of n sets of k states, shape (n, k, 2)."""
-    return np.array([[(q.amp0, q.amp1) for q in states] for states in sets], dtype=float)
+    return reference_amplitudes([delta])[0, k]
 
 
 def _bloch(amps):
@@ -173,8 +134,11 @@ def _pair_bloch(a, b):
 
 
 def bloch_vector(state):
-    """Coefficients <sigma_l> for l in (I, X, Z), a (3,) array; requires a normalized state."""
-    return _bloch(np.array([state.amp0, state.amp1]))
+    """Coefficients <sigma_l> for l in (I, X, Z), a (3,) array, of normalized amplitudes (2,)."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (2,):
+        raise ValueError("expected the two amplitudes of one state")
+    return _bloch(state)
 
 
 def s_matrix_stack(refs_a, refs_b):
@@ -193,10 +157,11 @@ def s_matrix_stack(refs_a, refs_b):
 def build_S_matrix(ref_a, ref_b):
     """9x9 matrix whose rows are the Bloch coefficients of the setting pairs.
 
-    ref_a, ref_b: the three reference states per side in SETTINGS order;
-    the one-set case of s_matrix_stack.
+    ref_a, ref_b: the amplitudes of the three reference states per side
+    in SETTINGS order, (3, 2) or three (2,) rows; the one-set case of
+    s_matrix_stack.
     """
-    return s_matrix_stack(amplitudes([ref_a]), amplitudes([ref_b]))[0]
+    return s_matrix_stack(np.asarray([ref_a], dtype=float), np.asarray([ref_b], dtype=float))[0]
 
 
 def _x_projected(z):
@@ -215,10 +180,12 @@ def virtual_stack(z_a, z_b):
     product state. Outcome probabilities of all four (j, s) combinations
     must sum to 1; the off-diagonal two enter only that check.
 
-    Returns (ensemble, errors): a VirtualEnsemble of shapes (n, 2) and
-    (n, 2, 9), and per set None or the DegenerateInputError of a kept
-    outcome whose state has zero trace. Such a state is replaced by |0Z>
-    in the ensemble, so that the stack stays finite.
+    Returns (p_vir, s_vir, errors): the probabilities of the kept
+    outcomes (j, s) = (0, 0) and (1, 1), shape (n, 2), the Bloch rows of
+    the normalized states sent on them, shape (n, 2, 9), and per set None
+    or the DegenerateInputError of a kept outcome whose state has zero
+    trace. Such a state is replaced by |0Z> in s_vir, so that the stack
+    stays finite.
     """
     if z_a.shape[1:] != (2, 2) or z_b.shape[1:] != (2, 2):
         raise ValueError("expected the two Z-basis states per side")
@@ -243,16 +210,18 @@ def virtual_stack(z_a, z_b):
     s_vir = _pair_bloch(_bloch(qa), _bloch(qb))
     # a fresh array in C order: over a strided operand matmul skips BLAS,
     # whose fused multiply-adds give f_obj = p_vir S_vir S^-1 other last bits
-    return VirtualEnsemble(0.25 * na2 * nb2, s_vir), errors
+    return 0.25 * na2 * nb2, s_vir, errors
 
 
 def build_virtual(ref_a_z, ref_b_z):
-    """X-outcome virtual ensemble from the four Z-basis reference states.
+    """X-outcome virtual ensemble (p_vir, s_vir), shapes (2,) and (2, 9).
 
-    The one-set case of virtual_stack; raises DegenerateInputError when
-    a kept outcome carries a state of zero trace.
+    ref_a_z, ref_b_z: the amplitudes of the two Z-basis reference states
+    per side. The one-set case of virtual_stack; raises
+    DegenerateInputError when a kept outcome carries a state of zero trace.
     """
-    ensemble, errors = virtual_stack(amplitudes([ref_a_z]), amplitudes([ref_b_z]))
+    p_vir, s_vir, errors = virtual_stack(np.asarray([ref_a_z], dtype=float),
+                                         np.asarray([ref_b_z], dtype=float))
     if errors[0] is not None:
         raise errors[0]
-    return VirtualEnsemble(ensemble.p_vir[0], ensemble.s_vir[0])
+    return p_vir[0], s_vir[0]

@@ -142,9 +142,8 @@ def bloch_by_trace(rho):
 
 
 def density_matrix(state):
-    """Projector onto a real single-qubit state given by its amplitudes."""
-    v = np.array([state.amp0, state.amp1])
-    return np.outer(v, v)
+    """Projector onto a real single-qubit state given by its amplitudes (2,)."""
+    return np.outer(state, state)
 
 
 def _bloch_to_density(row):
@@ -153,7 +152,7 @@ def _bloch_to_density(row):
     return sum(c * p for c, p in zip(row, paulis)) / 4.0
 
 
-def omega_ref_direct(ensemble, povm):
+def omega_ref_direct(p_vir, s_vir, povm):
     """Singlet-error weight by direct trace against the virtual states.
 
     Reconstructs each kept virtual state as a density matrix from its
@@ -161,7 +160,7 @@ def omega_ref_direct(ensemble, povm):
     weight through the tomography identity f_obj . Y instead.
     """
     total = 0.0
-    for p, row in zip(ensemble.p_vir, ensemble.s_vir):
+    for p, row in zip(p_vir, s_vir):
         total += p * float(np.trace(povm.m @ _bloch_to_density(row)))
     return total
 

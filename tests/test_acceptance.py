@@ -164,8 +164,8 @@ def test_criterion_5_estimation_routes_agree(capsys):
         inputs = build_estimation_inputs(
             ref_a, ref_b, yields, SideChannelParams.uniform(0.0)
         )
-        ensemble = build_virtual(ref_a[:2], ref_b[:2])
-        diff = abs(omega_ref_matrix(inputs) - omega_ref_direct(ensemble, povm))
+        p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
+        diff = abs(omega_ref_matrix(inputs) - omega_ref_direct(p_vir, s_vir, povm))
         worst = max(worst, diff)
     ok = worst < 1e-10
     _report(

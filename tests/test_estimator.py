@@ -35,7 +35,6 @@ from mdiqkd.estimator import (
 from mdiqkd.pauli_core import (
     ZZ_PAIR_INDICES,
     DegenerateInputError,
-    amplitudes,
     build_virtual,
     reference_amplitudes,
 )
@@ -220,7 +219,7 @@ def test_omega_ref_zero_cases():
     class _Zero:
         m = np.zeros((4, 4))
 
-    assert omega_ref_direct(build_virtual(ref[:2], ref[:2]), _Zero()) == 0.0
+    assert omega_ref_direct(*build_virtual(ref[:2], ref[:2]), _Zero()) == 0.0
 
 
 def test_omega_ref_vanishes_for_ideal_setup():
@@ -230,13 +229,13 @@ def test_omega_ref_vanishes_for_ideal_setup():
         loss_db=0.0, eta_d=1.0, p_d=0.0, e_d=0.0, eps_value=0.0
     )
     ideal_povm = build_bsm_povm(ChannelParams(eta_d=1.0, p_d=0.0, e_d=0.0))
-    assert abs(omega_ref_direct(build_virtual(ref[:2], ref[:2]), ideal_povm)) < 1e-12
+    assert abs(omega_ref_direct(*build_virtual(ref[:2], ref[:2]), ideal_povm)) < 1e-12
     assert abs(omega_ref_matrix(inputs)) < 1e-12
 
 
 def test_omega_ref_route_equivalence_at_benchmark_point():
     ref, povm, yields, inputs = _pipeline(delta=BENCHMARK_DELTA)
-    direct = omega_ref_direct(build_virtual(ref[:2], ref[:2]), povm)
+    direct = omega_ref_direct(*build_virtual(ref[:2], ref[:2]), povm)
     via_matrix = omega_ref_matrix(inputs)
     assert via_matrix == pytest.approx(direct, abs=1e-10)
     assert direct > 0.0
@@ -246,7 +245,7 @@ def test_omega_ref_x_convention_independent():
     deltas = ModulationErrors(0.126, -0.07, 0.05)
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
     povm = build_bsm_povm(ChannelParams(loss_db=6.0))
-    amps = [np.array([s.amp0, s.amp1]) for s in ref[:2]]
+    amps = ref[:2]
     omegas = []
     for sign in (+1, -1):
         ens = virtual_ensemble_16dim(amps, amps, x_sign=sign)
@@ -453,7 +452,7 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
               for t in STACK_TRIPLES]
     refs_b = refs_a[3:] + refs_a[:3]  # a different set on each side
     s_matrix, cond_s, f_obj, errors = build_estimation_stack(
-        amplitudes(refs_a), amplitudes(refs_b), cond_ceiling)
+        np.asarray(refs_a, dtype=float), np.asarray(refs_b, dtype=float), cond_ceiling)
     assert f_obj.shape == (len(refs_a), 9)
     refused = set()
     for k, (ref_a, ref_b) in enumerate(zip(refs_a, refs_b)):
@@ -469,8 +468,8 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
                           (f_obj[k], one.f_obj)):
             np.testing.assert_array_equal(got, want)
         # f_obj has the bits of p_vir S_vir S^-1 of the set alone
-        ens = build_virtual(ref_a[:2], ref_b[:2])
-        np.testing.assert_array_equal(one.f_obj, ens.p_vir @ ens.s_vir @ np.linalg.inv(s_one))
+        p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
+        np.testing.assert_array_equal(one.f_obj, p_vir @ s_vir @ np.linalg.inv(s_one))
     # the collapse of a virtual state is checked only on sets that pass the
     # ceiling. A lifted one refuses just the two sets with pi/4 on a side
     # (cond(S) ~1e17), as singular to working precision
@@ -480,14 +479,14 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
         assert ill == ["cond(S) = inf exceeds ceiling 1.000e+300"] * 2
     else:
         assert len(ill) == 5 and not any("inf" in message for message in ill)
-    # only the accepted sets are inverted
-    inverted = np.array([e is None or isinstance(e, DegenerateInputError) for e in errors])
-    assert np.isnan(f_obj[~inverted]).all()
-    assert np.isfinite(f_obj[inverted]).all()
+    # f_obj is nan exactly on the refused sets
+    refused = np.array([e is not None for e in errors])
+    assert np.isnan(f_obj[refused]).all()
+    assert np.isfinite(f_obj[~refused]).all()
 
 
 def _stack_from_states(refs_a, refs_b, cond_ceiling):
-    """The stack's fields and error messages, one set of QubitStates at a time."""
+    """The stack's fields and error messages, one set of make_reference_state rows at a time."""
     fields, messages = [], []
     for ref_a, ref_b in zip(refs_a, refs_b):
         s_matrix = build_S_matrix(ref_a, ref_b)
@@ -505,12 +504,12 @@ def _stack_from_states(refs_a, refs_b, cond_ceiling):
             messages.append(str(IllConditionedError(math.inf, cond_ceiling)))
             continue
         try:
-            ens = build_virtual(ref_a[:2], ref_b[:2])
+            p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
         except DegenerateInputError as exc:
             fields.append((s_matrix, cond, None))
             messages.append(str(exc))
             continue
-        fields.append((s_matrix, cond, ens.p_vir @ ens.s_vir @ s_inv))
+        fields.append((s_matrix, cond, p_vir @ s_vir @ s_inv))
         messages.append(None)
     return fields, messages
 
@@ -583,10 +582,21 @@ def test_stack_refuses_an_s_past_the_rank_tolerance_as_singular():
     assert str(errors[1]) == "cond(S) = inf exceeds ceiling 1.000e+300"
     assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
     assert 3e14 < cond_s[2] < 5e14 and type(errors[2]) is DegenerateInputError
-    assert np.isfinite(f_obj[[0, 2]]).all()
+    assert np.isfinite(f_obj[0]).all() and np.isnan(f_obj[2]).all()
     _, cond_s, _, errors = build_estimation_stack(amps, amps, 1e15)
     assert str(errors[1]) == "cond(S) = 1.709e+17 exceeds ceiling 1.000e+15"
     assert 1e17 < cond_s[1] < math.inf and type(errors[2]) is DegenerateInputError
+
+
+def test_stack_gives_no_f_obj_for_a_collapsed_virtual_state():
+    # under a lifted ceiling the set 1.4e-7 short of pi/2 is inverted but
+    # refused for its collapsed virtual state: a caller that reads f_obj
+    # without errors must not get numbers for it
+    amps = reference_amplitudes([0.126, 1.5707961867948965, 0.7853981633974483])
+    _, _, f_obj, errors = build_estimation_stack(amps, amps, 1e300)
+    assert [type(e) for e in errors] == [type(None), DegenerateInputError,
+                                         IllConditionedError]
+    assert np.isfinite(f_obj[0]).all() and np.isnan(f_obj[1:]).all()
 
 
 def test_stack_refuses_a_zero_pivot_below_the_rank_tolerance(monkeypatch):

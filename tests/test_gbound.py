@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from mdiqkd import g_lower, g_upper
 from mdiqkd.gbound import real
-from mdiqkd.channel import BsmPovm, ChannelParams, TransmissionRates, YieldTable
+from mdiqkd.channel import BsmPovm, ChannelParams, YieldTable
 from mdiqkd.estimator import EstimationInputs, EstimationResult, SideChannelParams
-from mdiqkd.pauli_core import ModulationErrors, QubitState, VirtualEnsemble
+from mdiqkd.pauli_core import ModulationErrors
 from mdiqkd.sweep import FrequencyRange, LossRange, SweepConfig
 from oracles import deviation_bounds, random_bounded_operator, random_pure_state
 
@@ -136,11 +136,8 @@ def test_real_refuses_what_is_no_number(value):
 
 # one valid instance of each checked value type
 VALUE_TYPES = {
-    "QubitState": lambda: QubitState(1.0, 0.0),
     "ModulationErrors": lambda: ModulationErrors(delta1=0.126),
-    "VirtualEnsemble": lambda: VirtualEnsemble(np.array([0.5, 0.5]), np.zeros((2, 9))),
     "BsmPovm": lambda: BsmPovm(np.zeros((4, 4))),
-    "TransmissionRates": lambda: TransmissionRates(np.zeros(9)),
     "YieldTable": lambda: YieldTable(np.zeros(9)),
     "SideChannelParams": lambda: SideChannelParams.uniform(1e-6),
     "EstimationInputs": lambda: EstimationInputs(None, None, np.zeros(9)),

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from mdiqkd import (
     SETTINGS,
     ModulationErrors,
     bloch_vector,
+    build_estimation_inputs,
     build_S_matrix,
     build_virtual,
     make_reference_state,
@@ -18,9 +18,6 @@ from mdiqkd.pauli_core import (
     PAULI_PAIRS,
     PAULI_PRODUCTS,
     DegenerateInputError,
-    QubitState,
-    VirtualEnsemble,
-    amplitudes,
     reference_amplitudes,
     s_matrix_stack,
     virtual_stack,
@@ -34,25 +31,18 @@ def _states(deltas):
     return [make_reference_state(s, deltas) for s in SETTINGS]
 
 
-def _amp(state):
-    return np.array([state.amp0, state.amp1])
-
-
 def test_reference_state_0z_identity():
-    s = make_reference_state("0Z", IDEAL)
-    assert (s.amp0, s.amp1) == (1.0, 0.0)
+    assert make_reference_state("0Z", IDEAL).tolist() == [1.0, 0.0]
 
 
 def test_reference_state_0x_balanced():
     s = make_reference_state("0X", IDEAL)
-    assert s.amp0 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert s.amp1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    np.testing.assert_allclose(s, [1.0 / math.sqrt(2.0)] * 2, rtol=0, atol=1e-15)
 
 
 def test_reference_state_with_modulation_error():
     s = make_reference_state("0Z", ModulationErrors(delta1=0.126))
-    assert s.amp0 == pytest.approx(math.cos(0.063), abs=1e-15)
-    assert s.amp1 == pytest.approx(math.sin(0.063), abs=1e-15)
+    np.testing.assert_allclose(s, [math.cos(0.063), math.sin(0.063)], rtol=0, atol=1e-15)
 
 
 _HALF_PI = math.pi / 2
@@ -83,7 +73,7 @@ def test_reference_amplitudes_are_the_states_bit_for_bit(deltas):
     states = [[make_reference_state(s, ModulationErrors(d, d, d)) for s in SETTINGS]
               for d in deltas]
     formula = np.array([[_formula(s, d) for s in SETTINGS] for d in deltas]).reshape(-1, 3, 2)
-    assert got.tobytes() == amplitudes(states).reshape(-1, 3, 2).tobytes()
+    assert got.tobytes() == np.asarray(states, dtype=float).reshape(-1, 3, 2).tobytes()
     assert got.tobytes() == formula.tobytes()
 
 
@@ -92,8 +82,8 @@ def test_reference_state_takes_its_own_settings_delta():
     rows = reference_amplitudes([0.1, -0.2, 0.3])
     for k, setting in enumerate(SETTINGS):
         state = make_reference_state(setting, errors)
-        assert (state.amp0, state.amp1) == tuple(rows[k, k].tolist())
-        assert type(state.amp0) is float
+        assert state.shape == (2,) and state.dtype == np.float64
+        assert state.tobytes() == rows[k, k].tobytes()
 
 
 def test_reference_state_rejects_unknown_setting():
@@ -108,31 +98,66 @@ def test_modulation_errors_bounded():
         ModulationErrors(delta1=math.nan)
 
 
-def test_qubit_state_requires_normalization():
-    with pytest.raises(ValueError):
-        QubitState(1.0, 1.0)
-    with pytest.raises(ValueError):
-        QubitState(math.nan, 0.0)
-
-
 def test_bloch_vector_eigenstates():
-    assert bloch_vector(QubitState(1.0, 0.0)).tolist() == [1.0, 0.0, 1.0]
-    plus = QubitState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    assert bloch_vector(np.array([1.0, 0.0])).tolist() == [1.0, 0.0, 1.0]
+    plus = np.full(2, 1.0 / math.sqrt(2.0))
     np.testing.assert_allclose(bloch_vector(plus), [1.0, 1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_bloch_vector_double_angle():
-    s = QubitState(math.cos(0.063), math.sin(0.063))
+    s = np.array([math.cos(0.063), math.sin(0.063)])
     np.testing.assert_allclose(
         bloch_vector(s), [1.0, math.sin(0.126), math.cos(0.126)], rtol=0, atol=1e-15
     )
 
 
 def test_bloch_vector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        bloch_vector(SimpleNamespace(amp0=1.0, amp1=1.0))
-    with pytest.raises(ValueError):
-        bloch_vector(SimpleNamespace(amp0=math.nan, amp1=0.0))
+    for amps in ([1.0, 1.0], [math.nan, 0.0]):
+        with pytest.raises(ValueError, match="^state not normalized$"):
+            bloch_vector(amps)
+
+
+def test_bloch_vector_takes_the_two_amplitudes_of_one_state():
+    for amps in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="^expected the two amplitudes of one state$"):
+            bloch_vector(amps)
+
+
+# the one-set entry points, each as a function of one side's three
+# reference states (both sides the same), and the message each gives
+# for amplitudes that are not normalized
+ONE_SET = {
+    "bloch_vector": (lambda ref: np.array([bloch_vector(a) for a in ref]),
+                     "^state not normalized$"),
+    "build_S_matrix": (lambda ref: build_S_matrix(ref, ref), "^state not normalized$"),
+    "build_virtual": (lambda ref: np.concatenate([np.ravel(v) for v in
+                                                  build_virtual(ref[:2], ref[:2])]),
+                      "^virtual outcome probabilities sum to "),
+    "build_estimation_inputs": (lambda ref: build_estimation_inputs(ref, ref).f_obj,
+                                "^state not normalized$"),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SET)
+def test_one_set_entry_points_take_amplitude_arrays(name):
+    # make_reference_state rows and the matching rows of one
+    # reference_amplitudes array give the same bits
+    run, _ = ONE_SET[name]
+    deltas = (0.126, -0.07, 0.05)
+    states = _states(ModulationErrors(*deltas))
+    rows = reference_amplitudes(deltas)[[0, 1, 2], [0, 1, 2]]
+    assert run(states).tobytes() == run(rows).tobytes()
+    d = 0.126
+    assert run(_states(ModulationErrors(d, d, d))).tobytes() == \
+        run(reference_amplitudes([d])[0]).tobytes()
+
+
+@pytest.mark.parametrize("name", ONE_SET)
+def test_one_set_entry_points_refuse_unnormalised_amplitudes(name):
+    run, message = ONE_SET[name]
+    scaled = reference_amplitudes([0.126])[0] * (1.0 + 1e-6)
+    with pytest.raises(ValueError, match=message):
+        run(scaled)
 
 
 def test_s_matrix_zz_row():
@@ -147,7 +172,7 @@ def test_s_matrix_rows_match_trace_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(120):
         ref_a, ref_b = [
-            [QubitState(math.cos(t), math.sin(t)) for t in rng.uniform(-math.pi, math.pi, 3)]
+            [np.array([math.cos(t), math.sin(t)]) for t in rng.uniform(-math.pi, math.pi, 3)]
             for _ in range(2)
         ]
         s = build_S_matrix(ref_a, ref_b)
@@ -162,7 +187,7 @@ def test_bloch_products_equal_kron_bitwise():
     rng = np.random.default_rng(4321)
     for _ in range(200):
         ref_a, ref_b = [
-            [QubitState(math.cos(t), math.sin(t)) for t in rng.uniform(-math.pi, math.pi, 3)]
+            [np.array([math.cos(t), math.sin(t)]) for t in rng.uniform(-math.pi, math.pi, 3)]
             for _ in range(2)
         ]
         kron = np.array([np.kron(bloch_vector(a), bloch_vector(b))
@@ -197,48 +222,37 @@ def test_s_matrix_conditioning_with_modulation_errors():
 
 
 def test_virtual_ideal_probabilities():
-    ens = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
-    np.testing.assert_allclose(ens.p_vir, [0.25, 0.25], rtol=0, atol=1e-15)
+    p_vir, _ = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
+    np.testing.assert_allclose(p_vir, [0.25, 0.25], rtol=0, atol=1e-15)
 
 
 def test_virtual_ideal_states_are_plus_plus_and_minus_minus():
-    ens = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
+    _, s_vir = build_virtual(_states(IDEAL)[:2], _states(IDEAL)[:2])
     # |+>|+> has every coefficient over {I,X} equal to 1
-    np.testing.assert_allclose(ens.s_vir[0], [1, 1, 0, 1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(ens.s_vir[1], [1, -1, 0, -1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s_vir[0], [1, 1, 0, 1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(s_vir[1], [1, -1, 0, -1, 1, 0, 0, 0, 0], rtol=0, atol=1e-15)
 
 
 def test_virtual_matches_16dim_oracle():
     d = ModulationErrors(0.126, 0.126, 0.126)
-    sa = _states(d)[:2]
-    ens = build_virtual(sa, sa)
-    amps = [_amp(s) for s in sa]
+    amps = _states(d)[:2]
+    p_vir, s_vir = build_virtual(amps, amps)
     oracle = virtual_ensemble_16dim(amps, amps)
     assert sum(p for p, _ in oracle.values()) == pytest.approx(1.0, abs=1e-12)
     for row, (j, s) in zip(range(2), ((0, 0), (1, 1))):
         p, theta = oracle[j, s]
-        assert ens.p_vir[row] == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(ens.s_vir[row], bloch_by_trace(theta), rtol=0, atol=1e-12)
+        assert p_vir[row] == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(s_vir[row], bloch_by_trace(theta), rtol=0, atol=1e-12)
 
 
 def test_virtual_kept_weight_is_x_convention_independent():
     d = ModulationErrors(0.126, -0.07, 0.126)
-    amps = [_amp(s) for s in _states(d)[:2]]
+    amps = _states(d)[:2]
     standard = virtual_ensemble_16dim(amps, amps, x_sign=+1)
     flipped = virtual_ensemble_16dim(amps, amps, x_sign=-1)
     kept = standard[0, 0][0] + standard[1, 1][0]
     kept_flipped = flipped[0, 0][0] + flipped[1, 1][0]
     assert kept == pytest.approx(kept_flipped, abs=1e-14)
-
-
-def test_virtual_ensemble_validation():
-    rows = np.zeros((2, 9))
-    with pytest.raises(ValueError):
-        VirtualEnsemble(np.array([0.5, 1.5]), rows)
-    with pytest.raises(ValueError):
-        VirtualEnsemble(np.array([0.5, math.nan]), rows)
-    with pytest.raises(ValueError):
-        VirtualEnsemble(np.array([0.5, 0.5]), np.zeros((2, 8)))
 
 
 def test_stacks_refuse_the_wrong_number_of_states_per_side():
