@@ -5,8 +5,8 @@ Reference states and the setting tomography matrix
 The protocol prepares three settings per side. A perfect source emits
 |0Z>, |1Z> and |0X>; a flawed one rotates each by half its modulation
 error. This script prints the prepared amplitudes, their Bloch vectors,
-and the conditioning of the 9x9 tomography matrix that the estimation
-chain inverts.
+and the conditioning of the 9x9 tomography matrix S whose inverse the
+estimation chain applies (through the two 3x3 factors of S = B_A x B_B).
 """
 
 import numpy as np

@@ -21,9 +21,9 @@ independently, so M(eta_arm) mixes four eta-independent elements (both
 photons arrive, only Alice's, only Bob's, neither) with the probabilities
 of those cases. A whole loss grid therefore costs one small product.
 
-The beam splitter's amplitudes and the isometry rows that can give the
-kept pattern are module constants; a channel adds two acceptance weights
-and its misalignment, and its four elements form one validated stack.
+The four elements' rates are closed forms in a channel's acceptance
+weights, with Bob's Pauli components rotated by the misalignment; the
+unrotated elements form one validated stack.
 """
 
 import math
@@ -39,7 +39,6 @@ __all__ = [
     "BsmPovm",
     "YieldTable",
     "PSI_MINUS",
-    "povm_components",
     "build_bsm_povm",
     "transmission_rates",
     "transmission_rates_grid",
@@ -50,20 +49,24 @@ _ATOL = 1e-12
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
-# channel indices: 0 = D1-early, 1 = D1-late, 2 = D2-early, 3 = D2-late.
-# The amplitude of each sender's time bin t at each channel: D1 port t and
-# D2 port 2 + t, with the beam splitter's sign on Bob's D2 port.
-_AMP_A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]) / math.sqrt(2.0)
-_AMP_B = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]) / math.sqrt(2.0)
-
-# the rows of the two-photon isometry from |t_A, t_B> (row-major) whose
-# states can give the kept pattern: both photons in D1-early, one in each,
-# both in D2-late
-_KEPT_PAIRS = np.array([
-    np.outer(math.sqrt(2.0) * _AMP_A[:, 0], _AMP_B[:, 0]).ravel(),
-    (np.outer(_AMP_A[:, 0], _AMP_B[:, 3]) + np.outer(_AMP_A[:, 3], _AMP_B[:, 0])).ravel(),
-    np.outer(math.sqrt(2.0) * _AMP_A[:, 3], _AMP_B[:, 3]).ravel(),
-])
+# Rates q_P = Tr[M P]/4 of the four survival cases before misalignment,
+# as coefficients of (one_dark, both_lit, p_vac): shape (4, 10, 3), P the
+# nine PAULI_PAIRS, then sigma_Y x sigma_Y, which the real X-Z states
+# never see but the real symmetric elements M = sum_P q_P P hold. Both
+# photons: both_lit |psi-><psi-|/2 and one_dark (|00><00| + |11><11|)/2;
+# one photon: one_dark I/2; neither: p_vac I. Powers of two, so each rate
+# is at most one addition from exact.
+_RATE_COEFFICIENTS = np.zeros((4, 10, 3))
+_RATE_COEFFICIENTS[0, 0] = (0.25, 0.125, 0.0)  # (I, I)
+_RATE_COEFFICIENTS[0, 4] = (0.0, -0.125, 0.0)  # (X, X)
+_RATE_COEFFICIENTS[0, 8] = (0.25, -0.125, 0.0)  # (Z, Z)
+_RATE_COEFFICIENTS[0, 9] = (0.0, -0.125, 0.0)  # (Y, Y)
+_RATE_COEFFICIENTS[1, 0] = _RATE_COEFFICIENTS[2, 0] = (0.5, 0.0, 0.0)
+_RATE_COEFFICIENTS[3, 0] = (0.0, 0.0, 1.0)
+# the P of the ten columns, sigma_Y x sigma_Y last, each flattened to 16 entries
+_ELEMENT_BASIS = np.concatenate([PAULI_PRODUCTS, [[[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
+                                                   [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]]
+                                 ]).reshape(10, 16)
 
 
 class ChannelParams(Record):
@@ -139,42 +142,31 @@ class YieldTable(Frozen):
         self.y = y
 
 
-def povm_components(params):
-    """The relay element of each photon-survival case, misalignment applied.
+def _component_rates(params):
+    """The rates of the four survival cases, (4, 10) as _RATE_COEFFICIENTS, misalignment applied.
 
-    Returns one BsmPovm stack of four elements, in the order both photons
-    arrive, only Alice's, only Bob's, neither; eta_d and loss_db do not
-    enter, the survival probabilities are applied by _arm_weights. The
-    stack is validated on construction, and the weights sum to 1, so every
-    M(eta_arm) is a convex combination of validated elements and lies in
-    [0, 1] too.
+    The unrotated elements are validated as one stack: the rotation keeps
+    their eigenvalues, and every M(eta_arm) is a convex combination of them.
     """
     p_d = params.p_d
     # the kept pattern clicks, and nothing else, with both of its channels
     # lit and the other two dark; a photon-free channel of it must dark-fire
     both_lit = (1.0 - p_d) ** 2
     one_dark = p_d * both_lit
-
-    w2 = np.array([one_dark, both_lit, one_dark])
-    m_both = _KEPT_PAIRS.T @ (w2[:, None] * _KEPT_PAIRS)
-
-    w1 = np.array([one_dark, 0.0, 0.0, one_dark])
-    m_alice = _AMP_A @ (w1[:, None] * _AMP_A.T)
-    m_bob = _AMP_B @ (w1[:, None] * _AMP_B.T)
-
     p_vac = p_d * p_d * both_lit
-
-    s = math.sqrt(params.e_d)
-    c = math.sqrt(1.0 - params.e_d)
-    rot = np.array([[c, -s], [s, c]])
-    iu = np.kron(np.eye(2), rot)
-    cases = (m_both, np.kron(m_alice, np.eye(2)), np.kron(np.eye(2), m_bob),
-             p_vac * np.eye(4))
-    return BsmPovm(np.array([iu.T @ m @ iu for m in cases]))
+    rates = _RATE_COEFFICIENTS @ (one_dark, both_lit, p_vac)
+    BsmPovm((rates @ _ELEMENT_BASIS).reshape(4, 4, 4))
+    # Bob's rotation by theta, sin^2(theta) = e_d: X -> cos 2theta X -
+    # sin 2theta Z, Z -> cos 2theta Z + sin 2theta X; sigma_Y is kept
+    cos2 = 1.0 - 2.0 * params.e_d
+    sin2 = 2.0 * math.sqrt(params.e_d * (1.0 - params.e_d))
+    x, z = rates[:, 1:9:3], rates[:, 2:9:3]  # Bob's X and Z parts, per Alice's axis
+    rates[:, 1:9:3], rates[:, 2:9:3] = cos2 * x - sin2 * z, cos2 * z + sin2 * x
+    return rates
 
 
 def _arm_weights(eta_arm):
-    """Probabilities of the four survival cases of povm_components.
+    """Probabilities of the four survival cases: both photons, only Alice's, only Bob's, neither.
 
     eta_arm: per-arm transmission, a float or an (n,) array; the result
     has shape (4,) or (n, 4).
@@ -188,8 +180,8 @@ def _arm_weights(eta_arm):
 
 def build_bsm_povm(params):
     """Assemble the 4x4 singlet-announcement POVM element for given params."""
-    parts = povm_components(params).m
-    return BsmPovm(np.tensordot(_arm_weights(params.eta_arm), parts, axes=1))
+    rates = _arm_weights(params.eta_arm) @ _component_rates(params)
+    return BsmPovm((rates @ _ELEMENT_BASIS).reshape(4, 4))
 
 
 def transmission_rates(povm):
@@ -208,14 +200,14 @@ def transmission_rates_grid(params, losses_db):
     """Transmission rates of the relay at each loss in losses_db, shape (n, 9).
 
     params fixes everything but the loss. The rates are linear in M, so
-    q(eta) = _arm_weights(eta) @ Q with Q the rates of the four
-    povm_components: one (n, 4) @ (4, 9) product for a whole grid.
+    q(eta) = _arm_weights(eta) @ Q with Q the _component_rates: one
+    (n, 4) @ (4, 9) product for a whole grid.
     """
     losses = np.asarray(losses_db, dtype=float)
     if not np.all((losses >= 0.0) & (losses < math.inf)):  # also refuses nan
         raise ValueError("losses must be finite and >= 0 dB")
     etas = [_arm_transmission(params.eta_d, loss) for loss in losses_db]
-    return _arm_weights(etas) @ transmission_rates(povm_components(params))
+    return _arm_weights(etas) @ _component_rates(params)[:, :9]
 
 
 def reference_yields(s_matrix, rates):

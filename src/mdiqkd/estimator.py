@@ -47,7 +47,13 @@ import numpy as np
 
 from .channel import YieldTable
 from .gbound import Frozen, _bound, plain, unit_interval
-from .pauli_core import ZZ_PAIR_INDICES, s_matrix_stack, virtual_stack
+from .pauli_core import (
+    ZZ_PAIR_INDICES,
+    _kept_side,
+    _kron_sides,
+    _side_matrices,
+    _virtual_of_sides,
+)
 
 __all__ = [
     "EstimationError",
@@ -69,8 +75,8 @@ _SILENT_BELOW = np.finfo(float).tiny
 # the message of a row without signal, from estimate and from a sweep
 NO_SIGNAL = "all ZZ yields vanish"
 _ZZ = np.array(ZZ_PAIR_INDICES)  # an index array gathers faster than a list
-# matrix_rank's default tolerance for a 9x9 matrix: an S whose cond(S) reaches it is singular
-_SINGULAR_COND = 1.0 / (9 * np.finfo(float).eps)
+# np.linalg.matrix_rank's 3x3 tolerance over the largest singular value
+_RANK_TOL = 3 * np.finfo(float).eps
 
 
 class EstimationError(Exception):
@@ -172,35 +178,51 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
     Returns (s_matrix, cond_s, f_obj, errors): S (n, 9, 9), cond(S) (n,),
     f_obj (n, 9) and per set None or the error build_estimation_inputs
     raises for it: IllConditionedError when cond(S) exceeds the ceiling
-    (the inversion amplifies yield noise by that factor) or S is singular
-    to working precision (cond_s then reads inf), else a
-    DegenerateInputError. Only the sets that pass the ceiling are
-    inverted; the f_obj of every refused set is nan.
+    (the inversion amplifies yield noise by that factor) or a side's B is
+    singular to working precision (cond_s then reads inf), else a
+    DegenerateInputError; the f_obj of every refused set is nan. As S =
+    B_A (x) B_B, cond(S) = cond(B_A) cond(B_B) and f_obj = sum_j p_j c_A,j
+    (x) c_B,j, c_j = b(q_j) B^-1 the barycentric coordinates of q_j.
     """
     amps_a, amps_b = np.asarray(amps_a, dtype=float), np.asarray(amps_b, dtype=float)
-    s_matrix = s_matrix_stack(amps_a, amps_b)
-    cond = np.linalg.cond(s_matrix)
-    # a singular S that passes a lifted ceiling is refused as cond(S) = inf
-    cond[(cond >= _SINGULAR_COND) & (cond <= cond_ceiling)] = np.inf
+    side_a = _side_setup(amps_a, cond_ceiling)
+    # a sweep passes one array for both sides: its setup is made once
+    side_b = side_a if amps_b is amps_a else _side_setup(amps_b, cond_ceiling)
+    (b_a, cond_a, regular_a, kept_a, c_a), (b_b, cond_b, regular_b, kept_b, c_b) = side_a, side_b
+    cond = cond_a * cond_b
+    # a set with a singular side that passes a lifted ceiling is refused as cond(S) = inf
+    cond[~(regular_a & regular_b) & (cond <= cond_ceiling)] = np.inf
+    p_vir, errors = _virtual_of_sides(kept_a, kept_b)
     inverted = np.isfinite(cond) & (cond <= cond_ceiling)
-    s_inv = np.full_like(s_matrix, np.nan)
-    if inverted.any():
-        try:
-            s_inv[inverted] = np.linalg.inv(s_matrix[inverted])
-        except np.linalg.LinAlgError:
-            # LU met an exact zero pivot below _SINGULAR_COND: S is singular
-            for k in np.flatnonzero(inverted).tolist():
-                try:
-                    s_inv[k] = np.linalg.inv(s_matrix[k])
-                except np.linalg.LinAlgError:
-                    cond[k], inverted[k] = np.inf, False
-    p_vir, s_vir, errors = virtual_stack(amps_a[:, :2], amps_b[:, :2])
     errors = [err if ok else IllConditionedError(c, cond_ceiling)
               for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
-    # stacked matmul gives the bits of p_vir @ s_vir @ s_inv for one set
-    f_obj = (p_vir[:, None, :] @ s_vir @ s_inv)[:, 0]
+    f_obj = (p_vir[:, :, None, None] * c_a[..., :, None] * c_b[..., None, :]).sum(1)
+    f_obj = f_obj.reshape(-1, 9)
     f_obj[[err is not None for err in errors]] = np.nan
-    return s_matrix, cond, f_obj, errors
+    return _kron_sides(b_a, b_b), cond, f_obj, errors
+
+
+def _side_setup(amps, cond_ceiling):
+    """One side's share of build_estimation_stack for n reference sets.
+
+    Returns (B, cond(B), regular, kept, c): B (n, 3, 3), its cond (n,)
+    from a batched 3x3 SVD, whether cond(B) stays below the rank
+    tolerance, the side's _kept_side, and the coordinates c_j (n, 2, 3)
+    with c_j B = b(q_j), solved as B^T c_j^T = b(q_j)^T where B is
+    regular and its cond within the ceiling (cond(S) is no smaller),
+    nan elsewhere.
+    """
+    b = _side_matrices(amps)
+    sv = np.linalg.svd(b, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = sv[:, 0] / sv[:, 2]
+    regular = sv[:, 2] > sv[:, 0] * _RANK_TOL
+    kept = _kept_side(amps[:, :2])
+    solved = regular & (cond <= cond_ceiling)
+    c = np.full(kept[2].shape, np.nan)
+    c[solved] = np.linalg.solve(b[solved].swapaxes(1, 2),
+                                kept[2][solved].swapaxes(1, 2)).swapaxes(1, 2)
+    return b, cond, regular, kept, c
 
 
 def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,

@@ -37,7 +37,6 @@ __all__ = [
     "make_reference_state",
     "reference_amplitudes",
     "bloch_vector",
-    "s_matrix_stack",
     "build_S_matrix",
     "virtual_stack",
     "build_virtual",
@@ -141,33 +140,50 @@ def bloch_vector(state):
     return _bloch(state)
 
 
-def s_matrix_stack(refs_a, refs_b):
-    """S of n reference sets at once, shape (n, 9, 9).
+def _side_matrices(refs):
+    """One side's B of n reference sets, (n, 3, 3), row i the Bloch vector of state i.
 
-    refs_a, refs_b: amplitudes of shape (n, 3, 2), the three reference
-    states per side in SETTINGS order. Row 3i + j, in SETTING_PAIRS
-    order, holds the product-state coefficients of ref_a[i] and ref_b[j].
+    refs: amplitudes of shape (n, 3, 2), three states per set in SETTINGS order.
     """
-    if refs_a.shape[1:] != (3, 2) or refs_b.shape[1:] != (3, 2):
+    if refs.shape[1:] != (3, 2):
         raise ValueError("expected three reference states per side")
-    a, b = _bloch(refs_a), _bloch(refs_b)
-    return _pair_bloch(a[:, :, None], b[:, None]).reshape(-1, 9, 9)
+    return _bloch(refs)
+
+
+def _kron_sides(b_a, b_b):
+    """S = B_A (x) B_B of n reference sets, (n, 9, 9), with np.kron's bits.
+
+    Row 3i + j, in SETTING_PAIRS order, holds the coefficients of ref_a[i] (x) ref_b[j].
+    """
+    return _pair_bloch(b_a[:, :, None], b_b[:, None]).reshape(-1, 9, 9)
 
 
 def build_S_matrix(ref_a, ref_b):
     """9x9 matrix whose rows are the Bloch coefficients of the setting pairs.
 
     ref_a, ref_b: the amplitudes of the three reference states per side
-    in SETTINGS order, (3, 2) or three (2,) rows; the one-set case of
-    s_matrix_stack.
+    in SETTINGS order, (3, 2) or three (2,) rows; the one-set case of _kron_sides.
     """
-    return s_matrix_stack(np.asarray([ref_a], dtype=float), np.asarray([ref_b], dtype=float))[0]
+    b_a, b_b = (_side_matrices(np.asarray([ref], dtype=float)) for ref in (ref_a, ref_b))
+    return _kron_sides(b_a, b_b)[0]
 
 
-def _x_projected(z):
-    # transmitted states when the ancilla X measurement gives outcome
-    # j = 0, 1: (phi_0Z + (-1)^j phi_1Z) / sqrt(2), shape (n, 2, 2)
-    return np.stack([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=1) / math.sqrt(2.0)
+def _kept_side(z):
+    """Squared norms (n, 2), collapse mask and Bloch rows (n, 2, 3) of one side's kept outcomes.
+
+    z (n, 2, 2): the side's Z-basis states. Outcome j sends (phi_0Z + (-1)^j
+    phi_1Z)/sqrt(2), normalized; |0Z> where its norm is below 1e-7.
+    """
+    v = np.stack([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=1) / math.sqrt(2.0)
+    # squared norms by matmul: a sum of squares would miss the fused
+    # multiply-add of the BLAS dot that v @ v runs for one vector, and
+    # with it the last bits
+    n2 = (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    norm = np.sqrt(n2)
+    collapsed = norm < 1e-7  # a nan norm is no collapse: _bloch refuses it
+    live = ~collapsed[..., None]
+    q = np.where(live, v / np.where(live, norm[..., None], 1.0), (1.0, 0.0))
+    return n2, collapsed, _bloch(q)
 
 
 def virtual_stack(z_a, z_b):
@@ -180,48 +196,44 @@ def virtual_stack(z_a, z_b):
     product state. Outcome probabilities of all four (j, s) combinations
     must sum to 1; the off-diagonal two enter only that check.
 
-    Returns (p_vir, s_vir, errors): the probabilities of the kept
-    outcomes (j, s) = (0, 0) and (1, 1), shape (n, 2), the Bloch rows of
-    the normalized states sent on them, shape (n, 2, 9), and per set None
-    or the DegenerateInputError of a kept outcome whose state has zero
-    trace. Such a state is replaced by |0Z> in s_vir, so that the stack
-    stays finite.
+    Returns (p_vir, bloch_a, bloch_b, errors): the probabilities of the
+    kept outcomes (j, s) = (0, 0) and (1, 1), shape (n, 2), the Bloch
+    rows of the normalized state each side sends on them, (n, 2, 3) per
+    side, and per set None or the DegenerateInputError of a kept outcome
+    whose state has zero trace. Such a state is replaced by |0Z>, so that
+    the stack stays finite.
     """
     if z_a.shape[1:] != (2, 2) or z_b.shape[1:] != (2, 2):
         raise ValueError("expected the two Z-basis states per side")
-    va, vb = _x_projected(z_a), _x_projected(z_b)
-    # squared norms per outcome, (n, 2), by matmul: a sum of squares would
-    # miss the fused multiply-add of the BLAS dot that va @ va runs for
-    # one vector, and with it the last bits
-    na2 = (va[..., None, :] @ va[..., :, None])[..., 0, 0]
-    nb2 = (vb[..., None, :] @ vb[..., :, None])[..., 0, 0]
+    kept_a, kept_b = _kept_side(z_a), _kept_side(z_b)
+    p_vir, errors = _virtual_of_sides(kept_a, kept_b)
+    return p_vir, kept_a[2], kept_b[2], errors
+
+
+def _virtual_of_sides(kept_a, kept_b):
+    """(p_vir, errors) of virtual_stack, from the _kept_side of each side."""
+    (na2, collapsed_a, _), (nb2, collapsed_b, _) = kept_a, kept_b
     total = 0.25 * na2.sum(axis=1) * nb2.sum(axis=1)
     off = np.abs(total - 1.0) > 1e-9
     if np.any(off):
         raise ValueError(f"virtual outcome probabilities sum to {float(total[off][0])!r}")
-    na, nb = np.sqrt(na2), np.sqrt(nb2)
-    collapsed = (na < 1e-7) | (nb < 1e-7)  # kept outcome (j, j), (n, 2)
-    errors = [None] * len(collapsed)
-    for k, j in reversed(np.argwhere(collapsed).tolist()):  # a set's first outcome wins
+    errors = [None] * len(total)
+    # kept outcome (j, j) collapses on either side; a set's first outcome wins
+    for k, j in reversed(np.argwhere(collapsed_a | collapsed_b).tolist()):
         errors[k] = DegenerateInputError(f"virtual state for outcome ({j},{j}) has zero trace")
-    live = ~collapsed[..., None]
-    qa = np.where(live, va / np.where(live, na[..., None], 1.0), (1.0, 0.0))
-    qb = np.where(live, vb / np.where(live, nb[..., None], 1.0), (1.0, 0.0))
-    s_vir = _pair_bloch(_bloch(qa), _bloch(qb))
-    # a fresh array in C order: over a strided operand matmul skips BLAS,
-    # whose fused multiply-adds give f_obj = p_vir S_vir S^-1 other last bits
-    return 0.25 * na2 * nb2, s_vir, errors
+    return 0.25 * na2 * nb2, errors
 
 
 def build_virtual(ref_a_z, ref_b_z):
     """X-outcome virtual ensemble (p_vir, s_vir), shapes (2,) and (2, 9).
 
     ref_a_z, ref_b_z: the amplitudes of the two Z-basis reference states
-    per side. The one-set case of virtual_stack; raises
-    DegenerateInputError when a kept outcome carries a state of zero trace.
+    per side. The one-set case of virtual_stack, s_vir[j] = bloch_a[j] (x)
+    bloch_b[j]; raises DegenerateInputError when a kept outcome carries a
+    state of zero trace.
     """
-    p_vir, s_vir, errors = virtual_stack(np.asarray([ref_a_z], dtype=float),
-                                         np.asarray([ref_b_z], dtype=float))
+    p_vir, bloch_a, bloch_b, errors = virtual_stack(np.asarray([ref_a_z], dtype=float),
+                                                    np.asarray([ref_b_z], dtype=float))
     if errors[0] is not None:
         raise errors[0]
-    return p_vir[0], s_vir[0]
+    return p_vir[0], _pair_bloch(bloch_a[0], bloch_b[0])

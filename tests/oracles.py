@@ -6,7 +6,9 @@ explicit environment modes and an exhaustive dark-count enumeration, the
 virtual ensemble from the full 16-dimensional source state, Bloch
 coefficients by literal matrix traces, the singlet-error weight by direct
 traces against density matrices, the deviation bounds as two branches
-evaluated in full, entropies in high precision, and
+evaluated in full, entropies in high precision, a table's setup and its
+eps-0 chain in 60-digit mpmath (S^-1 by mpmath's inverse, cond(S) from
+the singular values of S, not from its two 3x3 factors), and
 sweep tables row by row: each row built, range-checked and formatted
 field by field on its own. None of them imports the package.
 """
@@ -33,53 +35,57 @@ _PATTERN = frozenset((0, 3))
 
 def _accept_weight_by_enumeration(occupied, p_d):
     """Acceptance probability summed over all 2^4 dark-fire configurations."""
-    total = 0.0
+    total = 0
     for dark in itertools.product((False, True), repeat=4):
-        weight = 1.0
+        weight = 1
         for fires in dark:
-            weight *= p_d if fires else (1.0 - p_d)
+            weight *= p_d if fires else (1 - p_d)
         clicked = set(occupied) | {ch for ch, fires in enumerate(dark) if fires}
         if clicked == set(_PATTERN):
             total += weight
     return total
 
 
-def _alice_poly(t, survives):
+def _alice_poly(t, survives, sqrt2):
     if survives:
-        return {(t,): 1.0 / SQRT2, (2 + t,): 1.0 / SQRT2}
-    return {(4 + t,): 1.0}
+        return {(t,): 1 / sqrt2, (2 + t,): 1 / sqrt2}
+    return {(4 + t,): 1}
 
 
-def _bob_poly(t_in, survives, rot):
+def _bob_poly(t_in, survives, rot, sqrt2):
     poly = {}
     for t in range(2):
         amp = rot[t][t_in]
-        if amp == 0.0:
+        if amp == 0:
             continue
         if survives:
-            poly[(t,)] = poly.get((t,), 0.0) + amp / SQRT2
-            poly[(2 + t,)] = poly.get((2 + t,), 0.0) - amp / SQRT2
+            poly[(t,)] = poly.get((t,), 0) + amp / sqrt2
+            poly[(2 + t,)] = poly.get((2 + t,), 0) - amp / sqrt2
         else:
-            poly[(6 + t,)] = poly.get((6 + t,), 0.0) + amp
+            poly[(6 + t,)] = poly.get((6 + t,), 0) + amp
     return poly
 
 
-def _two_photon(poly_a, poly_b):
+def _two_photon(poly_a, poly_b, sqrt2):
     out = {}
     for (m,), va in poly_a.items():
         for (n,), vb in poly_b.items():
             key = (m, n) if m <= n else (n, m)
             amp = va * vb
             if m == n:
-                amp *= SQRT2  # bosonic double occupancy
-            out[key] = out.get(key, 0.0) + amp
+                amp *= sqrt2  # bosonic double occupancy
+            out[key] = out.get(key, 0) + amp
     return out
 
 
-def fock_povm(eta_d, p_d, e_d, loss_db):
-    """4x4 singlet-announcement POVM element by explicit Fock propagation."""
-    eta = eta_d * 10.0 ** (-loss_db / 20.0)
-    s, c = math.sqrt(e_d), math.sqrt(1.0 - e_d)
+def _fock_matrix(eta, p_d, e_d, sqrt):
+    """The POVM element as a 4x4 nested list, in the number type of its arguments.
+
+    sqrt: the square root of that type (math.sqrt for floats, mpmath.sqrt
+    for mpmath numbers); every other step is +, -, * and /.
+    """
+    sqrt2 = sqrt(2)
+    s, c = sqrt(e_d), sqrt(1 - e_d)
     rot = [[c, -s], [s, c]]
 
     weights = {}
@@ -88,26 +94,32 @@ def fock_povm(eta_d, p_d, e_d, loss_db):
             weights[frozenset(occ)] = _accept_weight_by_enumeration(occ, p_d)
 
     basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    m = np.zeros((4, 4))
+    m = [[0] * 4 for _ in range(4)]
     for sa, sb in itertools.product((True, False), repeat=2):
-        case = (eta if sa else 1.0 - eta) * (eta if sb else 1.0 - eta)
-        if case == 0.0:
+        case = (eta if sa else 1 - eta) * (eta if sb else 1 - eta)
+        if case == 0:
             continue
         vecs = [
-            _two_photon(_alice_poly(ta, sa), _bob_poly(tb, sb, rot))
+            _two_photon(_alice_poly(ta, sa, sqrt2), _bob_poly(tb, sb, rot, sqrt2), sqrt2)
             for ta, tb in basis
         ]
         for i in range(4):
             for j in range(4):
-                entry = 0.0
+                entry = 0
                 for key, vj in vecs[j].items():
                     vi = vecs[i].get(key)
                     if vi is None:
                         continue
                     occ = frozenset(ch for ch in key if ch < 4)
                     entry += vi * vj * weights[occ]
-                m[i, j] += case * entry
+                m[i][j] += case * entry
     return m
+
+
+def fock_povm(eta_d, p_d, e_d, loss_db):
+    """4x4 singlet-announcement POVM element by explicit Fock propagation."""
+    eta = eta_d * 10.0 ** (-loss_db / 20.0)
+    return np.array(_fock_matrix(eta, p_d, e_d, math.sqrt), dtype=float)
 
 
 def virtual_ensemble_16dim(states_a, states_b, x_sign=+1):
@@ -319,3 +331,144 @@ def curve_summaries_by_row(points):
         summary["revival"] = bool(positive) and positive[-1] - positive[0] >= len(positive)
         summaries.append(summary)
     return summaries
+
+
+def _mp_kron(a, b):
+    """Kronecker product of two square nested lists."""
+    n, m = len(a), len(b)
+    return [[a[i // m][j // m] * b[i % m][j % m] for j in range(n * m)] for i in range(n * m)]
+
+
+def _mp_trace_product(a, b):
+    """Tr[a b] of two square nested lists."""
+    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
+
+
+def _mp_entropy(p):
+    import mpmath
+
+    if p <= 0 or p >= 1:
+        return 0
+    return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2)
+
+
+# I, X, Z as integer nested lists, exact in any number type
+_MP_PAULIS = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+
+
+def _floats(values):
+    """mpmath numbers, or nested lists of them, as a float64 array, each correctly rounded."""
+    if isinstance(values, (list, tuple)):
+        return np.array([_floats(v) for v in values])
+    return float(values)
+
+
+def _tomography_mp(states_a, states_b):
+    """The tomography of one reference set per side, at mpmath's working precision.
+
+    states_a, states_b: the amplitudes of the three reference states per
+    side, in SETTINGS order. Every S entry is a literal trace, S^-1 is
+    mpmath's inverse, cond(S) the ratio of the singular values of S
+    itself, and the virtual ensemble comes from the 16-dimensional source
+    state. Returns a dict of mpmath values: b_a, b_b (3 x 3 Bloch rows
+    (1, <X>, <Z>)), s_matrix, s_inv, cond_s, p_vir, s_vir, f_obj and the
+    two-qubit density matrices of the nine setting pairs, as nested lists.
+    """
+    import mpmath
+
+    products = [_mp_kron(p, q) for p in _MP_PAULIS for q in _MP_PAULIS]
+    rhos_a, rhos_b = ([[[a * b for b in state] for a in state] for state in states]
+                      for states in (states_a, states_b))
+    pairs = [_mp_kron(ra, rb) for ra in rhos_a for rb in rhos_b]
+    s = mpmath.matrix([[_mp_trace_product(rho, p) for p in products] for rho in pairs])
+    s_inv = mpmath.inverse(s)
+    singular = mpmath.svd_r(s, compute_uv=False)
+
+    # the source-equivalent state (1/2) sum_{j,s} |jZ, sZ>|phi_jZ, phi_sZ>,
+    # its ancillas projected onto |jX, jX> for the kept outcomes j = 0, 1
+    p_vir, s_vir = [], []
+    for j in range(2):
+        x = [1 / mpmath.sqrt(2), (-1) ** j / mpmath.sqrt(2)]
+        vec = [sum(x[ja] * x[jb] * states_a[ja][c] * states_b[jb][e] / 2
+                   for ja in range(2) for jb in range(2))
+               for c in range(2) for e in range(2)]
+        p = sum(v * v for v in vec)
+        rho = [[vi * vj / p for vj in vec] for vi in vec]
+        p_vir.append(p)
+        s_vir.append([_mp_trace_product(rho, prod) for prod in products])
+    f_obj = [sum(p_vir[j] * s_vir[j][k] * s_inv[k, i] for j in range(2) for k in range(9))
+             for i in range(9)]
+    return {
+        "b_a": [[_mp_trace_product(rho, p) for p in _MP_PAULIS] for rho in rhos_a],
+        "b_b": [[_mp_trace_product(rho, p) for p in _MP_PAULIS] for rho in rhos_b],
+        "s_matrix": s.tolist(),
+        "s_inv": s_inv.tolist(),
+        "cond_s": max(singular) / min(singular),
+        "p_vir": p_vir,
+        "s_vir": s_vir,
+        "f_obj": f_obj,
+        "pairs": pairs,
+    }
+
+
+def tomography_mp(amps_a, amps_b, dps=60):
+    """_tomography_mp of float amplitudes (3, 2) per side, each taken as exact.
+
+    Returns its values as float64 arrays, each correctly rounded.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        out = _tomography_mp([[mpmath.mpf(float(v)) for v in state] for state in amps_a],
+                             [[mpmath.mpf(float(v)) for v in state] for state in amps_b])
+        return {key: _floats(value) for key, value in out.items() if key != "pairs"}
+
+
+def setup_chain_mp(delta, eta_d, p_d, e_d, loss_db, f_ec=1.16, dps=60):
+    """A sweep point's setup and its eps-0 chain in dps-digit mpmath, one delta on both sides.
+
+    The float arguments are taken as exact. The reference states come from
+    the formulas of the settings, the tomography from _tomography_mp, the
+    relay element from Fock propagation (_fock_matrix), its rates by
+    trace, and the yields by Tr[M rho_a x rho_b], without S. At eps 0
+    every deviation bound is its yield, so omega_ref_upper = max(f_obj .
+    Y, 0) = omega_upper, and the chain runs on to e_zz, e_xx and the key
+    rate at f_ec.
+
+    Returns a dict of float64 values, each correctly rounded: amplitudes
+    (3, 2), b (3, 3), s_matrix (9, 9), s_inv (9, 9), p_vir (2,), s_vir
+    (2, 9), f_obj (9,), cond_s, rates (9,), yields (9,), key_rate, e_zz,
+    e_xx and kappa, the sum of |f_obj_i Y_i| over |f_obj . Y|: the factor
+    by which the dot product amplifies the relative errors of its terms.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        d = mpmath.mpf(delta)
+        half, quarter = d / 2, mpmath.pi / 4
+        states = [(mpmath.cos(half), mpmath.sin(half)), (mpmath.sin(half), mpmath.cos(half)),
+                  (mpmath.sin(quarter + half), mpmath.cos(quarter + half))]
+        out = _tomography_mp(states, states)
+        pairs = out.pop("pairs")
+        del out["b_b"]
+        out["b"] = out.pop("b_a")
+        out["amplitudes"] = states
+
+        eta = mpmath.mpf(eta_d) * mpmath.power(10, -mpmath.mpf(loss_db) / 20)
+        m = _fock_matrix(eta, mpmath.mpf(p_d), mpmath.mpf(e_d), mpmath.sqrt)
+        out["rates"] = [_mp_trace_product(m, _mp_kron(p, q)) / 4
+                        for p in _MP_PAULIS for q in _MP_PAULIS]
+        yields = out["yields"] = [_mp_trace_product(m, pair) for pair in pairs]
+
+        zz = [yields[i] for i in (0, 1, 3, 4)]
+        zeta_obs = sum(zz) / 4
+        out["e_zz"] = e_zz = (zz[0] + zz[3]) / sum(zz)
+        terms = [f * y for f, y in zip(out["f_obj"], yields)]
+        omega = max(sum(terms), 0)
+        out["kappa"] = sum(abs(t) for t in terms) / abs(sum(terms))
+        out["e_xx"] = e_xx = min(omega, zeta_obs) / zeta_obs
+        cap = mpmath.mpf(0.5)  # an error rate at or beyond 1/2 certifies nothing
+        bracket = (1 - _mp_entropy(min(e_xx, cap))
+                   - mpmath.mpf(f_ec) * _mp_entropy(min(e_zz, cap)))
+        out["key_rate"] = zeta_obs * max(bracket, 0)
+        return {key: _floats(value) for key, value in out.items()}

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import (
     SETTINGS,
     ChannelParams,
+    FrequencyRange,
+    LossRange,
     ModulationErrors,
+    SweepConfig,
     build_bsm_povm,
     build_S_matrix,
+    frequency_table,
+    loss_table,
     make_reference_state,
     reference_yields,
     transmission_rates,
@@ -20,7 +27,7 @@ from mdiqkd.channel import (
     YieldTable,
     transmission_rates_grid,
 )
-from oracles import density_matrix, fock_povm
+from oracles import bloch_by_trace, density_matrix, fock_povm
 
 BENCHMARK = ChannelParams()  # eta_d=0.145, p_d=6.02e-6, e_d=0.015
 
@@ -148,25 +155,63 @@ def test_bsm_povm_validation():
             BsmPovm(np.zeros(shape))
 
 
-def test_povm_components_validate_one_stack(monkeypatch):
-    shapes = []
+def test_relay_validates_one_stack_of_the_unrotated_elements(monkeypatch):
+    # one eigvalsh per channel, on the four elements before misalignment,
+    # whose eigenvalues the rotation of Bob's qubit keeps
+    stacks = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
-    stack = channel.povm_components(BENCHMARK)
-    assert isinstance(stack, BsmPovm) and shapes == [(4, 4, 4)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m) or eigvalsh(m))
+    transmission_rates_grid(BENCHMARK, [0.0, 4.0, 8.0])
+    assert [m.shape for m in stacks] == [(4, 4, 4)]
+    unrotated = channel._component_rates(BENCHMARK.replace(e_d=0.0))
+    np.testing.assert_array_equal(stacks[0], (unrotated @ channel._ELEMENT_BASIS).reshape(4, 4, 4))
+    rotated = (channel._component_rates(BENCHMARK) @ channel._ELEMENT_BASIS).reshape(4, 4, 4)
+    np.testing.assert_allclose(eigvalsh(rotated), eigvalsh(stacks[0]), rtol=0, atol=1e-15)
 
 
 def test_transmission_rates_of_a_stack_are_each_elements_own():
     rng = np.random.default_rng(5)
     for _ in range(50):
         params = ChannelParams(p_d=rng.uniform(0.0, 1.0), e_d=rng.uniform(0.0, 1.0))
-        stack = channel.povm_components(params)
+        components = channel._component_rates(params)
+        stack = BsmPovm((components @ channel._ELEMENT_BASIS).reshape(4, 4, 4))
         q = transmission_rates(stack)
         assert q.shape == (4, 9)
+        np.testing.assert_allclose(q, components[:, :9], rtol=0, atol=1e-16)
         # M >= 0 keeps every rate within the q_II envelope
         assert np.all(np.abs(q).max(axis=-1) <= q[:, 0] + 1e-12)
         for element, rates in zip(stack.m, q):
             assert transmission_rates(BsmPovm(element)).tobytes() == rates.tobytes()
+
+
+_UNIT_ENDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_d=_UNIT_ENDS, e_d=_UNIT_ENDS, eta_d=st.floats(0.0, 1.0), loss=st.floats(0.0, 60.0))
+def test_closed_form_rates_match_the_fock_oracle(p_d, e_d, eta_d, loss):
+    # the grid's rates, closed forms in p_d and e_d, against Fock
+    # propagation, and against the rates of the element build_bsm_povm
+    # assembles from them; relative to q_II, which bounds every rate
+    params = ChannelParams(eta_d=eta_d, p_d=p_d, e_d=e_d)
+    q = transmission_rates_grid(params, [loss])[0]
+    oracle = bloch_by_trace(fock_povm(eta_d, p_d, e_d, loss)) / 4.0
+    scale = oracle[0]
+    np.testing.assert_allclose(q, oracle, rtol=0, atol=1e-14 * scale)
+    element = build_bsm_povm(params.replace(loss_db=loss))
+    np.testing.assert_allclose(q, transmission_rates(element), rtol=0, atol=1e-15 * scale)
+
+
+def test_a_table_refuses_a_relay_element_that_is_not_positive(monkeypatch):
+    # a both-photon element with +1/8 sigma_Z x sigma_Z, not -1/8, has the
+    # eigenvalue -1/4 on psi+; the check on the unrotated elements refuses it
+    coefficients = channel._RATE_COEFFICIENTS.copy()
+    coefficients[0, 8, 1] = 0.125
+    monkeypatch.setattr(channel, "_RATE_COEFFICIENTS", coefficients)
+    config = SweepConfig(delta_values=(0.126,), loss_range=LossRange(0.0, 4.0, 2.0))
+    for build in (loss_table, frequency_table):
+        with pytest.raises(ValueError, match="^POVM eigenvalues out of"):
+            build(config.replace(frequency_range=FrequencyRange(loss_db=5.0)))
 
 
 def test_yield_table_range_enforced():

@@ -10,18 +10,22 @@ from hypothesis import strategies as st
 from mdiqkd import (
     SETTINGS,
     ChannelParams,
+    KeyRatePoint,
+    LossRange,
     ModulationErrors,
     SideChannelParams,
+    SweepConfig,
     build_bsm_povm,
     build_estimation_inputs,
     build_S_matrix,
     estimate,
+    loss_table,
     make_reference_state,
     reference_yields,
     transmission_rates,
 )
 from mdiqkd import estimator
-from mdiqkd.channel import YieldTable
+from mdiqkd.channel import YieldTable, transmission_rates_grid
 from mdiqkd.estimator import (
     NO_SIGNAL,
     EstimationInputs,
@@ -35,6 +39,8 @@ from mdiqkd.estimator import (
 from mdiqkd.pauli_core import (
     ZZ_PAIR_INDICES,
     DegenerateInputError,
+    _side_matrices,
+    bloch_vector,
     build_virtual,
     reference_amplitudes,
 )
@@ -43,6 +49,8 @@ from oracles import (
     entropy_highprec,
     fock_povm,
     omega_ref_direct,
+    setup_chain_mp,
+    tomography_mp,
     virtual_ensemble_16dim,
 )
 
@@ -436,9 +444,9 @@ def test_zeta_obs_is_joint_zz_weight():
     )
 
 
-# 17 uniform deltas, asymmetric triples, a singular S at pi/4, a delta 1e-9
-# short of pi/2, whose S is singular to working precision, and one 1.4e-7
-# short of pi/2 (cond(S) 3.7e14), whose virtual state collapses
+# 17 uniform deltas, asymmetric triples, a singular side at pi/4, a delta
+# 1e-9 short of pi/2 (cond(B) 2.7e9) and one 1.4e-7 short of pi/2
+# (cond(B) 1.9e7), whose virtual states collapse
 STACK_TRIPLES = (
     [(d, d, d) for d in np.linspace(-0.4, 0.4, 17).tolist()]
     + [(0.126, -0.07, 0.05), (0.0, 0.2, -0.1), (1.5, -1.2, 0.3)]
@@ -463,16 +471,19 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
             refused.add(type(exc))
             continue
         assert errors[k] is None
-        s_one = build_S_matrix(ref_a, ref_b)
-        for got, want in ((s_matrix[k], s_one), (cond_s[k], np.linalg.cond(s_one)),
+        _, cond_one, _, _ = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+        for got, want in ((s_matrix[k], build_S_matrix(ref_a, ref_b)), (cond_s[k], cond_one[0]),
                           (f_obj[k], one.f_obj)):
             np.testing.assert_array_equal(got, want)
-        # f_obj has the bits of p_vir S_vir S^-1 of the set alone
-        p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
-        np.testing.assert_array_equal(one.f_obj, p_vir @ s_vir @ np.linalg.inv(s_one))
+        # f_obj is p_vir S_vir S^-1 of the set, and cond_s cond(S), to 1e-12
+        # of 60-digit arithmetic on the same amplitudes
+        oracle = tomography_mp(ref_a, ref_b)
+        np.testing.assert_allclose(f_obj[k], oracle["f_obj"], rtol=0,
+                                   atol=1e-12 * np.abs(oracle["f_obj"]).max())
+        assert cond_s[k] == pytest.approx(oracle["cond_s"], rel=1e-12)
     # the collapse of a virtual state is checked only on sets that pass the
-    # ceiling. A lifted one refuses just the two sets with pi/4 on a side
-    # (cond(S) ~1e17), as singular to working precision
+    # ceiling. A lifted one refuses just the two sets with pi/4 on a side,
+    # whose B is singular to working precision
     assert refused == {IllConditionedError, DegenerateInputError}
     ill = [str(e) for e in errors if isinstance(e, IllConditionedError)]
     if cond_ceiling == 1e300:
@@ -486,37 +497,41 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
 
 
 def _stack_from_states(refs_a, refs_b, cond_ceiling):
-    """The stack's fields and error messages, one set of make_reference_state rows at a time."""
+    """The stack's fields and error messages, one set of make_reference_state rows at a time.
+
+    S is np.kron of the sides' Bloch rows, cond(S) the product of their
+    np.linalg.cond, and a side singular to np.linalg.matrix_rank refuses
+    its set as cond(S) = inf under the ceiling; f_obj is the stack's of
+    the set alone.
+    """
     fields, messages = [], []
     for ref_a, ref_b in zip(refs_a, refs_b):
-        s_matrix = build_S_matrix(ref_a, ref_b)
-        cond = np.linalg.cond(s_matrix)
+        sides = [np.array([bloch_vector(state) for state in ref]) for ref in (ref_a, ref_b)]
+        s_matrix = np.kron(*sides)
+        cond = np.linalg.cond(sides[0]) * np.linalg.cond(sides[1])
         if not cond <= cond_ceiling:
             fields.append((s_matrix, cond, None))
             messages.append(str(IllConditionedError(float(cond), cond_ceiling)))
             continue
-        try:
-            if np.linalg.matrix_rank(s_matrix) < 9:
-                raise np.linalg.LinAlgError("rank deficient")
-            s_inv = np.linalg.inv(s_matrix)
-        except np.linalg.LinAlgError:  # singular to working precision
+        if min(np.linalg.matrix_rank(side) for side in sides) < 3:  # singular to working precision
             fields.append((s_matrix, math.inf, None))
             messages.append(str(IllConditionedError(math.inf, cond_ceiling)))
             continue
         try:
-            p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
+            build_virtual(ref_a[:2], ref_b[:2])
         except DegenerateInputError as exc:
             fields.append((s_matrix, cond, None))
             messages.append(str(exc))
             continue
-        fields.append((s_matrix, cond, p_vir @ s_vir @ s_inv))
+        *_, f_one, _ = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+        fields.append((s_matrix, cond, f_one[0]))
         messages.append(None)
     return fields, messages
 
 
 _HALF_PI = math.pi / 2
-# anywhere in (-pi/2, pi/2), both zeros, pi/4 (singular S) and within 1e-9
-# of either end (cond(S) ~1e17), or 1.4e-7 short of pi/2 (a collapsed
+# anywhere in (-pi/2, pi/2), both zeros, pi/4 (a singular side) and within
+# 1e-9 of either end (cond(B) ~1e9), or 1.4e-7 short of pi/2 (a collapsed
 # virtual state)
 _DELTAS = st.one_of(
     st.floats(-_HALF_PI, _HALF_PI, exclude_min=True, exclude_max=True),
@@ -530,8 +545,9 @@ _DELTAS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(deltas=st.lists(_DELTAS, min_size=1, max_size=6), shift=st.integers(0, 5))
 @example(deltas=[0.0, math.pi / 4, _HALF_PI - 1e-9, -0.126, -0.0], shift=1)
-@example(deltas=[0.5, math.pi / 4], shift=1)  # an S singular to working precision, here
+@example(deltas=[0.5, math.pi / 4], shift=1)  # a singular side, here
 @example(deltas=[1.5707961867948965, 0.0], shift=0)  # a collapsed virtual state
+@example(deltas=[math.pi / 4 - 1e-7, 0.3], shift=0)  # cond(S) 7.1e14 with both sides regular
 def test_stack_of_amplitudes_equals_the_states_one_set_at_a_time(cond_ceiling, deltas, shift):
     # a sweep hands the stack one reference_amplitudes array per side; it
     # gives the bits and the messages of the states built one set at a time
@@ -543,6 +559,11 @@ def test_stack_of_amplitudes_equals_the_states_one_set_at_a_time(cond_ceiling, d
             for d in deltas]
     fields, messages = _stack_from_states(refs, refs[-shift:] + refs[:-shift], cond_ceiling)
     assert [None if e is None else str(e) for e in errors] == messages
+    if shift == 0:  # one array for both sides, as a sweep passes it: the same bits
+        *same, same_errors = build_estimation_stack(amps, amps, cond_ceiling)
+        for got, want in zip(same, (s_matrix, cond_s, f_obj)):
+            np.testing.assert_array_equal(got, want, strict=True)
+        assert [None if e is None else str(e) for e in same_errors] == messages
     for k, (s_one, cond, f_one) in enumerate(fields):
         np.testing.assert_array_equal(s_matrix[k], s_one, strict=True)
         np.testing.assert_array_equal(cond_s[k], cond)  # inf and nan equal themselves
@@ -551,10 +572,9 @@ def test_stack_of_amplitudes_equals_the_states_one_set_at_a_time(cond_ceiling, d
 
 
 def test_stack_refuses_an_s_singular_to_working_precision():
-    # equal 0Z and 0X states on side A give S two equal rows, while the
-    # SVD's cond(S) stays finite (8.3e16). Under a lifted ceiling that set
-    # is refused as cond(S) = inf; the batch's other set keeps the bits it
-    # has alone
+    # equal 0Z and 0X states on side A give its B two equal rows, and S
+    # repeated ones. Under a lifted ceiling that set is refused as
+    # cond(S) = inf; the batch's other set keeps the bits it has alone
     amps_a = reference_amplitudes([0.3, 0.3])
     amps_a[1, 2] = amps_a[1, 0]
     amps_b = reference_amplitudes([0.3, 0.1])
@@ -568,28 +588,30 @@ def test_stack_refuses_an_s_singular_to_working_precision():
 
 
 def test_stack_refuses_an_s_past_the_rank_tolerance_as_singular():
-    # at pi/4 the 0X state equals the 0Z one: S has repeated rows, and its
-    # cond(S) 1.7e17 lies past np.linalg.matrix_rank's tolerance for a 9x9
-    # matrix, 1 / (9 eps) = 5.0e14, although LU inverts it. A lifted ceiling
-    # refuses it as cond(S) = inf; a ceiling below its cond(S) keeps the
-    # finite message. 1.4e-7 short of pi/2, cond(S) 3.7e14 stays below the
-    # tolerance: that set is inverted, and refused for its collapsed state
+    # at pi/4 the 0X state equals the 0Z one up to rounding: B has two
+    # nearly equal rows, and its cond(B) 1.9e16 lies past
+    # np.linalg.matrix_rank's tolerance for a 3x3 matrix, 1 / (3 eps) =
+    # 1.5e15. A lifted ceiling refuses the set as cond(S) = inf; a ceiling
+    # below its cond(S) = cond(B)^2 keeps the finite message. 1.4e-7 short
+    # of pi/2, cond(B) 1.9e7 stays below the tolerance: that set is solved,
+    # and refused for its collapsed state
     amps = reference_amplitudes([0.3, math.pi / 4, 1.5707961867948965])
-    s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, 1e300)
-    assert [np.linalg.matrix_rank(s) < 9 for s in s_matrix] == [False, True, False]
+    _, cond_s, f_obj, errors = build_estimation_stack(amps, amps, 1e300)
+    b = _side_matrices(amps)
+    assert [np.linalg.matrix_rank(side) for side in b] == [3, 2, 3]
     assert errors[0] is None
     assert type(errors[1]) is IllConditionedError
     assert str(errors[1]) == "cond(S) = inf exceeds ceiling 1.000e+300"
     assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
-    assert 3e14 < cond_s[2] < 5e14 and type(errors[2]) is DegenerateInputError
+    assert 3e14 < cond_s[2] < 4e14 and type(errors[2]) is DegenerateInputError
     assert np.isfinite(f_obj[0]).all() and np.isnan(f_obj[2]).all()
     _, cond_s, _, errors = build_estimation_stack(amps, amps, 1e15)
-    assert str(errors[1]) == "cond(S) = 1.709e+17 exceeds ceiling 1.000e+15"
-    assert 1e17 < cond_s[1] < math.inf and type(errors[2]) is DegenerateInputError
+    assert str(errors[1]) == "cond(S) = 3.613e+32 exceeds ceiling 1.000e+15"
+    assert 1e32 < cond_s[1] < math.inf and type(errors[2]) is DegenerateInputError
 
 
 def test_stack_gives_no_f_obj_for_a_collapsed_virtual_state():
-    # under a lifted ceiling the set 1.4e-7 short of pi/2 is inverted but
+    # under a lifted ceiling the set 1.4e-7 short of pi/2 is solved but
     # refused for its collapsed virtual state: a caller that reads f_obj
     # without errors must not get numbers for it
     amps = reference_amplitudes([0.126, 1.5707961867948965, 0.7853981633974483])
@@ -599,25 +621,28 @@ def test_stack_gives_no_f_obj_for_a_collapsed_virtual_state():
     assert np.isfinite(f_obj[0]).all() and np.isnan(f_obj[1:]).all()
 
 
-def test_stack_refuses_a_zero_pivot_below_the_rank_tolerance(monkeypatch):
-    # should LU meet an exact zero pivot in an S whose cond(S) stays below
-    # the rank tolerance, that set is refused as cond(S) = inf, and the
-    # others keep the bits they have alone
-    amps = reference_amplitudes([0.3, 0.1, -0.2])
-    s_matrix, _, want, _ = build_estimation_stack(amps, amps)
-    inv = np.linalg.inv
-
-    def zero_pivot(a):
-        if any(np.array_equal(m, s_matrix[1]) for m in a.reshape(-1, 9, 9)):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", zero_pivot)
-    _, cond_s, f_obj, errors = build_estimation_stack(amps, amps)
+def test_stack_refuses_a_set_by_its_singular_side_not_by_cond_s():
+    # a singular side refuses its set, on either side, while a set whose
+    # sides both pass the rank tolerance is solved, whatever their product:
+    # pi/4 - 1e-7 gives cond(B) 2.7e7 and cond(S) 7.1e14, past the 9x9 rank
+    # tolerance 1 / (9 eps) = 5.0e14 of S itself
+    near = math.pi / 4 - 1e-7
+    amps_a = reference_amplitudes([0.3, 0.1, near, 0.2])
+    amps_b = reference_amplitudes([0.1, 0.3, near, 0.2])
+    amps_a[0, 2] = amps_a[0, 0]  # side A's 0X state is its 0Z state
+    amps_b[1, 2] = amps_b[1, 0]  # and side B's
+    _, cond_s, f_obj, errors = build_estimation_stack(amps_a, amps_b, 1e300)
     assert [None if e is None else str(e) for e in errors] == [
-        None, "cond(S) = inf exceeds ceiling 1.000e+08", None]
-    assert cond_s[1] == math.inf and np.isnan(f_obj[1]).all()
-    np.testing.assert_array_equal(f_obj[[0, 2]], want[[0, 2]], strict=True)
+        "cond(S) = inf exceeds ceiling 1.000e+300"] * 2 + [None, None]
+    assert (cond_s[:2] == math.inf).all() and np.isnan(f_obj[:2]).all()
+    assert 5e14 < cond_s[2] < 1e15
+    for k in (2, 3):  # each solved set keeps the bits it has alone
+        *_, alone, _ = build_estimation_stack(amps_a[k:k + 1], amps_b[k:k + 1], 1e300)
+        np.testing.assert_array_equal(f_obj[k], alone[0], strict=True)
+    # the near set loses about cond(B) eps of f_obj to rounding, and no more
+    oracle = tomography_mp(amps_a[2], amps_b[2])
+    np.testing.assert_allclose(f_obj[2], oracle["f_obj"], rtol=0,
+                               atol=1e-7 * np.abs(oracle["f_obj"]).max())
 
 
 def test_estimate_takes_one_f_obj_per_row():
@@ -772,3 +797,45 @@ def test_core_equals_the_reference_chain_on_the_relay_model():
     (rate, *_), _ = _estimate_core(y, eps, f_obj, 1.16, None)
     assert (rate > 0.0).all()
     _check_core_against_reference(y, eps, f_obj, 1.16, None)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.126, 0.2, 0.7, 0.77, 0.78, 0.785])
+def test_a_tables_setup_and_eps_zero_chain_match_60_digit_arithmetic(delta):
+    # a loss table at eps 0, where every deviation bound is its yield, and
+    # its setup, against the mpmath chain from (delta, channel, loss); each
+    # array is held to 1e-12 of its largest entry. f_obj . Y amplifies the
+    # relative errors of its terms by kappa = sum |f_obj_i Y_i| / |f_obj . Y|,
+    # 2.1e6 at delta 0.785, so e_xx and the key rate that it enters are held
+    # to 16 kappa eps where that exceeds 1e-12
+    channel = ChannelParams()
+    losses = [0.0, 4.0, 8.0]
+    config = SweepConfig(channel=channel, eps_values=(0.0,), delta_values=(delta,),
+                         loss_range=LossRange(0.0, 8.0, 4.0))
+    table = loss_table(config)
+    amps = reference_amplitudes([delta])
+    s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps)
+    b = _side_matrices(amps)
+    p_vir, s_vir = build_virtual(amps[0, :2], amps[0, :2])
+    rates = transmission_rates_grid(channel, losses)
+    yields = reference_yields(s_matrix, rates).y[0]
+    assert errors == [None] and table.good.all()
+    columns = dict(zip(KeyRatePoint._fields, table.numbers))
+
+    def close(got, want, rtol=1e-12):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+    for i, loss in enumerate(losses):
+        oracle = setup_chain_mp(delta, channel.eta_d, channel.p_d, channel.e_d, loss)
+        if i == 0:
+            for got, key in ((amps[0], "amplitudes"), (b[0], "b"), (s_matrix[0], "s_matrix"),
+                             (p_vir, "p_vir"), (s_vir, "s_vir"), (f_obj[0], "f_obj")):
+                close(got, oracle[key])
+            assert cond_s[0] == pytest.approx(oracle["cond_s"], rel=1e-12)
+        close(rates[i], oracle["rates"])
+        close(yields[i], oracle["yields"])
+        assert columns["cond_s"][i] == cond_s[0]
+        assert columns["e_zz"][i] == pytest.approx(oracle["e_zz"], rel=1e-12)
+        rtol = max(1e-12, 16 * oracle["kappa"] * np.finfo(float).eps)
+        for name in ("e_xx", "key_rate"):
+            assert columns[name][i] == pytest.approx(oracle[name], rel=rtol), name

@@ -18,8 +18,9 @@ from mdiqkd.pauli_core import (
     PAULI_PAIRS,
     PAULI_PRODUCTS,
     DegenerateInputError,
+    _kron_sides,
+    _side_matrices,
     reference_amplitudes,
-    s_matrix_stack,
     virtual_stack,
 )
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
@@ -193,6 +194,10 @@ def test_bloch_products_equal_kron_bitwise():
         kron = np.array([np.kron(bloch_vector(a), bloch_vector(b))
                          for a in ref_a for b in ref_b])
         np.testing.assert_array_equal(build_S_matrix(ref_a, ref_b), kron)
+        # and S is the Kronecker product of the sides, whose rows are the Bloch vectors
+        sides = [_side_matrices(np.array([ref])) for ref in (ref_a, ref_b)]
+        np.testing.assert_array_equal(sides[0][0], [bloch_vector(a) for a in ref_a])
+        np.testing.assert_array_equal(_kron_sides(*sides)[0], np.kron(sides[0][0], sides[1][0]))
 
 
 def test_pauli_products_are_the_krons_of_their_pairs():
@@ -258,10 +263,10 @@ def test_virtual_kept_weight_is_x_convention_independent():
 def test_stacks_refuse_the_wrong_number_of_states_per_side():
     three = reference_amplitudes([0.0, 0.1])
     two = three[:, :2]
+    with pytest.raises(ValueError) as excinfo:
+        _side_matrices(two)
+    assert str(excinfo.value) == "expected three reference states per side"
     for a, b in ((two, three), (three, two)):
-        with pytest.raises(ValueError) as excinfo:
-            s_matrix_stack(a, b)
-        assert str(excinfo.value) == "expected three reference states per side"
         with pytest.raises(ValueError) as excinfo:
             virtual_stack(b, a)
         assert str(excinfo.value) == "expected the two Z-basis states per side"

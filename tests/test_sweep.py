@@ -758,9 +758,9 @@ def test_frequency_table_eps_are_eps_at_bit_for_bit(f_low, f_gap, lg_low, lg_hig
 
 
 def test_an_s_past_the_rank_tolerance_under_a_lifted_ceiling_gives_error_rows():
-    # at pi/4 the 0X state equals the 0Z one, so S has repeated rows
-    # (cond(S) 1.7e17) and no key can be certified, although LU inverts S:
-    # every row is an error row, and no curve has a cutoff
+    # at pi/4 the 0X state equals the 0Z one up to rounding, so each side's
+    # B is singular to working precision (cond(B) 1.9e16) and no key can be
+    # certified: every row is an error row, and no curve has a cutoff
     config = SweepConfig(eps_values=(0.0, 1e-6), delta_values=(0.7853981633974483,),
                          cond_ceiling=1e300, loss_range=LossRange(0.0, 10.0, 5.0))
     with warnings.catch_warnings():
@@ -772,10 +772,9 @@ def test_an_s_past_the_rank_tolerance_under_a_lifted_ceiling_gives_error_rows():
 
 
 def test_a_singular_s_under_a_lifted_ceiling_gives_error_rows(monkeypatch):
-    # a set whose 0X state is its 0Z state has two equal rows of S: its
-    # cond(S) 8.3e16 is past the rank tolerance, and LU finds a zero pivot.
-    # Under a lifted ceiling the table refuses that delta's set and
-    # evaluates the other
+    # a set whose 0X state is its 0Z state has two equal rows in each
+    # side's B, which is singular. Under a lifted ceiling the table refuses
+    # that delta's set and evaluates the other
     reference_amplitudes = mdiqkd.sweep.reference_amplitudes
 
     def with_a_repeated_state(deltas):
@@ -805,6 +804,24 @@ def test_tables_build_no_state_objects(monkeypatch):
     with pytest.raises(AssertionError, match="built a ModulationErrors"):
         ModulationErrors(1.0, 0.0)
     got = [loss_table(config).numbers, frequency_table(config).numbers]
+    for table_got, table_want in zip(got, want):
+        assert table_got.tobytes() == table_want.tobytes()
+
+
+def test_tables_take_no_kronecker_product_and_no_inverse(monkeypatch):
+    # a table's setup comes from the two 3x3 sides of S and the relay's
+    # closed-form rates: neither np.kron nor a 9x9 inverse is on its path
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table called np.kron or np.linalg.inv")
+
+    config = SweepConfig(eps_values=(1e-6, 1e-7), delta_values=tuple(np.linspace(0.0, 0.3, 16)),
+                         loss_range=LossRange(0.0, 12.0, 1.0),
+                         frequency_range=FrequencyRange(0.1, 4.0, 0.3, loss_db=5.0))
+    want = [loss_table(config).numbers, frequency_table(config).numbers]
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = [loss_table(config).numbers, frequency_table(config).numbers]
+    assert got[0].shape == (11, 2 * 16 * 13) and got[1].shape == (11, 16 * 14)
     for table_got, table_want in zip(got, want):
         assert table_got.tobytes() == table_want.tobytes()
 
