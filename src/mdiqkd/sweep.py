@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _g12
+from . import _g12, _yaml_subset
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
 from .estimator import DEFAULT_COND_CEILING, NO_SIGNAL, _estimate_core, build_estimation_stack
 from .gbound import Record, real
@@ -292,7 +292,8 @@ def _collect(mapping, section, values):
     """
     if not isinstance(mapping, dict):
         raise ValueError(f"config section {section} must be a mapping")
-    unknown = sorted(name for name in mapping if (section, name) not in _NAMES)
+    # key=str: YAML keys may be ints or bools beside strings
+    unknown = sorted((name for name in mapping if (section, name) not in _NAMES), key=str)
     if unknown and not section:
         raise ValueError(f"unknown config sections: {unknown}")
     if unknown:
@@ -308,19 +309,26 @@ def _collect(mapping, section, values):
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an optional YAML file plus overrides.
 
-    The file sets keys of CONFIG_KEYS, every one optional. overrides maps
+    The file sets keys of CONFIG_KEYS, every one optional. A file in the
+    block-YAML subset of _yaml_subset (all that yaml.safe_dump writes for
+    a config, and the README's example) is read without PyYAML; any other
+    goes to PyYAML's safe loader, which builds the same mapping from the
+    subset and names the file and line of a syntax error. overrides maps
     dotted keys to values (None: unset), laid over the file's keys before
     any value goes through its key's parser and check. Each object is built once.
     """
     raw = {}
     if path is not None:
-        import yaml
-
-        # libyaml's loader where PyYAML was built with it: the same
-        # resolver as SafeLoader, so the same mapping, parsed 5-9x faster
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=loader) or {}
+            raw = _yaml_subset.read(fh.read())
+            if raw is _yaml_subset.OUTSIDE:
+                import yaml
+
+                # libyaml's loader where PyYAML was built with it: the same
+                # resolver as SafeLoader, so the same mapping, parsed 5-9x faster
+                fh.seek(0)
+                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = raw or {}
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")
     values = {}

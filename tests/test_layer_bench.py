@@ -6,7 +6,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 STAGES = ["load_config", "reference_amplitudes", "transmission_rates_grid",
           "build_estimation_stack", "reference_yields", "_estimate_core",
-          "SweepTable.summaries", "SweepTable.check", "_g12.print_rows", "cli.main"]
+          "SweepTable.summaries", "SweepTable.check", "_g12.print_rows", "start_up", "cli.main"]
 
 
 def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
@@ -24,5 +24,6 @@ def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
         assert list(report["workloads"]) == ["curves_short", "frequency_scan"]
         for workload in report["workloads"].values():
             assert list(workload["stages"]) == STAGES
-            for times in workload["stages"].values():
-                assert times["first_us"] > 0.0 and times["warm_us"] > 0.0
+            for stage, times in workload["stages"].items():
+                assert list(times) == ["first_us"] + (["warm_us"] if stage != "start_up" else [])
+                assert all(us > 0.0 for us in times.values())

@@ -32,6 +32,7 @@ from mdiqkd import (
 )
 import mdiqkd
 import mdiqkd._g12
+import mdiqkd._yaml_subset
 import mdiqkd.sweep
 from mdiqkd.estimator import NO_SIGNAL, _estimate_core
 from mdiqkd.cli import build_parser, main
@@ -225,17 +226,19 @@ def test_load_config_yaml_file(tmp_path):
 
 
 def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
+    # a file outside the subset that load_config reads itself (flow
+    # collections nested over two lines, an anchor) goes to PyYAML
     path = tmp_path / "cfg.yaml"
-    path.write_text(
+    text = (
         "channel: {eta_d: 0.2, p_d: 1.0e-6}\n"
         "estimation: {f_ec: 1.2, include_sifting: true, cond_ceiling: 1.0e+3}\n"
-        "sweep:\n"
-        "  eps: [1e-7, 1.0e-6, 0]\n"
-        "  delta: [0.05, -0.0, 1]\n"
-        "  loss: {start: 1, stop: 2.0, step: 0.5}\n"
-        "  frequency: {loss_db: 5.0, anchor_low: [0.5, -9], anchor_high: [4.0, -5.0]}\n"
+        "sweep: {eps: [1e-7, 1.0e-6, 0], delta: [0.05, -0.0, 1],\n"
+        "        loss: {start: 1, stop: &stop 2.0, step: 0.5},\n"
+        "        frequency: {loss_db: 5.0, anchor_low: [0.5, -9], anchor_high: [4.0, -5.0]}}\n"
         "output: {path: 'rates, all.jsonl', format: json-lines}\n"
     )
+    path.write_text(text)
+    assert mdiqkd._yaml_subset.read(text) is mdiqkd._yaml_subset.OUTSIDE
     load, fast, loaders, configs = yaml.load, getattr(yaml, "CSafeLoader", None), [], []
 
     def recording_load(stream, Loader):
@@ -252,6 +255,7 @@ def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
     assert configs[0].eps_values == (1e-7, 1e-6, 0.0)
     assert repr(configs[0].delta_values) == repr((0.05, -0.0, 1.0))
     assert configs[0].out_path == "rates, all.jsonl"
+    assert configs[0].loss_range == LossRange(1.0, 2.0, 0.5)
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -303,6 +307,11 @@ def test_load_config_rejects_unknown_section(tmp_path):
     path.write_text("workers: 2\n")
     with pytest.raises(ValueError, match="unknown config sections"):
         load_config(str(path))
+    # YAML reads 2 as an int key, which sorts beside a str only as text
+    path.write_text("foo: 1\n2: 3\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == "unknown config sections: [2, 'foo']"
 
 
 @pytest.mark.parametrize("text, key", [
@@ -317,6 +326,7 @@ def test_load_config_rejects_unknown_section(tmp_path):
     ("sweep: {delta: '01'}\n", "sweep.delta"),
     ("sweep: {eps: 1.0e-6}\n", "sweep.eps"),
     ("estimation: {include_sifting: no thanks}\n", "include_sifting"),
+    ("sweep: {7: 1, bar: 2}\n", "unknown config keys: sweep.7, sweep.bar"),  # int beside str
 ])
 def test_load_config_rejects_unknown_keys(tmp_path, text, key):
     path = tmp_path / "cfg.yaml"
@@ -1394,14 +1404,14 @@ def test_cli_start_up_and_csv_run_leave_json_unimported(tmp_path):
 
 
 def test_cli_start_up_and_run_leave_argparse_and_dataclasses_unimported(tmp_path):
-    # numpy and yaml load first, as in any run with a config file; the
-    # command line then adds neither a parser library nor dataclasses
+    # numpy loads first, as in any run; the command line and the config
+    # file then add neither a parser library nor dataclasses
     config = tmp_path / "config.yaml"
     config.write_text("sweep: {eps: [1.0e-6], loss: {start: 0.0, stop: 1.0, step: 0.5}}\n")
     out = "--out=" + str(tmp_path / "t.csv")
     code = (
         "import sys\n"
-        "import numpy, yaml\n"
+        "import numpy\n"
         "names = {'argparse', 'gettext', 'locale', 'dataclasses', 'copy'}\n"
         "before = names & set(sys.modules)\n"
         "import mdiqkd.cli\n"

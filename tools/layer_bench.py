@@ -13,9 +13,10 @@ that first call: load_config, reference_amplitudes,
 transmission_rates_grid, build_estimation_stack, reference_yields, the
 first _estimate_core batch of the table, SweepTable.summaries,
 SweepTable.check and _g12.print_rows. As many fresh interpreters time
-the whole cli.main, unwrapped, after one untimed load_config, as
-perfbench's table_s does. Each figure is the median over the processes,
-in microseconds per call.
+the start-up (start_up: import mdiqkd.cli and the first load_config, as
+perfbench's setup_s does; first_us only) and then the whole cli.main,
+unwrapped, as perfbench's table_s does. Each figure is the median over
+the processes, in microseconds per call.
 
 The package is imported from --src (default: this checkout's src).
 --base times a second tree too, such as a parent commit's checkout,
@@ -111,7 +112,8 @@ def _stages(argv, repeats):
 
 
 def _worker(kind, config_path, sweep, out_path, repeats):
-    """Time the stages (kind "stages") or cli.main (kind "cli") in this fresh process."""
+    """Time the stages (kind "stages") or start-up and cli.main (kind "cli") in this process."""
+    start = time.perf_counter()
     import mdiqkd.cli
 
     argv = ["--config", config_path, "--sweep", sweep, "--out", out_path]
@@ -120,15 +122,17 @@ def _worker(kind, config_path, sweep, out_path, repeats):
         if kind == "stages":
             result = _stages(argv, repeats)
         else:
-            # as perfbench's table_s: the import and a first load_config are not timed
+            # as perfbench's setup_s and table_s: the import and a first
+            # load_config, then cli.main on its own
             mdiqkd.sweep.load_config(config_path)
+            start_up = (time.perf_counter() - start) * 1e6
 
             def run():
                 with contextlib.redirect_stdout(io.StringIO()):
                     if mdiqkd.cli.main(argv) != 0:
                         raise RuntimeError("cli.main failed")
 
-            result = {"cli.main": _timed(run, repeats)}
+            result = {"start_up": (start_up,), "cli.main": _timed(run, repeats)}
     print(json.dumps(result))
 
 
@@ -197,8 +201,9 @@ def main(argv=None):
             for label, _ in trees:
                 reports[label]["workloads"][name] = {
                     "rows": workload.grid_sizes()["rows"],
-                    "stages": {stage: {"first_us": round(statistics.median(t[0] for t in ts), 1),
-                                       "warm_us": round(statistics.median(t[1] for t in ts), 1)}
+                    # start_up has a first call only, so zip stops at first_us
+                    "stages": {stage: {key: round(statistics.median(values), 1)
+                                       for key, values in zip(("first_us", "warm_us"), zip(*ts))}
                                for stage, ts in samples[label].items()},
                 }
     for label, report in reports.items():
