@@ -19,11 +19,12 @@ M = (eta_arm^2 / 2) |psi-><psi-|, the lossy singlet filter.
 The element is exactly quadratic in eta_arm: each photon survives its arm
 independently, so M(eta_arm) mixes four eta-independent elements (both
 photons arrive, only Alice's, only Bob's, neither) with the probabilities
-of those cases. A whole loss grid therefore costs one small product.
+of those cases. A whole loss grid is therefore one four-term sum.
 
 The four elements' rates are closed forms in a channel's acceptance
 weights, with Bob's Pauli components rotated by the misalignment; the
-unrotated elements form one validated stack.
+unrotated elements form one validated stack. Every sum is elementwise, in
+a fixed order (_explicit_sum): no BLAS kernel changes its bits.
 """
 
 import math
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+_SHIFTS = np.array([[_ATOL], [1.0 + _ATOL]])
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
@@ -110,7 +112,10 @@ class BsmPovm(Frozen):
     """4x4 POVM element in the |00>,|01>,|10>,|11> basis (Alice first).
 
     m has shape (4, 4), or (k, 4, 4) for a stack of k elements; one
-    symmetry check and one eigvalsh validate the whole stack.
+    symmetry check and one elimination validate the whole stack: M's
+    eigenvalues lie in [-_ATOL, 1 + _ATOL] when the LDL^T pivots of M +
+    _ATOL I and (1 + _ATOL) I - M, all 2k eliminated elementwise at once,
+    are positive. A refusal names the first element out of bounds.
     """
 
     __slots__ = ("m",)
@@ -121,9 +126,18 @@ class BsmPovm(Frozen):
             raise ValueError("expected a 4x4 matrix or a stack of them")
         if np.abs(m - np.swapaxes(m, -1, -2)).max() > _ATOL:
             raise ValueError("POVM element must be Hermitian")
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -_ATOL or eig.max() > 1.0 + _ATOL:
-            raise ValueError(f"POVM eigenvalues out of [0, 1]: {eig}")
+        a = np.stack([m, -m], axis=-3).reshape(-1, 2, 16)
+        a[..., ::5] += _SHIFTS
+        a = a.reshape(-1, 4, 4)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(3):  # pivot j stays at a[:, j, j]
+                row = a[:, j, None, j + 1:] / a[:, j, j, None, None]
+                a[:, j + 1:, j + 1:] -= a[:, j + 1:, j, None] * row
+        positive = (a.reshape(-1, 16)[:, ::5] > 0.0).all(axis=1)  # a nan pivot fails too
+        if not positive.all():
+            element, side = divmod(int(np.flatnonzero(~positive)[0]), 2)
+            raise ValueError(f"POVM eigenvalues out of [0, 1]: element {element} has one"
+                             f" {('below 0', 'above 1')[side]}")
         self.m = m
 
 
@@ -142,6 +156,15 @@ class YieldTable(Frozen):
         self.y = y
 
 
+def _explicit_sum(weights, terms):
+    """sum_k weights[..., k, None] * terms[k], accumulated in place in k order."""
+    total = weights[..., 0, None] * terms[0]
+    product = np.empty_like(total)
+    for k in range(1, len(terms)):
+        total += np.multiply(weights[..., k, None], terms[k], out=product)
+    return total
+
+
 def _component_rates(params):
     """The rates of the four survival cases, (4, 10) as _RATE_COEFFICIENTS, misalignment applied.
 
@@ -151,11 +174,12 @@ def _component_rates(params):
     p_d = params.p_d
     # the kept pattern clicks, and nothing else, with both of its channels
     # lit and the other two dark; a photon-free channel of it must dark-fire
-    both_lit = (1.0 - p_d) ** 2
+    both_lit = (1.0 - p_d) * (1.0 - p_d)
     one_dark = p_d * both_lit
     p_vac = p_d * p_d * both_lit
-    rates = _RATE_COEFFICIENTS @ (one_dark, both_lit, p_vac)
-    BsmPovm((rates @ _ELEMENT_BASIS).reshape(4, 4, 4))
+    c = _RATE_COEFFICIENTS
+    rates = c[..., 0] * one_dark + c[..., 1] * both_lit + c[..., 2] * p_vac
+    BsmPovm(_explicit_sum(rates, _ELEMENT_BASIS).reshape(4, 4, 4))
     # Bob's rotation by theta, sin^2(theta) = e_d: X -> cos 2theta X -
     # sin 2theta Z, Z -> cos 2theta Z + sin 2theta X; sigma_Y is kept
     cos2 = 1.0 - 2.0 * params.e_d
@@ -169,19 +193,16 @@ def _arm_weights(eta_arm):
     """Probabilities of the four survival cases: both photons, only Alice's, only Bob's, neither.
 
     eta_arm: per-arm transmission, a float or an (n,) array; the result
-    has shape (4,) or (n, 4).
+    has shape (4,) or (4, n).
     """
     eta = np.asarray(eta_arm, dtype=float)
-    return np.stack(
-        [eta * eta, eta * (1.0 - eta), (1.0 - eta) * eta, (1.0 - eta) ** 2],
-        axis=-1,
-    )
+    return np.stack([eta * eta, eta * (1.0 - eta), (1.0 - eta) * eta, (1.0 - eta) ** 2])
 
 
 def build_bsm_povm(params):
     """Assemble the 4x4 singlet-announcement POVM element for given params."""
-    rates = _arm_weights(params.eta_arm) @ _component_rates(params)
-    return BsmPovm((rates @ _ELEMENT_BASIS).reshape(4, 4))
+    rates = _explicit_sum(_arm_weights(params.eta_arm), _component_rates(params))
+    return BsmPovm(_explicit_sum(rates, _ELEMENT_BASIS).reshape(4, 4))
 
 
 def transmission_rates(povm):
@@ -189,10 +210,8 @@ def transmission_rates(povm):
 
     One (9,) row for the POVM element, or (k, 9) for a stack of k.
     """
-    # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric.
-    # One matrix-vector product per element: a single (k, 16) @ (16, 9)
-    # product sums in another order and changes the last bits of q.
-    q = np.array([PAULI_PRODUCTS.reshape(9, 16) @ m / 4.0 for m in povm.m.reshape(-1, 16)])
+    # Tr[M P] = sum_ij M_ij P_ij, as every Pauli product P is real symmetric
+    q = _explicit_sum(povm.m.reshape(-1, 16), PAULI_PRODUCTS.reshape(9, 16).T) / 4.0
     return q.reshape(povm.m.shape[:-2] + (9,))
 
 
@@ -200,14 +219,15 @@ def transmission_rates_grid(params, losses_db):
     """Transmission rates of the relay at each loss in losses_db, shape (n, 9).
 
     params fixes everything but the loss. The rates are linear in M, so
-    q(eta) = _arm_weights(eta) @ Q with Q the _component_rates: one
-    (n, 4) @ (4, 9) product for a whole grid.
+    q(eta) = sum_c _arm_weights(eta)_c Q_c with Q the _component_rates:
+    one four-term sum for a whole grid, with the points innermost (the
+    result is the transpose of a (9, n) array, as reference_yields reads it).
     """
     losses = np.asarray(losses_db, dtype=float)
     if not np.all((losses >= 0.0) & (losses < math.inf)):  # also refuses nan
         raise ValueError("losses must be finite and >= 0 dB")
     etas = [_arm_transmission(params.eta_d, loss) for loss in losses_db]
-    return _arm_weights(etas) @ _component_rates(params)[:, :9]
+    return _explicit_sum(_component_rates(params)[:, :9].T, _arm_weights(etas)).T
 
 
 def reference_yields(s_matrix, rates):
@@ -217,7 +237,12 @@ def reference_yields(s_matrix, rates):
     m matrices S, shape (m, 9, 9), gives yields of shape (m, n, 9), and
     one warning for the whole stack if any yield is clamped.
     """
-    raw = rates @ np.swapaxes(s_matrix, -1, -2)
+    s_matrix, rates = np.asarray(s_matrix, dtype=float), np.asarray(rates, dtype=float)
+    if s_matrix.shape[-2:] != (9, 9) or rates.shape[-1:] != (9,):
+        raise ValueError("expected 9x9 S and 9 rates per row")
+    # the sum over j with the points innermost, as rows of q^T
+    raw = np.swapaxes(_explicit_sum(s_matrix, np.ascontiguousarray(rates.reshape(-1, 9).T)),
+                      -1, -2).reshape(s_matrix.shape[:-2] + rates.shape[:-1] + (9,))
     clamped = np.clip(raw, 0.0, 1.0)
     worst = np.abs(raw - clamped).max()
     if worst > 1e-9:

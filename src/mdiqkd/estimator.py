@@ -41,6 +41,7 @@ batch, on inputs its table checked when it was built; the core reports
 the rows without signal as a mask instead of raising.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -205,24 +206,45 @@ def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
 def _side_setup(amps, cond_ceiling):
     """One side's share of build_estimation_stack for n reference sets.
 
-    Returns (B, cond(B), regular, kept, c): B (n, 3, 3), its cond (n,)
-    from a batched 3x3 SVD, whether cond(B) stays below the rank
-    tolerance, the side's _kept_side, and the coordinates c_j (n, 2, 3)
-    with c_j B = b(q_j), solved as B^T c_j^T = b(q_j)^T where B is
-    regular and its cond within the ceiling (cond(S) is no smaller),
-    nan elsewhere.
+    Returns (B, cond(B), regular, kept, c): B (n, 3, 3), its cond (n,),
+    whether B passes np.linalg.matrix_rank's test, the side's _kept_side,
+    and the c_j (n, 2, 3) where B is regular and its cond within the
+    ceiling (cond(S) is no smaller), nan elsewhere; all by +, -, *, / and
+    sqrt on Python floats, from a set's triangle of Bloch points (X, Z).
     """
     b = _side_matrices(amps)
-    sv = np.linalg.svd(b, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        cond = sv[:, 0] / sv[:, 2]
-    regular = sv[:, 2] > sv[:, 0] * _RANK_TOL
     kept = _kept_side(amps[:, :2])
-    solved = regular & (cond <= cond_ceiling)
-    c = np.full(kept[2].shape, np.nan)
-    c[solved] = np.linalg.solve(b[solved].swapaxes(1, 2),
-                                kept[2][solved].swapaxes(1, 2)).swapaxes(1, 2)
-    return b, cond, regular, kept, c
+    cond, regular, c = [], [], []
+    for ((_, x0, z0), (_, x1, z1), (_, x2, z2)), virtual in zip(b.tolist(), kept[2].tolist()):
+        # B^T B = [[3, sx, sz], [sx, sxx, sxz], [sz, sxz, szz]], of trace t, principal
+        # 2x2 minors summing to m and determinant det^2, det = det B twice the area
+        sx, sz, sxz = x0 + x1 + x2, z0 + z1 + z2, x0 * z0 + x1 * z1 + x2 * z2
+        sxx, szz = x0 * x0 + x1 * x1 + x2 * x2, z0 * z0 + z1 * z1 + z2 * z2
+        t, m = 3.0 + sxx + szz, 3.0 * (sxx + szz) + sxx * szz - sx * sx - sz * sz - sxz * sxz
+        det = (x1 - x0) * (z2 - z0) - (z1 - z0) * (x2 - x0)
+        # its largest eigenvalue, in [3, 6] and 1.25 or more above lambda_2: six
+        # Newton steps on the characteristic cubic from ||B^T B||_F >= lambda_1
+        lam = math.sqrt(9.0 + sxx * sxx + szz * szz + 2.0 * (sx * sx + sz * sz + sxz * sxz))
+        for _ in range(6):
+            lam -= (((lam - t) * lam + m) * lam - det * det) / ((3.0 * lam - 2.0 * t) * lam + m)
+        # lambda_2 = half + |D| / sqrt(2), D = B^T B - half I - (lambda_1 - half) v v^T,
+        # exact also at lambda_2 = lambda_3: adj(B^T B - lambda_1 I) = f'(lambda_1) v v^T
+        h0, h1, h2, half = 3.0 - lam, sxx - lam, szz - lam, 0.5 * (t - lam)
+        a0, a1, a2 = h1 * h2 - sxz * sxz, h0 * h2 - sz * sz, h0 * h1 - sx * sx
+        w = (lam - half) / (a0 + a1 + a2)
+        d0, d1, d2 = 3.0 - half - w * a0, sxx - half - w * a1, szz - half - w * a2
+        o0, o1, o2 = (sx - w * (sz * sxz - sx * h2), sz - w * (sx * sxz - sz * h1),
+                      sxz - w * (sx * sz - h0 * sxz))
+        dev = d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (o0 * o0 + o1 * o1 + o2 * o2)
+        scale = lam * math.sqrt(half + math.sqrt(0.5 * dev))  # sigma_1^2 sigma_2
+        cond.append(scale / abs(det) if det else math.inf)
+        regular.append(abs(det) > scale * _RANK_TOL)
+        solved = regular[-1] and cond[-1] <= cond_ceiling
+        for _, qx, qz in virtual:  # barycentric: cross products of P_i - q over det B
+            u0x, u0z, u1x, u1z, u2x, u2z = x0 - qx, z0 - qz, x1 - qx, z1 - qz, x2 - qx, z2 - qz
+            c.append([(u1x * u2z - u1z * u2x) / det, (u2x * u0z - u2z * u0x) / det,
+                      (u0x * u1z - u0z * u1x) / det] if solved else [math.nan] * 3)
+    return b, np.array(cond, float), np.array(regular, bool), kept, np.array(c).reshape(-1, 2, 3)
 
 
 def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,

@@ -175,10 +175,7 @@ def _kept_side(z):
     phi_1Z)/sqrt(2), normalized; |0Z> where its norm is below 1e-7.
     """
     v = np.stack([z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]], axis=1) / math.sqrt(2.0)
-    # squared norms by matmul: a sum of squares would miss the fused
-    # multiply-add of the BLAS dot that v @ v runs for one vector, and
-    # with it the last bits
-    n2 = (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    n2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
     norm = np.sqrt(n2)
     collapsed = norm < 1e-7  # a nan norm is no collapse: _bloch refuses it
     live = ~collapsed[..., None]

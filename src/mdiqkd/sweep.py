@@ -16,8 +16,11 @@ estimate to the file: the command line and library callers alike
 summarise, check and write it without building a row; rows() gives its
 KeyRatePoints for iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
-produce byte-identical files, floats are printed with 12 significant
-digits, and a summary block records the per-curve positive-rate cutoff.
+produce byte-identical files under any BLAS kernel, as no number passes
+through BLAS or LAPACK (libm remains: Python's pow for 10**lg and the arm
+transmission, math.sin and math.cos for the reference states, numpy's
+log2 for the entropy); floats are printed with 12 significant digits,
+and a summary block records the per-curve positive-rate cutoff.
 """
 
 import math
@@ -306,6 +309,28 @@ def _collect(mapping, section, values):
             _collect(value, key, values)
 
 
+def _pyyaml_load(fh, path):
+    """PyYAML's safe load of fh, refusing a key set twice in a mapping as the subset reader does.
+
+    libyaml's loader where PyYAML has it: the same mapping, parsed 5-9x faster.
+    """
+    import yaml
+
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if type(key_node) is yaml.ScalarNode and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise ValueError(f"{path}: config key {key!r} repeated at line"
+                                         f" {key_node.start_mark.line + 1}")
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return yaml.load(fh, Loader=Loader)
+
+
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an optional YAML file plus overrides.
 
@@ -313,21 +338,18 @@ def load_config(path=None, overrides=None):
     block-YAML subset of _yaml_subset (all that yaml.safe_dump writes for
     a config, and the README's example) is read without PyYAML; any other
     goes to PyYAML's safe loader, which builds the same mapping from the
-    subset and names the file and line of a syntax error. overrides maps
-    dotted keys to values (None: unset), laid over the file's keys before
-    any value goes through its key's parser and check. Each object is built once.
+    subset and names the file and line of a syntax error or a repeated
+    key. overrides maps dotted keys to values (None: unset), laid over the
+    file's keys before any value goes through its key's parser and check.
+    Each object is built once.
     """
     raw = {}
     if path is not None:
         with open(path) as fh:
             raw = _yaml_subset.read(fh.read())
             if raw is _yaml_subset.OUTSIDE:
-                import yaml
-
-                # libyaml's loader where PyYAML was built with it: the same
-                # resolver as SafeLoader, so the same mapping, parsed 5-9x faster
                 fh.seek(0)
-                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+                raw = _pyyaml_load(fh, path)
         raw = raw or {}
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
@@ -156,17 +156,81 @@ def test_bsm_povm_validation():
 
 
 def test_relay_validates_one_stack_of_the_unrotated_elements(monkeypatch):
-    # one eigvalsh per channel, on the four elements before misalignment,
+    # one POVM check per channel, on the four elements before misalignment,
     # whose eigenvalues the rotation of Bob's qubit keeps
     stacks = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m) or eigvalsh(m))
+    povm = channel.BsmPovm
+    monkeypatch.setattr(channel, "BsmPovm", lambda m: stacks.append(m) or povm(m))
     transmission_rates_grid(BENCHMARK, [0.0, 4.0, 8.0])
     assert [m.shape for m in stacks] == [(4, 4, 4)]
     unrotated = channel._component_rates(BENCHMARK.replace(e_d=0.0))
-    np.testing.assert_array_equal(stacks[0], (unrotated @ channel._ELEMENT_BASIS).reshape(4, 4, 4))
+    np.testing.assert_allclose(stacks[0], (unrotated @ channel._ELEMENT_BASIS).reshape(4, 4, 4),
+                               rtol=0, atol=1e-18)
     rotated = (channel._component_rates(BENCHMARK) @ channel._ELEMENT_BASIS).reshape(4, 4, 4)
+    eigvalsh = np.linalg.eigvalsh
     np.testing.assert_allclose(eigvalsh(rotated), eigvalsh(stacks[0]), rtol=0, atol=1e-15)
+
+
+def _spectrum(draw, size):
+    """size eigenvalues, each anywhere in [-0.5, 1.5] or within 1e-8 of a bound of the check."""
+    ends = st.sampled_from([-1e-12, 1.0 + 1e-12])
+    near = st.builds(lambda end, offset: end + offset, ends, st.floats(-1e-8, 1e-8))
+    return draw(st.lists(st.one_of(st.floats(-0.5, 1.5), near), min_size=size, max_size=size))
+
+
+@st.composite
+def _symmetric_stacks(draw):
+    """A (k, 4, 4) stack of symmetric matrices: random entries or Q diag(spectrum) Q^T."""
+    k = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            a = rng.uniform(-0.6, 0.6, (4, 4))
+            stack.append(a + a.T)
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            stack.append((q * _spectrum(draw, 4)) @ q.T)
+    return np.array(stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_stacks())
+def test_povm_check_refuses_what_eigvalsh_refuses(stack):
+    # the elementwise LDL^T of M + _ATOL I and (1 + _ATOL) I - M gives the
+    # verdict of the eigenvalues on every stack whose eigenvalues lie more
+    # than 1e-9 from the bounds -_ATOL and 1 + _ATOL
+    stack = (stack + np.swapaxes(stack, 1, 2)) / 2.0  # symmetric to the bit
+    eig = np.linalg.eigvalsh(stack)
+    low, high = -channel._ATOL, 1.0 + channel._ATOL
+    assume(np.all((np.abs(eig - low) > 1e-9) & (np.abs(eig - high) > 1e-9)))
+    outside = (eig < low) | (eig > high)
+    for m in (stack, stack[0]):
+        bad = outside.any() if m.ndim == 3 else outside[0].any()
+        if not bad:
+            assert BsmPovm(m).m.shape == m.shape
+            continue
+        with pytest.raises(ValueError, match="^POVM eigenvalues out of") as info:
+            BsmPovm(m)
+        # the message names the first element refused, and the side of its bound
+        k = int(np.flatnonzero(outside.any(axis=1))[0]) if m.ndim == 3 else 0
+        side = "below 0" if (eig[k] < low).any() else "above 1"
+        assert str(info.value) == f"POVM eigenvalues out of [0, 1]: element {k} has one {side}"
+
+
+def test_povm_check_refuses_nan_and_keeps_the_boundary_elements():
+    for m in (np.full((4, 4), np.nan), np.diag([0.5, 0.5, np.nan, 0.5])):
+        with pytest.raises(ValueError, match="^POVM eigenvalues out of"):
+            BsmPovm(m)
+    # singular and full-rank elements at the ends of [0, 1]: the ideal
+    # singlet filter (eigenvalues 0, 0, 0, 1/2), a projector and the identity
+    for m in (0.5 * np.outer(PSI_MINUS, PSI_MINUS), np.diag([1.0, 1.0, 0.0, 0.0]), np.eye(4),
+              np.zeros((4, 4))):
+        assert BsmPovm(m).m.tobytes() == m.tobytes()
+    for m in ((1.0 + 1e-11) * np.eye(4), np.diag([0.2, -1e-11, 0.3, 0.4])):
+        with pytest.raises(ValueError, match="^POVM eigenvalues out of"):
+            BsmPovm(m)
 
 
 def test_transmission_rates_of_a_stack_are_each_elements_own():
@@ -189,17 +253,20 @@ _UNIT_ENDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @settings(max_examples=150, deadline=None)
 @given(p_d=_UNIT_ENDS, e_d=_UNIT_ENDS, eta_d=st.floats(0.0, 1.0), loss=st.floats(0.0, 60.0))
+@example(p_d=0.0, e_d=0.0, eta_d=1.4420353988664076e-156, loss=0.0)
 def test_closed_form_rates_match_the_fock_oracle(p_d, e_d, eta_d, loss):
     # the grid's rates, closed forms in p_d and e_d, against Fock
     # propagation, and against the rates of the element build_bsm_povm
-    # assembles from them; relative to q_II, which bounds every rate
+    # assembles from them; relative to q_II, which bounds every rate, and
+    # to a few subnormal steps, where a q_II below 1e-308 keeps no relative
+    # precision (eta_d 1.44e-156 gives q_II 2.6e-313, one step from Fock's)
     params = ChannelParams(eta_d=eta_d, p_d=p_d, e_d=e_d)
     q = transmission_rates_grid(params, [loss])[0]
     oracle = bloch_by_trace(fock_povm(eta_d, p_d, e_d, loss)) / 4.0
-    scale = oracle[0]
-    np.testing.assert_allclose(q, oracle, rtol=0, atol=1e-14 * scale)
+    scale, step = oracle[0], 4 * np.finfo(float).smallest_subnormal
+    np.testing.assert_allclose(q, oracle, rtol=0, atol=1e-14 * scale + step)
     element = build_bsm_povm(params.replace(loss_db=loss))
-    np.testing.assert_allclose(q, transmission_rates(element), rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(q, transmission_rates(element), rtol=0, atol=1e-15 * scale + step)
 
 
 def test_a_table_refuses_a_relay_element_that_is_not_positive(monkeypatch):

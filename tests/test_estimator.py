@@ -496,26 +496,69 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
     assert np.isfinite(f_obj[~refused]).all()
 
 
+def _amplitudes(angles):
+    """(cos a, sin a) of each angle, an array of the angles' shape + (2,)."""
+    return np.array([[math.cos(a), math.sin(a)] for a in np.ravel(angles)]).reshape(
+        np.shape(angles) + (2,))
+
+
+# the trine, three states 120 degrees apart on the Bloch circle, whose B^T B
+# has a double eigenvalue (lambda_2 = lambda_3 = 3/2), and sets near it
+_TRINE = (0.0, math.pi / 3, 2 * math.pi / 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.lists(st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+                       min_size=1, max_size=2))
+@example(angles=[list(_TRINE) * 2, [0.4, 0.4 + math.pi / 3 + 1e-9, 0.4 - math.pi / 3, *_TRINE]])
+@example(angles=[[0.0, 1.0, 2.0, 0.0, 1.0, 1e-05]])  # a side of cond 1.7e5
+def test_general_sets_match_60_digit_tomography(angles):
+    # any three states per side, given by the angles of their real
+    # amplitudes: f_obj and cond_s of every set under the default ceiling
+    # agree with 60-digit arithmetic on the same amplitudes to 1e-12, or to
+    # 2 eps (cond(B_A) + cond(B_B)), the rounding of the Bloch rows times
+    # its amplification; a set over the ceiling is over it there too
+    amps = _amplitudes(angles)
+    amps_a, amps_b = amps[:, :3], amps[:, 3:]
+    _, cond_s, f_obj, errors = build_estimation_stack(amps_a, amps_b)
+    for k, error in enumerate(errors):
+        if type(error) is DegenerateInputError or cond_s[k] > 1e15:
+            continue  # no f_obj, or a side too close to singular for an inverse
+        oracle = tomography_mp(amps_a[k], amps_b[k])
+        if error is not None:
+            assert type(error) is IllConditionedError and oracle["cond_s"] > 1e8 * (1.0 - 1e-12)
+            continue
+        sides = _side_matrices(np.array([amps_a[k], amps_b[k]]))
+        rtol = max(1e-12, 2 * np.finfo(float).eps * sum(np.linalg.cond(sides)))
+        np.testing.assert_allclose(f_obj[k], oracle["f_obj"], rtol=0,
+                                   atol=rtol * np.abs(oracle["f_obj"]).max())
+        assert cond_s[k] == pytest.approx(oracle["cond_s"], rel=rtol)
+
+
 def _stack_from_states(refs_a, refs_b, cond_ceiling):
     """The stack's fields and error messages, one set of make_reference_state rows at a time.
 
-    S is np.kron of the sides' Bloch rows, cond(S) the product of their
-    np.linalg.cond, and a side singular to np.linalg.matrix_rank refuses
-    its set as cond(S) = inf under the ceiling; f_obj is the stack's of
-    the set alone.
+    S is np.kron of the sides' Bloch rows; cond(S) and f_obj are the
+    stack's of the set alone. That cond(S) is the product of the sides'
+    np.linalg.cond, to LAPACK's rounding of eps cond(B) per side, where
+    np.linalg.matrix_rank finds both sides regular; a side singular to it
+    refuses its set as cond(S) = inf under the ceiling.
     """
     fields, messages = [], []
     for ref_a, ref_b in zip(refs_a, refs_b):
         sides = [np.array([bloch_vector(state) for state in ref]) for ref in (ref_a, ref_b)]
         s_matrix = np.kron(*sides)
-        cond = np.linalg.cond(sides[0]) * np.linalg.cond(sides[1])
+        _, (cond,), (f_one,), _ = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+        lapack = [np.linalg.cond(side) for side in sides]
+        if min(np.linalg.matrix_rank(side) for side in sides) < 3:  # singular to working precision
+            assert min(cond, lapack[0] * lapack[1]) > 1e15  # both conds are rounding noise
+            cond = cond if cond > cond_ceiling else math.inf
+        else:
+            eps = np.finfo(float).eps
+            assert cond == pytest.approx(lapack[0] * lapack[1], rel=4 * eps * sum(lapack))
         if not cond <= cond_ceiling:
             fields.append((s_matrix, cond, None))
             messages.append(str(IllConditionedError(float(cond), cond_ceiling)))
-            continue
-        if min(np.linalg.matrix_rank(side) for side in sides) < 3:  # singular to working precision
-            fields.append((s_matrix, math.inf, None))
-            messages.append(str(IllConditionedError(math.inf, cond_ceiling)))
             continue
         try:
             build_virtual(ref_a[:2], ref_b[:2])
@@ -523,8 +566,7 @@ def _stack_from_states(refs_a, refs_b, cond_ceiling):
             fields.append((s_matrix, cond, None))
             messages.append(str(exc))
             continue
-        *_, f_one, _ = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
-        fields.append((s_matrix, cond, f_one[0]))
+        fields.append((s_matrix, cond, f_one))
         messages.append(None)
     return fields, messages
 
@@ -606,7 +648,8 @@ def test_stack_refuses_an_s_past_the_rank_tolerance_as_singular():
     assert 3e14 < cond_s[2] < 4e14 and type(errors[2]) is DegenerateInputError
     assert np.isfinite(f_obj[0]).all() and np.isnan(f_obj[2]).all()
     _, cond_s, _, errors = build_estimation_stack(amps, amps, 1e15)
-    assert str(errors[1]) == "cond(S) = 3.613e+32 exceeds ceiling 1.000e+15"
+    # the cond(B)^2 of the rounded Bloch rows, as 50-digit arithmetic gives it
+    assert str(errors[1]) == "cond(S) = 1.152e+33 exceeds ceiling 1.000e+15"
     assert 1e32 < cond_s[1] < math.inf and type(errors[2]) is DegenerateInputError
 
 

@@ -250,12 +250,34 @@ def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
     # the pure-Python fallback, for a PyYAML built without libyaml
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     configs.append(load_config(str(path)))
-    assert loaders == [fast or yaml.SafeLoader, yaml.SafeLoader]
+    # each a subclass that refuses a key set twice
+    assert issubclass(loaders[0], fast or yaml.SafeLoader)
+    assert issubclass(loaders[1], yaml.SafeLoader) and not issubclass(loaders[1], fast or int)
     assert configs[0] == configs[1]
     assert configs[0].eps_values == (1e-7, 1e-6, 0.0)
     assert repr(configs[0].delta_values) == repr((0.05, -0.0, 1.0))
     assert configs[0].out_path == "rates, all.jsonl"
     assert configs[0].loss_range == LossRange(1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("channel: {eta_d: 0.2}\nchannel: {p_d: 0.0}\n", "channel", 2),
+    ("sweep:\n  loss: {start: 1.0, stop: 4.0,\n         start: 2.0}\n", "start", 3),
+    ("sweep:\n  eps: [1.0e-6]\n  delta: [0.0]\n  eps: [1.0e-7]\n", "eps", 4),
+])
+def test_load_config_refuses_a_key_set_twice(tmp_path, monkeypatch, text, key, line):
+    # PyYAML alone would keep the last value (eta_d=0.145, the default, in
+    # the first file); the subset reader declines these files, and the
+    # fallback, libyaml's or pure Python, refuses them naming the key and line
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert mdiqkd._yaml_subset.read(text) is mdiqkd._yaml_subset.OUTSIDE
+    message = f"^{re.escape(str(path))}: config key '{key}' repeated at line {line}$"
+    with pytest.raises(ValueError, match=message):
+        load_config(str(path))
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(ValueError, match=message):
+        load_config(str(path))
 
 
 def test_load_config_overrides_win(tmp_path):
@@ -818,22 +840,37 @@ def test_tables_build_no_state_objects(monkeypatch):
         assert table_got.tobytes() == table_want.tobytes()
 
 
-def test_tables_take_no_kronecker_product_and_no_inverse(monkeypatch):
-    # a table's setup comes from the two 3x3 sides of S and the relay's
-    # closed-form rates: neither np.kron nor a 9x9 inverse is on its path
+def test_tables_take_no_kronecker_product_and_no_inverse(monkeypatch, tmp_path):
+    # a table's setup comes from the two 3x3 sides of S in closed form and
+    # the relay's closed-form rates, checked by an elementwise elimination:
+    # neither np.kron nor any np.linalg routine is on its path, from the
+    # config file to the written table
     def refuse(*args, **kwargs):
-        raise AssertionError("a table called np.kron or np.linalg.inv")
+        raise AssertionError("a table called np.kron or np.linalg")
 
     config = SweepConfig(eps_values=(1e-6, 1e-7), delta_values=tuple(np.linspace(0.0, 0.3, 16)),
                          loss_range=LossRange(0.0, 12.0, 1.0),
                          frequency_range=FrequencyRange(0.1, 4.0, 0.3, loss_db=5.0))
-    want = [loss_table(config).numbers, frequency_table(config).numbers]
+    path = tmp_path / "config.yaml"
+    path.write_text("sweep:\n  delta: [0.0, 0.126]\n  frequency: {loss_db: 5.0}\n")
+
+    def tables(label):
+        for sweep in ("loss", "frequency"):
+            out = str(tmp_path / f"{label}-{sweep}")
+            assert main(["--config", str(path), "--sweep", sweep, "--out", out]) == 0
+        return [loss_table(config).numbers, frequency_table(config).numbers]
+
+    want = tables("want")
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    got = [loss_table(config).numbers, frequency_table(config).numbers]
+    for name in ("inv", "svd", "solve", "eigvalsh", "eigh", "cond", "matrix_rank", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = tables("got")
     assert got[0].shape == (11, 2 * 16 * 13) and got[1].shape == (11, 16 * 14)
     for table_got, table_want in zip(got, want):
         assert table_got.tobytes() == table_want.tobytes()
+    for sweep in ("loss", "frequency"):
+        got_file, want_file = tmp_path / f"got-{sweep}", tmp_path / f"want-{sweep}"
+        assert got_file.read_bytes() == want_file.read_bytes()
 
 
 def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):

@@ -8,15 +8,21 @@ Usage:
 For each workload of perfbench/workloads.py, drawn at its default seed,
 the script starts --processes fresh interpreters that each run cli.main
 once with the stage functions wrapped, timing each stage's first call
-there, then its median over --repeats warm calls with the arguments of
-that first call: load_config, reference_amplitudes,
+there and the growth of the process's peak resident memory (VmHWM)
+across it, then its median over --repeats warm calls with the arguments
+of that first call: load_config, reference_amplitudes,
 transmission_rates_grid, build_estimation_stack, reference_yields, the
 first _estimate_core batch of the table, SweepTable.summaries,
-SweepTable.check and _g12.print_rows. As many fresh interpreters time
-the start-up (start_up: import mdiqkd.cli and the first load_config, as
-perfbench's setup_s does; first_us only) and then the whole cli.main,
-unwrapped, as perfbench's table_s does. Each figure is the median over
-the processes, in microseconds per call.
+SweepTable.check and _g12.print_rows. As many fresh interpreters run
+what a perfbench worker runs: the start-up (start_up: import mdiqkd.cli
+and the first load_config, as perfbench's setup_s), perfbench's
+calibration kernel (perfbench/worker.py, imported as it is), the whole
+cli.main, unwrapped, as perfbench's table_s, and the kernel again; then
+they read VmHWM, what perfbench's peak_rss_mb reads, and time warm
+cli.main calls. Each figure is the median over the processes: times in
+microseconds per call, raw (first_us, warm_us) and, for start_up and
+cli.main, scaled by the kernel as perfbench scales them (first_cal_us);
+memory in kB (hwm_growth_kb) and MB (peak_rss_mb).
 
 The package is imported from --src (default: this checkout's src).
 --base times a second tree too, such as a parent commit's checkout,
@@ -34,6 +40,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -59,14 +66,24 @@ def _timed(fn, repeats):
     return first * 1e6, statistics.median(warm) * 1e6
 
 
+def _vm_hwm_kb():
+    """This process's peak resident memory in kB, as perfbench's worker reads it."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _stages(argv, repeats):
-    """{stage: (first us, warm us)} of the stages one cli.main table build calls.
+    """{stage: {first_us, warm_us, hwm_growth_kb}} of the stages one cli.main table build calls.
 
     Each stage function is wrapped where its caller looks it up, and
     cli.main runs once: a stage's first call is timed there, in pipeline
-    order, and its arguments kept; the stage is then called again with
-    them for the warm median. print_rows yields its text lazily, so its
-    calls are timed drawing every chunk.
+    order, with the growth of VmHWM across it, and its arguments kept;
+    the stage is then called again with them for the warm median.
+    print_rows yields its text lazily, so its calls are timed drawing
+    every chunk.
     """
     import mdiqkd.cli
     from mdiqkd import _g12, sweep
@@ -80,7 +97,7 @@ def _stages(argv, repeats):
               (sweep.SweepTable, "summaries", "SweepTable.summaries"),
               (sweep.SweepTable, "check", "SweepTable.check"),
               (_g12, "print_rows", "_g12.print_rows")]
-    first, calls = {}, {}
+    first, growth, calls = {}, {}, {}
 
     def wrap(name, fn):
         lazy = name == "_g12.print_rows"
@@ -92,9 +109,11 @@ def _stages(argv, repeats):
             if name in calls:
                 result = call(*args)
             else:
+                hwm = _vm_hwm_kb()
                 start = time.perf_counter()
                 result = call(*args)
                 first[name] = (time.perf_counter() - start) * 1e6
+                growth[name] = _vm_hwm_kb() - hwm
                 calls[name] = (call, args)
             return iter(result) if lazy else result
         return stage
@@ -107,12 +126,17 @@ def _stages(argv, repeats):
     times = {}
     for _, _, name in traced:
         call, args = calls[name]
-        times[name] = (first[name], _timed(lambda: call(*args), repeats)[1])
+        times[name] = {"first_us": first[name], "warm_us": _timed(lambda: call(*args), repeats)[1],
+                       "hwm_growth_kb": growth[name]}
     return times
 
 
 def _worker(kind, config_path, sweep, out_path, repeats):
-    """Time the stages (kind "stages") or start-up and cli.main (kind "cli") in this process."""
+    """Time the stages (kind "stages") or start-up and cli.main (kind "cli") in this process.
+
+    The cli kind runs perfbench's worker sequence and reports each
+    calibration-scaled time's kernel time, cal_us, beside it.
+    """
     start = time.perf_counter()
     import mdiqkd.cli
 
@@ -123,16 +147,26 @@ def _worker(kind, config_path, sweep, out_path, repeats):
             result = _stages(argv, repeats)
         else:
             # as perfbench's setup_s and table_s: the import and a first
-            # load_config, then cli.main on its own
+            # load_config, then cli.main on its own between two kernel runs
             mdiqkd.sweep.load_config(config_path)
             start_up = (time.perf_counter() - start) * 1e6
+            sys.path.insert(0, str(PERFBENCH))
+            import worker
 
             def run():
                 with contextlib.redirect_stdout(io.StringIO()):
                     if mdiqkd.cli.main(argv) != 0:
                         raise RuntimeError("cli.main failed")
 
-            result = {"start_up": (start_up,), "cli.main": _timed(run, repeats)}
+            cal = worker.calibrate()
+            start = time.perf_counter()
+            run()
+            first = (time.perf_counter() - start) * 1e6
+            cal_us = (cal + worker.calibrate()) / 2 * 1e6
+            peak_rss_mb = _vm_hwm_kb() / 1024.0
+            result = {"start_up": {"first_us": start_up, "cal_us": cal_us},
+                      "cli.main": {"first_us": first, "warm_us": _timed(run, repeats)[1],
+                                   "cal_us": cal_us, "peak_rss_mb": peak_rss_mb}}
     print(json.dumps(result))
 
 
@@ -176,11 +210,13 @@ def main(argv=None):
 
     sys.path.insert(0, str(PERFBENCH))
     import workloads
+    from run import CAL_REFERENCE_S
 
     names = args.workloads.split(",") if args.workloads else list(workloads.WORKLOADS)
     trees = [(args.label, args.src)] + ([tuple(args.base)] if args.base else [])
     reports = {label: {"label": label, "seed": workloads.DEFAULT_SEED, "processes": args.processes,
-                       "repeats": args.repeats, "unit": "us per call",
+                       "repeats": args.repeats,
+                       "unit": "us per call; hwm_growth_kb in kB, peak_rss_mb in MB",
                        "provenance": _provenance(), "workloads": {}} for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
@@ -196,15 +232,23 @@ def main(argv=None):
                                str(config_path), workload.sweep, str(Path(tmp) / "table")]
                         line = subprocess.run(cmd, capture_output=True, text=True,
                                               check=True).stdout.splitlines()[-1]
-                        for stage, times in json.loads(line).items():
-                            samples[label].setdefault(stage, []).append(times)
+                        for stage, figures in json.loads(line).items():
+                            # perfbench's scaling: the time on a CPU whose kernel takes
+                            # CAL_REFERENCE_S
+                            cal_us = figures.pop("cal_us", None)
+                            if cal_us:
+                                figures["first_cal_us"] = (figures["first_us"]
+                                                           * CAL_REFERENCE_S * 1e6 / cal_us)
+                            for key, value in figures.items():
+                                samples[label].setdefault(stage, {}).setdefault(key, []).append(
+                                    value)
             for label, _ in trees:
                 reports[label]["workloads"][name] = {
                     "rows": workload.grid_sizes()["rows"],
-                    # start_up has a first call only, so zip stops at first_us
-                    "stages": {stage: {key: round(statistics.median(values), 1)
-                                       for key, values in zip(("first_us", "warm_us"), zip(*ts))}
-                               for stage, ts in samples[label].items()},
+                    "stages": {stage: {key: round(statistics.median(values),
+                                                  2 if key == "peak_rss_mb" else 1)
+                                       for key, values in figures.items()}
+                               for stage, figures in samples[label].items()},
                 }
     for label, report in reports.items():
         path = Path(args.out) / f"BENCH_{label}.json"
