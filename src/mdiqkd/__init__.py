@@ -13,10 +13,11 @@ public names of each layer live in its submodule.
 """
 
 from .channel import ChannelParams, build_bsm_povm, reference_yields, transmission_rates
-from .estimator import EstimationError, SideChannelParams, build_estimation_inputs, estimate
+from .estimator import SideChannelParams, build_estimation_inputs, estimate
 from .gbound import g_lower, g_upper
 from .pauli_core import (
     SETTINGS,
+    EstimationError,
     ModulationErrors,
     bloch_vector,
     build_S_matrix,

@@ -53,11 +53,11 @@ PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 # Rates q_P = Tr[M P]/4 of the four survival cases before misalignment,
 # as coefficients of (one_dark, both_lit, p_vac): shape (4, 10, 3), P the
-# nine PAULI_PAIRS, then sigma_Y x sigma_Y, which the real X-Z states
-# never see but the real symmetric elements M = sum_P q_P P hold. Both
-# photons: both_lit |psi-><psi-|/2 and one_dark (|00><00| + |11><11|)/2;
-# one photon: one_dark I/2; neither: p_vac I. Powers of two, so each rate
-# is at most one addition from exact.
+# nine Pauli pairs in pauli_core's order, then sigma_Y x sigma_Y, which the
+# real X-Z states never see but the real symmetric elements M = sum_P q_P P
+# hold. Both photons: both_lit |psi-><psi-|/2 and one_dark (|00><00| +
+# |11><11|)/2; one photon: one_dark I/2; neither: p_vac I. Powers of two,
+# so each rate is at most one addition from exact.
 _RATE_COEFFICIENTS = np.zeros((4, 10, 3))
 _RATE_COEFFICIENTS[0, 0] = (0.25, 0.125, 0.0)  # (I, I)
 _RATE_COEFFICIENTS[0, 4] = (0.0, -0.125, 0.0)  # (X, X)
@@ -96,10 +96,6 @@ class ChannelParams(Record):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
-
-    @property
-    def eta_arm(self):
-        return _arm_transmission(self.eta_d, self.loss_db)
 
 
 def _arm_transmission(eta_d, loss_db):
@@ -142,7 +138,7 @@ class BsmPovm(Frozen):
 
 
 class YieldTable(Frozen):
-    """Announcement probabilities per setting pair, SETTING_PAIRS order.
+    """Announcement probabilities per setting pair, in pauli_core's setting-pair order.
 
     y has shape (9,), or (n, 9) for a batch of grid points.
     """
@@ -201,12 +197,13 @@ def _arm_weights(eta_arm):
 
 def build_bsm_povm(params):
     """Assemble the 4x4 singlet-announcement POVM element for given params."""
-    rates = _explicit_sum(_arm_weights(params.eta_arm), _component_rates(params))
+    eta_arm = _arm_transmission(params.eta_d, params.loss_db)
+    rates = _explicit_sum(_arm_weights(eta_arm), _component_rates(params))
     return BsmPovm(_explicit_sum(rates, _ELEMENT_BASIS).reshape(4, 4))
 
 
 def transmission_rates(povm):
-    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in PAULI_PAIRS order.
+    """Pauli overlaps q_{l,l'} = Tr[M sigma_l x sigma_l']/4 in pauli_core's Pauli-pair order.
 
     One (9,) row for the POVM element, or (k, 9) for a stack of k.
     """

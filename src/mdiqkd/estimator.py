@@ -27,9 +27,8 @@ and SideChannelParams with a leading axis of n points give an
 EstimationResult whose fields are arrays of n values, computed by the
 same code that gives Python floats for a single point. f_obj is shared
 by all points, or given per point as an (n, 9) array, so one batch can
-mix reference sets. build_estimation_stack builds the tomography
-matrices of many reference sets as one stack; a sweep calls it once per
-table.
+mix reference sets. f_obj and the refusals of a reference set come from
+pauli_core's setup.
 
 Checks. estimate is the chain's one public entry, and its result holds
 every intermediate value above. Each formula lives once, in an unchecked
@@ -41,58 +40,30 @@ batch, on inputs its table checked when it was built; the core reports
 the rows without signal as a mask instead of raising.
 """
 
-import math
 import warnings
 
 import numpy as np
 
 from .channel import YieldTable
 from .gbound import Frozen, _bound, plain, unit_interval
-from .pauli_core import (
-    ZZ_PAIR_INDICES,
-    _kept_side,
-    _kron_sides,
-    _side_matrices,
-    _virtual_of_sides,
-)
+from .pauli_core import ZZ_PAIR_INDICES, EstimationError, build_estimation_stack
 
 __all__ = [
-    "EstimationError",
-    "IllConditionedError",
     "NoSignalError",
     "SideChannelParams",
     "EstimationInputs",
     "EstimationResult",
-    "build_estimation_stack",
     "build_estimation_inputs",
     "omega_ref_matrix",
     "estimate",
 ]
 
-DEFAULT_COND_CEILING = 1e8
 # a zeta_obs below the smallest normal float holds too few bits to divide
 # by: a subnormal is a whole multiple of 2^-1074. Such a row is silent.
 _SILENT_BELOW = np.finfo(float).tiny
 # the message of a row without signal, from estimate and from a sweep
 NO_SIGNAL = "all ZZ yields vanish"
 _ZZ = np.array(ZZ_PAIR_INDICES)  # an index array gathers faster than a list
-# np.linalg.matrix_rank's 3x3 tolerance over the largest singular value
-_RANK_TOL = 3 * np.finfo(float).eps
-
-
-class EstimationError(Exception):
-    """Base class for failures of the estimation chain."""
-
-
-class IllConditionedError(EstimationError):
-    """The setting tomography matrix amplifies noise beyond the ceiling."""
-
-    def __init__(self, condition_number, ceiling):
-        self.condition_number = condition_number
-        self.ceiling = ceiling
-        super().__init__(
-            f"cond(S) = {condition_number:.3e} exceeds ceiling {ceiling:.3e}"
-        )
 
 
 class NoSignalError(EstimationError):
@@ -109,7 +80,7 @@ class NoSignalError(EstimationError):
 
 
 class SideChannelParams(Frozen):
-    """Fidelity budget eps per setting pair, SETTING_PAIRS order.
+    """Fidelity budget eps per setting pair, in pauli_core's setting-pair order.
 
     eps has shape (9,), or (n, 9) for a batch of grid points.
     """
@@ -170,92 +141,15 @@ class EstimationResult(Frozen):
         self.key_rate = key_rate
 
 
-def build_estimation_stack(amps_a, amps_b, cond_ceiling=DEFAULT_COND_CEILING):
-    """The tomography matrices and f_obj of n reference sets at once.
-
-    amps_a, amps_b: the real amplitudes of n reference sets per side,
-    shape (n, 3, 2), the three reference states of a set in SETTINGS
-    order (pauli_core.reference_amplitudes, or make_reference_state rows).
-    Returns (s_matrix, cond_s, f_obj, errors): S (n, 9, 9), cond(S) (n,),
-    f_obj (n, 9) and per set None or the error build_estimation_inputs
-    raises for it: IllConditionedError when cond(S) exceeds the ceiling
-    (the inversion amplifies yield noise by that factor) or a side's B is
-    singular to working precision (cond_s then reads inf), else a
-    DegenerateInputError; the f_obj of every refused set is nan. As S =
-    B_A (x) B_B, cond(S) = cond(B_A) cond(B_B) and f_obj = sum_j p_j c_A,j
-    (x) c_B,j, c_j = b(q_j) B^-1 the barycentric coordinates of q_j.
-    """
-    amps_a, amps_b = np.asarray(amps_a, dtype=float), np.asarray(amps_b, dtype=float)
-    side_a = _side_setup(amps_a, cond_ceiling)
-    # a sweep passes one array for both sides: its setup is made once
-    side_b = side_a if amps_b is amps_a else _side_setup(amps_b, cond_ceiling)
-    (b_a, cond_a, regular_a, kept_a, c_a), (b_b, cond_b, regular_b, kept_b, c_b) = side_a, side_b
-    cond = cond_a * cond_b
-    # a set with a singular side that passes a lifted ceiling is refused as cond(S) = inf
-    cond[~(regular_a & regular_b) & (cond <= cond_ceiling)] = np.inf
-    p_vir, errors = _virtual_of_sides(kept_a, kept_b)
-    inverted = np.isfinite(cond) & (cond <= cond_ceiling)
-    errors = [err if ok else IllConditionedError(c, cond_ceiling)
-              for err, ok, c in zip(errors, inverted.tolist(), cond.tolist())]
-    f_obj = (p_vir[:, :, None, None] * c_a[..., :, None] * c_b[..., None, :]).sum(1)
-    f_obj = f_obj.reshape(-1, 9)
-    f_obj[[err is not None for err in errors]] = np.nan
-    return _kron_sides(b_a, b_b), cond, f_obj, errors
-
-
-def _side_setup(amps, cond_ceiling):
-    """One side's share of build_estimation_stack for n reference sets.
-
-    Returns (B, cond(B), regular, kept, c): B (n, 3, 3), its cond (n,),
-    whether B passes np.linalg.matrix_rank's test, the side's _kept_side,
-    and the c_j (n, 2, 3) where B is regular and its cond within the
-    ceiling (cond(S) is no smaller), nan elsewhere; all by +, -, *, / and
-    sqrt on Python floats, from a set's triangle of Bloch points (X, Z).
-    """
-    b = _side_matrices(amps)
-    kept = _kept_side(amps[:, :2])
-    cond, regular, c = [], [], []
-    for ((_, x0, z0), (_, x1, z1), (_, x2, z2)), virtual in zip(b.tolist(), kept[2].tolist()):
-        # B^T B = [[3, sx, sz], [sx, sxx, sxz], [sz, sxz, szz]], of trace t, principal
-        # 2x2 minors summing to m and determinant det^2, det = det B twice the area
-        sx, sz, sxz = x0 + x1 + x2, z0 + z1 + z2, x0 * z0 + x1 * z1 + x2 * z2
-        sxx, szz = x0 * x0 + x1 * x1 + x2 * x2, z0 * z0 + z1 * z1 + z2 * z2
-        t, m = 3.0 + sxx + szz, 3.0 * (sxx + szz) + sxx * szz - sx * sx - sz * sz - sxz * sxz
-        det = (x1 - x0) * (z2 - z0) - (z1 - z0) * (x2 - x0)
-        # its largest eigenvalue, in [3, 6] and 1.25 or more above lambda_2: six
-        # Newton steps on the characteristic cubic from ||B^T B||_F >= lambda_1
-        lam = math.sqrt(9.0 + sxx * sxx + szz * szz + 2.0 * (sx * sx + sz * sz + sxz * sxz))
-        for _ in range(6):
-            lam -= (((lam - t) * lam + m) * lam - det * det) / ((3.0 * lam - 2.0 * t) * lam + m)
-        # lambda_2 = half + |D| / sqrt(2), D = B^T B - half I - (lambda_1 - half) v v^T,
-        # exact also at lambda_2 = lambda_3: adj(B^T B - lambda_1 I) = f'(lambda_1) v v^T
-        h0, h1, h2, half = 3.0 - lam, sxx - lam, szz - lam, 0.5 * (t - lam)
-        a0, a1, a2 = h1 * h2 - sxz * sxz, h0 * h2 - sz * sz, h0 * h1 - sx * sx
-        w = (lam - half) / (a0 + a1 + a2)
-        d0, d1, d2 = 3.0 - half - w * a0, sxx - half - w * a1, szz - half - w * a2
-        o0, o1, o2 = (sx - w * (sz * sxz - sx * h2), sz - w * (sx * sxz - sz * h1),
-                      sxz - w * (sx * sz - h0 * sxz))
-        dev = d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (o0 * o0 + o1 * o1 + o2 * o2)
-        scale = lam * math.sqrt(half + math.sqrt(0.5 * dev))  # sigma_1^2 sigma_2
-        cond.append(scale / abs(det) if det else math.inf)
-        regular.append(abs(det) > scale * _RANK_TOL)
-        solved = regular[-1] and cond[-1] <= cond_ceiling
-        for _, qx, qz in virtual:  # barycentric: cross products of P_i - q over det B
-            u0x, u0z, u1x, u1z, u2x, u2z = x0 - qx, z0 - qz, x1 - qx, z1 - qz, x2 - qx, z2 - qz
-            c.append([(u1x * u2z - u1z * u2x) / det, (u2x * u0z - u2z * u0x) / det,
-                      (u0x * u1z - u0z * u1x) / det] if solved else [math.nan] * 3)
-    return b, np.array(cond, float), np.array(regular, bool), kept, np.array(c).reshape(-1, 2, 3)
-
-
-def build_estimation_inputs(ref_a, ref_b, yields=None, eps=None,
-                            cond_ceiling=DEFAULT_COND_CEILING):
+def build_estimation_inputs(ref_a, ref_b, yields, eps):
     """The EstimationInputs of yields and eps on one reference set.
 
     ref_a, ref_b: the amplitudes of the three reference states per side
-    in SETTINGS order. f_obj is the one-set case of build_estimation_stack;
-    raises its error.
+    in SETTINGS order. f_obj is the one-set case of
+    pauli_core.build_estimation_stack under the default ceiling; raises
+    its error.
     """
-    *_, f_obj, errors = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
+    *_, f_obj, errors = build_estimation_stack([ref_a], [ref_b])
     if errors[0] is not None:
         raise errors[0]
     return EstimationInputs(yields, eps, f_obj[0])
@@ -276,7 +170,12 @@ def _anchors(eps):
 
 def _omega_ref_upper(y, roots, f_obj):
     """omega_ref, each yield at the bound the sign of its coefficient selects, floored at 0."""
-    return np.maximum((f_obj * _bound(y, roots, f_obj > 0.0)).sum(axis=-1), 0.0)
+    t = f_obj * _bound(y, roots, f_obj > 0.0)
+    # the nine terms in a fixed order (numpy's pairwise one for a row of
+    # nine), so that no reduction's internals decide the bits
+    total = (((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
+             + ((t[..., 4] + t[..., 5]) + (t[..., 6] + t[..., 7])) + t[..., 8])
+    return np.maximum(total, 0.0)
 
 
 def _delta_vir_lower(roots):
@@ -299,7 +198,7 @@ def _zz_rates(zz):
     # the raw bits, and Bob flips his afterwards
     denom = zz.sum(axis=-1)
     zeta_obs = 0.25 * denom  # joint over the uniform bit pairs
-    # order follows SETTING_PAIRS restricted to ZZ: (00, 01, 10, 11)
+    # the setting-pair order restricted to ZZ: (00, 01, 10, 11)
     return (zz[..., 0] + zz[..., 3]) / denom, zeta_obs, zeta_obs < _SILENT_BELOW
 
 

@@ -33,9 +33,10 @@ import numpy as np
 
 from . import _g12, _yaml_subset
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
-from .estimator import DEFAULT_COND_CEILING, NO_SIGNAL, _estimate_core, build_estimation_stack
+from .estimator import NO_SIGNAL, _estimate_core
 from .gbound import Record, real
-from .pauli_core import check_delta, reference_amplitudes
+from .pauli_core import (DEFAULT_COND_CEILING, build_estimation_stack, check_delta,
+                         reference_amplitudes)
 
 __all__ = [
     "LossRange",

@@ -32,15 +32,18 @@ def _workloads():
 
 
 def test_workload_tables_are_identical_under_every_openblas_kernel(tmp_path):
-    # the seed-0 loss_dense and frequency_scan tables, written by one fresh
-    # process per kernel, byte for byte
+    # every benchmark workload's table at seeds 0 and 31, in its own format,
+    # written by one fresh process per kernel, byte for byte
     workloads = _workloads()
-    argvs = []
-    for name in ("loss_dense", "frequency_scan"):
-        workload = workloads.make(name, 0)
-        config = tmp_path / f"{name}.yaml"
-        config.write_text(yaml.safe_dump(workload.config(), sort_keys=True))
-        argvs.append(["--config", str(config), "--sweep", workload.sweep, "--out", name])
+    names, argvs = [], []
+    for workload_name in workloads.WORKLOADS:
+        for seed in (0, 31):
+            workload = workloads.make(workload_name, seed)
+            name = f"{workload_name}-{seed}"
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(yaml.safe_dump(workload.config(), sort_keys=True))
+            names.append(name)
+            argvs.append(["--config", str(config), "--sweep", workload.sweep, "--out", name])
     code = (
         "import sys\n"
         "import mdiqkd.cli\n"
@@ -57,7 +60,8 @@ def test_workload_tables_are_identical_under_every_openblas_kernel(tmp_path):
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / str(kernel))],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-    for name in ("loss_dense", "frequency_scan"):
+    assert len(names) == 6
+    for name in names:
         default = (tmp_path / f"None-{name}").read_bytes()
         for kernel in KERNELS[1:]:
             assert (tmp_path / f"{kernel}-{name}").read_bytes() == default, (name, kernel)

@@ -30,17 +30,18 @@ from mdiqkd.estimator import (
     NO_SIGNAL,
     EstimationInputs,
     EstimationResult,
-    IllConditionedError,
     NoSignalError,
-    build_estimation_stack,
     omega_ref_matrix,
     _estimate_core,
 )
 from mdiqkd.pauli_core import (
+    DEFAULT_COND_CEILING,
     ZZ_PAIR_INDICES,
     DegenerateInputError,
+    IllConditionedError,
     _side_matrices,
     bloch_vector,
+    build_estimation_stack,
     build_virtual,
     reference_amplitudes,
 )
@@ -310,8 +311,8 @@ def test_ill_conditioned_reference_set_is_refused():
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda ref, yields, inputs: build_estimation_inputs(ref, ref),
-                 "yields must be a YieldTable, got None", id="reference-set-alone"),
+    pytest.param(lambda ref, yields, inputs: EstimationInputs(None, inputs.eps, inputs.f_obj),
+                 "yields must be a YieldTable, got None", id="yields-none"),
     pytest.param(lambda ref, yields, inputs: EstimationInputs(yields.y, inputs.eps, inputs.f_obj),
                  "yields must be a YieldTable, got array(", id="yields-array"),
     pytest.param(lambda ref, yields, inputs: EstimationInputs(yields, 1e-6, inputs.f_obj),
@@ -464,16 +465,21 @@ def test_stacked_setup_equals_one_set_at_a_time(cond_ceiling):
     assert f_obj.shape == (len(refs_a), 9)
     refused = set()
     for k, (ref_a, ref_b) in enumerate(zip(refs_a, refs_b)):
-        try:
-            one = build_estimation_inputs(ref_a, ref_b, cond_ceiling=cond_ceiling)
-        except (IllConditionedError, DegenerateInputError) as exc:
-            assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc)
-            refused.add(type(exc))
+        _, (cond_one,), (f_one,), (error,) = build_estimation_stack([ref_a], [ref_b],
+                                                                    cond_ceiling)
+        if error is not None:
+            assert type(errors[k]) is type(error) and str(errors[k]) == str(error)
+            refused.add(type(error))
+            if cond_ceiling == DEFAULT_COND_CEILING:
+                # the public one-set entry raises the stack's error for the set
+                with pytest.raises(type(error)) as excinfo:
+                    build_estimation_inputs(ref_a, ref_b, YieldTable(np.full(9, 0.1)),
+                                            SideChannelParams.uniform(1e-6))
+                assert str(excinfo.value) == str(error)
             continue
         assert errors[k] is None
-        _, cond_one, _, _ = build_estimation_stack([ref_a], [ref_b], cond_ceiling)
-        for got, want in ((s_matrix[k], build_S_matrix(ref_a, ref_b)), (cond_s[k], cond_one[0]),
-                          (f_obj[k], one.f_obj)):
+        for got, want in ((s_matrix[k], build_S_matrix(ref_a, ref_b)), (cond_s[k], cond_one),
+                          (f_obj[k], f_one)):
             np.testing.assert_array_equal(got, want)
         # f_obj is p_vir S_vir S^-1 of the set, and cond_s cond(S), to 1e-12
         # of 60-digit arithmetic on the same amplitudes
@@ -512,6 +518,8 @@ _TRINE = (0.0, math.pi / 3, 2 * math.pi / 3)
                        min_size=1, max_size=2))
 @example(angles=[list(_TRINE) * 2, [0.4, 0.4 + math.pi / 3 + 1e-9, 0.4 - math.pi / 3, *_TRINE]])
 @example(angles=[[0.0, 1.0, 2.0, 0.0, 1.0, 1e-05]])  # a side of cond 1.7e5
+# cond(B) 6.9 times cond(B) 8.9e307: cond(S) overflows to inf
+@example(angles=[[0.0, 1.0, 0.5, 2.2250738585072014e-308, 0.0, 1.0]])
 def test_general_sets_match_60_digit_tomography(angles):
     # any three states per side, given by the angles of their real
     # amplitudes: f_obj and cond_s of every set under the default ceiling
@@ -533,6 +541,18 @@ def test_general_sets_match_60_digit_tomography(angles):
         np.testing.assert_allclose(f_obj[k], oracle["f_obj"], rtol=0,
                                    atol=rtol * np.abs(oracle["f_obj"]).max())
         assert cond_s[k] == pytest.approx(oracle["cond_s"], rel=rtol)
+
+
+def test_a_cond_s_past_the_float_range_is_refused_without_a_warning():
+    # side A's cond(B) 6.9 times side B's 8.9e307 overflows: the set is
+    # refused as cond(S) = inf, and numpy's overflow warning stays silent
+    amps = _amplitudes([0.0, 1.0, 0.5, 2.2250738585072014e-308, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IllConditionedError) as excinfo:
+            build_estimation_inputs(amps[:3], amps[3:], YieldTable(np.full(9, 0.1)),
+                                    SideChannelParams.uniform(1e-6))
+    assert str(excinfo.value) == "cond(S) = inf exceeds ceiling 1.000e+08"
 
 
 def _stack_from_states(refs_a, refs_b, cond_ceiling):
@@ -711,6 +731,11 @@ def _entropy(p):
     return np.where((p > 0.0) & (p < 1.0), h, 0.0)
 
 
+def _nine_term_sum(t):
+    """t[0] + ... + t[8] in numpy 2's pairwise order for a row of nine, written out."""
+    return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])) + t[8]
+
+
 def _reference_chain(y, eps, f_obj, f_ec, sifting):
     """The paper's chain step by step in plain numpy, deviation bounds from the oracle.
 
@@ -722,7 +747,8 @@ def _reference_chain(y, eps, f_obj, f_ec, sifting):
     zz_pairs = list(ZZ_PAIR_INDICES)
     roots = np.sqrt(1.0 - eps)
     lower, upper = deviation_bounds(y, roots)
-    om_ref_up = np.maximum((f_obj * np.where(f_obj > 0.0, upper, lower)).sum(axis=-1), 0.0)
+    terms = f_obj * np.where(f_obj > 0.0, upper, lower)
+    om_ref_up = np.maximum(_nine_term_sum(np.moveaxis(terms, -1, 0)), 0.0)
     if (om_ref_up > 1.0).any():
         warnings.warn(f"omega_ref_upper = {float(om_ref_up.max())!r} clamped to 1")
     delta_vir_low = 0.25 * roots[..., zz_pairs].sum(axis=-1)
@@ -813,6 +839,24 @@ def _check_core_against_reference(y, eps, f_obj, f_ec, sifting):
 @given(_core_batches())
 def test_core_equals_the_reference_chain_bit_for_bit(batch):
     _check_core_against_reference(*batch)
+
+
+def test_core_sums_omega_ref_upper_in_its_written_order():
+    # omega_ref_upper adds its nine terms in one fixed order, whatever
+    # order a numpy reduction would take: each row's bits are those of
+    # Python floats added in that order. Terms of mixed sign and of six
+    # decades of size make a sequential sum differ in the last bits
+    rng = np.random.default_rng(5)
+    n = 2000
+    y = rng.uniform(0.0, 1.0, (n, 9))
+    eps = rng.uniform(0.0, 1e-4, (n, 9))
+    f_obj = rng.uniform(-0.1, 0.1, (n, 9)) * 10.0 ** rng.uniform(-6.0, 0.0, (n, 9))
+    (*_, omega_ref_up, _, _), _ = _estimate_core(y, eps, f_obj, 1.16, None)
+    lower, upper = deviation_bounds(y, np.sqrt(1.0 - eps))
+    terms = (f_obj * np.where(f_obj > 0.0, upper, lower)).tolist()
+    want = [max(_nine_term_sum(row), 0.0) for row in terms]
+    assert (omega_ref_up > 0.0).sum() > n // 4
+    assert omega_ref_up.tolist() == want
 
 
 def test_core_covers_the_clamp_and_the_edges():

@@ -9,19 +9,17 @@ from mdiqkd import (
     SETTINGS,
     ModulationErrors,
     bloch_vector,
-    build_estimation_inputs,
     build_S_matrix,
     build_virtual,
     make_reference_state,
 )
 from mdiqkd.pauli_core import (
-    PAULI_PAIRS,
     PAULI_PRODUCTS,
     DegenerateInputError,
     _kron_sides,
     _side_matrices,
+    build_estimation_stack,
     reference_amplitudes,
-    virtual_stack,
 )
 from oracles import bloch_by_trace, density_matrix, virtual_ensemble_16dim
 
@@ -134,8 +132,8 @@ ONE_SET = {
     "build_virtual": (lambda ref: np.concatenate([np.ravel(v) for v in
                                                   build_virtual(ref[:2], ref[:2])]),
                       "^virtual outcome probabilities sum to "),
-    "build_estimation_inputs": (lambda ref: build_estimation_inputs(ref, ref).f_obj,
-                                "^state not normalized$"),
+    "build_estimation_stack": (lambda ref: build_estimation_stack([ref], [ref])[2][0],
+                               "^state not normalized$"),
 }
 
 
@@ -204,7 +202,9 @@ def test_pauli_products_are_the_krons_of_their_pairs():
     paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
               "Z": np.array([[1.0, 0.0], [0.0, -1.0]])}
     assert PAULI_PRODUCTS.shape == (9, 4, 4) and PAULI_PRODUCTS.dtype == float
-    for product, (l, lp) in zip(PAULI_PRODUCTS, PAULI_PAIRS, strict=True):
+    # the Pauli pairs (I,I), (I,X), (I,Z), (X,I), ..., (Z,Z)
+    pairs = [(l, lp) for l in "IXZ" for lp in "IXZ"]
+    for product, (l, lp) in zip(PAULI_PRODUCTS, pairs, strict=True):
         # bytes, so that each -0.0 of np.kron is pinned too
         assert product.tobytes() == np.kron(paulis[l], paulis[lp]).tobytes()
 
@@ -266,20 +266,20 @@ def test_stacks_refuse_the_wrong_number_of_states_per_side():
     with pytest.raises(ValueError) as excinfo:
         _side_matrices(two)
     assert str(excinfo.value) == "expected three reference states per side"
-    for a, b in ((two, three), (three, two)):
+    for a, b in ((two[0], three[0]), (three[0], two[0])):
         with pytest.raises(ValueError) as excinfo:
-            virtual_stack(b, a)
+            build_virtual(b, a)
         assert str(excinfo.value) == "expected the two Z-basis states per side"
 
 
-def test_virtual_stack_refuses_unnormalised_amplitudes():
-    # doubling side A's amplitudes makes the four outcome probabilities sum to 4
-    z = reference_amplitudes([0.0, 0.1])[:, :2]
+def test_build_virtual_refuses_unnormalised_amplitudes():
+    # doubling one side's amplitudes makes the four outcome probabilities sum to 4
+    z = reference_amplitudes([0.1])[0, :2]
     for a, b in ((2.0 * z, z), (z, 2.0 * z)):
         with pytest.raises(ValueError, match="^virtual outcome probabilities sum to ") as excinfo:
-            virtual_stack(a, b)
+            build_virtual(a, b)
         assert float(str(excinfo.value).rsplit(" ", 1)[1]) == pytest.approx(4.0, rel=1e-12)
-    virtual_stack(z, z)
+    build_virtual(z, z)
 
 
 def test_virtual_degenerate_reference_set():

@@ -23,7 +23,6 @@ from mdiqkd import (
     ModulationErrors,
     SideChannelParams,
     build_bsm_povm,
-    build_estimation_inputs,
     build_S_matrix,
     estimate,
     make_reference_state,
@@ -34,9 +33,9 @@ import mdiqkd
 import mdiqkd._g12
 import mdiqkd._yaml_subset
 import mdiqkd.sweep
-from mdiqkd.estimator import NO_SIGNAL, _estimate_core
+from mdiqkd.estimator import NO_SIGNAL, EstimationInputs, _estimate_core
 from mdiqkd.cli import build_parser, main
-from mdiqkd.pauli_core import DegenerateInputError
+from mdiqkd.pauli_core import DegenerateInputError, build_estimation_stack
 from mdiqkd.sweep import (
     CONFIG_KEYS,
     MAX_TABLE_ROWS,
@@ -920,16 +919,21 @@ PIN_REL = 1e-9
 
 
 def _scalar_row(config, channel, coordinate, eps_value, delta, per_second):
-    """One table row through the README quick-start chain, point by point."""
+    """One table row through the README quick-start chain, point by point.
+
+    f_obj is the one-set stack's under the config's ceiling, where the
+    quick start's build_estimation_inputs takes the default one.
+    """
     deltas = ModulationErrors(delta, delta, delta)
     ref = [make_reference_state(s, deltas) for s in SETTINGS]
     povm = build_bsm_povm(channel)
     yields = reference_yields(build_S_matrix(ref, ref), transmission_rates(povm))
     sifting = channel.p_za * channel.p_zb if config.include_sifting else None
     try:
-        inputs = build_estimation_inputs(ref, ref, yields,
-                                         SideChannelParams.uniform(eps_value),
-                                         config.cond_ceiling)
+        *_, (f_obj,), (error,) = build_estimation_stack([ref], [ref], config.cond_ceiling)
+        if error is not None:
+            raise error
+        inputs = EstimationInputs(yields, SideChannelParams.uniform(eps_value), f_obj)
         r = estimate(inputs, f_ec=config.f_ec, sifting_prefactor=sifting)
     except (EstimationError, DegenerateInputError) as exc:
         nan = math.nan
