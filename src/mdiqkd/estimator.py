@@ -36,8 +36,10 @@ private helper. estimate checks its inputs once and runs _estimate_core,
 the chain on arrays, which takes the deviation bound of each yield once,
 on the branch the sign of its f_obj coefficient selects (that sign is
 fixed per reference set). A sweep calls the core directly, once per
-batch, on inputs its table checked when it was built; the core reports
-the rows without signal as a mask instead of raising.
+block of its grid, on inputs its table checked when it was built: the
+yields (deltas, points, 9), f_obj (deltas, 1, 9) and eps (curves, 1,
+points, 9) broadcast, so e_zz and zeta_obs run once per (delta, point);
+the core reports the rows without signal as a mask instead of raising.
 """
 
 import warnings
@@ -228,10 +230,11 @@ def _key_rate(y_zz, e_zz, e_xx, f_ec):
 def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
     """The chain of estimate on arrays, without a check of its own.
 
-    y: yields (..., 9); eps: the side-channel budget per pair, of y's
-    shape; f_obj (..., 9), fixed per reference set, whose signs select
-    each yield's deviation bound. Contiguous arrays run fastest: numpy
-    loops over a broadcast view row by row.
+    y: yields (..., 9); eps: the side-channel budget per pair and f_obj
+    (..., 9), fixed per reference set, whose signs select each yield's
+    deviation bound, both broadcastable against y. Each column has the
+    broadcast shape of the inputs it reads: e_zz, zeta_obs and the mask
+    follow y's, the rest all three.
     The caller has checked that yields and eps lie in [0, 1], f_obj is
     finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
     Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,

@@ -7,14 +7,16 @@ frequency through a lg-linear map. Every input is checked once, where
 the table is built: the config, the clamped yields and the stack's
 cond(S) ceiling. The tomography matrices of the listed modulation errors
 are built once per table, as one stack (a delta listed twice is simply
-evaluated again), and the estimator's unchecked core runs over the rows
-of the table in even batches of at most BATCH_ROWS, one call per batch
-and one batch for most tables, writing its columns straight into the
-table; a row without signal, or of a refused reference set, becomes an
-error row of the table. A table stays columns (SweepTable) from the
-estimate to the file: the command line and library callers alike
-summarise, check and write it without building a row; rows() gives its
-KeyRatePoints for iteration.
+evaluated again). A table's numbers are one (curve, delta, point) grid;
+the estimator's unchecked core runs over it in blocks of at most
+BATCH_ROWS rows, one call per block and one block for most tables, on
+broadcast views of the yields per (delta, point), f_obj per delta and
+eps per (curve, point), writing its columns straight into the grid; a
+row without signal, or of a refused reference set, becomes an error row
+of the table. A table stays columns (SweepTable) from the estimate to
+the file: the command line and library callers alike summarise, check
+and write it without building a row; rows() gives its KeyRatePoints for
+iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files under any BLAS kernel, as no number passes
 through BLAS or LAPACK (libm remains: Python's pow for 10**lg and the arm
@@ -26,7 +28,7 @@ and a summary block records the per-curve positive-rate cutoff.
 import math
 import operator
 import warnings
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +53,11 @@ __all__ = [
 
 # the most rows one table may hold; every row stays in memory until emission
 MAX_TABLE_ROWS = 1_000_000
-# the most rows one core call takes: the chain's (rows, 9) float64
-# temporaries then stay below glibc's 128 KiB mmap threshold and reuse heap
-# memory. One 1950-row call faulted in 353 fresh pages and took ~25% longer
-# than two 975-row calls.
+# the most rows one core call takes: the chain's float64 temporaries of
+# nine values a row, (curves, deltas, points, 9) in a block, then stay
+# below glibc's 128 KiB mmap threshold and reuse heap memory. One 1950-row
+# call faulted in 353 fresh pages and took ~25% longer than two 975-row
+# calls.
 BATCH_ROWS = 128 * 1024 // (9 * 8)
 
 
@@ -567,64 +570,79 @@ class SweepTable:
         return path
 
 
+def _blocks(shape, limit):
+    """Blocks of at most limit cells that tile a grid of the given shape, in grid order.
+
+    Each axis is split evenly, as np.array_split splits it, into as few
+    parts as fit, the outer axes first: an axis goes into single indices
+    only while the axes inside it hold more than limit cells, so the last
+    axis is split last. One tuple of slices per block; none for an empty
+    grid.
+    """
+    if 0 in shape:
+        return ()
+    # each axis in as few parts as fit the cells of the axes inside it
+    fits = [max(1, limit // math.prod(shape[i + 1:])) for i in range(len(shape))]
+    return product(*([slice(r[0], r[-1] + 1) for r in np.array_split(range(size), -(-size // fit))]
+                     for size, fit in zip(shape, fits)))
+
+
 def _sweep_table(config, coordinates, eps, rates, per_second):
     """The table of every curve, eps outermost, then delta as listed, then the coordinate.
 
-    eps: the side-channel weights, of shape (n_curves, n_points); rates:
-    the transmission rates, of shape (n_points, 9), or (1, 9) shared by
-    all points. The tomography matrices of the listed deltas are built
+    eps: the side-channel weights, of shape (n_curves, n_points), or
+    (n_curves, 1) shared by a curve's points; rates: the transmission
+    rates, of shape (n_points, 9), or (1, 9) shared by all points. The
+    numbers are one (column, curve, delta, point) grid, filled by
+    broadcasting. The tomography matrices of the listed deltas are built
     once per table, as one stack; a delta listed twice is simply
-    evaluated again. A refused reference set gives every row of its delta
-    the error's message. The other rows go to the estimator's core in
-    even batches of at most BATCH_ROWS, so a table of up to BATCH_ROWS
-    rows takes one call; each batch gathers its own yields, eps and f_obj,
-    so the inputs in memory grow with the batch, not the table. The core's
+    evaluated again. A refused reference set gives every row of its
+    delta the error's message and stays out of the core, as its f_obj
+    is nan. The core takes the accepted deltas' grid in _blocks of at
+    most BATCH_ROWS rows, as views: the yields per (delta, point), f_obj
+    per delta and eps per (curve, point), which it broadcasts. Its
     inputs were checked once, by the table: the yields by
     reference_yields' clamp, eps by the config and f_obj by the stack's
-    ceiling. Its columns go straight into the table's numbers; a row
-    without signal becomes a NO_SIGNAL error row in place. Exactly the
-    error rows carry nan in the estimate's numbers.
+    ceiling. Its columns go straight into the grid, and one mask makes
+    the rows without signal NO_SIGNAL error rows. Exactly the error rows
+    carry nan in the estimate's numbers.
     """
-    deltas = config.delta_values
-    amps = reference_amplitudes(deltas)  # (n_deltas, 3, 2), the same sets on both sides
+    amps = reference_amplitudes(config.delta_values)  # (n_deltas, 3, 2), both sides' sets
     s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
-    n_curves, n = eps.shape
-    grid = (n_curves, len(deltas), n)
-    messages = [None if err is None else str(err) for err in errors for _ in range(n)]
-    messages *= n_curves
-    accepted = np.array([err is None for err in errors])
+    keep = np.flatnonzero([err is None for err in errors])  # the accepted deltas
     # every column but the error, in KeyRatePoint field order
-    numbers = np.full((len(_COLUMN) - 1, len(messages)), np.nan)
-    numbers[0] = np.tile(coordinates, n_curves * len(deltas))
-    numbers[1] = np.repeat(eps, len(deltas), axis=0).ravel()
-    numbers[2] = np.tile(np.repeat(np.array(deltas, dtype=float), n), n_curves)
-    numbers[9] = np.tile(np.repeat(np.where(accepted, cond_s, np.nan), n), n_curves)
-    # the places of the rows of the accepted deltas
-    rows = np.arange(len(messages)).reshape(grid)[:, accepted].reshape(-1)
-    yields = reference_yields(s_matrix, rates).y  # (n_deltas, n_points or 1, 9)
-    yields = np.broadcast_to(yields, grid[1:] + (9,))
+    numbers = np.full((len(_COLUMN) - 1, len(eps), len(amps), len(coordinates)), np.nan)
+    numbers[0] = coordinates
+    numbers[1] = eps[:, None]
+    numbers[2] = np.array(config.delta_values, dtype=float)[:, None]
+    numbers[9][:, keep] = cond_s[keep, None]
+    silent = np.zeros(numbers.shape[1:], dtype=bool)
+    n_curves, _, n = silent.shape
+    # (accepted deltas, points, 9); a frequency table's one loss gives
+    # every point the same yields
+    yields = np.broadcast_to(reference_yields(s_matrix, rates).y[keep], (keep.size, n, 9))
+    # a row's nine pairs share its eps
+    eps = np.broadcast_to(eps[:, None, :, None], (n_curves, 1, n, 9))
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-    for batch in np.array_split(rows, max(1, -(-rows.size // BATCH_ROWS))):
-        curve, k, point = np.unravel_index(batch, grid)
-        # a row's nine pairs share its eps
-        columns, silent = _estimate_core(
-            yields[k, point], np.repeat(eps[curve, point, None], 9, axis=1),
-            f_obj[k], config.f_ec, sifting)
-        numbers[3:9, batch] = columns
-        failed = batch[silent]
-        numbers[3:10, failed] = np.nan
-        for i in failed.tolist():
-            messages[i] = NO_SIGNAL
+    for curves, k, points in _blocks((n_curves, keep.size, n), BATCH_ROWS):
+        cells = curves, keep[k], points
+        columns, silent[cells] = _estimate_core(yields[k, points], eps[curves, :, points],
+                                                f_obj[keep[k], None], config.f_ec, sifting)
+        for column, values in zip(numbers[3:9], columns):
+            column[cells] = values
+    numbers[3:10, silent] = np.nan
     if per_second:
         numbers[10] = numbers[3] * numbers[0] * 1e9
-    return SweepTable(numbers, messages, per_second)
+    messages = np.array([None if err is None else str(err) for err in errors], dtype=object)
+    messages = np.where(silent, NO_SIGNAL, messages[:, None]).ravel().tolist()
+    return SweepTable(numbers.reshape(len(numbers), -1), messages, per_second)
 
 
 def loss_table(config):
     """The key-rate table over the loss grid for every (eps, delta) combination."""
     losses = config.loss_range.values()
     rates = transmission_rates_grid(config.channel, losses)
-    eps = np.repeat(np.array(config.eps_values, dtype=float)[:, None], len(losses), axis=1)
+    eps = np.array(config.eps_values, dtype=float)[:, None]
     return _sweep_table(config, losses, eps, rates, per_second=False)
 
 
@@ -638,8 +656,7 @@ def frequency_table(config):
     # so the grid's two ends, which FrequencyRange checked, bound lg eps
     # by 0. Python's pow, not np.power: numpy's SIMD power is not libm and
     # differs in the last bit for about 5% of exponents
-    lg = fr._lg_eps(np.array(freqs)).tolist()
-    eps = np.array([list(map(pow, repeat(10.0), lg))])
+    eps = np.array([[10.0**lg for lg in fr._lg_eps(np.array(freqs)).tolist()]])
     rates = transmission_rates_grid(config.channel, [fr.loss_db])
     return _sweep_table(config, freqs, eps, rates, per_second=True)
 

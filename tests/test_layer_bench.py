@@ -6,7 +6,8 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 STAGES = ["load_config", "reference_amplitudes", "transmission_rates_grid",
           "build_estimation_stack", "reference_yields", "_estimate_core",
-          "SweepTable.summaries", "SweepTable.check", "_g12.print_rows", "start_up", "cli.main"]
+          "loss_table/frequency_table", "SweepTable.summaries", "SweepTable.check",
+          "_g12.print_rows", "start_up", "cli.main"]
 
 
 def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
@@ -26,9 +27,11 @@ def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
             assert list(workload["stages"]) == STAGES
             for stage, figures in workload["stages"].items():
                 # a stage's first call and its VmHWM growth; start-up and the
-                # whole cli.main also scaled by perfbench's calibration kernel
+                # whole cli.main also scaled by perfbench's calibration kernel,
+                # and cli.main's rows per second of that
                 keys = {"start_up": ["first_us", "first_cal_us"],
-                        "cli.main": ["first_us", "warm_us", "peak_rss_mb", "first_cal_us"]}
+                        "cli.main": ["first_us", "warm_us", "peak_rss_mb", "first_cal_us",
+                                     "rows_per_s"]}
                 assert list(figures) == keys.get(stage, ["first_us", "warm_us", "hwm_growth_kb"])
                 assert figures.get("hwm_growth_kb", 0) >= 0
                 assert all(v > 0.0 for k, v in figures.items() if k != "hwm_growth_kb")

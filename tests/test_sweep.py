@@ -13,7 +13,7 @@ from itertools import compress
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
@@ -1043,28 +1043,37 @@ def test_denormal_yields_sweep_is_warning_free():
         loss_table(config)
 
 
+def _counted_blocks(monkeypatch):
+    """The list to which each later core call of a sweep appends its rows."""
+    sizes = []
+
+    def counting_core(yields, eps, *args):
+        # a block's rows: its yields and eps broadcast, but for the nine pairs
+        sizes.append(math.prod(np.broadcast_shapes(yields.shape[:-1], eps.shape[:-1])))
+        return _estimate_core(yields, eps, *args)
+
+    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
+    return sizes
+
+
 @pytest.mark.parametrize("config, batches, n_silent", [
-    # clean: one batch for the whole table
+    # clean: one block for the whole table
     (TINY, [12], 0),
-    # delta 1.5 is refused before the batch
+    # delta 1.5 is refused and stays out of the core
     (TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
-    # no signal anywhere: the one batch gives error rows only
+    # no signal anywhere: the one block gives error rows only
     (TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
-    # 8001 rows go in five even batches of at most BATCH_ROWS = 1820; the
-    # 1899 rows without signal (zeta_obs subnormal or 0 beyond 3050.5 dB)
-    # are the last 299 of the fourth batch and all of the fifth
+    # the 8001 points of the one curve and delta go in five even blocks of
+    # at most BATCH_ROWS = 1820; the 1899 rows without signal (zeta_obs
+    # subnormal or 0 beyond 3050.5 dB) are the last 299 of the fourth
+    # block and all of the fifth
     (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.5)),
      [1601, 1600, 1600, 1600, 1600], 1899),
 ], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
 def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_silent):
-    # a failing check runs no batch again: one core call per batch
-    sizes = []
-
-    def counting_core(yields, *args):
-        sizes.append(len(yields))
-        return _estimate_core(yields, *args)
-
-    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
+    # a failing check runs no block again: one core call per block, as
+    # few as the rows need
+    sizes = _counted_blocks(monkeypatch)
     points = loss_table(config).rows()
     assert sizes == batches
     assert len(sizes) == -(-sum(sizes) // mdiqkd.sweep.BATCH_ROWS)
@@ -1075,23 +1084,58 @@ def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_
 
 def test_batches_keep_every_row_in_its_place(monkeypatch):
     # a refused delta, and rows without signal beyond 3050 dB, spread over
-    # many small batches give the rows of one batch, bit for bit
+    # many small blocks give the rows of one block, bit for bit
     config = TINY.replace(channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
                           cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
     whole = loss_table(config).rows()
-    sizes = []
-
-    def counting_core(yields, *args):
-        sizes.append(len(yields))
-        return _estimate_core(yields, *args)
-
-    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
+    sizes = _counted_blocks(monkeypatch)
     monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 5)
     assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
-    # 36 rows of the two accepted deltas in eight even batches, one core
-    # call each, rows without signal included
-    assert sizes == [5, 5, 5, 5, 4, 4, 4, 4]
+    # 36 rows of the two accepted deltas in eight blocks, one core call
+    # each, rows without signal included: each curve and delta alone, its
+    # nine points split 5 + 4
+    assert sizes == [5, 4, 5, 4, 5, 4, 5, 4]
     assert sum(p.error == NO_SIGNAL for p in whole) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 60), st.integers(1, 400))
+@example(1, 3, 1000, 1820)  # an even split of the outer axis alone gives 2000-cell blocks
+def test_blocks_tile_the_grid_within_the_limit(curves, deltas, points, limit):
+    shape = (curves, deltas, points)
+    covered = np.zeros(shape, dtype=int)
+    for block in mdiqkd.sweep._blocks(shape, limit):
+        assert covered[block].size <= limit
+        covered[block] += 1
+    # disjoint, and every cell in one block
+    assert np.all(covered == 1)
+
+
+def test_blocks_over_curves_and_deltas_keep_every_row_in_its_place(monkeypatch):
+    # three eps and two accepted deltas beside a refused one, four points:
+    # blocks of at most three rows split the curve and the delta axes too
+    config = TINY.replace(eps_values=(1e-6, 1e-7, 1e-5), delta_values=(0.0, 1.5, 0.126),
+                          cond_ceiling=1e3, loss_range=LossRange(0.0, 3.0, 1.0))
+    whole = loss_table(config).rows()
+    sizes = _counted_blocks(monkeypatch)
+    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 3)
+    assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
+    assert sizes == [2] * 12
+    assert sum(p.error is not None for p in whole) == 12
+
+
+def test_clamp_warning_beside_a_refused_delta_names_a_number():
+    # eps 1 clamps omega_ref_upper; the refused pi/4 (nan f_obj) stays out
+    # of the core, so the warning's worst value is no nan
+    config = TINY.replace(eps_values=(1.0, 1e-6), delta_values=(0.0, math.pi / 4, 0.126))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = loss_table(config)
+    worst = [re.fullmatch(r"omega_ref_upper = (.*) clamped to 1", str(w.message))
+             for w in caught]
+    assert worst and all(worst)
+    assert all(math.isfinite(float(m[1])) for m in worst)
+    assert sum(e is not None for e in table.errors) == 6
 
 
 _FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -4.5))

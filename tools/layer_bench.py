@@ -12,17 +12,20 @@ there and the growth of the process's peak resident memory (VmHWM)
 across it, then its median over --repeats warm calls with the arguments
 of that first call: load_config, reference_amplitudes,
 transmission_rates_grid, build_estimation_stack, reference_yields, the
-first _estimate_core batch of the table, SweepTable.summaries,
-SweepTable.check and _g12.print_rows. As many fresh interpreters run
-what a perfbench worker runs: the start-up (start_up: import mdiqkd.cli
-and the first load_config, as perfbench's setup_s), perfbench's
-calibration kernel (perfbench/worker.py, imported as it is), the whole
-cli.main, unwrapped, as perfbench's table_s, and the kernel again; then
-they read VmHWM, what perfbench's peak_rss_mb reads, and time warm
+first _estimate_core block of the table, the whole table build
+(loss_table/frequency_table: the stages before it and the glue between
+them), SweepTable.summaries, SweepTable.check and _g12.print_rows. As
+many fresh interpreters run what a perfbench worker runs: the start-up
+(start_up: import mdiqkd.cli and the first load_config, as perfbench's
+setup_s), perfbench's calibration kernel (perfbench/worker.py, imported
+as it is), the whole cli.main, unwrapped, as perfbench's table_s, and
+the kernel again; then they read VmHWM, what perfbench's peak_rss_mb reads, and time warm
 cli.main calls. Each figure is the median over the processes: times in
 microseconds per call, raw (first_us, warm_us) and, for start_up and
 cli.main, scaled by the kernel as perfbench scales them (first_cal_us);
-memory in kB (hwm_growth_kb) and MB (peak_rss_mb).
+the table rows per second of the scaled cli.main, as perfbench's
+rows_per_s (rows_per_s); memory in kB (hwm_growth_kb) and MB
+(peak_rss_mb).
 
 The package is imported from --src (default: this checkout's src).
 --base times a second tree too, such as a parent commit's checkout,
@@ -81,9 +84,10 @@ def _stages(argv, repeats):
     Each stage function is wrapped where its caller looks it up, and
     cli.main runs once: a stage's first call is timed there, in pipeline
     order, with the growth of VmHWM across it, and its arguments kept;
-    the stage is then called again with them for the warm median.
-    print_rows yields its text lazily, so its calls are timed drawing
-    every chunk.
+    the stage is then called again with them for the warm median. A
+    stage's first call leaves out the time the probes of the stages it
+    calls take. print_rows yields its text lazily, so its calls are
+    timed drawing every chunk.
     """
     import mdiqkd.cli
     from mdiqkd import _g12, sweep
@@ -94,10 +98,13 @@ def _stages(argv, repeats):
               (sweep, "build_estimation_stack", "build_estimation_stack"),
               (sweep, "reference_yields", "reference_yields"),
               (sweep, "_estimate_core", "_estimate_core"),
+              (mdiqkd.cli, "loss_table", "loss_table/frequency_table"),
+              (mdiqkd.cli, "frequency_table", "loss_table/frequency_table"),
               (sweep.SweepTable, "summaries", "SweepTable.summaries"),
               (sweep.SweepTable, "check", "SweepTable.check"),
               (_g12, "print_rows", "_g12.print_rows")]
     first, growth, calls = {}, {}, {}
+    probes = [0.0]  # seconds the first calls' probes took, outside their stages
 
     def wrap(name, fn):
         lazy = name == "_g12.print_rows"
@@ -109,12 +116,15 @@ def _stages(argv, repeats):
             if name in calls:
                 result = call(*args)
             else:
-                hwm = _vm_hwm_kb()
+                enter = time.perf_counter()
+                hwm, inner = _vm_hwm_kb(), probes[0]
                 start = time.perf_counter()
                 result = call(*args)
-                first[name] = (time.perf_counter() - start) * 1e6
+                end = time.perf_counter()
+                first[name] = (end - start - (probes[0] - inner)) * 1e6
                 growth[name] = _vm_hwm_kb() - hwm
                 calls[name] = (call, args)
+                probes[0] += start - enter + time.perf_counter() - end
             return iter(result) if lazy else result
         return stage
 
@@ -124,7 +134,7 @@ def _stages(argv, repeats):
         if mdiqkd.cli.main(argv) != 0:
             raise RuntimeError("cli.main failed")
     times = {}
-    for _, _, name in traced:
+    for name in dict.fromkeys(name for _, _, name in traced):
         call, args = calls[name]
         times[name] = {"first_us": first[name], "warm_us": _timed(lambda: call(*args), repeats)[1],
                        "hwm_growth_kb": growth[name]}
@@ -223,6 +233,7 @@ def main(argv=None):
             workload = workloads.make(name, workloads.DEFAULT_SEED)
             config_path = Path(tmp) / f"{name}.yaml"
             config_path.write_text(yaml.safe_dump(workload.config(), sort_keys=True))
+            rows = workload.grid_sizes()["rows"]
             samples = {label: {} for label, _ in trees}
             for i in range(args.processes):
                 for label, src in trees[::-1] if i % 2 else trees:
@@ -239,12 +250,14 @@ def main(argv=None):
                             if cal_us:
                                 figures["first_cal_us"] = (figures["first_us"]
                                                            * CAL_REFERENCE_S * 1e6 / cal_us)
+                            if stage == "cli.main":
+                                figures["rows_per_s"] = rows * 1e6 / figures["first_cal_us"]
                             for key, value in figures.items():
                                 samples[label].setdefault(stage, {}).setdefault(key, []).append(
                                     value)
             for label, _ in trees:
                 reports[label]["workloads"][name] = {
-                    "rows": workload.grid_sizes()["rows"],
+                    "rows": rows,
                     "stages": {stage: {key: round(statistics.median(values),
                                                   2 if key == "peak_rss_mb" else 1)
                                        for key, values in figures.items()}
