@@ -186,12 +186,14 @@ def _delta_vir_lower(roots):
 
 
 def _lift(omega_ref_up, delta_vir_low):
-    """omega_upper; an omega_ref_up above 1 is clamped to 1, with a warning."""
+    """omega_upper, of omega_ref_up clamped to 1."""
+    return _bound(np.minimum(omega_ref_up, 1.0), delta_vir_low, True)
+
+
+def _warn_of_clamp(omega_ref_up):
+    """One warning for all omega_ref_upper values above 1, which _lift clamps, naming the worst."""
     if np.any(omega_ref_up > 1.0):
-        worst = float(omega_ref_up.max())
-        warnings.warn(f"omega_ref_upper = {worst!r} clamped to 1")
-        omega_ref_up = np.minimum(omega_ref_up, 1.0)
-    return _bound(omega_ref_up, delta_vir_low, True)
+        warnings.warn(f"omega_ref_upper = {float(omega_ref_up.max())!r} clamped to 1")
 
 
 def _zz_rates(zz):
@@ -239,7 +241,8 @@ def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
     finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
     Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,
     omega_upper, zeta_obs) and the mask of the rows without signal, whose
-    columns hold no number to read. Warns when omega_ref_upper exceeds 1.
+    columns hold no number to read. The caller warns of the clamp of an
+    omega_ref_upper above 1, once for all its rows (_warn_of_clamp).
     """
     roots = _anchors(eps)
     omega_ref_up = _omega_ref_upper(y, roots, f_obj)
@@ -257,7 +260,8 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
 
     sifting_prefactor: optional p_ZA * p_ZB factor on Y_ZZ; excluded by
     default since the key-rate bound is stated per ZZ-tagged pair.
-    Raises NoSignalError naming the rows without signal.
+    Warns once if an omega_ref_upper above 1 is clamped, rows without
+    signal included; then raises NoSignalError naming those rows.
     """
     # yields and eps checked their values when they were built
     for name, kind in (("yields", YieldTable), ("eps", SideChannelParams)):
@@ -276,6 +280,7 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     if not (sifting_prefactor is None or sifting_prefactor >= 0.0):
         raise ValueError("sifting_prefactor must be >= 0")
     columns, silent = _estimate_core(inputs.yields.y, eps, f_obj, f_ec, sifting_prefactor)
+    _warn_of_clamp(columns[3])
     if np.any(silent):
         raise NoSignalError(NO_SIGNAL, silent)
     rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs = map(plain, columns)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _g12, _yaml_subset
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
-from .estimator import NO_SIGNAL, _estimate_core
+from .estimator import NO_SIGNAL, _estimate_core, _warn_of_clamp
 from .gbound import Record, real
 from .pauli_core import (DEFAULT_COND_CEILING, build_estimation_stack, check_delta,
                          reference_amplitudes)
@@ -55,9 +55,10 @@ __all__ = [
 MAX_TABLE_ROWS = 1_000_000
 # the most rows one core call takes: the chain's float64 temporaries of
 # nine values a row, (curves, deltas, points, 9) in a block, then stay
-# below glibc's 128 KiB mmap threshold and reuse heap memory. One 1950-row
-# call faulted in 353 fresh pages and took ~25% longer than two 975-row
-# calls.
+# below glibc's 128 KiB mmap threshold and reuse heap memory, and a
+# table's temporaries stay bounded however many rows (MAX_TABLE_ROWS) it
+# has. A 1950-row table as one block faults in about 90 more fresh pages
+# than as two 975-row blocks, in the same time within noise.
 BATCH_ROWS = 128 * 1024 // (9 * 8)
 
 
@@ -76,6 +77,13 @@ def _grid_size(start, stop, step):
 def _grid(start, stop, step):
     """The validated grid start + k * step, k = 0, 1, ..., up to stop."""
     return [start + k * step for k in range(_grid_size(start, stop, step))]
+
+
+def _anchor(value, name):
+    """A map anchor, a list or tuple of two values, as a tuple; ValueError naming it if not."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{name} must be a [GHz, lg eps] pair, got {value!r}")
+    return tuple(value)
 
 
 class LossRange(Record):
@@ -113,8 +121,10 @@ class FrequencyRange(Record):
         self.stop_ghz = stop_ghz
         self.step_ghz = step_ghz
         self.loss_db = loss_db
-        self.anchor_low = anchor_low  # (f in GHz, lg eps)
-        self.anchor_high = anchor_high
+        # (f in GHz, lg eps), tuples, so that a range built from lists
+        # compares and hashes by value
+        self.anchor_low = _anchor(anchor_low, "anchor_low")
+        self.anchor_high = _anchor(anchor_high, "anchor_high")
         for name in ("start_ghz", "stop_ghz", "step_ghz"):
             real(getattr(self, name), name)
         anchors = (*self.anchor_low, *self.anchor_high)
@@ -605,7 +615,8 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     reference_yields' clamp, eps by the config and f_obj by the stack's
     ceiling. Its columns go straight into the grid, and one mask makes
     the rows without signal NO_SIGNAL error rows. Exactly the error rows
-    carry nan in the estimate's numbers.
+    carry nan in the estimate's numbers. One warning per table names the
+    worst omega_ref_upper that the core clamped to 1.
     """
     amps = reference_amplitudes(config.delta_values)  # (n_deltas, 3, 2), both sides' sets
     s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
@@ -630,6 +641,7 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
                                                 f_obj[keep[k], None], config.f_ec, sifting)
         for column, values in zip(numbers[3:9], columns):
             column[cells] = values
+    _warn_of_clamp(numbers[6][:, keep])  # the rows the core saw, silent ones included
     numbers[3:10, silent] = np.nan
     if per_second:
         numbers[10] = numbers[3] * numbers[0] * 1e9

@@ -219,6 +219,58 @@ def random_pure_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def leaky_source(rng, refs_a, refs_b, leaks_a, leaks_b, leak_dim):
+    """Yields, eps and the actual singlet-error weight of a source that leaks into a side mode.
+
+    Each side's states live in qubit (x) a leak mode of dimension
+    leak_dim, the qubit index major; its reference states are |ref>|0>,
+    refs_a and refs_b the real qubit amplitudes (3, 2) of the three
+    settings. Each actual state is sqrt(1 - e)|ref>|0> + sqrt(e)|chi>, e
+    its own entry of leaks_a or leaks_b and chi a random complex state
+    orthogonal to |ref>|0>. The relay is Q M Q, M a random 0 <= M <= 1 on
+    both sides' spaces and Q = Q_A (x) Q_B, Q_A the projector onto what
+    is orthogonal to the reference states of Alice's leaking states (e >
+    0), Q_B Bob's: the relay sees a leaking state by its leak alone,
+    where the deviation bounds have the least slack. Returns the yields Y_ij =
+    <a_i b_j|Q M Q|a_i b_j> in setting-pair order, the side-channel
+    budgets eps_ij = 1 - (1 - e_a,i)(1 - e_b,j), one minus the fidelity
+    of each pair's actual and reference states, and Omega_act = sum_j
+    v_j^dag Q M Q v_j of the actual states, v_j = ((a_0 + (-1)^j a_1)/2)
+    (x) ((b_0 + (-1)^j b_1)/2).
+    """
+    dim = 2 * leak_dim
+
+    def side(refs, leaks):
+        states, blind = [], np.eye(dim, dtype=complex)
+        for ref, e in zip(refs, leaks):
+            r = np.zeros(dim, dtype=complex)
+            r[::leak_dim] = ref  # |ref>|0>
+            chi = random_pure_state(rng, dim)
+            chi -= r * np.vdot(r, chi)
+            chi /= np.linalg.norm(chi)
+            states.append(math.sqrt(1.0 - e) * r + math.sqrt(e) * chi)
+            if e > 0.0:
+                u = blind @ r  # r less its part in the span already removed
+                if np.linalg.norm(u) > 1e-9:
+                    u /= np.linalg.norm(u)
+                    blind -= np.outer(u, u.conj())
+        return states, blind
+
+    (a, blind_a), (b, blind_b) = side(refs_a, leaks_a), side(refs_b, leaks_b)
+    q = np.kron(blind_a, blind_b)
+    m = q @ random_bounded_operator(rng, dim * dim) @ q
+
+    def weight(v):
+        return float(np.vdot(v, m @ v).real)
+
+    # a yield the projector zeroes can round to -1e-18
+    y = np.array([min(max(weight(np.kron(ai, bj)), 0.0), 1.0) for ai in a for bj in b])
+    eps = np.array([1.0 - (1.0 - ea) * (1.0 - eb) for ea in leaks_a for eb in leaks_b])
+    omega = sum(weight(np.kron((a[0] + sign * a[1]) / 2.0, (b[0] + sign * b[1]) / 2.0))
+                for sign in (1.0, -1.0))
+    return y, eps, omega
+
+
 # sweep-table columns in table order; key_per_second only in frequency tables
 TABLE_COLUMNS = ("coordinate", "eps", "delta", "key_rate", "key_per_second", "e_zz",
                  "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs", "cond_s", "error")

@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
     SETTINGS,
     ChannelParams,
-    FrequencyRange,
-    LossRange,
     ModulationErrors,
-    SweepConfig,
     build_bsm_povm,
     build_S_matrix,
-    frequency_table,
-    loss_table,
     make_reference_state,
     reference_yields,
     transmission_rates,
@@ -145,84 +140,10 @@ def test_bsm_povm_validation():
         BsmPovm(1.5 * np.eye(4))
     with pytest.raises(ValueError, match="eigenvalues"):
         BsmPovm(-0.1 * np.eye(4))
-    # a stack is validated as a whole: one bad element refuses it
-    stack = np.array([0.25 * np.eye(4)] * 4)
-    assert BsmPovm(stack).m.shape == (4, 4, 4)
-    for bad, message in ((skew, "Hermitian"), (1.5 * np.eye(4), "eigenvalues")):
-        with pytest.raises(ValueError, match=message):
-            BsmPovm(np.concatenate([stack[:2], [bad], stack[3:]]))
-    for shape in ((3, 4), (4,), (0, 4, 4), (2, 2, 4, 4)):
+    # one element only: a stack of them is refused by its shape
+    for shape in ((3, 4), (4,), (0, 4, 4), (1, 4, 4), (4, 4, 4), (2, 2, 4, 4)):
         with pytest.raises(ValueError, match="4x4"):
             BsmPovm(np.zeros(shape))
-
-
-def test_relay_validates_one_stack_of_the_unrotated_elements(monkeypatch):
-    # one POVM check per channel, on the four elements before misalignment,
-    # whose eigenvalues the rotation of Bob's qubit keeps
-    stacks = []
-    povm = channel.BsmPovm
-    monkeypatch.setattr(channel, "BsmPovm", lambda m: stacks.append(m) or povm(m))
-    transmission_rates_grid(BENCHMARK, [0.0, 4.0, 8.0])
-    assert [m.shape for m in stacks] == [(4, 4, 4)]
-    unrotated = channel._component_rates(BENCHMARK.replace(e_d=0.0))
-    np.testing.assert_allclose(stacks[0], (unrotated @ channel._ELEMENT_BASIS).reshape(4, 4, 4),
-                               rtol=0, atol=1e-18)
-    rotated = (channel._component_rates(BENCHMARK) @ channel._ELEMENT_BASIS).reshape(4, 4, 4)
-    eigvalsh = np.linalg.eigvalsh
-    np.testing.assert_allclose(eigvalsh(rotated), eigvalsh(stacks[0]), rtol=0, atol=1e-15)
-
-
-def _spectrum(draw, size):
-    """size eigenvalues, each anywhere in [-0.5, 1.5] or 1e-9 to 1e-8 from a bound (1e-9 excluded).
-
-    The test sets aside a stack with an eigenvalue within 1e-9 of a bound;
-    drawing none there keeps hypothesis from filtering out too many stacks.
-    """
-    ends = st.sampled_from([-1e-12, 1.0 + 1e-12])
-    near = st.builds(lambda end, sign, offset: end + sign * offset, ends,
-                     st.sampled_from([-1.0, 1.0]), st.floats(1e-9, 1e-8, exclude_min=True))
-    return draw(st.lists(st.one_of(st.floats(-0.5, 1.5), near), min_size=size, max_size=size))
-
-
-@st.composite
-def _symmetric_stacks(draw):
-    """A (k, 4, 4) stack of symmetric matrices: random entries or Q diag(spectrum) Q^T."""
-    k = draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    stack = []
-    for _ in range(k):
-        if draw(st.booleans()):
-            a = rng.uniform(-0.6, 0.6, (4, 4))
-            stack.append(a + a.T)
-        else:
-            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            stack.append((q * _spectrum(draw, 4)) @ q.T)
-    return np.array(stack)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_symmetric_stacks())
-def test_povm_check_refuses_what_eigvalsh_refuses(stack):
-    # the elementwise LDL^T of M + _ATOL I and (1 + _ATOL) I - M gives the
-    # verdict of the eigenvalues on every stack whose eigenvalues lie more
-    # than 1e-9 from the bounds -_ATOL and 1 + _ATOL
-    stack = (stack + np.swapaxes(stack, 1, 2)) / 2.0  # symmetric to the bit
-    eig = np.linalg.eigvalsh(stack)
-    low, high = -channel._ATOL, 1.0 + channel._ATOL
-    assume(np.all((np.abs(eig - low) > 1e-9) & (np.abs(eig - high) > 1e-9)))
-    outside = (eig < low) | (eig > high)
-    for m in (stack, stack[0]):
-        bad = outside.any() if m.ndim == 3 else outside[0].any()
-        if not bad:
-            assert BsmPovm(m).m.shape == m.shape
-            continue
-        with pytest.raises(ValueError, match="^POVM eigenvalues out of") as info:
-            BsmPovm(m)
-        # the message names the first element refused, and the side of its bound
-        k = int(np.flatnonzero(outside.any(axis=1))[0]) if m.ndim == 3 else 0
-        side = "below 0" if (eig[k] < low).any() else "above 1"
-        assert str(info.value) == f"POVM eigenvalues out of [0, 1]: element {k} has one {side}"
 
 
 def test_povm_check_refuses_nan_and_keeps_the_boundary_elements():
@@ -239,19 +160,30 @@ def test_povm_check_refuses_nan_and_keeps_the_boundary_elements():
             BsmPovm(m)
 
 
-def test_transmission_rates_of_a_stack_are_each_elements_own():
+def test_transmission_rates_of_each_survival_element_are_its_own_rates():
     rng = np.random.default_rng(5)
     for _ in range(50):
         params = ChannelParams(p_d=rng.uniform(0.0, 1.0), e_d=rng.uniform(0.0, 1.0))
         components = channel._component_rates(params)
-        stack = BsmPovm((components @ channel._ELEMENT_BASIS).reshape(4, 4, 4))
-        q = transmission_rates(stack)
-        assert q.shape == (4, 9)
-        np.testing.assert_allclose(q, components[:, :9], rtol=0, atol=1e-16)
-        # M >= 0 keeps every rate within the q_II envelope
-        assert np.all(np.abs(q).max(axis=-1) <= q[:, 0] + 1e-12)
-        for element, rates in zip(stack.m, q):
-            assert transmission_rates(BsmPovm(element)).tobytes() == rates.tobytes()
+        for element, rates in zip((components @ channel._ELEMENT_BASIS).reshape(4, 4, 4),
+                                  components[:, :9]):
+            q = transmission_rates(BsmPovm(element))
+            assert q.shape == (9,)
+            np.testing.assert_allclose(q, rates, rtol=0, atol=1e-16)
+            # M >= 0 keeps every rate within the q_II envelope
+            assert np.abs(q).max() <= q[0] + 1e-12
+
+
+def _check_relay_elements(p_d, e_d):
+    """Assert that the four survival-case elements of _RATE_COEFFICIENTS are POVM elements.
+
+    Unrotated and rotated by the misalignment e_d, their eigenvalues lie
+    in [0, 1/2], to 1e-15.
+    """
+    for misalignment in (0.0, e_d):
+        rates = channel._component_rates(ChannelParams(p_d=p_d, e_d=misalignment))
+        eig = np.linalg.eigvalsh((rates @ channel._ELEMENT_BASIS).reshape(4, 4, 4))
+        assert eig.min() >= -1e-15 and eig.max() <= 0.5 + 1e-15, (p_d, misalignment, eig)
 
 
 _UNIT_ENDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -275,16 +207,24 @@ def test_closed_form_rates_match_the_fock_oracle(p_d, e_d, eta_d, loss):
     np.testing.assert_allclose(q, transmission_rates(element), rtol=0, atol=1e-15 * scale + step)
 
 
-def test_a_table_refuses_a_relay_element_that_is_not_positive(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(p_d=_UNIT_ENDS, e_d=_UNIT_ENDS)
+def test_relay_elements_have_their_eigenvalues_in_zero_to_one_half(p_d, e_d):
+    # no table checks the relay: its elements are module constants in p_d
+    # and e_d, POVM elements over all of [0, 1], which every M(eta_arm)
+    # mixes convexly
+    _check_relay_elements(p_d, e_d)
+
+
+def test_relay_constants_check_refuses_a_both_photon_element_that_is_not_positive(monkeypatch):
     # a both-photon element with +1/8 sigma_Z x sigma_Z, not -1/8, has the
-    # eigenvalue -1/4 on psi+; the check on the unrotated elements refuses it
+    # eigenvalue -(1 - p_d)^2 / 4 on psi+
     coefficients = channel._RATE_COEFFICIENTS.copy()
     coefficients[0, 8, 1] = 0.125
     monkeypatch.setattr(channel, "_RATE_COEFFICIENTS", coefficients)
-    config = SweepConfig(delta_values=(0.126,), loss_range=LossRange(0.0, 4.0, 2.0))
-    for build in (loss_table, frequency_table):
-        with pytest.raises(ValueError, match="^POVM eigenvalues out of"):
-            build(config.replace(frequency_range=FrequencyRange(loss_db=5.0)))
+    for p_d, e_d in ((0.0, 0.0), (6.02e-6, 0.015), (0.5, 1.0)):
+        with pytest.raises(AssertionError):
+            _check_relay_elements(p_d, e_d)
 
 
 def test_yield_table_range_enforced():

@@ -49,6 +49,7 @@ from oracles import (
     deviation_bounds,
     entropy_highprec,
     fock_povm,
+    leaky_source,
     omega_ref_direct,
     setup_chain_mp,
     tomography_mp,
@@ -215,9 +216,16 @@ def test_omega_upper_limits():
     assert estimator._lift(np.array(0.0), 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
-def test_omega_upper_clamps_with_warning():
-    with pytest.warns(UserWarning, match=r"omega_ref_upper = 1\.2 clamped to 1"):
-        assert estimator._lift(np.array([0.3, 1.2]), 0.5)[1] == 1.0
+def test_omega_upper_clamps_and_one_warning_names_the_worst():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the lift itself is silent
+        assert estimator._lift(np.array([0.3, 1.2, 1.5]), 0.5)[1:].tolist() == [1.0, 1.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimator._warn_of_clamp(np.array([0.3, 1.2, 1.5, 1.0]))
+        estimator._warn_of_clamp(np.array([0.3, 1.0]))
+        estimator._warn_of_clamp(np.zeros((2, 0, 3)))
+    assert _messages(caught) == [(UserWarning, "omega_ref_upper = 1.5 clamped to 1")]
 
 
 def test_omega_ref_zero_cases():
@@ -263,6 +271,53 @@ def test_omega_ref_x_convention_independent():
                 (ens[0, 0], ens[1, 1]))
         )
     assert omegas[0] == pytest.approx(omegas[1], abs=1e-14)
+
+
+def _leaky_inputs(rng, delta, leaks_a, leaks_b, leak_dim, relays):
+    """EstimationInputs of relays draws of leaky_source on one reference set, and Omega_act."""
+    amps = reference_amplitudes([delta])[0]
+    draws = [leaky_source(rng, amps, amps, leaks_a, leaks_b, leak_dim) for _ in range(relays)]
+    y, eps, omega = map(np.array, zip(*draws))
+    return build_estimation_inputs(amps, amps, YieldTable(y), SideChannelParams(eps)), omega
+
+
+@pytest.mark.parametrize("delta", [0.0, BENCHMARK_DELTA, -0.4])
+@pytest.mark.parametrize("leak_dim", [1, 2, 3])
+def test_leaky_source_without_leaks_has_the_omega_of_the_tomography_identity(delta, leak_dim):
+    # the oracle's Omega_act and the package's f_obj . Y share their conventions
+    inputs, omega = _leaky_inputs(np.random.default_rng(7), delta, [0.0] * 3, [0.0] * 3,
+                                  leak_dim, relays=5)
+    np.testing.assert_allclose(omega_ref_matrix(inputs), omega, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta=st.floats(-0.5, 0.5),
+       leaks=st.dictionaries(st.integers(0, 5), st.floats(-6.0, -2.0).map(lambda k: 10.0**k),
+                             min_size=1),
+       leak_dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_estimate_bounds_the_phase_error_of_a_leaky_source(delta, leaks, leak_dim, seed):
+    # the security claim: whatever the actual states within the fidelity
+    # budget eps and whatever the relay, the certified omega_upper and
+    # e_xx bound the actual singlet-error weight and phase-error rate.
+    # leaks maps a state, Alice's three then Bob's, to its leak of up to
+    # 1e-2, over four decades; a draw of few leaking states leaves the
+    # bounds the least slack
+    e = [leaks.get(state, 0.0) for state in range(6)]
+    inputs, omega = _leaky_inputs(np.random.default_rng(seed), delta, e[:3], e[3:], leak_dim,
+                                  relays=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lift may clamp a bound above 1
+        try:
+            result = estimate(inputs)
+        except NoSignalError as error:  # a relay blind to every state announces nothing
+            signal = ~error.rows
+            if not signal.any():
+                return
+            inputs = EstimationInputs(YieldTable(inputs.yields.y[signal]),
+                                      SideChannelParams(inputs.eps.eps[signal]), inputs.f_obj)
+            omega, result = omega[signal], estimate(inputs)
+    assert np.all(result.omega_upper >= omega - 1e-12)
+    assert np.all(result.e_xx >= omega / result.zeta_obs - 1e-12)
 
 
 def test_omega_ref_upper_collapses_at_zero_eps():
@@ -742,7 +797,7 @@ def _reference_chain(y, eps, f_obj, f_ec, sifting):
     Both deviation bounds are taken on every pair by the two-branch
     oracle, and np.where keeps the one the sign of f_obj selects. Returns
     the core's six columns, delta_vir_lower and the mask of the rows
-    without signal; warns of the omega_ref_upper clamp as the core does.
+    without signal; warns of the omega_ref_upper clamp as estimate does.
     """
     zz_pairs = list(ZZ_PAIR_INDICES)
     roots = np.sqrt(1.0 - eps)
@@ -806,23 +861,26 @@ def _check_core_against_reference(y, eps, f_obj, f_ec, sifting):
     with warnings.catch_warnings(record=True) as core_warnings:
         warnings.simplefilter("always")
         columns, silent = _estimate_core(y, eps, f_obj, f_ec, sifting)
-    # both warn of the omega_ref_upper clamp on every row, those without
-    # signal included
+    assert core_warnings == []  # its callers warn of the clamp
     with warnings.catch_warnings(record=True) as reference_warnings:
         warnings.simplefilter("always")
         reference, delta_vir_low, reference_silent = _reference_chain(y, eps, f_obj, f_ec, sifting)
-    assert _messages(core_warnings) == _messages(reference_warnings)
     np.testing.assert_array_equal(silent, reference_silent)
     signal = ~silent
     for core_column, reference_column in zip(columns, reference):
         _assert_bits_equal(core_column[signal], reference_column[signal])
-    if silent.any():
-        inputs = EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    # estimate and the reference warn of the omega_ref_upper clamp once,
+    # over every row, those without signal included
+    inputs = EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj)
+    with warnings.catch_warnings(record=True) as estimate_warnings:
+        warnings.simplefilter("always")
+        if silent.any():
             with pytest.raises(NoSignalError, match=NO_SIGNAL) as excinfo:
                 estimate(inputs, f_ec=f_ec, sifting_prefactor=sifting)
-        np.testing.assert_array_equal(excinfo.value.rows, silent)
+            np.testing.assert_array_equal(excinfo.value.rows, silent)
+        else:
+            estimate(inputs, f_ec=f_ec, sifting_prefactor=sifting)
+    assert _messages(estimate_warnings) == _messages(reference_warnings)
     if not signal.any():
         return
     with warnings.catch_warnings():
@@ -866,8 +924,7 @@ def test_core_covers_the_clamp_and_the_edges():
     y[3, list(ZZ_PAIR_INDICES)] = 0.0
     eps = np.array([[0.0] * 9, [1.0] * 9, [1e-6] * 9, [1e-6] * 9])
     f_obj = np.array([[2.0, 0.0, -0.0, 1.0, 0.5, 0.0, -1.0, 0.0, 0.0]] * 4)
-    with pytest.warns(UserWarning, match="clamped to 1"):
-        columns, silent = _estimate_core(y, eps, f_obj, 1.16, None)
+    columns, silent = _estimate_core(y, eps, f_obj, 1.16, None)
     assert silent.tolist() == [False, False, False, True]
     omega_ref_up = columns[3]
     assert (omega_ref_up[:3] > 1.0).all() and (columns[4][:3] == 1.0).all()

@@ -114,6 +114,20 @@ def test_frequency_range_validation():
             FrequencyRange(loss_db=loss)
 
 
+def test_frequency_anchors_are_pairs_that_compare_and_hash_by_value():
+    # an anchor given as a list is stored as a tuple, as a config file's is
+    from_lists = FrequencyRange(anchor_low=[0.1, -9.0], anchor_high=[4.0, -6.0], loss_db=5.0)
+    from_tuples = FrequencyRange(anchor_low=(0.1, -9.0), anchor_high=(4.0, -6.0), loss_db=5.0)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists.anchor_low == (0.1, -9.0) and from_lists.anchor_high == (4.0, -6.0)
+    assert hash(SweepConfig(frequency_range=from_lists)) == hash(
+        SweepConfig(frequency_range=from_tuples))
+    for name, value in (("anchor_low", [0.1]), ("anchor_high", (4.0, -6.0, 1.0)),
+                        ("anchor_low", 0.1), ("anchor_high", {4.0: -6.0, 5.0: -5.0})):
+        with pytest.raises(ValueError, match=f"^{name} must be a \\[GHz, lg eps\\] pair, got "):
+            FrequencyRange(**{name: value})
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(eps_values=())
@@ -841,7 +855,7 @@ def test_tables_build_no_state_objects(monkeypatch):
 
 def test_tables_take_no_kronecker_product_and_no_inverse(monkeypatch, tmp_path):
     # a table's setup comes from the two 3x3 sides of S in closed form and
-    # the relay's closed-form rates, checked by an elementwise elimination:
+    # the relay's closed-form rates, whose elements a test checks once:
     # neither np.kron nor any np.linalg routine is on its path, from the
     # config file to the written table
     def refuse(*args, **kwargs):
@@ -870,6 +884,20 @@ def test_tables_take_no_kronecker_product_and_no_inverse(monkeypatch, tmp_path):
     for sweep in ("loss", "frequency"):
         got_file, want_file = tmp_path / f"got-{sweep}", tmp_path / f"want-{sweep}"
         assert got_file.read_bytes() == want_file.read_bytes()
+
+
+def test_tables_build_no_povm_element(monkeypatch, tmp_path):
+    # the relay enters a table as closed-form rates only: no 4x4 element
+    # is built, or checked, on either axis
+    built = []
+    povm = mdiqkd.channel.BsmPovm
+    monkeypatch.setattr(mdiqkd.channel, "BsmPovm", lambda m: built.append(m) or povm(m))
+    path = tmp_path / "config.yaml"
+    path.write_text("sweep:\n  delta: [0.0, 0.126]\n  frequency: {loss_db: 5.0}\n")
+    for sweep in ("loss", "frequency"):
+        out = str(tmp_path / f"{sweep}.csv")
+        assert main(["--config", str(path), "--sweep", sweep, "--out", out]) == 0
+    assert built == []
 
 
 def test_emit_table_names_the_frequency_axis_from_the_rows(tmp_path):
@@ -1136,6 +1164,30 @@ def test_clamp_warning_beside_a_refused_delta_names_a_number():
     assert worst and all(worst)
     assert all(math.isfinite(float(m[1])) for m in worst)
     assert sum(e is not None for e in table.errors) == 6
+
+
+def test_a_clamped_table_warns_once_naming_its_worst_value(monkeypatch):
+    # eps 1 clamps omega_ref_upper on every row of its curve: however many
+    # blocks the core takes the table in, one warning names the table's worst
+    config = TINY.replace(eps_values=(1.0, 1e-6), delta_values=(0.0, 0.126, 0.3),
+                          loss_range=LossRange(0.0, 10.0, 1.0),
+                          frequency_range=FrequencyRange(0.1, 4.0, 0.3, loss_db=5.0,
+                                                         anchor_low=(0.1, -2.0),
+                                                         anchor_high=(4.0, 0.0)))
+
+    def clamp_warnings(build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = build(config)
+        worst = float(np.max(table.numbers[6]))
+        assert worst > 1.0
+        return [str(w.message) for w in caught], f"omega_ref_upper = {worst!r} clamped to 1"
+
+    for batch_rows in (mdiqkd.sweep.BATCH_ROWS, 4):
+        monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", batch_rows)
+        for build in (loss_table, frequency_table):
+            messages, want = clamp_warnings(build)
+            assert messages == [want]
 
 
 _FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -4.5))
