@@ -219,56 +219,140 @@ def random_pure_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def leaky_states(refs, leaks, chis):
+    """One side's actual states and the projector that blinds a relay to its leaking references.
+
+    The side's states live in qubit (x) a leak mode of dimension leak_dim
+    = dim / 2, the qubit index major; its reference states are |ref>|0>,
+    refs the real qubit amplitudes (3, 2) of the three settings. Each
+    actual state is sqrt(1 - e)|ref>|0> + sqrt(e)|chi>, e its entry of
+    leaks and chi its complex vector of chis (..., 3, dim), taken
+    orthogonal to |ref>|0> and normalised. The projector is onto what is
+    orthogonal to the reference states of the leaking states (e > 0).
+    Returns the states (..., 3, dim) and the projector (dim, dim).
+    """
+    chis = np.asarray(chis, dtype=complex)
+    dim = chis.shape[-1]
+    r = np.zeros((3, dim), dtype=complex)
+    r[:, ::dim // 2] = refs  # |ref>|0>
+    chis = chis - r * np.einsum("kd,...kd->...k", r, chis)[..., None]
+    chis = chis / np.linalg.norm(chis, axis=-1, keepdims=True)
+    e = np.asarray(leaks, dtype=float)[:, None]
+    blind = np.eye(dim, dtype=complex)
+    for ref in r[e[:, 0] > 0.0]:
+        u = blind @ ref  # ref less its part in the span already removed
+        if np.linalg.norm(u) > 1e-9:
+            u /= np.linalg.norm(u)
+            blind -= np.outer(u, u.conj())
+    return np.sqrt(1.0 - e) * r + np.sqrt(e) * chis, blind
+
+
+def _leaky_vectors(a, b):
+    """The pair states a_i (x) b_j (..., 9, dim^2) and the virtual vectors v_j (..., 2, dim^2)."""
+    def kron(u, v):
+        return (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], -1)
+
+    pairs = kron(a[..., :, None, :], b[..., None, :, :]).reshape(*a.shape[:-2], 9, -1)
+    sides = [kron((a[..., 0, :] + sign * a[..., 1, :]) / 2.0,
+                  (b[..., 0, :] + sign * b[..., 1, :]) / 2.0) for sign in (1.0, -1.0)]
+    return pairs, np.stack(sides, axis=-2)
+
+
+def leaky_weights(a, b, m):
+    """The yields and Omega_act of the actual states a and b (..., 3, dim) under relays m.
+
+    m: relays 0 <= M <= 1 on both sides' spaces, (..., dim^2, dim^2).
+    Returns the yields Y_ij = <a_i b_j|M|a_i b_j> (..., 9) in setting-pair
+    order, clamped to [0, 1] against rounding, and Omega_act = sum_j
+    v_j^dag M v_j (...,), v_j = ((a_0 + (-1)^j a_1)/2) (x) ((b_0 +
+    (-1)^j b_1)/2).
+    """
+    pairs, sides = (np.einsum("...ik,...kl,...il->...i", v.conj(), m, v).real
+                    for v in _leaky_vectors(a, b))
+    return np.clip(pairs, 0.0, 1.0), sides.sum(axis=-1)
+
+
 def leaky_source(rng, refs_a, refs_b, leaks_a, leaks_b, leak_dim):
     """Yields, eps and the actual singlet-error weight of a source that leaks into a side mode.
 
-    Each side's states live in qubit (x) a leak mode of dimension
-    leak_dim, the qubit index major; its reference states are |ref>|0>,
-    refs_a and refs_b the real qubit amplitudes (3, 2) of the three
-    settings. Each actual state is sqrt(1 - e)|ref>|0> + sqrt(e)|chi>, e
-    its own entry of leaks_a or leaks_b and chi a random complex state
-    orthogonal to |ref>|0>. The relay is Q M Q, M a random 0 <= M <= 1 on
-    both sides' spaces and Q = Q_A (x) Q_B, Q_A the projector onto what
-    is orthogonal to the reference states of Alice's leaking states (e >
-    0), Q_B Bob's: the relay sees a leaking state by its leak alone,
-    where the deviation bounds have the least slack. Returns the yields Y_ij =
-    <a_i b_j|Q M Q|a_i b_j> in setting-pair order, the side-channel
-    budgets eps_ij = 1 - (1 - e_a,i)(1 - e_b,j), one minus the fidelity
-    of each pair's actual and reference states, and Omega_act = sum_j
-    v_j^dag Q M Q v_j of the actual states, v_j = ((a_0 + (-1)^j a_1)/2)
-    (x) ((b_0 + (-1)^j b_1)/2).
+    The states of leaky_states for refs_a, leaks_a and refs_b, leaks_b,
+    each chi a random complex state, and the relay Q M Q: M a random 0 <=
+    M <= 1 on both sides' spaces and Q = Q_A (x) Q_B of leaky_states'
+    projectors, so that the relay sees a leaking state by its leak
+    alone, where the deviation bounds have the least slack. Returns
+    leaky_weights' yields and Omega_act beside the side-channel budgets
+    eps_ij = 1 - (1 - e_a,i)(1 - e_b,j), one minus the fidelity of each
+    pair's actual and reference states.
     """
     dim = 2 * leak_dim
-
-    def side(refs, leaks):
-        states, blind = [], np.eye(dim, dtype=complex)
-        for ref, e in zip(refs, leaks):
-            r = np.zeros(dim, dtype=complex)
-            r[::leak_dim] = ref  # |ref>|0>
-            chi = random_pure_state(rng, dim)
-            chi -= r * np.vdot(r, chi)
-            chi /= np.linalg.norm(chi)
-            states.append(math.sqrt(1.0 - e) * r + math.sqrt(e) * chi)
-            if e > 0.0:
-                u = blind @ r  # r less its part in the span already removed
-                if np.linalg.norm(u) > 1e-9:
-                    u /= np.linalg.norm(u)
-                    blind -= np.outer(u, u.conj())
-        return states, blind
-
-    (a, blind_a), (b, blind_b) = side(refs_a, leaks_a), side(refs_b, leaks_b)
+    (a, blind_a), (b, blind_b) = (
+        leaky_states(refs, leaks, [random_pure_state(rng, dim) for _ in range(3)])
+        for refs, leaks in ((refs_a, leaks_a), (refs_b, leaks_b)))
     q = np.kron(blind_a, blind_b)
-    m = q @ random_bounded_operator(rng, dim * dim) @ q
-
-    def weight(v):
-        return float(np.vdot(v, m @ v).real)
-
-    # a yield the projector zeroes can round to -1e-18
-    y = np.array([min(max(weight(np.kron(ai, bj)), 0.0), 1.0) for ai in a for bj in b])
+    y, omega = leaky_weights(a, b, q @ random_bounded_operator(rng, dim * dim) @ q)
     eps = np.array([1.0 - (1.0 - ea) * (1.0 - eb) for ea in leaks_a for eb in leaks_b])
-    omega = sum(weight(np.kron((a[0] + sign * a[1]) / 2.0, (b[0] + sign * b[1]) / 2.0))
-                for sign in (1.0, -1.0))
-    return y, eps, omega
+    return y, eps, float(omega)
+
+
+def leaky_adversary(bound, refs, e, leak_dim, seed, restarts=4, steps=20, population=8):
+    """The largest Omega_act / omega_upper that a search over the relay and the leaks finds.
+
+    Every state of both sides, refs (3, 2) on each, leaks the same weight
+    e into a mode of dimension leak_dim, so every pair's budget is eps = 1
+    - (1 - e)^2. bound(y, eps) maps yields (n, 9) and budgets (n, 9) to
+    the certified omega_upper (n,), nan for a row it cannot certify. Each
+    of restarts starts from a random chi per state and a random relay 0
+    <= M <= 1, and each of its steps makes two moves of local ascent on
+    the ratio r:
+    - the relay, as in Dinkelbach's method: for fixed states Omega_act -
+      r omega_upper is convex in M, as omega_upper is concave in the
+      yields, which are linear in M. So the relay that maximises its
+      linearisation, the projector onto the positive eigenspace of
+      sum_j |v_j><v_j| - r sum_i (d omega_upper / dY_i) |a_i b_j><a_i
+      b_j|, does not lower the ratio. Each derivative is a difference
+      quotient of bound, its yield moved by 1e-7 towards 1/2.
+    - the leaks: population draws of the chis moved by complex Gaussian
+      noise of one scale; the best replaces them if it raises the ratio,
+      and the scale then grows by half, or else halves.
+    A restart ends at a point that bound cannot certify. numpy only, and
+    deterministic for a seed. Returns (ratio, Omega_act, omega_upper, y)
+    at the best point found.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2 * leak_dim
+    eps = np.full(9, 1.0 - (1.0 - e) ** 2)
+
+    def states(chis):
+        return tuple(leaky_states(refs, [e] * 3, chis[..., side, :, :])[0] for side in (0, 1))
+
+    best, ratio = (-np.inf,), 0.0
+    for _ in range(restarts):
+        chis = rng.normal(size=(2, 3, dim)) + 1j * rng.normal(size=(2, 3, dim))
+        m = random_bounded_operator(rng, dim * dim)
+        scale = 0.3
+        for _ in range(steps):
+            a, b = states(chis)
+            y, omega = leaky_weights(a, b, m)
+            moves = np.where(y > 0.5, -1e-7, 1e-7)
+            upper = bound(np.vstack([y, y + np.diag(moves)]), np.broadcast_to(eps, (10, 9)))
+            if not np.isfinite(upper).all():
+                break
+            pairs, sides = _leaky_vectors(a, b)
+            slope = max(omega / upper[0], 0.0) * (upper[1:] - upper[0]) / moves
+            w, v = np.linalg.eigh(np.einsum("jk,jl->kl", sides, sides.conj())
+                                  - np.einsum("i,ik,il->kl", slope, pairs, pairs.conj()))
+            m = v[:, w > 0.0] @ v[:, w > 0.0].conj().T
+            noise = rng.normal(size=(population, 2, 3, dim, 2)) @ np.array([1.0, 1j])
+            trials = np.concatenate([chis[None], chis + scale * noise])  # the first stays
+            y, omega = leaky_weights(*states(trials), m)
+            upper = bound(y, np.broadcast_to(eps, y.shape))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(np.isnan(upper), -np.inf, omega / upper)
+            i = int(np.argmax(ratio))
+            chis, scale = trials[i], scale * 1.5 if i else scale / 2.0
+            if ratio[i] > best[0]:
+                best = (ratio[i], omega[i], upper[i], y[i])
+    return best
 
 
 # sweep-table columns in table order; key_per_second only in frequency tables

@@ -49,6 +49,7 @@ from oracles import (
     deviation_bounds,
     entropy_highprec,
     fock_povm,
+    leaky_adversary,
     leaky_source,
     omega_ref_direct,
     setup_chain_mp,
@@ -318,6 +319,37 @@ def test_estimate_bounds_the_phase_error_of_a_leaky_source(delta, leaks, leak_di
             omega, result = omega[signal], estimate(inputs)
     assert np.all(result.omega_upper >= omega - 1e-12)
     assert np.all(result.e_xx >= omega / result.zeta_obs - 1e-12)
+
+
+def _estimate_bound(f_obj):
+    """leaky_adversary's bound through estimate: omega_upper per row, nan on a row without signal."""
+    def bound(y, eps):
+        inputs = EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the lift may clamp a bound above 1
+            try:
+                return estimate(inputs).omega_upper
+            except NoSignalError as error:
+                upper, signal = np.full(len(y), np.nan), ~error.rows
+                if signal.any():
+                    upper[signal] = bound(y[signal], eps[signal])
+                return upper
+    return bound
+
+
+@pytest.mark.parametrize("delta, e", [(BENCHMARK_DELTA, 1e-2), (-0.4, 1e-2)])
+def test_an_adversary_finds_no_leaky_source_beyond_the_bound(delta, e):
+    # the security claim against a search for its worst case: a relay
+    # aimed at the leaks and the leaks moved to meet it. Every state leaks
+    # e into a two-dimensional mode. The search comes within 22% and 11%
+    # of omega_upper. There it exceeds a chain with the wrong branch for
+    # f_obj < 0 at delta 0.126, one without its lift at -0.4 and one with
+    # the lift through g_lower at both
+    amps = reference_amplitudes([delta])[0]
+    f_obj = build_estimation_inputs(amps, amps, None, None).f_obj
+    _, omega, upper, _ = leaky_adversary(_estimate_bound(f_obj), amps, e, leak_dim=2, seed=0)
+    assert omega <= upper + 1e-12
+    assert omega / upper > 0.7  # the search's reach: 0.78 and 0.89
 
 
 def test_omega_ref_upper_collapses_at_zero_eps():
