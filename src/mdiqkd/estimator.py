@@ -4,42 +4,37 @@ The pipeline receives observed (or simulated) yields for the nine setting
 pairs plus a per-pair side-channel budget eps, and produces:
 
 1. omega_ref, the singlet-error weight of the X-outcome virtual ensemble
-   evaluated on reference states, via the matrix identity
-   Omega_ref = f_obj . Y with f_obj = P_vir S_vir S^-1;
+   on reference states, by the identity Omega_ref = f_obj . Y with f_obj
+   = P_vir S_vir S^-1;
 2. an upper bound omega_ref_upper that replaces each yield by its
-   deviation bound, since the actually emitted states only promise
-   fidelity sqrt(1 - eps) to the reference states;
-3. omega_upper, lifting the reference-ensemble bound to the actual
-   virtual ensemble through the same deviation machinery;
+   deviation bound, since the emitted states only promise fidelity
+   sqrt(1 - eps) to the reference states;
+3. omega_upper, lifting that bound to the actual virtual ensemble through
+   the same deviation machinery;
 4. the error rates e_ZZ (announced-bit errors) and e_XX (virtual X-basis
    errors), and the key rate R = Y_ZZ [1 - h(e_XX) - f_EC h(e_ZZ)].
 
-Normalization conventions. Yield tables hold probabilities conditioned
-on the setting pair. The virtual picture draws each Z bit pair with
-probability 1/4, so the phase-error denominator zeta_obs is the joint
-quantity (1/4) * sum of the four ZZ yields, and Y_ZZ := zeta_obs up to
-the optional sifting prefactor. A certified error rate at or beyond 1/2
-carries no key; the entropy arguments are capped at 1/2, which can only
-lower R.
+Normalization conventions. Yields are probabilities conditioned on the
+setting pair. The virtual picture draws each Z bit pair with probability
+1/4, so the phase-error denominator zeta_obs is (1/4) * the sum of the
+four ZZ yields, and Y_ZZ := zeta_obs up to the optional sifting
+prefactor. An error rate at or beyond 1/2 carries no key; capping the
+entropy arguments at 1/2 can only lower R.
 
-Batches. Every step also runs over a batch of grid points: a YieldTable
-and SideChannelParams with a leading axis of n points give an
-EstimationResult whose fields are arrays of n values, computed by the
-same code that gives Python floats for a single point. f_obj is shared
-by all points, or given per point as an (n, 9) array, so one batch can
-mix reference sets. f_obj and the refusals of a reference set come from
-pauli_core's setup.
+Batches. A YieldTable and SideChannelParams with a leading axis of n
+points give an EstimationResult of arrays of n values, by the code that
+gives floats for one point; f_obj is shared, or given per point as (n,
+9), so one batch can mix reference sets of pauli_core's setup.
 
-Checks. estimate is the chain's one public entry, and its result holds
-every intermediate value above. Each formula lives once, in an unchecked
-private helper. estimate checks its inputs once and runs _estimate_core,
-the chain on arrays, which takes the deviation bound of each yield once,
-on the branch the sign of its f_obj coefficient selects (that sign is
-fixed per reference set). A sweep calls the core directly, once per
-block of its grid, on inputs its table checked when it was built: the
-yields (deltas, points, 9), f_obj (deltas, 1, 9) and eps (curves, 1,
-points, 9) broadcast, so e_zz and zeta_obs run once per (delta, point);
-the core reports the rows without signal as a mask instead of raising.
+Checks and stages. estimate is the chain's one public entry: it checks
+its inputs once and runs _estimate_core, the chain on arrays, which takes
+each yield's deviation bound on the branch the sign of its f_obj
+coefficient selects. A sweep, whose table checked its inputs, runs the
+chain in two stages: _point_terms once per (delta, point), without eps,
+then _row_columns once per row, whose one eps factors the deviation sum;
+a row where a pair saturates its bound takes the per-pair form. Each
+formula lives once, in an unchecked private helper, and a row without
+signal is marked by its zeta_obs instead of raising.
 """
 
 import warnings
@@ -107,9 +102,7 @@ class EstimationInputs(Frozen):
 
     yields is a YieldTable, eps a SideChannelParams and f_obj = P_vir
     S_vir S^-1 of the reference states, of shape (9,), or (n, 9) with one
-    row per yield row. For one reference set, build_S_matrix gives S,
-    np.linalg.cond of it cond(S), and build_virtual the virtual ensemble
-    (p_vir, s_vir).
+    row per yield row (pauli_core.build_estimation_stack).
     """
 
     __slots__ = ("yields", "eps", "f_obj")
@@ -133,14 +126,9 @@ class EstimationResult(Frozen):
             raise ValueError("omega_ref exceeds its upper bound")
         if not np.all(key_rate >= 0.0):
             raise ValueError("key rate must be floored at 0")
-        self.omega_ref = omega_ref
-        self.omega_ref_upper = omega_ref_upper
-        self.delta_vir_lower = delta_vir_lower
-        self.omega_upper = omega_upper
-        self.zeta_obs = zeta_obs
-        self.e_zz = e_zz
-        self.e_xx = e_xx
-        self.key_rate = key_rate
+        for name, value in zip(self.__slots__, (omega_ref, omega_ref_upper, delta_vir_lower,
+                                                omega_upper, zeta_obs, e_zz, e_xx, key_rate)):
+            setattr(self, name, value)
 
 
 def build_estimation_inputs(ref_a, ref_b, yields, eps):
@@ -162,22 +150,19 @@ def omega_ref_matrix(inputs):
     return plain(np.einsum("...i,...i->...", inputs.yields.y, inputs.f_obj))
 
 
-# The chain's formulas, each once and unchecked: the core runs them on
-# inputs that estimate, or a sweep's table, checked.
-
 def _anchors(eps):
     """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair."""
     return np.sqrt(1.0 - eps)
 
 
+def _nine_sum(t):
+    """t[0] + ... + t[8] in a written order, numpy's pairwise one, that no reduction can change."""
+    return (((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))) + t[8]
+
+
 def _omega_ref_upper(y, roots, f_obj):
     """omega_ref, each yield at the bound the sign of its coefficient selects, floored at 0."""
-    t = f_obj * _bound(y, roots, f_obj > 0.0)
-    # the nine terms in a fixed order (numpy's pairwise one for a row of
-    # nine), so that no reduction's internals decide the bits
-    total = (((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
-             + ((t[..., 4] + t[..., 5]) + (t[..., 6] + t[..., 7])) + t[..., 8])
-    return np.maximum(total, 0.0)
+    return np.maximum(_nine_sum(np.moveaxis(f_obj * _bound(y, roots, f_obj > 0.0), -1, 0)), 0.0)
 
 
 def _delta_vir_lower(roots):
@@ -220,39 +205,75 @@ def _binary_entropy(p):
     return np.where(inner, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
 
 
-def _key_rate(y_zz, e_zz, e_xx, f_ec):
-    """Y_ZZ [1 - h(e_XX) - f_EC h(e_ZZ)], floored at 0."""
-    # a rate at or beyond 1/2 certifies nothing: capping the entropy
-    # arguments there can only lower the bound
-    h_xx = _binary_entropy(np.minimum(e_xx, 0.5))
-    h_zz = _binary_entropy(np.minimum(e_zz, 0.5))
-    return y_zz * np.maximum(1.0 - h_xx - f_ec * h_zz, 0.0)
+def _key_rate(y_zz, e_xx, cost):
+    """Y_ZZ [1 - h(e_XX) - cost], floored at 0; cost = f_EC h(e_ZZ), of _point_terms."""
+    return y_zz * np.maximum(1.0 - _binary_entropy(np.minimum(e_xx, 0.5)) - cost, 0.0)
+
+
+def _point_terms(y, f_obj, f_ec, sifting_prefactor):
+    """The chain's first stage: the nine columns of each yield row (..., 9) that take no eps.
+
+    f_obj (..., 9) broadcasts against y. omega_ref = f_obj . Y, A = sum f_i
+    - 2 omega_ref and B = sum |f_i| sqrt(Y_i (1 - Y_i)): one eps gives
+    omega_ref_upper = omega_ref + om A + 2 y sqrt(om) B, y = sqrt(1 - eps)
+    and om = 1 - y^2, unless a pair saturates, where hi > y^2 or lo < om
+    (_bound's predicate) for the largest Y_i with f_i > 0, hi, and the
+    smallest with f_i <= 0, lo. Then e_zz, zeta_obs, Y_ZZ and f_ec h(e_zz).
+    """
+    # the pairs first, each contiguous; f_obj gains y's leading axes, as broadcasting would
+    f = np.moveaxis(f_obj.reshape((1,) * (y.ndim - f_obj.ndim) + f_obj.shape), -1, 0)
+    pairs = np.ascontiguousarray(np.moveaxis(y, -1, 0))
+    up = f > 0.0
+    omega_ref = _nine_sum(f * pairs)
+    a = _nine_sum(f) - 2.0 * omega_ref
+    b = _nine_sum(np.abs(f) * np.sqrt(pairs * (1.0 - pairs)))
+    hi = np.where(up, pairs, -np.inf).max(axis=0)
+    lo = np.where(up, np.inf, pairs).min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_zz, zeta_obs, _ = _zz_rates(y[..., _ZZ])
+    y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor
+    return (omega_ref, a, b, hi, lo, e_zz, zeta_obs, y_zz,
+            f_ec * _binary_entropy(np.minimum(e_zz, 0.5)))
+
+
+def _chain_tail(omega_ref_up, delta_vir_low, e_zz, zeta_obs, y_zz, cost):
+    """The columns (key_rate, e_zz, e_xx, omega_ref_upper, omega_upper, zeta_obs)."""
+    omega_up = _lift(omega_ref_up, delta_vir_low)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_xx = _phase_error_rate(omega_up, zeta_obs)
+    return _key_rate(y_zz, e_xx, cost), e_zz, e_xx, omega_ref_up, omega_up, zeta_obs
+
+
+def _row_columns(eps, terms, y, f_obj):
+    """The chain's second stage: _chain_tail's columns of each row at its one eps.
+
+    terms: _point_terms' columns stacked, broadcastable against eps; y and
+    f_obj are read only for the rows where a pair saturates its bound.
+    """
+    omega_ref, a, b, hi, lo, *rest = terms
+    roots = _anchors(eps)
+    om = 1.0 - roots * roots
+    omega_ref_up = np.maximum(omega_ref + om * a + 2.0 * roots * np.sqrt(om) * b, 0.0)
+    saturated = (hi > roots * roots) | (lo < om)
+    if saturated.any():  # the per-pair form, on those rows alone
+        y, f_obj = (np.broadcast_to(v, saturated.shape + (9,))[saturated] for v in (y, f_obj))
+        anchors = np.broadcast_to(roots, saturated.shape)[saturated, None]
+        omega_ref_up[saturated] = _omega_ref_upper(y, anchors, f_obj)
+    # _delta_vir_lower of nine equal anchors r is r: ((r + r) + r) + r rounds to 4r
+    return _chain_tail(omega_ref_up, roots, *rest)
 
 
 def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
-    """The chain of estimate on arrays, without a check of its own.
+    """The chain of estimate on arrays, per pair: _chain_tail's columns and the silent mask.
 
-    y: yields (..., 9); eps: the side-channel budget per pair and f_obj
-    (..., 9), fixed per reference set, whose signs select each yield's
-    deviation bound, both broadcastable against y. Each column has the
-    broadcast shape of the inputs it reads: e_zz, zeta_obs and the mask
-    follow y's, the rest all three.
-    The caller has checked that yields and eps lie in [0, 1], f_obj is
-    finite, f_ec >= 1 and sifting_prefactor (None: no sifting) >= 0.
-    Returns the columns (key_rate, e_zz, e_xx, omega_ref_upper,
-    omega_upper, zeta_obs) and the mask of the rows without signal, whose
-    columns hold no number to read. The caller warns of the clamp of an
-    omega_ref_upper above 1, once for all its rows (_warn_of_clamp).
+    y (..., 9); eps and f_obj (..., 9), broadcast against it and checked by
+    the caller, who warns of an omega_ref_upper clamped to 1 (_warn_of_clamp).
     """
     roots = _anchors(eps)
-    omega_ref_up = _omega_ref_upper(y, roots, f_obj)
-    omega_up = _lift(omega_ref_up, _delta_vir_lower(roots))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_zz, zeta_obs, silent = _zz_rates(y[..., _ZZ])
-        e_xx = _phase_error_rate(omega_up, zeta_obs)
-    y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor
-    rate = _key_rate(y_zz, e_zz, e_xx, f_ec)
-    return (rate, e_zz, e_xx, omega_ref_up, omega_up, zeta_obs), silent
+    *_, e_zz, zeta_obs, y_zz, cost = _point_terms(y, f_obj, f_ec, sifting_prefactor)
+    columns = _chain_tail(_omega_ref_upper(y, roots, f_obj), _delta_vir_lower(roots),
+                          e_zz, zeta_obs, y_zz, cost)
+    return columns, zeta_obs < _SILENT_BELOW
 
 
 def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
@@ -284,13 +305,6 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     if np.any(silent):
         raise NoSignalError(NO_SIGNAL, silent)
     rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs = map(plain, columns)
-    return EstimationResult(
-        omega_ref=omega_ref_matrix(inputs),
-        omega_ref_upper=om_ref_up,
-        delta_vir_lower=plain(_delta_vir_lower(_anchors(eps))),
-        omega_upper=om_up,
-        zeta_obs=zeta_obs,
-        e_zz=e_zz,
-        e_xx=e_xx,
-        key_rate=rate,
-    )
+    return EstimationResult(omega_ref_matrix(inputs), om_ref_up,
+                            plain(_delta_vir_lower(_anchors(eps))), om_up, zeta_obs, e_zz, e_xx,
+                            rate)

@@ -7,16 +7,14 @@ frequency through a lg-linear map. Every input is checked once, where
 the table is built: the config, the clamped yields and the stack's
 cond(S) ceiling. The tomography matrices of the listed modulation errors
 are built once per table, as one stack (a delta listed twice is simply
-evaluated again). A table's numbers are one (curve, delta, point) grid;
-the estimator's unchecked core runs over it in blocks of at most
-BATCH_ROWS rows, one call per block and one block for most tables, on
-broadcast views of the yields per (delta, point), f_obj per delta and
-eps per (curve, point), writing its columns straight into the grid; a
-row without signal, or of a refused reference set, becomes an error row
-of the table. A table stays columns (SweepTable) from the estimate to
-the file: the command line and library callers alike summarise, check
-and write it without building a row; rows() gives its KeyRatePoints for
-iteration.
+evaluated again). A table's numbers are one (curve, delta, point) grid,
+which the estimator's chain fills in two stages: once per (delta,
+point) without eps, then once per row at its eps, each in blocks of
+bounded size; a row without signal, or of a refused reference set,
+becomes an error row. A table stays columns (SweepTable) from the
+estimate to the file: the command line and library callers alike
+summarise, check and write it without building a row; rows() gives its
+KeyRatePoints for iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files under any BLAS kernel, as no number passes
 through BLAS or LAPACK (libm remains: Python's pow for 10**lg and the arm
@@ -35,7 +33,7 @@ import numpy as np
 
 from . import _g12, _yaml_subset
 from .channel import ChannelParams, reference_yields, transmission_rates_grid
-from .estimator import NO_SIGNAL, _estimate_core, _warn_of_clamp
+from .estimator import _SILENT_BELOW, NO_SIGNAL, _point_terms, _row_columns, _warn_of_clamp
 from .gbound import Record, real
 from .pauli_core import (DEFAULT_COND_CEILING, build_estimation_stack, check_delta,
                          reference_amplitudes)
@@ -53,13 +51,11 @@ __all__ = [
 
 # the most rows one table may hold; every row stays in memory until emission
 MAX_TABLE_ROWS = 1_000_000
-# the most rows one core call takes: the chain's float64 temporaries of
-# nine values a row, (curves, deltas, points, 9) in a block, then stay
-# below glibc's 128 KiB mmap threshold and reuse heap memory, and a
-# table's temporaries stay bounded however many rows (MAX_TABLE_ROWS) it
-# has. A 1950-row table as one block faults in about 90 more fresh pages
-# than as two 975-row blocks, in the same time within noise.
-BATCH_ROWS = 128 * 1024 // (9 * 8)
+# the most rows per call of the chain's second stage, and over nine the
+# most (delta, point) cells per call of its first: their float64
+# temporaries (one value a row, nine a cell) stay below glibc's 128 KiB
+# mmap threshold and bounded however many rows (MAX_TABLE_ROWS) a table has
+BATCH_ROWS = 128 * 1024 // 8
 
 
 def _grid_size(start, stop, step):
@@ -583,11 +579,10 @@ class SweepTable:
 def _blocks(shape, limit):
     """Blocks of at most limit cells that tile a grid of the given shape, in grid order.
 
-    Each axis is split evenly, as np.array_split splits it, into as few
-    parts as fit, the outer axes first: an axis goes into single indices
-    only while the axes inside it hold more than limit cells, so the last
-    axis is split last. One tuple of slices per block; none for an empty
-    grid.
+    Each axis is split evenly (np.array_split) into as few parts as fit,
+    the outer axes first: an axis goes into single indices only while the
+    axes inside it hold more than limit cells. One tuple of slices per
+    block; none for an empty grid.
     """
     if 0 in shape:
         return ()
@@ -600,23 +595,20 @@ def _blocks(shape, limit):
 def _sweep_table(config, coordinates, eps, rates, per_second):
     """The table of every curve, eps outermost, then delta as listed, then the coordinate.
 
-    eps: the side-channel weights, of shape (n_curves, n_points), or
-    (n_curves, 1) shared by a curve's points; rates: the transmission
-    rates, of shape (n_points, 9), or (1, 9) shared by all points. The
-    numbers are one (column, curve, delta, point) grid, filled by
-    broadcasting. The tomography matrices of the listed deltas are built
-    once per table, as one stack; a delta listed twice is simply
-    evaluated again. A refused reference set gives every row of its
-    delta the error's message and stays out of the core, as its f_obj
-    is nan. The core takes the accepted deltas' grid in _blocks of at
-    most BATCH_ROWS rows, as views: the yields per (delta, point), f_obj
-    per delta and eps per (curve, point), which it broadcasts. Its
-    inputs were checked once, by the table: the yields by
-    reference_yields' clamp, eps by the config and f_obj by the stack's
-    ceiling. Its columns go straight into the grid, and one mask makes
-    the rows without signal NO_SIGNAL error rows. Exactly the error rows
-    carry nan in the estimate's numbers. One warning per table names the
-    worst omega_ref_upper that the core clamped to 1.
+    eps: the side-channel weights, (n_curves, n_points), or (n_curves, 1)
+    shared by a curve's points; rates: the transmission rates, (n_points,
+    9), or (1, 9) shared by all points. The numbers are one (column,
+    curve, delta, point) grid, filled by broadcasting. A refused
+    reference set (nan f_obj) gives its delta's rows its error's message
+    and stays out of the chain. The chain's first stage takes the
+    accepted deltas' yields in _blocks of at most BATCH_ROWS / 9 (delta,
+    point) cells, its second stage views of its terms and of eps per
+    (curve, point) in blocks of at most BATCH_ROWS rows, and its columns
+    go straight into the grid. The table checked its inputs: the yields
+    by reference_yields' clamp, eps by the config and f_obj by the
+    stack's ceiling. Rows without signal become NO_SIGNAL error rows, and
+    only error rows carry nan in the estimate's numbers. One warning per
+    table names the worst omega_ref_upper clamped to 1.
     """
     amps = reference_amplitudes(config.delta_values)  # (n_deltas, 3, 2), both sides' sets
     s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
@@ -627,21 +619,24 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     numbers[1] = eps[:, None]
     numbers[2] = np.array(config.delta_values, dtype=float)[:, None]
     numbers[9][:, keep] = cond_s[keep, None]
-    silent = np.zeros(numbers.shape[1:], dtype=bool)
-    n_curves, _, n = silent.shape
-    # (accepted deltas, points, 9); a frequency table's one loss gives
-    # every point the same yields
-    yields = np.broadcast_to(reference_yields(s_matrix, rates).y[keep], (keep.size, n, 9))
-    # a row's nine pairs share its eps
-    eps = np.broadcast_to(eps[:, None, :, None], (n_curves, 1, n, 9))
+    n_curves, _, n = numbers.shape[1:]
+    # (accepted deltas, points or 1, 9): a frequency table's one loss
+    yields = reference_yields(s_matrix, rates).y[keep]
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
+    terms = np.empty((9, *yields.shape[:2]))
+    for k, points in _blocks(terms.shape[1:], BATCH_ROWS // 9):
+        terms[:, k, points] = _point_terms(yields[k, points], f_obj[keep[k], None], config.f_ec,
+                                           sifting)
+    terms = np.broadcast_to(terms, (9, keep.size, n))
+    yields = np.broadcast_to(yields, (keep.size, n, 9))
+    eps = np.broadcast_to(eps[:, None, :], (n_curves, 1, n))
     for curves, k, points in _blocks((n_curves, keep.size, n), BATCH_ROWS):
-        cells = curves, keep[k], points
-        columns, silent[cells] = _estimate_core(yields[k, points], eps[curves, :, points],
-                                                f_obj[keep[k], None], config.f_ec, sifting)
+        columns = _row_columns(eps[curves, :, points], terms[:, k, points], yields[k, points],
+                               f_obj[keep[k], None])
         for column, values in zip(numbers[3:9], columns):
-            column[cells] = values
-    _warn_of_clamp(numbers[6][:, keep])  # the rows the core saw, silent ones included
+            column[curves, keep[k], points] = values
+    _warn_of_clamp(numbers[6][:, keep])  # the rows the chain saw, silent ones included
+    silent = numbers[8] < _SILENT_BELOW  # zeta_obs; nan in a refused delta's rows
     numbers[3:10, silent] = np.nan
     if per_second:
         numbers[10] = numbers[3] * numbers[0] * 1e9

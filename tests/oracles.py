@@ -7,10 +7,12 @@ virtual ensemble from the full 16-dimensional source state, Bloch
 coefficients by literal matrix traces, the singlet-error weight by direct
 traces against density matrices, the deviation bounds as two branches
 evaluated in full, entropies in high precision, a table's setup and its
-eps-0 chain in 60-digit mpmath (S^-1 by mpmath's inverse, cond(S) from
-the singular values of S, not from its two 3x3 factors), and
-sweep tables row by row: each row built, range-checked and formatted
-field by field on its own. None of them imports the package.
+chain at any eps in 60-digit mpmath (S^-1 by mpmath's inverse, cond(S)
+from the singular values of S, not from its two 3x3 factors), a source
+that leaks into a side mode and a search for its worst case against a
+given bound, and sweep tables row by row: each row built, range-checked
+and formatted field by field on its own. None of them imports the
+package.
 """
 
 import itertools
@@ -560,22 +562,40 @@ def tomography_mp(amps_a, amps_b, dps=60):
         return {key: _floats(value) for key, value in out.items() if key != "pairs"}
 
 
-def setup_chain_mp(delta, eta_d, p_d, e_d, loss_db, f_ec=1.16, dps=60):
-    """A sweep point's setup and its eps-0 chain in dps-digit mpmath, one delta on both sides.
+def _mp_bound(x, y, upper):
+    """g_upper(x, y) if upper, else g_lower(x, y), each piece as mdiqkd.gbound states it."""
+    import mpmath
+
+    om = 1 - y * y
+    if (x > y * y) if upper else (x < om):
+        return mpmath.mpf(1 if upper else 0)
+    root = mpmath.sqrt(om * x * (1 - x))
+    return min(max(x + om * (1 - 2 * x) + (2 if upper else -2) * y * root, 0), 1)
+
+
+def setup_chain_mp(delta, eta_d, p_d, e_d, loss_db, f_ec=1.16, eps=0.0, dps=60):
+    """A sweep point's setup and its chain in dps-digit mpmath, one delta on both sides.
 
     The float arguments are taken as exact. The reference states come from
     the formulas of the settings, the tomography from _tomography_mp, the
     relay element from Fock propagation (_fock_matrix), its rates by
-    trace, and the yields by Tr[M rho_a x rho_b], without S. At eps 0
-    every deviation bound is its yield, so omega_ref_upper = max(f_obj .
-    Y, 0) = omega_upper, and the chain runs on to e_zz, e_xx and the key
-    rate at f_ec.
+    trace, and the yields by Tr[M rho_a x rho_b], without S. The chain runs
+    at the side-channel budget eps of every pair, or at each of a list of
+    them: each yield at the deviation bound (_mp_bound) that the sign of
+    its f_obj coefficient selects, at the anchor sqrt(1 - eps), gives
+    omega_ref_upper = max(sum f_i g_i, 0); the lift through g_upper at the
+    virtual state's anchor, (1/4) sum over the ZZ pairs of sqrt(1 - eps),
+    gives omega_upper; and the chain runs on to e_zz, e_xx and the key
+    rate at f_ec. At eps 0 every bound is its yield, so omega_ref_upper =
+    max(f_obj . Y, 0).
 
     Returns a dict of float64 values, each correctly rounded: amplitudes
     (3, 2), b (3, 3), s_matrix (9, 9), s_inv (9, 9), p_vir (2,), s_vir
-    (2, 9), f_obj (9,), cond_s, rates (9,), yields (9,), key_rate, e_zz,
-    e_xx and kappa, the sum of |f_obj_i Y_i| over |f_obj . Y|: the factor
-    by which the dot product amplifies the relative errors of its terms.
+    (2, 9), f_obj (9,), cond_s, rates (9,), yields (9,), e_zz, kappa, the
+    sum of |f_obj_i Y_i| over |f_obj . Y|: the factor by which the dot
+    product amplifies the relative errors of its terms, and
+    omega_ref_upper, omega_upper, e_xx and key_rate, each a float, or an
+    array over a list of eps.
     """
     import mpmath
 
@@ -600,11 +620,20 @@ def setup_chain_mp(delta, eta_d, p_d, e_d, loss_db, f_ec=1.16, dps=60):
         zeta_obs = sum(zz) / 4
         out["e_zz"] = e_zz = (zz[0] + zz[3]) / sum(zz)
         terms = [f * y for f, y in zip(out["f_obj"], yields)]
-        omega = max(sum(terms), 0)
         out["kappa"] = sum(abs(t) for t in terms) / abs(sum(terms))
-        out["e_xx"] = e_xx = min(omega, zeta_obs) / zeta_obs
         cap = mpmath.mpf(0.5)  # an error rate at or beyond 1/2 certifies nothing
-        bracket = (1 - _mp_entropy(min(e_xx, cap))
-                   - mpmath.mpf(f_ec) * _mp_entropy(min(e_zz, cap)))
-        out["key_rate"] = zeta_obs * max(bracket, 0)
+        chains = []
+        for budget in (eps if isinstance(eps, (list, tuple)) else [eps]):
+            anchor = mpmath.sqrt(1 - mpmath.mpf(budget))
+            omega_ref_up = max(sum(f * _mp_bound(y, anchor, f > 0)
+                                   for f, y in zip(out["f_obj"], yields)), 0)
+            omega_up = _mp_bound(min(omega_ref_up, 1), anchor, True)  # (1/4) sum of 4 anchors
+            e_xx = min(omega_up, zeta_obs) / zeta_obs
+            bracket = (1 - _mp_entropy(min(e_xx, cap))
+                       - mpmath.mpf(f_ec) * _mp_entropy(min(e_zz, cap)))
+            chains.append({"omega_ref_upper": omega_ref_up, "omega_upper": omega_up,
+                           "e_xx": e_xx, "key_rate": zeta_obs * max(bracket, 0)})
+        for key in chains[0]:
+            values = [chain[key] for chain in chains]
+            out[key] = values if isinstance(eps, (list, tuple)) else values[0]
         return {key: _floats(value) for key, value in out.items()}

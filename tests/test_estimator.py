@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mdiqkd import (
     SETTINGS,
     ChannelParams,
+    FrequencyRange,
     KeyRatePoint,
     LossRange,
     ModulationErrors,
@@ -19,11 +20,13 @@ from mdiqkd import (
     build_estimation_inputs,
     build_S_matrix,
     estimate,
+    frequency_table,
     loss_table,
     make_reference_state,
     reference_yields,
     transmission_rates,
 )
+import mdiqkd.sweep
 from mdiqkd import estimator
 from mdiqkd.channel import YieldTable, transmission_rates_grid
 from mdiqkd.estimator import (
@@ -32,7 +35,10 @@ from mdiqkd.estimator import (
     EstimationResult,
     NoSignalError,
     omega_ref_matrix,
+    _delta_vir_lower,
     _estimate_core,
+    _point_terms,
+    _row_columns,
 )
 from mdiqkd.pauli_core import (
     DEFAULT_COND_CEILING,
@@ -93,18 +99,23 @@ def test_binary_entropy_against_high_precision():
     assert round(float(estimator._binary_entropy(0.11)), 6) == 0.499916
 
 
+def _key_rate(y_zz, e_zz, e_xx, f_ec):
+    """estimator._key_rate at the error-correction cost of e_zz, as _point_terms gives it."""
+    return estimator._key_rate(y_zz, e_xx, f_ec * estimator._binary_entropy(min(e_zz, 0.5)))
+
+
 def test_key_rate_no_errors_returns_yield():
-    assert estimator._key_rate(0.37, 0.0, 0.0, 1.16) == pytest.approx(0.37, abs=1e-15)
+    assert _key_rate(0.37, 0.0, 0.0, 1.16) == pytest.approx(0.37, abs=1e-15)
 
 
 def test_key_rate_floors_at_half_phase_error():
-    assert estimator._key_rate(0.3, 0.1, 0.5, 1.16) == 0.0
+    assert _key_rate(0.3, 0.1, 0.5, 1.16) == 0.0
 
 
 def test_key_rate_no_revival_beyond_half():
     # a certified phase-error bound past 1/2 must not resurrect the rate
-    assert estimator._key_rate(0.3, 0.01, 0.9, 1.16) == 0.0
-    assert estimator._key_rate(0.3, 0.01, 1.0, 1.16) == 0.0
+    assert _key_rate(0.3, 0.01, 0.9, 1.16) == 0.0
+    assert _key_rate(0.3, 0.01, 1.0, 1.16) == 0.0
 
 
 def _zz_rates(zz):
@@ -337,17 +348,28 @@ def _estimate_bound(f_obj):
     return bound
 
 
+def _stage_bound(f_obj):
+    """leaky_adversary's bound through a sweep's two stages, for a uniform eps per row."""
+    def bound(y, eps):
+        terms = np.array(_point_terms(y, f_obj, 1.16, None))
+        upper = _row_columns(eps[:, 0], terms, y, f_obj)[4]
+        return np.where(terms[6] < np.finfo(float).tiny, np.nan, upper)  # zeta_obs
+    return bound
+
+
+@pytest.mark.parametrize("chain", [_estimate_bound, _stage_bound], ids=["estimate", "stages"])
 @pytest.mark.parametrize("delta, e", [(BENCHMARK_DELTA, 1e-2), (-0.4, 1e-2)])
-def test_an_adversary_finds_no_leaky_source_beyond_the_bound(delta, e):
+def test_an_adversary_finds_no_leaky_source_beyond_the_bound(chain, delta, e):
     # the security claim against a search for its worst case: a relay
-    # aimed at the leaks and the leaks moved to meet it. Every state leaks
-    # e into a two-dimensional mode. The search comes within 22% and 11%
-    # of omega_upper. There it exceeds a chain with the wrong branch for
+    # aimed at the leaks and the leaks moved to meet it, against estimate
+    # and against a sweep's stages. Every state leaks e into a
+    # two-dimensional mode. The search comes within 22% and 11% of
+    # omega_upper. There it exceeds a chain with the wrong branch for
     # f_obj < 0 at delta 0.126, one without its lift at -0.4 and one with
     # the lift through g_lower at both
     amps = reference_amplitudes([delta])[0]
     f_obj = build_estimation_inputs(amps, amps, None, None).f_obj
-    _, omega, upper, _ = leaky_adversary(_estimate_bound(f_obj), amps, e, leak_dim=2, seed=0)
+    _, omega, upper, _ = leaky_adversary(chain(f_obj), amps, e, leak_dim=2, seed=0)
     assert omega <= upper + 1e-12
     assert omega / upper > 0.7  # the search's reach: 0.78 and 0.89
 
@@ -975,6 +997,118 @@ def test_core_equals_the_reference_chain_on_the_relay_model():
     _check_core_against_reference(y, eps, f_obj, 1.16, None)
 
 
+def _check_stages_against_per_pair(eps, terms, y, f_obj, f_ec, sifting):
+    """The columns of the two stages, checked against the per-pair core on the same rows.
+
+    eps (rows), terms (9, rows) and y and f_obj (rows, 9), broadcast as a
+    sweep passes them. omega_ref_upper may differ by 1e-14 of the sum of
+    its terms' magnitudes, sum |f_i| (Y_i + g_i), g_i the bound of Y_i;
+    where that sum is at most ten times omega_ref_upper, the columns
+    after it by 1e-14 relative; e_zz and zeta_obs, of one code, not at
+    all.
+    """
+    rows = np.broadcast_shapes(eps.shape, terms.shape[1:])
+    y, eps9 = np.broadcast_to(y, rows + (9,)), np.broadcast_to(eps[..., None], rows + (9,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a clamped omega_ref_upper is the caller's to warn of
+        two = _row_columns(eps, terms, y, f_obj)
+        pair, silent = _estimate_core(y, eps9, f_obj, f_ec, sifting)
+    signal = ~silent
+    two = [np.broadcast_to(column, rows)[signal] for column in two]
+    pair = [column[signal] for column in pair]
+    lower, upper = deviation_bounds(y, np.sqrt(1.0 - eps9))
+    scale = (np.abs(f_obj) * (y + np.where(f_obj > 0.0, upper, lower))).sum(axis=-1)[signal]
+    rate, e_zz, e_xx, omega_ref_up, omega_up, zeta_obs = two
+    assert np.all(np.abs(omega_ref_up - pair[3]) <= 1e-14 * scale)
+    conditioned = scale <= 10.0 * pair[3]
+    for got, want in ((rate, pair[0]), (e_xx, pair[2]), (omega_up, pair[4])):
+        np.testing.assert_allclose(got[conditioned], want[conditioned], rtol=1e-14, atol=0)
+    _assert_bits_equal(e_zz, pair[1])
+    _assert_bits_equal(zeta_obs, pair[5])
+    return two, conditioned
+
+
+@st.composite
+def _stage_batches(draw):
+    """(eps, y, f_obj, f_ec, sifting) of curves x deltas x points, as a sweep's stages see them."""
+    curves, deltas, points = (draw(st.integers(1, n)) for n in (3, 3, 5))
+    shared = draw(st.booleans())  # a frequency table's one loss: one yield row per delta
+    shape = (deltas, 1 if shared else points, 9)
+    y = np.array(draw(st.lists(_UNIT, min_size=math.prod(shape), max_size=math.prod(shape))))
+    y = y.reshape(shape)
+    f_obj = np.array(draw(st.lists(_F_OBJ, min_size=9 * deltas, max_size=9 * deltas)))
+    f_obj = f_obj.reshape(deltas, 1, 9)
+    if deltas > 1 and draw(st.booleans()):  # a delta listed twice
+        y[-1], f_obj[-1] = y[0], f_obj[0]
+    eps = np.array(draw(st.lists(_UNIT, min_size=curves * points, max_size=curves * points)))
+    eps = eps.reshape(curves, 1, points)
+    if draw(st.booleans()):  # near a working point
+        y[..., [0, 4]] *= 1e-2
+        eps, f_obj = eps * 1e-6, f_obj * 1e-3
+    return (eps, y, f_obj, draw(st.sampled_from([1.0, 1.16, 2.0])),
+            draw(st.sampled_from([None, 0.0, 4.0 / 9.0, 1.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stage_batches())
+@example((np.array([[[0.0, 1.0, 1e-6, 1e-300]]]), np.full((1, 1, 9), 0.5),
+          np.array([[[2.0, -1.0, 0.0, -0.0, 0.5, 0.1, -0.2, 1.0, -3.0]]]), 1.16, None))
+def test_two_stages_agree_with_the_per_pair_core(batch):
+    # the factored deviation sum of a row's one eps against the nine
+    # bounds per row, saturated pairs, eps 0 and 1 and shared yields included
+    eps, y, f_obj, f_ec, sifting = batch
+    terms = np.array(_point_terms(y, f_obj, f_ec, sifting))
+    _check_stages_against_per_pair(eps, terms, y, f_obj, f_ec, sifting)
+
+
+def test_two_stages_cover_saturated_rows_and_both_ends_of_eps():
+    # eps 1 saturates every pair whose yield is not at the far end, eps 0
+    # none; the rows in between take the factored form. Where no pair
+    # saturates, eps 0 gives omega_ref itself and the forms agree bit for bit
+    y = np.array([[[0.3, 0.6, 0.1, 0.8, 0.5, 0.2, 0.4, 0.7, 0.9]]])
+    f_obj = np.array([[[0.4, -0.1, 0.2, -0.05, 0.5, -0.1, 0.05, 0.15, -0.05]]])
+    eps = np.array([[[0.0, 1e-12, 1e-6, 0.5, 1.0]]])
+    terms = np.array(_point_terms(y, f_obj, 1.16, None))
+    (rate, _, _, omega_ref_up, *_), conditioned = _check_stages_against_per_pair(
+        eps, terms, y, f_obj, 1.16, None)
+    assert conditioned[:3].all()
+    assert omega_ref_up[0] == max(terms[0, 0, 0], 0.0)
+    assert omega_ref_up[-1] == (f_obj * (f_obj > 0.0)).sum()  # each pair at its far bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_UNIT, min_size=1, max_size=20))
+@example([1e-300, 2.0**-52, 0.75, 1.0 - 2.0**-53])
+def test_the_lift_of_one_eps_has_the_bits_of_nine_equal_anchors(eps):
+    # the second stage lifts through the anchor itself: the sum over the
+    # four ZZ anchors, ((r + r) + r) + r, rounds to exactly 4r
+    roots = np.sqrt(1.0 - np.array(eps))
+    _assert_bits_equal(roots, _delta_vir_lower(np.repeat(roots[:, None], 9, axis=1)))
+
+
+def test_a_tables_stages_agree_with_the_per_pair_core(monkeypatch):
+    # whole tables with a refused delta, repeated ones and eps 0 and 1, on
+    # both axes: every block the sweep hands its second stage agrees with
+    # the per-pair core on the same views, and the error rows are those
+    # of the per-pair mask
+    config = SweepConfig(eps_values=(0.0, 1e-6, 1.0), delta_values=(0.126, math.pi / 4, 0.0, 0.126),
+                         loss_range=LossRange(0.0, 30.0, 2.5),
+                         frequency_range=FrequencyRange(0.1, 4.0, 0.5, loss_db=5.0))
+    blocks = []
+
+    def checked(eps, terms, y, f_obj):
+        blocks.append(_check_stages_against_per_pair(eps, terms, y, f_obj, config.f_ec, None))
+        return _row_columns(eps, terms, y, f_obj)
+
+    monkeypatch.setattr(mdiqkd.sweep, "_row_columns", checked)
+    for build in (loss_table, frequency_table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = build(config)
+        assert sum("exceeds ceiling" in (e or "") for e in table.errors) == table.numbers.shape[1] // 4
+    assert len(blocks) == 2
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.126, 0.2, 0.7, 0.77, 0.78, 0.785])
 def test_a_tables_setup_and_eps_zero_chain_match_60_digit_arithmetic(delta):
     # a loss table at eps 0, where every deviation bound is its yield, and
@@ -1015,3 +1149,32 @@ def test_a_tables_setup_and_eps_zero_chain_match_60_digit_arithmetic(delta):
         rtol = max(1e-12, 16 * oracle["kappa"] * np.finfo(float).eps)
         for name in ("e_xx", "key_rate"):
             assert columns[name][i] == pytest.approx(oracle[name], rel=rtol), name
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.126, 0.7])
+def test_the_two_stages_add_no_error_against_60_digit_arithmetic(delta):
+    # a loss table's rows at eps 0 to 1e-12, against the mpmath chain at
+    # the same eps: the two stages err by at most the per-pair core's error
+    # on the same yields and f_obj, plus 4e-15 of the size of the terms
+    # of f_obj . Y, sum |f_i Y_i| = kappa |f_obj . Y|. The two forms round
+    # those terms differently, and kappa (about 130 here) amplifies that
+    # to about 1e-14 of the value, either way. Both take om = 1 - y^2 of
+    # the anchor y = sqrt(1 - eps), which carries a relative error of
+    # about 1e-16 / eps, so neither is near the exact value at tiny eps
+    channel, eps, losses = ChannelParams(), [0.0, 1e-6, 1e-9, 1e-12], [0.0, 4.0, 8.0]
+    config = SweepConfig(channel=channel, eps_values=tuple(eps), delta_values=(delta,),
+                         loss_range=LossRange(0.0, 8.0, 4.0))
+    columns = dict(zip(KeyRatePoint._fields, loss_table(config).numbers.reshape(11, 4, 3)))
+    amps = reference_amplitudes([delta])
+    s_matrix, _, f_obj, _ = build_estimation_stack(amps, amps)
+    yields = reference_yields(s_matrix, transmission_rates_grid(channel, losses)).y[0]
+    eps9 = np.broadcast_to(np.array(eps)[:, None, None], (4, 3, 9))
+    (_, _, e_xx, omega_ref_up, omega_up, _), _ = _estimate_core(
+        np.broadcast_to(yields, (4, 3, 9)), eps9, f_obj[0], 1.16, None)
+    per_pair = {"omega_ref_upper": omega_ref_up, "omega_upper": omega_up, "e_xx": e_xx}
+    for j, loss in enumerate(losses):
+        oracle = setup_chain_mp(delta, channel.eta_d, channel.p_d, channel.e_d, loss, eps=eps)
+        for name, pair in per_pair.items():
+            two_error = np.abs(columns[name][:, j] / oracle[name] - 1.0)
+            pair_error = np.abs(pair[:, j] / oracle[name] - 1.0)
+            assert np.all(two_error <= pair_error + 4e-15 * oracle["kappa"]), name

@@ -33,7 +33,7 @@ import mdiqkd
 import mdiqkd._g12
 import mdiqkd._yaml_subset
 import mdiqkd.sweep
-from mdiqkd.estimator import NO_SIGNAL, EstimationInputs, _estimate_core
+from mdiqkd.estimator import NO_SIGNAL, EstimationInputs, _point_terms, _row_columns
 from mdiqkd.cli import build_parser, main
 from mdiqkd.pauli_core import DegenerateInputError, build_estimation_stack
 from mdiqkd.sweep import (
@@ -1072,15 +1072,15 @@ def test_denormal_yields_sweep_is_warning_free():
 
 
 def _counted_blocks(monkeypatch):
-    """The list to which each later core call of a sweep appends its rows."""
+    """The list to which each later call of a sweep's second stage appends its rows."""
     sizes = []
 
-    def counting_core(yields, eps, *args):
-        # a block's rows: its yields and eps broadcast, but for the nine pairs
-        sizes.append(math.prod(np.broadcast_shapes(yields.shape[:-1], eps.shape[:-1])))
-        return _estimate_core(yields, eps, *args)
+    def counting_stage(eps, terms, *args):
+        # a block's rows: its eps and its terms per (delta, point) broadcast
+        sizes.append(math.prod(np.broadcast_shapes(eps.shape, terms.shape[1:])))
+        return _row_columns(eps, terms, *args)
 
-    monkeypatch.setattr(mdiqkd.sweep, "_estimate_core", counting_core)
+    monkeypatch.setattr(mdiqkd.sweep, "_row_columns", counting_stage)
     return sizes
 
 
@@ -1091,16 +1091,15 @@ def _counted_blocks(monkeypatch):
     (TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
     # no signal anywhere: the one block gives error rows only
     (TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
-    # the 8001 points of the one curve and delta go in five even blocks of
-    # at most BATCH_ROWS = 1820; the 1899 rows without signal (zeta_obs
-    # subnormal or 0 beyond 3050.5 dB) are the last 299 of the fourth
-    # block and all of the fifth
-    (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.5)),
-     [1601, 1600, 1600, 1600, 1600], 1899),
+    # the 20001 points of the one curve and delta go in two even blocks of
+    # at most BATCH_ROWS = 16384; the 4747 rows without signal (zeta_obs
+    # subnormal or 0 beyond 3050.6 dB) are the last of the second
+    (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.2)),
+     [10001, 10000], 4747),
 ], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
 def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_silent):
-    # a failing check runs no block again: one core call per block, as
-    # few as the rows need
+    # a failing check runs no block again: one call of the second stage
+    # per block, as few as the rows need
     sizes = _counted_blocks(monkeypatch)
     points = loss_table(config).rows()
     assert sizes == batches
@@ -1150,6 +1149,29 @@ def test_blocks_over_curves_and_deltas_keep_every_row_in_its_place(monkeypatch):
     assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
     assert sizes == [2] * 12
     assert sum(p.error is not None for p in whole) == 12
+
+
+def test_the_first_stage_runs_once_per_delta_and_point(monkeypatch):
+    # three curves share the eps-free terms of each accepted (delta,
+    # point); a frequency table's one loss gives one cell per delta. At
+    # BATCH_ROWS 18 the first stage takes at most two cells a call
+    config = TINY.replace(eps_values=(1e-6, 1e-7, 1e-5), delta_values=(0.0, 1.5, 0.126),
+                          cond_ceiling=1e3, loss_range=LossRange(0.0, 3.0, 1.0),
+                          frequency_range=_FREQUENCY_MAP)
+    cells = []
+
+    def counting_stage(y, *args):
+        cells.append(math.prod(y.shape[:-1]))
+        return _point_terms(y, *args)
+
+    monkeypatch.setattr(mdiqkd.sweep, "_point_terms", counting_stage)
+    loss_table(config)
+    frequency_table(config)
+    assert cells == [8, 2]
+    cells.clear()
+    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 18)
+    loss_table(config)
+    assert cells == [2, 2, 2, 2]
 
 
 def test_clamp_warning_beside_a_refused_delta_names_a_number():

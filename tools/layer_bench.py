@@ -12,9 +12,12 @@ there and the growth of the process's peak resident memory (VmHWM)
 across it, then its median over --repeats warm calls with the arguments
 of that first call: load_config, reference_amplitudes,
 transmission_rates_grid, build_estimation_stack, reference_yields, the
-first _estimate_core block of the table, the whole table build
+first block of each stage of the chain (_estimate_core, or the two
+stages _point_terms and _row_columns), the whole table build
 (loss_table/frequency_table: the stages before it and the glue between
-them), SweepTable.summaries, SweepTable.check and _g12.print_rows. As
+them), SweepTable.summaries, SweepTable.check and _g12.print_rows. A
+stage that a tree does not define, or never calls, is reported as null,
+so that trees of different stages compare. As
 many fresh interpreters run what a perfbench worker runs: the start-up
 (start_up: import mdiqkd.cli and the first load_config, as perfbench's
 setup_s), perfbench's calibration kernel (perfbench/worker.py, imported
@@ -98,6 +101,8 @@ def _stages(argv, repeats):
               (sweep, "build_estimation_stack", "build_estimation_stack"),
               (sweep, "reference_yields", "reference_yields"),
               (sweep, "_estimate_core", "_estimate_core"),
+              (sweep, "_point_terms", "_point_terms"),
+              (sweep, "_row_columns", "_row_columns"),
               (mdiqkd.cli, "loss_table", "loss_table/frequency_table"),
               (mdiqkd.cli, "frequency_table", "loss_table/frequency_table"),
               (sweep.SweepTable, "summaries", "SweepTable.summaries"),
@@ -129,12 +134,16 @@ def _stages(argv, repeats):
         return stage
 
     for owner, attribute, name in traced:
-        setattr(owner, attribute, wrap(name, getattr(owner, attribute)))
+        if hasattr(owner, attribute):  # a tree need not define every stage
+            setattr(owner, attribute, wrap(name, getattr(owner, attribute)))
     with contextlib.redirect_stdout(io.StringIO()):
         if mdiqkd.cli.main(argv) != 0:
             raise RuntimeError("cli.main failed")
     times = {}
     for name in dict.fromkeys(name for _, _, name in traced):
+        if name not in calls:  # a stage this tree never calls
+            times[name] = None
+            continue
         call, args = calls[name]
         times[name] = {"first_us": first[name], "warm_us": _timed(lambda: call(*args), repeats)[1],
                        "hwm_growth_kb": growth[name]}
@@ -244,6 +253,9 @@ def main(argv=None):
                         line = subprocess.run(cmd, capture_output=True, text=True,
                                               check=True).stdout.splitlines()[-1]
                         for stage, figures in json.loads(line).items():
+                            if figures is None:
+                                samples[label].setdefault(stage, None)
+                                continue
                             # perfbench's scaling: the time on a CPU whose kernel takes
                             # CAL_REFERENCE_S
                             cal_us = figures.pop("cal_us", None)
@@ -258,10 +270,10 @@ def main(argv=None):
             for label, _ in trees:
                 reports[label]["workloads"][name] = {
                     "rows": rows,
-                    "stages": {stage: {key: round(statistics.median(values),
-                                                  2 if key == "peak_rss_mb" else 1)
-                                       for key, values in figures.items()}
-                               for stage, figures in samples[label].items()},
+                    "stages": {stage: figures and {
+                        key: round(statistics.median(values), 2 if key == "peak_rss_mb" else 1)
+                        for key, values in figures.items()}
+                        for stage, figures in samples[label].items()},
                 }
     for label, report in reports.items():
         path = Path(args.out) / f"BENCH_{label}.json"
