@@ -327,7 +327,7 @@ def leaky_adversary(bound, refs, e, leak_dim, seed, restarts=4, steps=20, popula
     def states(chis):
         return tuple(leaky_states(refs, [e] * 3, chis[..., side, :, :])[0] for side in (0, 1))
 
-    best, ratio = (-np.inf,), 0.0
+    best = (-np.inf,)
     for _ in range(restarts):
         chis = rng.normal(size=(2, 3, dim)) + 1j * rng.normal(size=(2, 3, dim))
         m = random_bounded_operator(rng, dim * dim)
