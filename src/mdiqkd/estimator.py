@@ -29,12 +29,14 @@ gives floats for one point; f_obj is shared, or given per point as (n,
 Checks and stages. estimate is the chain's one public entry: it checks
 its inputs once and runs _estimate_core, the chain on arrays, which takes
 each yield's deviation bound on the branch the sign of its f_obj
-coefficient selects. A sweep, whose table checked its inputs, runs the
-chain in two stages: _point_terms once per (delta, point), without eps,
-then _row_columns once per row, whose one eps factors the deviation sum;
-a row where a pair saturates its bound takes the per-pair form. Each
-formula lives once, in an unchecked private helper, and a row without
-signal is marked by its zeta_obs instead of raising.
+coefficient selects, and whose omega_ref is the first stage's f_obj . Y,
+the sum the bounds are built on. A sweep, whose table checked its
+inputs, runs the chain in two stages: _point_terms once per (delta,
+point), without eps, then _row_columns once per row, whose one eps
+factors the deviation sum; a row where a pair saturates its bound takes
+the per-pair form. Each formula lives once, in an unchecked private
+helper, and a row without signal is marked by its zeta_obs instead of
+raising.
 """
 
 import warnings
@@ -51,7 +53,6 @@ __all__ = [
     "EstimationInputs",
     "EstimationResult",
     "build_estimation_inputs",
-    "omega_ref_matrix",
     "estimate",
 ]
 
@@ -145,11 +146,6 @@ def build_estimation_inputs(ref_a, ref_b, yields, eps):
     return EstimationInputs(yields, eps, f_obj[0])
 
 
-def omega_ref_matrix(inputs):
-    """Singlet-error weight via the tomography identity f_obj . Y, row by row."""
-    return plain(np.einsum("...i,...i->...", inputs.yields.y, inputs.f_obj))
-
-
 def _anchors(eps):
     """Fidelity anchors delta^L = sqrt(1 - eps) per setting pair."""
     return np.sqrt(1.0 - eps)
@@ -182,13 +178,13 @@ def _warn_of_clamp(omega_ref_up):
 
 
 def _zz_rates(zz):
-    """(e_zz, zeta_obs, silent) of the ZZ yields; a silent row's e_zz is no number."""
+    """(e_zz, zeta_obs) of the ZZ yields; e_zz is no number where zeta_obs is 0."""
     # equal announced bits are errors: the kept announcement anti-correlates
     # the raw bits, and Bob flips his afterwards
     denom = zz.sum(axis=-1)
     zeta_obs = 0.25 * denom  # joint over the uniform bit pairs
     # the setting-pair order restricted to ZZ: (00, 01, 10, 11)
-    return (zz[..., 0] + zz[..., 3]) / denom, zeta_obs, zeta_obs < _SILENT_BELOW
+    return (zz[..., 0] + zz[..., 3]) / denom, zeta_obs
 
 
 def _phase_error_rate(omega_up, zeta_obs):
@@ -230,7 +226,7 @@ def _point_terms(y, f_obj, f_ec, sifting_prefactor):
     hi = np.where(up, pairs, -np.inf).max(axis=0)
     lo = np.where(up, np.inf, pairs).min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_zz, zeta_obs, _ = _zz_rates(y[..., _ZZ])
+        e_zz, zeta_obs = _zz_rates(y[..., _ZZ])
     y_zz = zeta_obs if sifting_prefactor is None else zeta_obs * sifting_prefactor
     return (omega_ref, a, b, hi, lo, e_zz, zeta_obs, y_zz,
             f_ec * _binary_entropy(np.minimum(e_zz, 0.5)))
@@ -264,16 +260,17 @@ def _row_columns(eps, terms, y, f_obj):
 
 
 def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
-    """The chain of estimate on arrays, per pair: _chain_tail's columns and the silent mask.
+    """The chain of estimate on arrays, per pair: _chain_tail's columns, silent mask and omega_ref.
 
     y (..., 9); eps and f_obj (..., 9), broadcast against it and checked by
     the caller, who warns of an omega_ref_upper clamped to 1 (_warn_of_clamp).
+    omega_ref is the first stage's f_obj . Y.
     """
     roots = _anchors(eps)
-    *_, e_zz, zeta_obs, y_zz, cost = _point_terms(y, f_obj, f_ec, sifting_prefactor)
+    omega_ref, *_, e_zz, zeta_obs, y_zz, cost = _point_terms(y, f_obj, f_ec, sifting_prefactor)
     columns = _chain_tail(_omega_ref_upper(y, roots, f_obj), _delta_vir_lower(roots),
                           e_zz, zeta_obs, y_zz, cost)
-    return columns, zeta_obs < _SILENT_BELOW
+    return columns, zeta_obs < _SILENT_BELOW, omega_ref
 
 
 def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
@@ -296,15 +293,16 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     for name, value in (("eps", eps), ("f_obj", f_obj)):
         if value.shape not in ((9,), shape):
             raise ValueError(f"{name} must have shape (9,) or {shape}, got {value.shape}")
-    if not f_ec >= 1.0:
-        raise ValueError("f_ec must be >= 1")
-    if not (sifting_prefactor is None or sifting_prefactor >= 0.0):
-        raise ValueError("sifting_prefactor must be >= 0")
-    columns, silent = _estimate_core(inputs.yields.y, eps, f_obj, f_ec, sifting_prefactor)
+    if not 1.0 <= f_ec < np.inf:
+        raise ValueError("f_ec must be finite and >= 1")
+    if not (sifting_prefactor is None or 0.0 <= sifting_prefactor <= 1.0):
+        raise ValueError("sifting_prefactor must lie in [0, 1]")
+    columns, silent, omega_ref = _estimate_core(inputs.yields.y, eps, f_obj, f_ec,
+                                                sifting_prefactor)
     _warn_of_clamp(columns[3])
     if np.any(silent):
         raise NoSignalError(NO_SIGNAL, silent)
     rate, e_zz, e_xx, om_ref_up, om_up, zeta_obs = map(plain, columns)
-    return EstimationResult(omega_ref_matrix(inputs), om_ref_up,
+    return EstimationResult(plain(omega_ref), om_ref_up,
                             plain(_delta_vir_lower(_anchors(eps))), om_up, zeta_obs, e_zz, e_xx,
                             rate)

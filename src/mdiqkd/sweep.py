@@ -8,13 +8,12 @@ the table is built: the config, the clamped yields and the stack's
 cond(S) ceiling. The tomography matrices of the listed modulation errors
 are built once per table, as one stack (a delta listed twice is simply
 evaluated again). A table's numbers are one (curve, delta, point) grid,
-which the estimator's chain fills in two stages: once per (delta,
-point) without eps, then once per row at its eps, each in blocks of
-bounded size; a row without signal, or of a refused reference set,
-becomes an error row. A table stays columns (SweepTable) from the
-estimate to the file: the command line and library callers alike
-summarise, check and write it without building a row; rows() gives its
-KeyRatePoints for iteration.
+which the estimator's chain fills in two stages, one call each: once
+per (delta, point) without eps, then once per row at its eps; a row
+without signal, or of a refused reference set, becomes an error row.
+A table stays columns (SweepTable) from the estimate to the file: the
+command line and library callers alike summarise, check and write it
+without building a row; rows() gives its KeyRatePoints for iteration.
 Output is a deterministic CSV or JSON-lines table: identical configs
 produce byte-identical files under any BLAS kernel, as no number passes
 through BLAS or LAPACK (libm remains: Python's pow for 10**lg and the arm
@@ -26,7 +25,7 @@ and a summary block records the per-curve positive-rate cutoff.
 import math
 import operator
 import warnings
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +48,12 @@ __all__ = [
     "frequency_table",
 ]
 
-# the most rows one table may hold; every row stays in memory until emission
+# the most rows one table may hold; every row stays in memory until emission.
+# Each stage of the chain takes the whole table in one call: a table of this
+# many rows peaks at 350-530 MiB of arrays (tracemalloc, 100 eps or deltas x
+# 10000 losses); rows that saturate a pair take the per-pair form on (rows, 9)
+# arrays and set the upper end
 MAX_TABLE_ROWS = 1_000_000
-# the most rows per call of the chain's second stage, and over nine the
-# most (delta, point) cells per call of its first: their float64
-# temporaries (one value a row, nine a cell) stay below glibc's 128 KiB
-# mmap threshold and bounded however many rows (MAX_TABLE_ROWS) a table has
-BATCH_ROWS = 128 * 1024 // 8
 
 
 def _grid_size(start, stop, step):
@@ -576,22 +574,6 @@ class SweepTable:
         return path
 
 
-def _blocks(shape, limit):
-    """Blocks of at most limit cells that tile a grid of the given shape, in grid order.
-
-    Each axis is split evenly (np.array_split) into as few parts as fit,
-    the outer axes first: an axis goes into single indices only while the
-    axes inside it hold more than limit cells. One tuple of slices per
-    block; none for an empty grid.
-    """
-    if 0 in shape:
-        return ()
-    # each axis in as few parts as fit the cells of the axes inside it
-    fits = [max(1, limit // math.prod(shape[i + 1:])) for i in range(len(shape))]
-    return product(*([slice(r[0], r[-1] + 1) for r in np.array_split(range(size), -(-size // fit))]
-                     for size, fit in zip(shape, fits)))
-
-
 def _sweep_table(config, coordinates, eps, rates, per_second):
     """The table of every curve, eps outermost, then delta as listed, then the coordinate.
 
@@ -600,15 +582,14 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     9), or (1, 9) shared by all points. The numbers are one (column,
     curve, delta, point) grid, filled by broadcasting. A refused
     reference set (nan f_obj) gives its delta's rows its error's message
-    and stays out of the chain. The chain's first stage takes the
-    accepted deltas' yields in _blocks of at most BATCH_ROWS / 9 (delta,
-    point) cells, its second stage views of its terms and of eps per
-    (curve, point) in blocks of at most BATCH_ROWS rows, and its columns
-    go straight into the grid. The table checked its inputs: the yields
-    by reference_yields' clamp, eps by the config and f_obj by the
-    stack's ceiling. Rows without signal become NO_SIGNAL error rows, and
-    only error rows carry nan in the estimate's numbers. One warning per
-    table names the worst omega_ref_upper clamped to 1.
+    and stays out of the chain. The chain's first stage runs once on the
+    accepted deltas' yields, its second once on views of its terms and
+    of eps per (curve, point), and each of its columns goes into the grid
+    in one assignment. The table checked its inputs: the yields by
+    reference_yields' clamp, eps by the config and f_obj by the stack's
+    ceiling. Rows without signal become NO_SIGNAL error rows, and only
+    error rows carry nan in the estimate's numbers. One warning per table
+    names the worst omega_ref_upper clamped to 1.
     """
     amps = reference_amplitudes(config.delta_values)  # (n_deltas, 3, 2), both sides' sets
     s_matrix, cond_s, f_obj, errors = build_estimation_stack(amps, amps, config.cond_ceiling)
@@ -619,22 +600,15 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     numbers[1] = eps[:, None]
     numbers[2] = np.array(config.delta_values, dtype=float)[:, None]
     numbers[9][:, keep] = cond_s[keep, None]
-    n_curves, _, n = numbers.shape[1:]
     # (accepted deltas, points or 1, 9): a frequency table's one loss
     yields = reference_yields(s_matrix, rates).y[keep]
+    f_obj = f_obj[keep, None]
     sifting = config.channel.p_za * config.channel.p_zb if config.include_sifting else None
-    terms = np.empty((9, *yields.shape[:2]))
-    for k, points in _blocks(terms.shape[1:], BATCH_ROWS // 9):
-        terms[:, k, points] = _point_terms(yields[k, points], f_obj[keep[k], None], config.f_ec,
-                                           sifting)
-    terms = np.broadcast_to(terms, (9, keep.size, n))
-    yields = np.broadcast_to(yields, (keep.size, n, 9))
-    eps = np.broadcast_to(eps[:, None, :], (n_curves, 1, n))
-    for curves, k, points in _blocks((n_curves, keep.size, n), BATCH_ROWS):
-        columns = _row_columns(eps[curves, :, points], terms[:, k, points], yields[k, points],
-                               f_obj[keep[k], None])
-        for column, values in zip(numbers[3:9], columns):
-            column[curves, keep[k], points] = values
+    terms = _point_terms(yields, f_obj, config.f_ec, sifting)
+    # eps per (curve, point) as (curves, 1, points): each curve meets every accepted delta
+    columns = _row_columns(eps[:, None, :], terms, yields, f_obj)
+    for column, values in zip(numbers[3:9], columns):
+        column[:, keep] = values
     _warn_of_clamp(numbers[6][:, keep])  # the rows the chain saw, silent ones included
     silent = numbers[8] < _SILENT_BELOW  # zeta_obs; nan in a refused delta's rows
     numbers[3:10, silent] = np.nan

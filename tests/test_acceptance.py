@@ -33,7 +33,6 @@ from mdiqkd import (
     transmission_rates,
 )
 from mdiqkd.channel import PSI_MINUS
-from mdiqkd.estimator import omega_ref_matrix
 from oracles import fock_povm, omega_ref_direct, random_bounded_operator, random_pure_state
 
 BENCHMARK_CHANNEL = ChannelParams(eta_d=0.145, p_d=6.02e-6, e_d=0.015)
@@ -165,7 +164,7 @@ def test_criterion_5_estimation_routes_agree(capsys):
             ref_a, ref_b, yields, SideChannelParams.uniform(0.0)
         )
         p_vir, s_vir = build_virtual(ref_a[:2], ref_b[:2])
-        diff = abs(omega_ref_matrix(inputs) - omega_ref_direct(p_vir, s_vir, povm))
+        diff = abs(estimate(inputs).omega_ref - omega_ref_direct(p_vir, s_vir, povm))
         worst = max(worst, diff)
     ok = worst < 1e-10
     _report(

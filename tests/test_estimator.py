@@ -34,7 +34,6 @@ from mdiqkd.estimator import (
     EstimationInputs,
     EstimationResult,
     NoSignalError,
-    omega_ref_matrix,
     _delta_vir_lower,
     _estimate_core,
     _point_terms,
@@ -119,8 +118,10 @@ def test_key_rate_no_revival_beyond_half():
 
 
 def _zz_rates(zz):
+    """(e_zz, zeta_obs) of the ZZ yields, and the silent mask the chain takes of zeta_obs."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return estimator._zz_rates(np.array(zz, dtype=float))
+        e_zz, zeta_obs = estimator._zz_rates(np.array(zz, dtype=float))
+    return e_zz, zeta_obs, zeta_obs < estimator._SILENT_BELOW
 
 
 def test_bit_error_rate_perfect_anticorrelation():
@@ -242,8 +243,7 @@ def test_omega_upper_clamps_and_one_warning_names_the_worst():
 
 def test_omega_ref_zero_cases():
     ref, povm, yields, inputs = _pipeline()
-    zeros = YieldTable(np.zeros(9))
-    assert omega_ref_matrix(EstimationInputs(zeros, inputs.eps, inputs.f_obj)) == 0.0
+    assert _point_terms(np.zeros(9), inputs.f_obj, 1.16, None)[0] == 0.0
 
     class _Zero:
         m = np.zeros((4, 4))
@@ -259,13 +259,13 @@ def test_omega_ref_vanishes_for_ideal_setup():
     )
     ideal_povm = build_bsm_povm(ChannelParams(eta_d=1.0, p_d=0.0, e_d=0.0))
     assert abs(omega_ref_direct(*build_virtual(ref[:2], ref[:2]), ideal_povm)) < 1e-12
-    assert abs(omega_ref_matrix(inputs)) < 1e-12
+    assert abs(estimate(inputs).omega_ref) < 1e-12
 
 
 def test_omega_ref_route_equivalence_at_benchmark_point():
     ref, povm, yields, inputs = _pipeline(delta=BENCHMARK_DELTA)
     direct = omega_ref_direct(*build_virtual(ref[:2], ref[:2]), povm)
-    via_matrix = omega_ref_matrix(inputs)
+    via_matrix = estimate(inputs).omega_ref
     assert via_matrix == pytest.approx(direct, abs=1e-10)
     assert direct > 0.0
 
@@ -299,7 +299,7 @@ def test_leaky_source_without_leaks_has_the_omega_of_the_tomography_identity(del
     # the oracle's Omega_act and the package's f_obj . Y share their conventions
     inputs, omega = _leaky_inputs(np.random.default_rng(7), delta, [0.0] * 3, [0.0] * 3,
                                   leak_dim, relays=5)
-    np.testing.assert_allclose(omega_ref_matrix(inputs), omega, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(estimate(inputs).omega_ref, omega, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,12 +459,16 @@ def test_estimate_refuses_shapes_that_do_not_agree(monkeypatch, yields, eps, f_o
 @pytest.mark.parametrize("f_obj_entry, keywords, message", [
     (math.nan, {}, "f_obj must be finite"),
     (-math.inf, {}, "f_obj must be finite"),
-    (None, {"f_ec": 0.99}, "f_ec must be >= 1"),
-    (None, {"f_ec": math.nan}, "f_ec must be >= 1"),
-    (None, {"sifting_prefactor": -0.1}, "sifting_prefactor must be >= 0"),
-    (None, {"sifting_prefactor": math.nan}, "sifting_prefactor must be >= 0"),
-], ids=["f_obj-nan", "f_obj-inf", "f_ec-below-1", "f_ec-nan", "sifting-negative",
-        "sifting-nan"])
+    (None, {"f_ec": 0.99}, "f_ec must be finite and >= 1"),
+    (None, {"f_ec": math.nan}, "f_ec must be finite and >= 1"),
+    (None, {"f_ec": math.inf}, "f_ec must be finite and >= 1"),
+    (None, {"sifting_prefactor": -0.1}, "sifting_prefactor must lie in [0, 1]"),
+    (None, {"sifting_prefactor": math.nan}, "sifting_prefactor must lie in [0, 1]"),
+    # p_ZA * p_ZB, a product of two probabilities
+    (None, {"sifting_prefactor": 1.5}, "sifting_prefactor must lie in [0, 1]"),
+    (None, {"sifting_prefactor": math.inf}, "sifting_prefactor must lie in [0, 1]"),
+], ids=["f_obj-nan", "f_obj-inf", "f_ec-below-1", "f_ec-nan", "f_ec-inf", "sifting-negative",
+        "sifting-nan", "sifting-above-1", "sifting-inf"])
 def test_estimate_refuses_a_bad_f_obj_f_ec_or_sifting_prefactor(monkeypatch, f_obj_entry,
                                                                 keywords, message):
     def no_work(*args, **kwargs):
@@ -914,7 +918,7 @@ def _messages(caught):
 def _check_core_against_reference(y, eps, f_obj, f_ec, sifting):
     with warnings.catch_warnings(record=True) as core_warnings:
         warnings.simplefilter("always")
-        columns, silent = _estimate_core(y, eps, f_obj, f_ec, sifting)
+        columns, silent, _ = _estimate_core(y, eps, f_obj, f_ec, sifting)
     assert core_warnings == []  # its callers warn of the clamp
     with warnings.catch_warnings(record=True) as reference_warnings:
         warnings.simplefilter("always")
@@ -956,19 +960,26 @@ def test_core_equals_the_reference_chain_bit_for_bit(batch):
 def test_core_sums_omega_ref_upper_in_its_written_order():
     # omega_ref_upper adds its nine terms in one fixed order, whatever
     # order a numpy reduction would take: each row's bits are those of
-    # Python floats added in that order. Terms of mixed sign and of six
-    # decades of size make a sequential sum differ in the last bits
+    # Python floats added in that order, and so do omega_ref = f_obj . Y
+    # and the omega_ref that estimate returns. Terms of mixed sign and of
+    # six decades of size make a sequential sum differ in the last bits
     rng = np.random.default_rng(5)
     n = 2000
     y = rng.uniform(0.0, 1.0, (n, 9))
     eps = rng.uniform(0.0, 1e-4, (n, 9))
     f_obj = rng.uniform(-0.1, 0.1, (n, 9)) * 10.0 ** rng.uniform(-6.0, 0.0, (n, 9))
-    (*_, omega_ref_up, _, _), _ = _estimate_core(y, eps, f_obj, 1.16, None)
+    (*_, omega_ref_up, _, _), _, omega_ref = _estimate_core(y, eps, f_obj, 1.16, None)
     lower, upper = deviation_bounds(y, np.sqrt(1.0 - eps))
     terms = (f_obj * np.where(f_obj > 0.0, upper, lower)).tolist()
     want = [max(_nine_term_sum(row), 0.0) for row in terms]
     assert (omega_ref_up > 0.0).sum() > n // 4
     assert omega_ref_up.tolist() == want
+    want = [_nine_term_sum(row) for row in (f_obj * y).tolist()]
+    assert omega_ref.tolist() == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lift may clamp a bound above 1
+        result = estimate(EstimationInputs(YieldTable(y), SideChannelParams(eps), f_obj))
+    assert result.omega_ref.tolist() == want
 
 
 def test_core_covers_the_clamp_and_the_edges():
@@ -978,7 +989,7 @@ def test_core_covers_the_clamp_and_the_edges():
     y[3, list(ZZ_PAIR_INDICES)] = 0.0
     eps = np.array([[0.0] * 9, [1.0] * 9, [1e-6] * 9, [1e-6] * 9])
     f_obj = np.array([[2.0, 0.0, -0.0, 1.0, 0.5, 0.0, -1.0, 0.0, 0.0]] * 4)
-    columns, silent = _estimate_core(y, eps, f_obj, 1.16, None)
+    columns, silent, _ = _estimate_core(y, eps, f_obj, 1.16, None)
     assert silent.tolist() == [False, False, False, True]
     omega_ref_up = columns[3]
     assert (omega_ref_up[:3] > 1.0).all() and (columns[4][:3] == 1.0).all()
@@ -992,7 +1003,7 @@ def test_core_equals_the_reference_chain_on_the_relay_model():
     y = np.array([p.yields.y for p in points])
     eps = np.full_like(y, 1e-6)
     f_obj = np.array([p.f_obj for p in points])
-    (rate, *_), _ = _estimate_core(y, eps, f_obj, 1.16, None)
+    (rate, *_), *_ = _estimate_core(y, eps, f_obj, 1.16, None)
     assert (rate > 0.0).all()
     _check_core_against_reference(y, eps, f_obj, 1.16, None)
 
@@ -1000,19 +1011,19 @@ def test_core_equals_the_reference_chain_on_the_relay_model():
 def _check_stages_against_per_pair(eps, terms, y, f_obj, f_ec, sifting):
     """The columns of the two stages, checked against the per-pair core on the same rows.
 
-    eps (rows), terms (9, rows) and y and f_obj (rows, 9), broadcast as a
-    sweep passes them. omega_ref_upper may differ by 1e-14 of the sum of
-    its terms' magnitudes, sum |f_i| (Y_i + g_i), g_i the bound of Y_i;
-    where that sum is at most ten times omega_ref_upper, the columns
-    after it by 1e-14 relative; e_zz and zeta_obs, of one code, not at
-    all.
+    eps (rows), terms, _point_terms' nine columns (rows), and y and f_obj
+    (rows, 9), broadcast as a sweep passes them. omega_ref_upper may
+    differ by 1e-14 of the sum of its terms' magnitudes, sum |f_i| (Y_i +
+    g_i), g_i the bound of Y_i; where that sum is at most ten times
+    omega_ref_upper, the columns after it by 1e-14 relative; e_zz and
+    zeta_obs, of one code, not at all.
     """
-    rows = np.broadcast_shapes(eps.shape, terms.shape[1:])
+    rows = np.broadcast_shapes(eps.shape, *(np.shape(column) for column in terms))
     y, eps9 = np.broadcast_to(y, rows + (9,)), np.broadcast_to(eps[..., None], rows + (9,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a clamped omega_ref_upper is the caller's to warn of
         two = _row_columns(eps, terms, y, f_obj)
-        pair, silent = _estimate_core(y, eps9, f_obj, f_ec, sifting)
+        pair, silent, _ = _estimate_core(y, eps9, f_obj, f_ec, sifting)
     signal = ~silent
     two = [np.broadcast_to(column, rows)[signal] for column in two]
     pair = [column[signal] for column in pair]
@@ -1088,16 +1099,16 @@ def test_the_lift_of_one_eps_has_the_bits_of_nine_equal_anchors(eps):
 
 def test_a_tables_stages_agree_with_the_per_pair_core(monkeypatch):
     # whole tables with a refused delta, repeated ones and eps 0 and 1, on
-    # both axes: every block the sweep hands its second stage agrees with
-    # the per-pair core on the same views, and the error rows are those
-    # of the per-pair mask
+    # both axes: the one call of its second stage that each table makes
+    # agrees with the per-pair core on the same views, and the error rows
+    # are those of the per-pair mask
     config = SweepConfig(eps_values=(0.0, 1e-6, 1.0), delta_values=(0.126, math.pi / 4, 0.0, 0.126),
                          loss_range=LossRange(0.0, 30.0, 2.5),
                          frequency_range=FrequencyRange(0.1, 4.0, 0.5, loss_db=5.0))
-    blocks = []
+    calls = []
 
     def checked(eps, terms, y, f_obj):
-        blocks.append(_check_stages_against_per_pair(eps, terms, y, f_obj, config.f_ec, None))
+        calls.append(_check_stages_against_per_pair(eps, terms, y, f_obj, config.f_ec, None))
         return _row_columns(eps, terms, y, f_obj)
 
     monkeypatch.setattr(mdiqkd.sweep, "_row_columns", checked)
@@ -1106,7 +1117,7 @@ def test_a_tables_stages_agree_with_the_per_pair_core(monkeypatch):
             warnings.simplefilter("ignore")
             table = build(config)
         assert sum("exceeds ceiling" in (e or "") for e in table.errors) == table.numbers.shape[1] // 4
-    assert len(blocks) == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.126, 0.2, 0.7, 0.77, 0.78, 0.785])
@@ -1169,7 +1180,7 @@ def test_the_two_stages_add_no_error_against_60_digit_arithmetic(delta):
     s_matrix, _, f_obj, _ = build_estimation_stack(amps, amps)
     yields = reference_yields(s_matrix, transmission_rates_grid(channel, losses)).y[0]
     eps9 = np.broadcast_to(np.array(eps)[:, None, None], (4, 3, 9))
-    (_, _, e_xx, omega_ref_up, omega_up, _), _ = _estimate_core(
+    (_, _, e_xx, omega_ref_up, omega_up, _), *_ = _estimate_core(
         np.broadcast_to(yields, (4, 3, 9)), eps9, f_obj[0], 1.16, None)
     per_pair = {"omega_ref_upper": omega_ref_up, "omega_upper": omega_up, "e_xx": e_xx}
     for j, loss in enumerate(losses):

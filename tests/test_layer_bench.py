@@ -5,16 +5,14 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 STAGES = ["load_config", "reference_amplitudes", "transmission_rates_grid",
-          "build_estimation_stack", "reference_yields", "_estimate_core", "_point_terms",
-          "_row_columns",
+          "build_estimation_stack", "reference_yields", "_point_terms", "_row_columns",
           "loss_table/frequency_table", "SweepTable.summaries", "SweepTable.check",
           "_g12.print_rows", "start_up", "cli.main"]
 
 
 def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
     # one fresh process per kind and tree, on a workload of each axis; the
-    # second tree is this one again, under another label. A listed stage
-    # that a tree never calls reads null
+    # second tree is this one again, under another label
     src = str(TOOL.parent.parent / "src")
     subprocess.run([sys.executable, str(TOOL), "--label", "smoke", "--base", "again", src,
                     "--out", str(tmp_path), "--workloads", "curves_short,frequency_scan",
@@ -27,8 +25,6 @@ def test_layer_bench_times_every_stage_of_two_trees(tmp_path):
         assert list(report["workloads"]) == ["curves_short", "frequency_scan"]
         for workload in report["workloads"].values():
             assert list(workload["stages"]) == STAGES
-            # the per-pair core is no stage of a table here: absent, not an error
-            assert workload["stages"].pop("_estimate_core") is None
             for stage, figures in workload["stages"].items():
                 # a stage's first call and its VmHWM growth; start-up and the
                 # whole cli.main also scaled by perfbench's calibration kernel,

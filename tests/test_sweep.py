@@ -13,7 +13,7 @@ from itertools import compress
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
@@ -1031,9 +1031,17 @@ def _expected_loss_rows(config):
     TINY.replace(delta_values=(-0.0, 0.1, 0.0)),
     # a refused delta, listed twice, around an accepted one
     TINY.replace(delta_values=(1.5, 0.0, 1.5), cond_ceiling=1e3),
+    # a refused delta between accepted ones, with rows without signal
+    # beyond 3050 dB: each row in its place in the grid
+    TINY.replace(channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
+                 cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0)),
+    # three eps curves across two accepted deltas and a refused one between them
+    TINY.replace(eps_values=(1e-6, 1e-7, 1e-5), delta_values=(0.0, 1.5, 0.126),
+                 cond_ceiling=1e3, loss_range=LossRange(0.0, 3.0, 1.0)),
 ], ids=["eps-range", "cond-ceiling", "no-signal", "signal-underflow", "degenerate-delta",
         "denormal-yields", "subnormal-boundary", "singular-delta", "duplicate-deltas",
-        "negative-zero-delta", "refused-duplicate-delta"])
+        "negative-zero-delta", "refused-duplicate-delta", "refused-delta-without-signal",
+        "three-curves-refused-delta"])
 def test_loss_sweep_matches_scalar_chain(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # omega_ref_upper clamps at eps = 1
@@ -1041,10 +1049,12 @@ def test_loss_sweep_matches_scalar_chain(config):
         expected = _expected_loss_rows(config)
     _assert_pinned(table, expected)
     points = table.rows()
-    errors = {p.error for p in points}
     if config.cond_ceiling == 1e3:
-        assert all(("cond" in p.error) == (p.delta == 1.5) for p in points
-                   if p.error is not None) and len(errors) == 2
+        # delta 1.5 is refused, whatever its rows' signal, and no other delta is
+        assert all((p.error is not None and "cond" in p.error) == (p.delta == 1.5)
+                   for p in points)
+        points = [p for p in points if p.delta != 1.5]
+    errors = {p.error for p in points}
     if config.cond_ceiling == 1e300:
         assert all((p.error is None) == (p.delta == 0.0) for p in points)
         assert errors == {None, "virtual state for outcome (1,1) has zero trace"}
@@ -1071,107 +1081,60 @@ def test_denormal_yields_sweep_is_warning_free():
         loss_table(config)
 
 
-def _counted_blocks(monkeypatch):
-    """The list to which each later call of a sweep's second stage appends its rows."""
-    sizes = []
+def _counted_calls(monkeypatch):
+    """Two lists, to which each later call of a sweep's first and second stage appends its size.
 
-    def counting_stage(eps, terms, *args):
-        # a block's rows: its eps and its terms per (delta, point) broadcast
-        sizes.append(math.prod(np.broadcast_shapes(eps.shape, terms.shape[1:])))
+    A first-stage call appends its (delta, point) cells, a second-stage
+    call its rows: its eps and its terms per (delta, point) broadcast.
+    """
+    cells, rows = [], []
+
+    def first_stage(y, *args):
+        cells.append(math.prod(y.shape[:-1]))
+        return _point_terms(y, *args)
+
+    def second_stage(eps, terms, *args):
+        rows.append(math.prod(np.broadcast_shapes(eps.shape, *map(np.shape, terms))))
         return _row_columns(eps, terms, *args)
 
-    monkeypatch.setattr(mdiqkd.sweep, "_row_columns", counting_stage)
-    return sizes
+    monkeypatch.setattr(mdiqkd.sweep, "_point_terms", first_stage)
+    monkeypatch.setattr(mdiqkd.sweep, "_row_columns", second_stage)
+    return cells, rows
 
 
-@pytest.mark.parametrize("config, batches, n_silent", [
-    # clean: one block for the whole table
-    (TINY, [12], 0),
-    # delta 1.5 is refused and stays out of the core
-    (TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3), [6], 0),
-    # no signal anywhere: the one block gives error rows only
-    (TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)), [12], 12),
-    # the 20001 points of the one curve and delta go in two even blocks of
-    # at most BATCH_ROWS = 16384; the 4747 rows without signal (zeta_obs
-    # subnormal or 0 beyond 3050.6 dB) are the last of the second
+@pytest.mark.parametrize("config, cells, rows, n_silent", [
+    (TINY, 6, 12, 0),
+    # delta 1.5 is refused and stays out of the chain
+    (TINY.replace(delta_values=(0.0, 1.5), cond_ceiling=1e3), 3, 6, 0),
+    # no signal anywhere: the one call gives error rows only
+    (TINY.replace(channel=ChannelParams(eta_d=0.0, p_d=0.0)), 6, 12, 12),
+    # the 20001 points of the one curve and delta; the 4747 rows without
+    # signal (zeta_obs subnormal or 0 beyond 3050.6 dB) are the last
     (SweepConfig(channel=ChannelParams(p_d=0.0), loss_range=LossRange(0.0, 4000.0, 0.2)),
-     [10001, 10000], 4747),
+     20001, 20001, 4747),
 ], ids=["clean", "cond-ceiling", "no-signal", "signal-ends"])
-def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, batches, n_silent):
-    # a failing check runs no block again: one call of the second stage
-    # per block, as few as the rows need
-    sizes = _counted_blocks(monkeypatch)
+def test_sweep_runs_one_batch_per_failing_check(monkeypatch, config, cells, rows, n_silent):
+    # a failing check runs no stage again: one call of each stage per
+    # table, on every accepted (delta, point) and every row of those deltas
+    counted = _counted_calls(monkeypatch)
     points = loss_table(config).rows()
-    assert sizes == batches
-    assert len(sizes) == -(-sum(sizes) // mdiqkd.sweep.BATCH_ROWS)
+    assert counted == ([cells], [rows])
     silent = [p for p in points if p.error == NO_SIGNAL]
     assert len(silent) == n_silent
     assert all(math.isnan(p.key_rate) and math.isnan(p.cond_s) for p in silent)
 
 
-def test_batches_keep_every_row_in_its_place(monkeypatch):
-    # a refused delta, and rows without signal beyond 3050 dB, spread over
-    # many small blocks give the rows of one block, bit for bit
-    config = TINY.replace(channel=ChannelParams(p_d=0.0), delta_values=(0.0, 1.5, 0.126),
-                          cond_ceiling=1e3, loss_range=LossRange(0.0, 4000.0, 500.0))
-    whole = loss_table(config).rows()
-    sizes = _counted_blocks(monkeypatch)
-    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 5)
-    assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
-    # 36 rows of the two accepted deltas in eight blocks, one core call
-    # each, rows without signal included: each curve and delta alone, its
-    # nine points split 5 + 4
-    assert sizes == [5, 4, 5, 4, 5, 4, 5, 4]
-    assert sum(p.error == NO_SIGNAL for p in whole) > 0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 60), st.integers(1, 400))
-@example(1, 3, 1000, 1820)  # an even split of the outer axis alone gives 2000-cell blocks
-def test_blocks_tile_the_grid_within_the_limit(curves, deltas, points, limit):
-    shape = (curves, deltas, points)
-    covered = np.zeros(shape, dtype=int)
-    for block in mdiqkd.sweep._blocks(shape, limit):
-        assert covered[block].size <= limit
-        covered[block] += 1
-    # disjoint, and every cell in one block
-    assert np.all(covered == 1)
-
-
-def test_blocks_over_curves_and_deltas_keep_every_row_in_its_place(monkeypatch):
-    # three eps and two accepted deltas beside a refused one, four points:
-    # blocks of at most three rows split the curve and the delta axes too
-    config = TINY.replace(eps_values=(1e-6, 1e-7, 1e-5), delta_values=(0.0, 1.5, 0.126),
-                          cond_ceiling=1e3, loss_range=LossRange(0.0, 3.0, 1.0))
-    whole = loss_table(config).rows()
-    sizes = _counted_blocks(monkeypatch)
-    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 3)
-    assert [repr(p) for p in loss_table(config).rows()] == [repr(p) for p in whole]
-    assert sizes == [2] * 12
-    assert sum(p.error is not None for p in whole) == 12
-
-
 def test_the_first_stage_runs_once_per_delta_and_point(monkeypatch):
     # three curves share the eps-free terms of each accepted (delta,
-    # point); a frequency table's one loss gives one cell per delta. At
-    # BATCH_ROWS 18 the first stage takes at most two cells a call
+    # point); a frequency table's one loss gives one cell per delta
     config = TINY.replace(eps_values=(1e-6, 1e-7, 1e-5), delta_values=(0.0, 1.5, 0.126),
                           cond_ceiling=1e3, loss_range=LossRange(0.0, 3.0, 1.0),
                           frequency_range=_FREQUENCY_MAP)
-    cells = []
-
-    def counting_stage(y, *args):
-        cells.append(math.prod(y.shape[:-1]))
-        return _point_terms(y, *args)
-
-    monkeypatch.setattr(mdiqkd.sweep, "_point_terms", counting_stage)
+    cells, rows = _counted_calls(monkeypatch)
     loss_table(config)
     frequency_table(config)
     assert cells == [8, 2]
-    cells.clear()
-    monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", 18)
-    loss_table(config)
-    assert cells == [2, 2, 2, 2]
+    assert rows == [24, 30]
 
 
 def test_clamp_warning_beside_a_refused_delta_names_a_number():
@@ -1188,9 +1151,9 @@ def test_clamp_warning_beside_a_refused_delta_names_a_number():
     assert sum(e is not None for e in table.errors) == 6
 
 
-def test_a_clamped_table_warns_once_naming_its_worst_value(monkeypatch):
-    # eps 1 clamps omega_ref_upper on every row of its curve: however many
-    # blocks the core takes the table in, one warning names the table's worst
+def test_a_clamped_table_warns_once_naming_its_worst_value():
+    # eps 1 clamps omega_ref_upper on every row of its curve: one warning
+    # names the table's worst
     config = TINY.replace(eps_values=(1.0, 1e-6), delta_values=(0.0, 0.126, 0.3),
                           loss_range=LossRange(0.0, 10.0, 1.0),
                           frequency_range=FrequencyRange(0.1, 4.0, 0.3, loss_db=5.0,
@@ -1205,11 +1168,9 @@ def test_a_clamped_table_warns_once_naming_its_worst_value(monkeypatch):
         assert worst > 1.0
         return [str(w.message) for w in caught], f"omega_ref_upper = {worst!r} clamped to 1"
 
-    for batch_rows in (mdiqkd.sweep.BATCH_ROWS, 4):
-        monkeypatch.setattr(mdiqkd.sweep, "BATCH_ROWS", batch_rows)
-        for build in (loss_table, frequency_table):
-            messages, want = clamp_warnings(build)
-            assert messages == [want]
+    for build in (loss_table, frequency_table):
+        messages, want = clamp_warnings(build)
+        assert messages == [want]
 
 
 _FREQUENCY_MAP = FrequencyRange(0.5, 4.0, 0.25, loss_db=5.0, anchor_high=(4.0, -4.5))

@@ -12,8 +12,8 @@ there and the growth of the process's peak resident memory (VmHWM)
 across it, then its median over --repeats warm calls with the arguments
 of that first call: load_config, reference_amplitudes,
 transmission_rates_grid, build_estimation_stack, reference_yields, the
-first block of each stage of the chain (_estimate_core, or the two
-stages _point_terms and _row_columns), the whole table build
+first call of each stage of the chain (_point_terms and _row_columns,
+each called once per table), the whole table build
 (loss_table/frequency_table: the stages before it and the glue between
 them), SweepTable.summaries, SweepTable.check and _g12.print_rows. A
 stage that a tree does not define, or never calls, is reported as null,
@@ -100,7 +100,6 @@ def _stages(argv, repeats):
               (sweep, "transmission_rates_grid", "transmission_rates_grid"),
               (sweep, "build_estimation_stack", "build_estimation_stack"),
               (sweep, "reference_yields", "reference_yields"),
-              (sweep, "_estimate_core", "_estimate_core"),
               (sweep, "_point_terms", "_point_terms"),
               (sweep, "_row_columns", "_row_columns"),
               (mdiqkd.cli, "loss_table", "loss_table/frequency_table"),
