@@ -44,7 +44,7 @@ import warnings
 import numpy as np
 
 from .channel import YieldTable
-from .gbound import Frozen, _bound, plain, unit_interval
+from .gbound import Frozen, _bound, plain, real, unit_interval
 from .pauli_core import ZZ_PAIR_INDICES, EstimationError, build_estimation_stack
 
 __all__ = [
@@ -293,9 +293,10 @@ def estimate(inputs, f_ec=1.16, sifting_prefactor=None):
     for name, value in (("eps", eps), ("f_obj", f_obj)):
         if value.shape not in ((9,), shape):
             raise ValueError(f"{name} must have shape (9,) or {shape}, got {value.shape}")
-    if not 1.0 <= f_ec < np.inf:
+    if not 1.0 <= real(f_ec, "f_ec") < np.inf:
         raise ValueError("f_ec must be finite and >= 1")
-    if not (sifting_prefactor is None or 0.0 <= sifting_prefactor <= 1.0):
+    if not (sifting_prefactor is None
+            or 0.0 <= real(sifting_prefactor, "sifting_prefactor") <= 1.0):
         raise ValueError("sifting_prefactor must lie in [0, 1]")
     columns, silent, omega_ref = _estimate_core(inputs.yields.y, eps, f_obj, f_ec,
                                                 sifting_prefactor)

@@ -467,8 +467,13 @@ def test_estimate_refuses_shapes_that_do_not_agree(monkeypatch, yields, eps, f_o
     # p_ZA * p_ZB, a product of two probabilities
     (None, {"sifting_prefactor": 1.5}, "sifting_prefactor must lie in [0, 1]"),
     (None, {"sifting_prefactor": math.inf}, "sifting_prefactor must lie in [0, 1]"),
+    # a bool is no number, though Python compares it as 1 or 0
+    (None, {"f_ec": True}, "f_ec must be a number, got True"),
+    (None, {"f_ec": "2"}, "f_ec must be a number, got '2'"),
+    (None, {"sifting_prefactor": True}, "sifting_prefactor must be a number, got True"),
 ], ids=["f_obj-nan", "f_obj-inf", "f_ec-below-1", "f_ec-nan", "f_ec-inf", "sifting-negative",
-        "sifting-nan", "sifting-above-1", "sifting-inf"])
+        "sifting-nan", "sifting-above-1", "sifting-inf", "f_ec-bool", "f_ec-text",
+        "sifting-bool"])
 def test_estimate_refuses_a_bad_f_obj_f_ec_or_sifting_prefactor(monkeypatch, f_obj_entry,
                                                                 keywords, message):
     def no_work(*args, **kwargs):

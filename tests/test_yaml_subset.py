@@ -1,7 +1,6 @@
 """The config reader without PyYAML: it declines a document, or builds what PyYAML builds."""
 
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,10 +9,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mdiqkd.sweep
 from mdiqkd._yaml_subset import OUTSIDE, read
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import gate_tables  # noqa: E402
+
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 # scalars that YAML 1.1 resolves in ways a reader can get wrong, and text
@@ -163,44 +164,18 @@ def test_documents_outside_the_subset_go_to_pyyaml(doc):
     assert read(doc) is OUTSIDE
 
 
-def _configs():
-    """The README's yaml block, and each workload's config as yaml.safe_dump writes it."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    readme = (ROOT / "README.md").read_text().split("```yaml\n", 1)[1].split("```", 1)[0]
-    configs = [("readme", readme, sweep) for sweep in ("loss", "frequency")]
-    for name in workloads.WORKLOADS:
-        for seed in (0, 31):
-            workload = workloads.make(name, seed)
-            configs.append((f"{name}-{seed}", yaml.safe_dump(workload.config(), sort_keys=True),
-                            workload.sweep))
-    return configs
-
-
-def test_the_readme_and_workload_configs_are_read_without_pyyaml():
-    for _, doc, _ in _configs():
+def test_the_gate_configs_are_read_without_pyyaml():
+    for _, doc, _ in gate_tables.configs():
         assert read(doc) is not OUTSIDE
         _assert_read_as_pyyaml(doc)
 
 
-def test_cli_runs_on_the_readme_and_workload_configs_leave_yaml_unimported(tmp_path):
-    argvs = []
-    for i, (name, doc, sweep) in enumerate(_configs()):
-        (tmp_path / f"{name}.yaml").write_text(doc)
-        argvs.append(["--config", str(tmp_path / f"{name}.yaml"), "--sweep", sweep,
-                      "--out", str(tmp_path / f"{i}.table")])
-    code = (
-        "import sys\n"
-        "import mdiqkd.cli\n"
-        f"for argv in {argvs!r}:\n"
-        "    assert mdiqkd.cli.main(argv) == 0, argv\n"
-        "assert 'yaml' not in sys.modules\n"
-    )
-    src = os.path.dirname(os.path.dirname(mdiqkd.sweep.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.glob("*.table"))) == len(argvs)
+def test_cli_runs_on_the_gate_configs_import_no_yaml(tmp_path):
+    # a yaml module that refuses to load, first on the writer's path, fails
+    # the run of any config that the subset reader declines
+    (tmp_path / "yaml.py").write_text("raise ImportError('yaml imported')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+    jobs = gate_tables.configs()
+    gate_tables.write(ROOT / "src", jobs, tmp_path / "tables", env)
+    assert len(list((tmp_path / "tables").iterdir())) == 2 * len(jobs)
