@@ -45,5 +45,5 @@ for s in table.summaries():
     print(f"  eps = {s['eps']:<7} delta = {s['delta']:<6} cutoff = {cutoff}")
 
 perfect = table.select([p.delta == 0.0 for p in points])
-perfect.write("rate_vs_loss.csv", "csv", summary=perfect.summaries())
+perfect.write("rate_vs_loss.csv", "csv", summary=True)
 print("\nwrote rate_vs_loss.csv")

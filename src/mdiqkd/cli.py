@@ -109,7 +109,7 @@ def main(argv=None):
         # the table stays columns from the estimate to the file; write
         # range-checks it before it prints a line
         table = (loss_table if sweep == "loss" else frequency_table)(config)
-        table.write(config.out_path, config.out_format, summary=table.summaries())
+        table.write(config.out_path, config.out_format, summary=True)
     except Exception as exc:  # noqa: BLE001 - single reporting funnel
         import json  # only a failed run needs it; kept off the start-up path
 

@@ -151,14 +151,25 @@ def _anchors(eps):
     return np.sqrt(1.0 - eps)
 
 
-def _nine_sum(t):
-    """t[0] + ... + t[8] in a written order, numpy's pairwise one, that no reduction can change."""
-    return (((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))) + t[8]
+def _nine_sum(terms):
+    """The sum of nine terms in a written order, numpy's pairwise one, that no reduction changes.
+
+    The terms are drawn one at a time, as the sum needs them, from an
+    iterable: a generator builds each only when it is added.
+    """
+    t = iter(terms).__next__  # operands evaluate left to right: t() draws in written order
+    return (((t() + t()) + (t() + t())) + ((t() + t()) + (t() + t()))) + t()
 
 
 def _omega_ref_upper(y, roots, f_obj):
-    """omega_ref, each yield at the bound the sign of its coefficient selects, floored at 0."""
-    return np.maximum(_nine_sum(np.moveaxis(f_obj * _bound(y, roots, f_obj > 0.0), -1, 0)), 0.0)
+    """omega_ref, each yield at the bound the sign of its coefficient selects, floored at 0.
+
+    y, roots and f_obj: iterables of the nine pairs' columns, which
+    broadcast against each other; each pair's term is built when the sum
+    needs it.
+    """
+    terms = (f * _bound(v, r, f > 0.0) for v, r, f in zip(y, roots, f_obj))
+    return np.maximum(_nine_sum(terms), 0.0)
 
 
 def _delta_vir_lower(roots):
@@ -251,10 +262,12 @@ def _row_columns(eps, terms, y, f_obj):
     om = 1.0 - roots * roots
     omega_ref_up = np.maximum(omega_ref + om * a + 2.0 * roots * np.sqrt(om) * b, 0.0)
     saturated = (hi > roots * roots) | (lo < om)
-    if saturated.any():  # the per-pair form, on those rows alone
-        y, f_obj = (np.broadcast_to(v, saturated.shape + (9,))[saturated] for v in (y, f_obj))
-        anchors = np.broadcast_to(roots, saturated.shape)[saturated, None]
-        omega_ref_up[saturated] = _omega_ref_upper(y, anchors, f_obj)
+    if saturated.any():  # the per-pair form on those rows alone, one pair's column at a time
+        def rows(v):
+            return np.broadcast_to(v, saturated.shape)[saturated]
+
+        y, f_obj = (map(rows, np.moveaxis(v, -1, 0)) for v in (y, f_obj))
+        omega_ref_up[saturated] = _omega_ref_upper(y, [rows(roots)] * 9, f_obj)
     # _delta_vir_lower of nine equal anchors r is r: ((r + r) + r) + r rounds to 4r
     return _chain_tail(omega_ref_up, roots, *rest)
 
@@ -268,7 +281,8 @@ def _estimate_core(y, eps, f_obj, f_ec, sifting_prefactor):
     """
     roots = _anchors(eps)
     omega_ref, *_, e_zz, zeta_obs, y_zz, cost = _point_terms(y, f_obj, f_ec, sifting_prefactor)
-    columns = _chain_tail(_omega_ref_upper(y, roots, f_obj), _delta_vir_lower(roots),
+    pairs = (np.moveaxis(v, -1, 0) for v in (y, roots, f_obj))
+    columns = _chain_tail(_omega_ref_upper(*pairs), _delta_vir_lower(roots),
                           e_zz, zeta_obs, y_zz, cost)
     return columns, zeta_obs < _SILENT_BELOW, omega_ref
 

@@ -50,9 +50,11 @@ __all__ = [
 
 # the most rows one table may hold; every row stays in memory until emission.
 # Each stage of the chain takes the whole table in one call: a table of this
-# many rows peaks at 350-530 MiB of arrays (tracemalloc, 100 eps or deltas x
-# 10000 losses); rows that saturate a pair take the per-pair form on (rows, 9)
-# arrays and set the upper end
+# many rows, whose numbers take 84 MiB, peaks at 155-375 MiB of arrays
+# (tracemalloc): 155-173 MiB for 99-100 eps x 10000 losses, saturated rows
+# included, as the per-pair form gathers one pair's column at a time, and
+# 375 MiB for 100 deltas x 10000 losses, where the (delta, point, 9)
+# temporaries of the yields and of the first stage set the upper end
 MAX_TABLE_ROWS = 1_000_000
 
 
@@ -381,6 +383,8 @@ def load_config(path=None, overrides=None):
 
 # the place of each KeyRatePoint field among a table's columns
 _COLUMN = {name: i for i, name in enumerate(KeyRatePoint._fields)}
+# the fields of the chain's columns (estimator._chain_tail), in their order
+_CHAIN_COLUMNS = ("key_rate", "e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs")
 
 
 def _good_rows(errors):
@@ -468,53 +472,50 @@ class SweepTable:
             coordinate = self._values(["coordinate"], bad[:1])[0][0]
             raise ValueError(f"invalid diagnostics in row at coordinate {coordinate!r}")
 
-    def summaries(self):
-        """Positive-rate cutoff per curve along the scan axis.
+    def _curves(self):
+        """Each curve's labels, positive-rate cutoff and revival flag, as columns.
 
         Loss tables carry one curve per (eps, delta) combination; frequency
-        tables tie eps to the coordinate, so a curve is one delta. The
-        cutoff is the largest coordinate with key_rate > 0. A curve that
-        returns to positive rate after a zero would make that notion
-        ill-defined; such revival is flagged (and is loudly surprising).
+        tables tie eps to the coordinate, so a curve is one delta. Curves
+        follow in label order, each labelled by its first row in table
+        order. The cutoff is the largest coordinate with key_rate > 0, nan
+        where no row is positive. A curve that returns to positive rate
+        after a zero would make that notion ill-defined; such revival is
+        flagged (and is loudly surprising), with one warning per reviving
+        curve. Returns (label names, one list of values per label,
+        cutoffs, revival flags).
         """
-        coordinate, eps, delta, key_rate = self.numbers[:4]
+        coordinate, key_rate = (self.numbers[_COLUMN[f]] for f in ("coordinate", "key_rate"))
         labels = ("delta",) if self.frequency_axis else ("eps", "delta")
-        keys = [delta] if self.frequency_axis else [eps, delta]
+        keys = self.numbers[[_COLUMN[k] for k in labels]]
         rows = len(coordinate)
         # curves in label order, each sorted by coordinate; ties keep table order
         order = np.lexsort((coordinate, *keys[::-1]))
-        new_curve = np.zeros(rows, dtype=bool)
-        new_curve[0] = True
-        for key in keys:
-            key = key[order]
-            new_curve[1:] |= key[1:] != key[:-1]
-        starts = np.flatnonzero(new_curve)
+        keys = keys.take(order, axis=1)  # ~6x faster than keys[:, order]
+        # a curve starts at the first row and wherever a label changes
+        starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
         positive = (self.good & (key_rate > 0.0))[order]
         places = np.arange(rows)
-        count = np.add.reduceat(positive.astype(np.intp), starts).tolist()
-        first = np.minimum.reduceat(np.where(positive, places, rows), starts).tolist()
+        count = np.add.reduceat(positive.astype(np.intp), starts)
+        first = np.minimum.reduceat(np.where(positive, places, rows), starts)
         last = np.maximum.reduceat(np.where(positive, places, -1), starts)
-        # a curve is labelled by its first row in table order
-        label_rows = np.minimum.reduceat(order, starts)
-        label_values = zip(*self._values(labels, label_rows))
-        [cutoffs] = self._values(["coordinate"], order[np.maximum(last, 0)])
-        summaries = []
-        for values, n_positive, first_positive, last_positive, cutoff in zip(
-                label_values, count, first, last.tolist(), cutoffs):
-            summary = dict(zip(labels, values))
-            # a curve revives if a non-positive point lies between two positive ones
-            revival = n_positive > 0 and last_positive - first_positive >= n_positive
-            if revival:
-                label = ", ".join(f"{k}={v}" for k, v in summary.items())
-                warnings.warn(
-                    f"rate revival on curve {label}; cutoff is not trustworthy"
-                )
-            summary.update(cutoff=cutoff if n_positive else None, revival=revival)
-            summaries.append(summary)
-        return summaries
+        values = self._values(labels, np.minimum.reduceat(order, starts))
+        cutoffs = np.where(count > 0, coordinate[order[np.maximum(last, 0)]], np.nan)
+        # a curve revives if a non-positive point lies between two positive ones
+        revival = (count > 0) & (last - first >= count)
+        for i in np.flatnonzero(revival).tolist():
+            label = ", ".join(f"{k}={v[i]}" for k, v in zip(labels, values))
+            warnings.warn(f"rate revival on curve {label}; cutoff is not trustworthy")
+        return labels, values, cutoffs.tolist(), revival.tolist()
 
-    def write(self, path, out_format, summary=None):
-        """Check the table, then write it (and an optional summary block) deterministically.
+    def summaries(self):
+        """A dict per curve of _curves: labels, cutoff (None if no row is positive), revival."""
+        labels, values, cutoffs, revival = self._curves()
+        return [dict(zip(labels, label), cutoff=None if math.isnan(c) else c, revival=r)
+                for *label, c, r in zip(*values, cutoffs, revival)]
+
+    def write(self, path, out_format, summary=False):
+        """Check the table, then write it (and, if summary, its summary block) deterministically.
 
         The coordinate column is named frequency_ghz in a frequency table,
         the only one with a key_per_second column, and loss_db otherwise.
@@ -524,16 +525,18 @@ class SweepTable:
         before any is printed. Every row's numbers are printed by the
         digit kernel of mdiqkd._g12, which gives the bytes of
         f"{value:.12g}"; an error row's line then gains its message, and
-        in JSON-lines spells its nan as null.
+        in JSON-lines spells its nan as null. summary, True or False,
+        adds one line per curve of _curves, printed by one %.12g template:
+        its labels, its cutoff (null if none) and its revival flag.
         """
+        if not isinstance(summary, bool):
+            raise ValueError(f"summary must be true or false, got {summary!r}")
         self.check()
         fields = ["coordinate", "eps", "delta", "key_rate"]
         if self.frequency_axis:
             fields.append("key_per_second")
         fields += ["e_zz", "e_xx", "omega_ref_upper", "omega_upper", "zeta_obs", "cond_s"]
         names = ["frequency_ghz" if self.frequency_axis else "loss_db", *fields[1:]]
-        payloads = [", ".join(f'"{k}": {_fmt_json(v)}' for k, v in s.items())
-                    for s in summary or ()]
         if out_format == "csv":
             # a good row leaves the error cell empty
             prefixes = ["", *[","] * (len(fields) - 1)]
@@ -543,21 +546,31 @@ class SweepTable:
                 return line + _csv_quote(error)
 
             head = ",".join([*names, "error"]) + "\n"
-            tail = "".join("# summary {" + payload + "}\n" for payload in payloads)
+            envelope = "# summary {%s}\n"
         elif out_format == "json-lines":
             prefixes = ["{" + f'"{names[0]}": ', *(f', "{n}": ' for n in names[1:])]
             suffix = ', "error": null}\n'
 
             def error_line(line, error):
+                import json  # only error messages need it; kept off the start-up path
+
                 # an error row carries nan, which JSON spells null; no
                 # field name holds "nan", so only the values change
                 body = line.replace("nan", "null").removesuffix("null}")
-                return body + _fmt_json(error) + "}"
+                return body + json.dumps(error) + "}"
 
             head = ""
-            tail = "".join('{"summary": {' + payload + "}}\n" for payload in payloads)
+            envelope = '{"summary": {%s}}\n'
         else:
             raise ValueError(f"unknown format {out_format!r}")
+        tail = ""
+        if summary:
+            labels, values, cutoffs, revival = self._curves()
+            line = envelope % ", ".join(
+                [*(f'"{k}": %.12g' for k in labels), '"cutoff": %s', '"revival": %s'])
+            tail = "".join(line % (*label, "null" if math.isnan(cutoff) else "%.12g" % cutoff,
+                                   "true" if revived else "false")
+                           for *label, cutoff, revived in zip(*values, cutoffs, revival))
         block = [self.numbers[_COLUMN[f]] for f in fields]
         chunks = _g12.print_rows(block, prefixes, suffix)
         with open(path, "w", newline="\n") as fh:
@@ -596,10 +609,11 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     keep = np.flatnonzero([err is None for err in errors])  # the accepted deltas
     # every column but the error, in KeyRatePoint field order
     numbers = np.full((len(_COLUMN) - 1, len(eps), len(amps), len(coordinates)), np.nan)
-    numbers[0] = coordinates
-    numbers[1] = eps[:, None]
-    numbers[2] = np.array(config.delta_values, dtype=float)[:, None]
-    numbers[9][:, keep] = cond_s[keep, None]
+    column = dict(zip(KeyRatePoint._fields, numbers))  # each number column's view, by name
+    column["coordinate"][...] = coordinates
+    column["eps"][...] = eps[:, None]
+    column["delta"][...] = np.array(config.delta_values, dtype=float)[:, None]
+    column["cond_s"][:, keep] = cond_s[keep, None]
     # (accepted deltas, points or 1, 9): a frequency table's one loss
     yields = reference_yields(s_matrix, rates).y[keep]
     f_obj = f_obj[keep, None]
@@ -607,13 +621,15 @@ def _sweep_table(config, coordinates, eps, rates, per_second):
     terms = _point_terms(yields, f_obj, config.f_ec, sifting)
     # eps per (curve, point) as (curves, 1, points): each curve meets every accepted delta
     columns = _row_columns(eps[:, None, :], terms, yields, f_obj)
-    for column, values in zip(numbers[3:9], columns):
-        column[:, keep] = values
-    _warn_of_clamp(numbers[6][:, keep])  # the rows the chain saw, silent ones included
-    silent = numbers[8] < _SILENT_BELOW  # zeta_obs; nan in a refused delta's rows
-    numbers[3:10, silent] = np.nan
+    for name, values in zip(_CHAIN_COLUMNS, columns):
+        column[name][:, keep] = values
+    # the rows the chain saw, silent ones included
+    _warn_of_clamp(column["omega_ref_upper"][:, keep])
+    silent = column["zeta_obs"] < _SILENT_BELOW  # nan in a refused delta's rows
+    for name in (*_CHAIN_COLUMNS, "cond_s"):
+        column[name][silent] = np.nan
     if per_second:
-        numbers[10] = numbers[3] * numbers[0] * 1e9
+        column["key_per_second"][...] = column["key_rate"] * column["coordinate"] * 1e9
     messages = np.array([None if err is None else str(err) for err in errors], dtype=object)
     messages = np.where(silent, NO_SIGNAL, messages[:, None]).ravel().tolist()
     return SweepTable(numbers.reshape(len(numbers), -1), messages, per_second)
@@ -647,14 +663,3 @@ def _csv_quote(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
-
-def _fmt_json(value):
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        import json  # only error messages need it; kept off the start-up path
-
-        return json.dumps(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}"

@@ -6,7 +6,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_bench.py"
 STAGES = ["load_config", "reference_amplitudes", "transmission_rates_grid",
           "build_estimation_stack", "reference_yields", "_point_terms", "_row_columns",
-          "loss_table/frequency_table", "SweepTable.summaries", "SweepTable.check",
+          "loss_table/frequency_table", "SweepTable._curves", "SweepTable.check",
           "_g12.print_rows", "start_up", "cli.main"]
 
 

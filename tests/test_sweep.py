@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import compress
 
@@ -572,7 +573,7 @@ def test_sweep_summaries_match_the_curve_by_curve_oracle(config):
 def test_emit_table_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     table = _table([_point(0.0, 1.2345678901234e-4)])
-    table.write(str(path), "csv", summary=table.summaries())
+    table.write(str(path), "csv", summary=True)
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "loss_db"
@@ -582,6 +583,23 @@ def test_emit_table_csv_layout(tmp_path):
     assert lines[2].startswith("# summary {")
     payload = json.loads(lines[2].removeprefix("# summary "))
     assert payload["cutoff"] == 0.0 and payload["revival"] is False
+
+
+@pytest.mark.parametrize("summary", ["summaries", None, 1, "true"])
+def test_emit_table_takes_summary_as_a_flag(tmp_path, summary):
+    # the summary block comes from the table's own curves: a list of
+    # summaries, like any other value but True or False, is refused
+    # before the file is opened
+    table = _table([_point(0.0, 1.0), _point(1.0, 0.0)])
+    if summary == "summaries":
+        summary = table.summaries()
+    path = tmp_path / "t.csv"
+    message = f"summary must be true or false, got {summary!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        table.write(str(path), "csv", summary=summary)
+    assert not path.exists()
+    table.write(str(path), "csv", summary=False)
+    assert len(path.read_text().splitlines()) == 3  # no summary block
 
 
 def test_emit_table_twelve_digit_rounding(tmp_path):
@@ -595,7 +613,7 @@ def test_emit_table_twelve_digit_rounding(tmp_path):
 def test_emit_table_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     table = loss_table(TINY.replace(eps_values=(1e-6,), delta_values=(0.0,)))
-    table.write(str(path), "json-lines", summary=table.summaries())
+    table.write(str(path), "json-lines", summary=True)
     points = table.rows()
     lines = path.read_text().splitlines()
     assert len(lines) == len(points) + 1
@@ -611,7 +629,7 @@ def test_emit_table_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         table = loss_table(TINY.replace(eps_values=(1e-6,)))
-        table.write(str(path), "csv", summary=table.summaries())
+        table.write(str(path), "csv", summary=True)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -729,12 +747,12 @@ def test_emit_table_matches_per_field_oracle(tmp_path, out_format, rows):
     else:
         table = (loss_table if rows == "loss" else frequency_table)(config)
         points = table.rows()
+    path = tmp_path / "table"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # hand-built curves revive
-        summary = table.summaries()
-    path = tmp_path / "table"
-    table.write(str(path), out_format, summary=summary)
-    assert path.read_bytes() == table_text(points, out_format, summary).encode()
+        table.write(str(path), out_format, summary=True)
+    expected = table_text(points, out_format, curve_summaries_by_row(points))
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 10_000])
@@ -754,9 +772,28 @@ def test_emit_table_writes_every_line_whatever_the_chunk(tmp_path, monkeypatch, 
         selected = table.select(mask)
         kept = [p for p, keep in zip(points, mask) if keep]
         path = tmp_path / f"t{i}"
-        selected.write(str(path), out_format, summary=selected.summaries())
+        selected.write(str(path), out_format, summary=True)
         expected = table_text(kept, out_format, curve_summaries_by_row(kept))
         assert path.read_bytes() == expected.encode()
+
+
+def test_saturated_rows_build_in_a_few_tables_of_memory():
+    # eps 0.5-1 saturates a pair on most of the 40004 rows: the per-pair
+    # form takes one pair's column of those rows at a time, so the build
+    # peaks at a few times the table's own numbers (2.7x)
+    config = TINY.replace(eps_values=(0.5, 0.7, 0.9, 1.0), delta_values=(0.0,),
+                          loss_range=LossRange(0.0, 100.0, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # omega_ref_upper clamps
+        loss_table(config)  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            table = loss_table(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(table.errors) == 40004
+    assert peak < 4 * table.numbers.nbytes
 
 
 def test_frequency_sweep_requires_loss():
@@ -1705,6 +1742,37 @@ def test_cli_writes_the_bytes_of_the_library_chain(tmp_path, capsys, name, out_f
     assert capsys.readouterr().out == (f"wrote {len(rows)} rows to {out}"
                                        + (f" ({failed} failed points)" if failed else "")
                                        + "\n")
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json-lines"])
+def test_cli_prints_the_summary_block_from_the_curves(tmp_path, capsys, monkeypatch, out_format):
+    # 6 eps x 5 distinct deltas, one refused (1.5), one listed twice and
+    # -0.0 beside 0.0: 30 curves, each printed straight from the table's
+    # columns, never through summaries()
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command line built summary dicts")
+
+    monkeypatch.setattr(mdiqkd.sweep.SweepTable, "summaries", refuse)
+    config = TINY.replace(eps_values=(1e-7, 1e-6, 0.0, 1e-5, 0.5, 1.0),
+                          delta_values=(0.126, 0.0, 1.5, -0.0, 0.126, 0.05, -0.2),
+                          cond_ceiling=1e3,
+                          loss_range=LossRange(0.0, 14.0, 2.0))
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump({
+        "estimation": {"cond_ceiling": config.cond_ceiling},
+        "sweep": {"eps": list(config.eps_values), "delta": list(config.delta_values),
+                  "loss": {"start": 0.0, "stop": 14.0, "step": 2.0}}}))
+    out = tmp_path / "rates"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eps 0.5 and 1 clamp omega_ref_upper
+        assert main(["--config", str(config_path), "--out", str(out),
+                     "--format", out_format]) == 0
+        rows = loss_table(config).rows()
+    summaries = curve_summaries_by_row(rows)
+    assert len(summaries) == 30
+    assert {s["cutoff"] is None for s in summaries} == {True, False}
+    assert out.read_bytes() == table_text(rows, out_format, summaries).encode()
+    assert capsys.readouterr().out.startswith(f"wrote {len(rows)} rows to {out}")
 
 
 def test_cli_builds_no_rows(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ transmission_rates_grid, build_estimation_stack, reference_yields, the
 first call of each stage of the chain (_point_terms and _row_columns,
 each called once per table), the whole table build
 (loss_table/frequency_table: the stages before it and the glue between
-them), SweepTable.summaries, SweepTable.check and _g12.print_rows. A
+them), SweepTable._curves, SweepTable.check and _g12.print_rows. A
 stage that a tree does not define, or never calls, is reported as null,
 so that trees of different stages compare. As
 many fresh interpreters run what a perfbench worker runs: the start-up
@@ -104,7 +104,7 @@ def _stages(argv, repeats):
               (sweep, "_row_columns", "_row_columns"),
               (mdiqkd.cli, "loss_table", "loss_table/frequency_table"),
               (mdiqkd.cli, "frequency_table", "loss_table/frequency_table"),
-              (sweep.SweepTable, "summaries", "SweepTable.summaries"),
+              (sweep.SweepTable, "_curves", "SweepTable._curves"),
               (sweep.SweepTable, "check", "SweepTable.check"),
               (_g12, "print_rows", "_g12.print_rows")]
     first, growth, calls = {}, {}, {}
