@@ -227,8 +227,8 @@ def reference_yields(s_matrix, rates):
     # the sum over j with the points innermost, as rows of q^T
     raw = np.swapaxes(_explicit_sum(s_matrix, np.ascontiguousarray(rates.reshape(-1, 9).T)),
                       -1, -2).reshape(s_matrix.shape[:-2] + rates.shape[:-1] + (9,))
-    clamped = np.clip(raw, 0.0, 1.0)
-    worst = np.abs(raw - clamped).max()
+    # the largest clamp, max |raw - clip(raw)|, read without a clipped copy
+    worst = max(raw.max() - 1.0, -raw.min(), 0.0)
     if worst > 1e-9:
         warnings.warn(f"yield clamped by {worst:.3e}, exceeds 1e-9 dust")
-    return YieldTable(clamped)
+    return YieldTable(np.clip(raw, 0.0, 1.0, out=raw))

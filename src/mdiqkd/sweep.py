@@ -54,7 +54,8 @@ __all__ = [
 # (tracemalloc): 155-173 MiB for 99-100 eps x 10000 losses, saturated rows
 # included, as the per-pair form gathers one pair's column at a time, and
 # 375 MiB for 100 deltas x 10000 losses, where the (delta, point, 9)
-# temporaries of the yields and of the first stage set the upper end
+# temporaries of the first stage set the upper end (the yields, clamped in
+# place, peak at 222 MiB there)
 MAX_TABLE_ROWS = 1_000_000
 
 
@@ -319,48 +320,21 @@ def _collect(mapping, section, values):
             _collect(value, key, values)
 
 
-def _pyyaml_load(fh, path):
-    """PyYAML's safe load of fh, refusing a key set twice in a mapping as the subset reader does.
-
-    libyaml's loader where PyYAML has it: the same mapping, parsed 5-9x faster.
-    """
-    import yaml
-
-    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        def construct_mapping(self, node, deep=False):
-            seen = set()
-            for key_node, _ in node.value:
-                if type(key_node) is yaml.ScalarNode and key_node.tag != "tag:yaml.org,2002:merge":
-                    key = self.construct_object(key_node)
-                    if key in seen:
-                        raise ValueError(f"{path}: config key {key!r} repeated at line"
-                                         f" {key_node.start_mark.line + 1}")
-                    seen.add(key)
-            return super().construct_mapping(node, deep)
-
-    return yaml.load(fh, Loader=Loader)
-
-
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an optional YAML file plus overrides.
 
-    The file sets keys of CONFIG_KEYS, every one optional. A file in the
-    block-YAML subset of _yaml_subset (all that yaml.safe_dump writes for
-    a config, and the README's example) is read without PyYAML; any other
-    goes to PyYAML's safe loader, which builds the same mapping from the
-    subset and names the file and line of a syntax error or a repeated
-    key. overrides maps dotted keys to values (None: unset), laid over the
-    file's keys before any value goes through its key's parser and check.
-    Each object is built once.
+    The file sets keys of CONFIG_KEYS, every one optional, in the YAML
+    that _yaml_subset reads as PyYAML's safe loader does (all that
+    yaml.safe_dump writes for a config, and the README's example); any
+    other file, and a key set twice in one mapping, is refused naming
+    the file and the line. overrides maps dotted keys to values (None:
+    unset), laid over the file's keys before any value goes through its
+    key's parser and check. Each object is built once.
     """
     raw = {}
     if path is not None:
-        with open(path) as fh:
-            raw = _yaml_subset.read(fh.read())
-            if raw is _yaml_subset.OUTSIDE:
-                fh.seek(0)
-                raw = _pyyaml_load(fh, path)
-        raw = raw or {}
+        with open(path, encoding="utf-8") as fh:
+            raw = _yaml_subset.read(fh.read(), path) or {}
         if not isinstance(raw, dict):
             raise ValueError("config root must be a mapping")
     values = {}

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +272,36 @@ def test_yields_clamp_warns_beyond_dust():
     rates = np.array([0.6] + [0.0] * 8)
     with pytest.warns(UserWarning, match="clamped"):
         reference_yields(s, rates)
+
+
+def test_yields_clamp_warning_names_the_largest_clamp():
+    # one yield of -1e-8, every other in [0, 1]
+    s, rates = np.eye(9), np.array([1.0] + [0.5] * 8)
+    s[0, 0] = -1e-8
+    with pytest.warns(UserWarning) as caught:
+        y = reference_yields(s, rates).y
+    assert [str(w.message) for w in caught] == ["yield clamped by 1.000e-08, exceeds 1e-9 dust"]
+    assert y[0] == 0.0 and np.all(y[1:] == 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reference_yields(s / 100.0, rates)  # a clamp of 1e-10 is dust
+
+
+def test_yields_of_a_stack_clamp_in_place():
+    # 20 matrices S over 500 losses: beside the yields, the sum over j
+    # holds one product of their size, and the clamp adds no copy
+    deltas = np.linspace(0.0, 0.2, 20)
+    stack = np.array([build_S_matrix(*[[make_reference_state(s, ModulationErrors(d, d, d))
+                                        for s in SETTINGS]] * 2) for d in deltas])
+    rates = transmission_rates_grid(BENCHMARK, np.linspace(0.0, 30.0, 500))
+    tracemalloc.start()
+    try:
+        y = reference_yields(stack, rates).y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (20, 500, 9)
+    assert peak < 2.5 * y.nbytes, peak / y.nbytes
 
 
 def test_yields_match_direct_traces():

@@ -32,7 +32,6 @@ from mdiqkd import (
 )
 import mdiqkd
 import mdiqkd._g12
-import mdiqkd._yaml_subset
 import mdiqkd.sweep
 from mdiqkd.estimator import NO_SIGNAL, EstimationInputs, _point_terms, _row_columns
 from mdiqkd.cli import build_parser, main
@@ -239,39 +238,25 @@ def test_load_config_yaml_file(tmp_path):
     assert config.out_format == "json-lines"
 
 
-def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
-    # a file outside the subset that load_config reads itself (flow
-    # collections nested over two lines, an anchor) goes to PyYAML
+def test_load_config_reads_flow_collections_nested_over_lines(tmp_path):
+    # flow collections nested two deep and continued on deeper lines, and
+    # 1e-7 (a string to YAML 1.1), read without PyYAML
     path = tmp_path / "cfg.yaml"
-    text = (
+    path.write_text(
         "channel: {eta_d: 0.2, p_d: 1.0e-6}\n"
         "estimation: {f_ec: 1.2, include_sifting: true, cond_ceiling: 1.0e+3}\n"
         "sweep: {eps: [1e-7, 1.0e-6, 0], delta: [0.05, -0.0, 1],\n"
-        "        loss: {start: 1, stop: &stop 2.0, step: 0.5},\n"
+        "        loss: {start: 1, stop: 2.0, step: 0.5},\n"
         "        frequency: {loss_db: 5.0, anchor_low: [0.5, -9], anchor_high: [4.0, -5.0]}}\n"
         "output: {path: 'rates, all.jsonl', format: json-lines}\n"
     )
-    path.write_text(text)
-    assert mdiqkd._yaml_subset.read(text) is mdiqkd._yaml_subset.OUTSIDE
-    load, fast, loaders, configs = yaml.load, getattr(yaml, "CSafeLoader", None), [], []
-
-    def recording_load(stream, Loader):
-        loaders.append(Loader)
-        return load(stream, Loader=Loader)
-
-    monkeypatch.setattr(yaml, "load", recording_load)
-    configs.append(load_config(str(path)))
-    # the pure-Python fallback, for a PyYAML built without libyaml
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    configs.append(load_config(str(path)))
-    # each a subclass that refuses a key set twice
-    assert issubclass(loaders[0], fast or yaml.SafeLoader)
-    assert issubclass(loaders[1], yaml.SafeLoader) and not issubclass(loaders[1], fast or int)
-    assert configs[0] == configs[1]
-    assert configs[0].eps_values == (1e-7, 1e-6, 0.0)
-    assert repr(configs[0].delta_values) == repr((0.05, -0.0, 1.0))
-    assert configs[0].out_path == "rates, all.jsonl"
-    assert configs[0].loss_range == LossRange(1.0, 2.0, 0.5)
+    config = load_config(str(path))
+    assert config.eps_values == (1e-7, 1e-6, 0.0)
+    assert repr(config.delta_values) == repr((0.05, -0.0, 1.0))
+    assert config.out_path == "rates, all.jsonl"
+    assert config.loss_range == LossRange(1.0, 2.0, 0.5)
+    assert config.frequency_range.anchor_low == (0.5, -9.0)
+    assert config.cond_ceiling == 1e3 and config.include_sifting is True
 
 
 @pytest.mark.parametrize("text, key, line", [
@@ -279,17 +264,13 @@ def test_load_config_parses_with_libyaml_and_without(tmp_path, monkeypatch):
     ("sweep:\n  loss: {start: 1.0, stop: 4.0,\n         start: 2.0}\n", "start", 3),
     ("sweep:\n  eps: [1.0e-6]\n  delta: [0.0]\n  eps: [1.0e-7]\n", "eps", 4),
 ])
-def test_load_config_refuses_a_key_set_twice(tmp_path, monkeypatch, text, key, line):
+def test_load_config_refuses_a_key_set_twice(tmp_path, text, key, line):
     # PyYAML alone would keep the last value (eta_d=0.145, the default, in
-    # the first file); the subset reader declines these files, and the
-    # fallback, libyaml's or pure Python, refuses them naming the key and line
+    # the first file); the reader refuses these files naming the key and
+    # the line that holds it, inside a flow collection over lines too
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    assert mdiqkd._yaml_subset.read(text) is mdiqkd._yaml_subset.OUTSIDE
     message = f"^{re.escape(str(path))}: config key '{key}' repeated at line {line}$"
-    with pytest.raises(ValueError, match=message):
-        load_config(str(path))
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     with pytest.raises(ValueError, match=message):
         load_config(str(path))
 
@@ -1642,16 +1623,13 @@ def test_config_records_repr_like_a_dataclass():
         "SweepConfig(channel=ChannelParams(eta_d=0.145, p_d=6.02e-06, ")
 
 
-@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
-@pytest.mark.parametrize("text, error", [
-    ("sweep: {eps: [1.0e-6\n", "ParserError"),
-    ("sweep: eps: [1.0e-6]\n", "ScannerError"),
-    ("sweep:\n\t- 1\n", "ScannerError"),
-], ids=["unclosed-list", "nested-mapping", "tab"])
-def test_cli_yaml_syntax_error_fails_with_one_json_line(tmp_path, capsys, monkeypatch,
-                                                        libyaml, text, error):
-    if not libyaml:
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+@pytest.mark.parametrize("text, line", [
+    ("sweep: {eps: [1.0e-6\n", 1),
+    ("sweep: eps: [1.0e-6]\n", 1),
+    ("sweep:\n\t- 1\n", 2),
+    ("sweep:\n  eps: [1.0e-6,\n        &x 1.0e-7]\n", 3),
+], ids=["unclosed-list", "nested-mapping", "tab", "anchor-on-a-continued-line"])
+def test_cli_yaml_syntax_error_fails_with_one_json_line(tmp_path, capsys, text, line):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     rc = main(["--config", str(path), "--out", str(tmp_path / "t.csv")])
@@ -1660,8 +1638,8 @@ def test_cli_yaml_syntax_error_fails_with_one_json_line(tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
     err = json.loads(captured.err)
-    assert err["error"] == error
-    assert "bad.yaml" in err["message"] and "line" in err["message"]
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: line {line}: ")
     assert not (tmp_path / "t.csv").exists()
 
 
